@@ -31,13 +31,28 @@ def radii(lat):
     return rm, rn
 
 
-def radii_derivatives(lat):
-    """d(R_M)/dlat and d(R_N)/dlat."""
-    s, c = np.sin(lat), np.cos(lat)
+# Each formula below lives in one private helper that takes the latitude's
+# trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
+# caller that needs several of them at one point evaluates those once; the
+# public functions are the same formulas evaluated at (lat, h).
+
+
+def _radii_derivatives(s, c):
     w2 = 1.0 - WGS84_E2 * s**2
     drn = WGS84_A * WGS84_E2 * s * c * w2**-1.5
     drm = 3.0 * WGS84_A * (1.0 - WGS84_E2) * WGS84_E2 * s * c * w2**-2.5
     return drm, drn
+
+
+def radii_derivatives(lat):
+    """d(R_M)/dlat and d(R_N)/dlat."""
+    return _radii_derivatives(np.sin(lat), np.cos(lat))
+
+
+def _gravity_n(s2, rm, rn, h):
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
+    rbar = np.sqrt(rm * rn)
+    return np.array([0.0, 0.0, g0 * (rbar / (rbar + h)) ** 2])
 
 
 def gravity_n(lat, h):
@@ -47,39 +62,33 @@ def gravity_n(lat, h):
     (R/(R+h))^2 where R is the Gaussian mean curvature radius, so that
     dg/dh = -2 g / (R + h) exactly.
     """
-    s2 = np.sin(lat) ** 2
-    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
     rm, rn = radii(lat)
-    rbar = np.sqrt(rm * rn)
-    g = g0 * (rbar / (rbar + h)) ** 2
-    return np.array([0.0, 0.0, g])
+    return _gravity_n(np.sin(lat) ** 2, rm, rn, h)
+
+
+def _gravity_gradient_down(g_down, rm, rn, h):
+    return 2.0 * g_down / (np.sqrt(rm * rn) + h)
 
 
 def gravity_gradient_down(lat, h):
     """Coefficient k with d(g_D) = k * d(r_D); equals 2 g / (R + h)."""
     rm, rn = radii(lat)
-    rbar = np.sqrt(rm * rn)
-    return 2.0 * gravity_n(lat, h)[2] / (rbar + h)
+    return _gravity_gradient_down(gravity_n(lat, h)[2], rm, rn, h)
 
 
-def position_vector_n(lat, h):
-    """Earth-center to body vector resolved in the local NED frame."""
-    s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii(lat)
+def _position_vector_n(s, c, rn, h):
     return np.array(
         [-WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)]
     )
 
 
-def position_vector_gradient_n(lat, h):
-    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
+def position_vector_n(lat, h):
+    """Earth-center to body vector resolved in the local NED frame."""
+    _, rn = radii(lat)
+    return _position_vector_n(np.sin(lat), np.cos(lat), rn, h)
 
-    The earth-center vector depends on latitude and height only, with
-    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
-    """
-    s, c = np.sin(lat), np.cos(lat)
-    rm, rn = radii(lat)
-    _, drn = radii_derivatives(lat)
+
+def _position_vector_gradient_n(s, c, rm, rn, drn, h):
     drho_dlat = np.array(
         [
             -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)),
@@ -93,66 +102,94 @@ def position_vector_gradient_n(lat, h):
     return out
 
 
+def position_vector_gradient_n(lat, h):
+    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
+
+    The earth-center vector depends on latitude and height only, with
+    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
+    """
+    s, c = np.sin(lat), np.cos(lat)
+    rm, rn = radii(lat)
+    _, drn = _radii_derivatives(s, c)
+    return _position_vector_gradient_n(s, c, rm, rn, drn, h)
+
+
+def _gravitation_n(w_ie, g_n, r_n):
+    return g_n + skew(w_ie) @ skew(w_ie) @ r_n
+
+
 def gravitation_n(lat, h):
     """Gravitational acceleration (gravity plus centrifugal term) in NED."""
-    omega_ie = earth_rate_n(lat)
-    return gravity_n(lat, h) + skew(omega_ie) @ skew(omega_ie) @ position_vector_n(lat, h)
+    return _gravitation_n(
+        earth_rate_n(lat), gravity_n(lat, h), position_vector_n(lat, h)
+    )
+
+
+def _earth_rate_n(s, c):
+    return np.array([EARTH_RATE * c, 0.0, -EARTH_RATE * s])
 
 
 def earth_rate_n(lat):
-    return np.array([EARTH_RATE * np.cos(lat), 0.0, -EARTH_RATE * np.sin(lat)])
+    return _earth_rate_n(np.sin(lat), np.cos(lat))
+
+
+def _transport_rate_n(t, rm, rn, h, vn):
+    return np.array(
+        [
+            vn[1] / (rn + h),
+            -vn[0] / (rm + h),
+            -vn[1] * t / (rn + h),
+        ]
+    )
 
 
 def transport_rate_n(lat, h, vn):
     """omega_en^n for ground velocity vn = (vN, vE, vD)."""
     rm, rn = radii(lat)
-    return np.array(
-        [
-            vn[1] / (rn + h),
-            -vn[0] / (rm + h),
-            -vn[1] * np.tan(lat) / (rn + h),
-        ]
-    )
+    return _transport_rate_n(np.tan(lat), rm, rn, h, vn)
+
+
+def _n_rv_diagonal(c, rm, rn, h):
+    return np.array([1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0])
 
 
 def n_rv(lat, h):
     """Maps NED velocity to geodetic rates: (lat_dot, lon_dot, h_dot) = N @ vn."""
     check_latitude(lat)
     rm, rn = radii(lat)
-    return np.diag([1.0 / (rm + h), 1.0 / ((rn + h) * np.cos(lat)), -1.0])
+    return np.diag(_n_rv_diagonal(np.cos(lat), rm, rn, h))
+
+
+def _m1_matrix(s, c, rm, h):
+    out = np.zeros((3, 3))
+    out[0, 0] = -EARTH_RATE * s / (rm + h)
+    out[2, 0] = -EARTH_RATE * c / (rm + h)
+    return out
 
 
 def m1_matrix(lat, h):
     """d(omega_ie^n) / d(r_eb^n) with d(lat) = d(r_N)/(R_M+h)."""
     rm, _ = radii(lat)
-    out = np.zeros((3, 3))
-    out[0, 0] = -EARTH_RATE * np.sin(lat) / (rm + h)
-    out[2, 0] = -EARTH_RATE * np.cos(lat) / (rm + h)
-    return out
+    return _m1_matrix(np.sin(lat), np.cos(lat), rm, h)
+
+
+def _m2_matrix(t, rm, rn, h):
+    return np.array(
+        [
+            [0.0, 1.0 / (rn + h), 0.0],
+            [-1.0 / (rm + h), 0.0, 0.0],
+            [0.0, -t / (rn + h), 0.0],
+        ]
+    )
 
 
 def m2_matrix(lat, h):
     """d(omega_en^n) / d(v^n)."""
     rm, rn = radii(lat)
-    return np.array(
-        [
-            [0.0, 1.0 / (rn + h), 0.0],
-            [-1.0 / (rm + h), 0.0, 0.0],
-            [0.0, -np.tan(lat) / (rn + h), 0.0],
-        ]
-    )
+    return _m2_matrix(np.tan(lat), rm, rn, h)
 
 
-def m3_matrix(lat, h, vn):
-    """d(omega_en^n) / d(r_eb^n) at fixed velocity.
-
-    Obtained by direct differentiation of omega_en^n(lat, h, v), including
-    the latitude dependence of the curvature radii; d(lat) = d(r_N)/(R_M+h)
-    and d(h) = -d(r_D).
-    """
-    rm, rn = radii(lat)
-    drm, drn = radii_derivatives(lat)
-    t, c = np.tan(lat), np.cos(lat)
+def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
     vN, vE = vn[0], vn[1]
     out = np.zeros((3, 3))
     # column 0: sensitivity to r_N through latitude
@@ -164,6 +201,18 @@ def m3_matrix(lat, h, vn):
     out[1, 2] = -vN / (rm + h) ** 2
     out[2, 2] = -vE * t / (rn + h) ** 2
     return out
+
+
+def m3_matrix(lat, h, vn):
+    """d(omega_en^n) / d(r_eb^n) at fixed velocity.
+
+    Obtained by direct differentiation of omega_en^n(lat, h, v), including
+    the latitude dependence of the curvature radii; d(lat) = d(r_N)/(R_M+h)
+    and d(h) = -d(r_D).
+    """
+    rm, rn = radii(lat)
+    drm, drn = radii_derivatives(lat)
+    return _m3_matrix(np.tan(lat), np.cos(lat), rm, rn, drm, drn, h, vn)
 
 
 def llh_to_ecef(lat, lon, h):

@@ -23,7 +23,7 @@ import numpy as np
 
 from liese_nav import earth
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import skew
+from liese_nav.liegroup import cross, skew
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 
 PHI = slice(0, 3)
@@ -47,6 +47,10 @@ _SUPPORTED = {
     "ECEF_Aux": {"RightTrue"},
 }
 _MEMS_FRAMES = {"NED_Aux", "ECEF"}
+
+# one shared identity block, read-only so that no caller can modify it
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -90,10 +94,10 @@ def supported_variants(include_mems=True):
 
 
 def _bias_rows(f, g, tau_g, tau_a):
-    f[BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * np.eye(3)
-    f[BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * np.eye(3)
-    g[BG, WBG] = np.eye(3)
-    g[BA, WBA] = np.eye(3)
+    f[BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
+    f[BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
+    g[BG, WBG] = _I3
+    g[BA, WBA] = _I3
 
 
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
@@ -117,133 +121,155 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     return f, g
 
 
+def _local_terms(lat, h, v):
+    """Earth terms at a NED nominal from one evaluation of the trig terms and
+    curvature radii: (sin, cos, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn)."""
+    s, c, t = np.sin(lat), np.cos(lat), np.tan(lat)
+    rm, rn = earth.radii(lat)
+    drm, drn = earth._radii_derivatives(s, c)
+    return (
+        s,
+        c,
+        earth._position_vector_n(s, c, rn, h),
+        earth._earth_rate_n(s, c),
+        earth._transport_rate_n(t, rm, rn, h, v),
+        earth._m1_matrix(s, c, rm, h),
+        earth._m2_matrix(t, rm, rn, h),
+        earth._m3_matrix(t, c, rm, rn, drm, drn, h, v),
+        rm,
+        rn,
+        drn,
+    )
+
+
 def _ned_blocks(variant, nom, gyro, accel, f, g):
     lat, _, h = nom.geo
     c = nom.c_bn
     v = nom.v_n
-    r_n = earth.position_vector_n(lat, h)
-    w_ie = earth.earth_rate_n(lat)
-    w_en = earth.transport_rate_n(lat, h, v)
-    w_in = w_ie + w_en
-    m1 = earth.m1_matrix(lat, h)
-    m2 = earth.m2_matrix(lat, h)
-    m3 = earth.m3_matrix(lat, h, v)
-    grav = earth.gravity_n(lat, h)
-    k_g = np.zeros((3, 3))
-    k_g[2, 2] = earth.gravity_gradient_down(lat, h)
+    s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(lat, h, v)
+    sk_v = skew(v)
+    sk_v_m2 = sk_v @ m2
 
     if variant.is_right:
         # world-frame errors; RightTrue and RightEst share all non-bias
         # blocks and differ in the sign of every bias/noise column
         sign = -1.0 if variant.error_def == "RightTrue" else 1.0
-        f[PHI, PHI] = -skew(w_in) + m2 @ skew(v) + (m1 + m3) @ skew(r_n)
+        w_in = w_ie + w_en
+        grav = earth._gravity_n(s_lat**2, rm, rn, h)
+        k_g = np.zeros((3, 3))
+        k_g[2, 2] = earth._gravity_gradient_down(grav[2], rm, rn, h)
+        sk_r = skew(r_n)
+        sk_w_en = skew(w_en)
+        f[PHI, PHI] = -skew(w_in) + m2 @ sk_v + (m1 + m3) @ sk_r
         f[PHI, RV] = -m2
         f[PHI, RR] = -(m1 + m3)
         f[PHI, BG] = sign * c
         f[RV, PHI] = (
-            -skew(v) @ m1 @ skew(r_n)
-            + skew(v) @ skew(w_ie)
-            + skew(grav)
-            - k_g @ skew(r_n)
+            -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
         )
         f[RV, RV] = -skew(2.0 * w_ie + w_en)
-        f[RV, RR] = skew(v) @ m1 + k_g
-        f[RV, BG] = sign * skew(v) @ c
+        f[RV, RR] = sk_v @ m1 + k_g
+        f[RV, BG] = sign * sk_v @ c
         f[RV, BA] = sign * c
         # position row: exact Jacobian in the local-chart coordinates the
         # filter corrects in (position error = estimate-frame-resolved ECEF
         # displacement); m2 doubles as the displacement-to-frame-angle map
         f[RR, PHI] = (
-            (skew(v) @ m2 + skew(w_en)) @ skew(r_n)
-            - skew(np.cross(w_en, r_n))
-            + skew(r_n) @ f[PHI, PHI]
+            (sk_v_m2 + sk_w_en) @ sk_r
+            - skew(cross(w_en, r_n))
+            + sk_r @ f[PHI, PHI]
         )
-        f[RR, RV] = np.eye(3) - skew(r_n) @ m2
-        f[RR, RR] = -skew(v) @ m2 - skew(w_en) + skew(r_n) @ f[PHI, RR]
-        f[RR, BG] = sign * skew(r_n) @ c
+        f[RR, RV] = _I3 - sk_r @ m2
+        f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
+        f[RR, BG] = sign * sk_r @ c
         g[PHI, WG] = sign * c
-        g[RV, WG] = sign * skew(v) @ c
+        g[RV, WG] = sign * sk_v @ c
         g[RV, WA] = sign * c
-        g[RR, WG] = sign * skew(r_n) @ c
+        g[RR, WG] = sign * sk_r @ c
     else:
         # body-frame errors; LeftTrue and LeftEst share all non-bias blocks
         sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
         ct = c.T
         sandwich = lambda x: ct @ x @ c
-        f[PHI, PHI] = -skew(gyro)
+        sk_g = skew(gyro)
+        f[PHI, PHI] = -sk_g
         f[PHI, RV] = -sandwich(m2)
         f[PHI, RR] = -sandwich(m1 + m3)
-        f[PHI, BG] = sign * np.eye(3)
+        f[PHI, BG] = sign * _I3
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = sandwich(skew(v) @ m2) - skew(gyro) - skew(ct @ w_ie)
-        f[RV, RR] = sandwich(skew(v) @ (2.0 * m1 + m3))
-        f[RV, BA] = sign * np.eye(3)
+        f[RV, RV] = sandwich(sk_v_m2) - sk_g - skew(ct @ w_ie)
+        f[RV, RR] = sandwich(sk_v @ (2.0 * m1 + m3))
+        f[RV, BA] = sign * _I3
         # position row: exact Jacobian in the local-chart coordinates (the
         # body-resolved chart displacement integrates the velocity error
         # one-for-one; no curvature coupling survives)
-        f[RR, RV] = np.eye(3)
-        f[RR, RR] = -skew(gyro) + sandwich(skew(w_ie) - skew(v) @ m2)
-        g[PHI, WG] = sign * np.eye(3)
-        g[RV, WA] = sign * np.eye(3)
+        f[RR, RV] = _I3
+        f[RR, RR] = -sk_g + sandwich(skew(w_ie) - sk_v_m2)
+        g[PHI, WG] = sign * _I3
+        g[RV, WA] = sign * _I3
 
 
 def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
     lat, _, h = nom.geo
     c = nom.c_bn
-    r_n = earth.position_vector_n(lat, h)
-    w_ie = earth.earth_rate_n(lat)
-    w_en = earth.transport_rate_n(lat, h, nom.v_n)
+    v = nom.v_n
+    s_lat, c_lat, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn = _local_terms(lat, h, v)
     w_in = w_ie + w_en
-    vbar = nom.v_n + np.cross(w_ie, r_n)
-    big_g = earth.gravitation_n(lat, h)
+    vbar = v + cross(w_ie, r_n)
+    sk_r = skew(r_n)
+    sk_vbar = skew(vbar)
+    sk_w_ie = skew(w_ie)
     if not variant.mems_simplified:
-        m1 = earth.m1_matrix(lat, h)
-        m2 = earth.m2_matrix(lat, h)
-        m3 = earth.m3_matrix(lat, h, nom.v_n)
         # b = d(w_ie x r_eb^n)/d(dr) in local-chart coordinates; the ground
         # velocity recovered from the auxiliary one inherits it, so the
         # transport-rate sensitivity k1 carries -m2 @ b
-        b = -skew(r_n) @ m1 + skew(w_ie) @ earth.position_vector_gradient_n(lat, h)
+        b = -sk_r @ m1 + sk_w_ie @ earth._position_vector_gradient_n(
+            s_lat, c_lat, rm, rn, drn, h
+        )
         k1 = m1 + m3 - m2 @ b
         k2 = m2
 
     if variant.error_def == "LeftEst":
-        f[PHI, PHI] = -skew(gyro)
-        f[PHI, BG] = -np.eye(3)
+        sk_g = skew(gyro)
+        f[PHI, PHI] = -sk_g
+        f[PHI, BG] = -_I3
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = -skew(gyro)
-        f[RV, BA] = -np.eye(3)
-        f[RR, RV] = np.eye(3)
-        f[RR, RR] = -skew(gyro)
-        g[PHI, WG] = -np.eye(3)
-        g[RV, WA] = -np.eye(3)
+        f[RV, RV] = -sk_g
+        f[RV, BA] = -_I3
+        f[RR, RV] = _I3
+        f[RR, RR] = -sk_g
+        g[PHI, WG] = -_I3
+        g[RV, WA] = -_I3
         if not variant.mems_simplified:
             ct = c.T
             sandwich = lambda x: ct @ x @ c
             f[PHI, RV] += -sandwich(k2)
             f[PHI, RR] += -sandwich(k1)
-            f[RV, RV] += sandwich(skew(vbar) @ k2)
-            f[RV, RR] += sandwich(skew(vbar) @ k1)
+            f[RV, RV] += sandwich(sk_vbar @ k2)
+            f[RV, RR] += sandwich(sk_vbar @ k1)
             # chart-coordinate position row: velocity error integrates
             # one-for-one (see the plain-frame left block)
-            f[RR, RR] += sandwich(skew(w_ie) - b - skew(nom.v_n) @ m2)
+            f[RR, RR] += sandwich(sk_w_ie - b - skew(v) @ m2)
     else:  # RightTrue
-        f[PHI, PHI] = -skew(w_in)
+        grav = earth._gravity_n(s_lat**2, rm, rn, h)
+        big_g = earth._gravitation_n(w_ie, grav, r_n)
+        sk_w_in = skew(w_in)
+        f[PHI, PHI] = -sk_w_in
         f[PHI, BG] = -c
         f[RV, PHI] = skew(big_g)
-        f[RV, RV] = -skew(w_in)
-        f[RV, BG] = -skew(vbar) @ c
+        f[RV, RV] = -sk_w_in
+        f[RV, BG] = -sk_vbar @ c
         f[RV, BA] = -c
-        f[RR, RV] = np.eye(3)
-        f[RR, RR] = -skew(w_in)
-        f[RR, BG] = -skew(r_n) @ c
+        f[RR, RV] = _I3
+        f[RR, RR] = -sk_w_in
+        f[RR, BG] = -sk_r @ c
         g[PHI, WG] = -c
-        g[RV, WG] = -skew(vbar) @ c
+        g[RV, WG] = -sk_vbar @ c
         g[RV, WA] = -c
-        g[RR, WG] = -skew(r_n) @ c
+        g[RR, WG] = -sk_r @ c
         if not variant.mems_simplified:
             # transport-rate errors couple into the attitude row only
-            q1 = k1 @ skew(r_n) + k2 @ skew(vbar)
+            q1 = k1 @ sk_r + k2 @ sk_vbar
             f[PHI, PHI] += q1
             f[PHI, RV] += -k2
             f[PHI, RR] += -k1
@@ -251,14 +277,14 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
             # earth-rate-velocity sensitivities of the chart displacement
             # add earth-radius lever couplings (zero under the simplified
             # model by the Jacobi identity)
-            bracket = b + skew(nom.v_n) @ m2 + skew(w_en)
+            bracket = b + skew(v) @ m2 + skew(w_en)
             f[RR, PHI] = (
-                bracket @ skew(r_n)
-                - skew(np.cross(w_in, r_n))
-                + skew(r_n) @ f[PHI, PHI]
+                bracket @ sk_r
+                - skew(cross(w_in, r_n))
+                + sk_r @ f[PHI, PHI]
             )
-            f[RR, RV] = np.eye(3) + skew(r_n) @ f[PHI, RV]
-            f[RR, RR] = -bracket + skew(r_n) @ f[PHI, RR]
+            f[RR, RV] = _I3 + sk_r @ f[PHI, RV]
+            f[RR, RR] = -bracket + sk_r @ f[PHI, RR]
 
 
 def _ecef_blocks(variant, nom, gyro, accel, f, g):
@@ -270,14 +296,14 @@ def _ecef_blocks(variant, nom, gyro, accel, f, g):
         sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
         w_ie_b = c.T @ w_ie
         f[PHI, PHI] = -skew(gyro)
-        f[PHI, BG] = sign * np.eye(3)
+        f[PHI, BG] = sign * _I3
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = -skew(w_ie_b) - skew(gyro)
-        f[RV, BA] = sign * np.eye(3)
-        f[RR, RV] = np.eye(3)
+        f[RV, BA] = sign * _I3
+        f[RR, RV] = _I3
         f[RR, RR] = skew(w_ie_b) - skew(gyro)
-        g[PHI, WG] = sign * np.eye(3)
-        g[RV, WA] = sign * np.eye(3)
+        g[PHI, WG] = sign * _I3
+        g[RV, WA] = sign * _I3
     else:
         sign = 1.0 if variant.error_def == "RightEst" else -1.0
         grav = earth.gravity_e(r)
@@ -288,7 +314,7 @@ def _ecef_blocks(variant, nom, gyro, accel, f, g):
         f[RV, BG] = sign * skew(v) @ c
         f[RV, BA] = sign * c
         f[RR, PHI] = -skew(r) @ skew(w_ie)
-        f[RR, RV] = np.eye(3)
+        f[RR, RV] = _I3
         f[RR, BG] = sign * skew(r) @ c
         g[PHI, WG] = sign * c
         g[RV, WG] = sign * skew(v) @ c
@@ -300,18 +326,18 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
     c = nom.c_be
     w_ie = earth.earth_rate_e()
     r = nom.r
-    v_i = nom.v + np.cross(w_ie, r)
+    v_i = nom.v + cross(w_ie, r)
     if variant.error_def in ("LeftTrue", "LeftEst"):
         sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
         f[PHI, PHI] = -skew(gyro)
-        f[PHI, BG] = sign * np.eye(3)
+        f[PHI, BG] = sign * _I3
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = -skew(gyro)
-        f[RV, BA] = sign * np.eye(3)
-        f[RR, RV] = np.eye(3)
+        f[RV, BA] = sign * _I3
+        f[RR, RV] = _I3
         f[RR, RR] = -skew(gyro)
-        g[PHI, WG] = sign * np.eye(3)
-        g[RV, WA] = sign * np.eye(3)
+        g[PHI, WG] = sign * _I3
+        g[RV, WA] = sign * _I3
     else:
         # RightEst (ECEF_Inertial) or RightTrue (ECEF_Aux): identical
         # non-bias blocks, opposite bias/noise column signs
@@ -323,7 +349,7 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
         f[RV, RV] = -skew(w_ie)
         f[RV, BG] = sign * skew(v_i) @ c
         f[RV, BA] = sign * c
-        f[RR, RV] = np.eye(3)
+        f[RR, RV] = _I3
         f[RR, RR] = -skew(w_ie)
         f[RR, BG] = sign * skew(r) @ c
         g[PHI, WG] = sign * c
@@ -360,10 +386,10 @@ def measurement_se23(variant, nominal, lever_arm):
         h[:, RR] = -c
     elif variant.error_def == "RightTrue":
         h[:, PHI] = -skew(r + c @ lever_arm)
-        h[:, RR] = np.eye(3)
+        h[:, RR] = _I3
     else:  # RightEst
         h[:, PHI] = skew(r + c @ lever_arm)
-        h[:, RR] = -np.eye(3)
+        h[:, RR] = -_I3
     return h
 
 
@@ -380,7 +406,7 @@ def measurement_left_invariant(variant, nominal, lever_arm):
     c, _ = _nav_frame_quantities(variant, nominal)
     h = np.zeros((3, 15))
     h[:, PHI] = -skew(lever_arm)
-    h[:, RR] = np.eye(3)
+    h[:, RR] = _I3
     return h, c.T
 
 
@@ -416,20 +442,20 @@ def group_affine_dynamics(variant, nominal, gyro, accel):
         w_in = w_ie + earth.transport_rate_n(lat, h, v)
         w2[:3, :3] = -skew(w_in)
         if variant.frame == "NED":
-            w2[:3, 3] = earth.gravity_n(lat, h) - np.cross(w_ie, v)
-            w2[:3, 4] = v + np.cross(w_ie, r_n)
+            w2[:3, 3] = earth.gravity_n(lat, h) - cross(w_ie, v)
+            w2[:3, 4] = v + cross(w_ie, r_n)
         else:
             w2[:3, 3] = earth.gravitation_n(lat, h)
-            w2[:3, 4] = v + np.cross(w_ie, r_n)
+            w2[:3, 4] = v + cross(w_ie, r_n)
     else:
         v = nominal.v
         r = nominal.r
         w_ie = earth.earth_rate_e()
         w2[:3, :3] = -skew(w_ie)
         if variant.frame == "ECEF":
-            w2[:3, 3] = earth.gravity_e(r) - np.cross(w_ie, v)
-            w2[:3, 4] = v + np.cross(w_ie, r)
+            w2[:3, 3] = earth.gravity_e(r) - cross(w_ie, v)
+            w2[:3, 4] = v + cross(w_ie, r)
         else:
             w2[:3, 3] = earth.gravitation_e(r)
-            w2[:3, 4] = v + np.cross(w_ie, r)
+            w2[:3, 4] = v + cross(w_ie, r)
     return w1, w2

@@ -22,7 +22,6 @@ to the double-precision floor of earth-radius coordinates, ~1e-9 m).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from liese_nav import earth, mechanization as mech
 from liese_nav.errormodels import (
@@ -31,11 +30,13 @@ from liese_nav.errormodels import (
     measurement_se23,
 )
 from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
-from liese_nav.liegroup import GroupElement, exp_se23, log_se23
+from liese_nav.liegroup import GroupElement, cross, exp_se23, log_se23
 from liese_nav.mechanization import ImuSample, NavStateECEF, NavStateNED
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
-GATE_THRESHOLD = float(chi2.ppf(0.999, df=3))
+# chi-square 0.999 quantile with 3 degrees of freedom, chi2.ppf(0.999, 3);
+# a literal, so that importing the filter does not need scipy
+GATE_THRESHOLD = 16.26623619623813
 
 MODES = ("se23", "invariant")
 
@@ -83,11 +84,11 @@ def embed(variant, nav):
         rho = earth.position_vector_n(lat, h)
         v = nav.v_n.copy()
         if variant.frame == "NED_Aux":
-            v = v + np.cross(earth.earth_rate_n(lat), rho)
+            v = v + cross(earth.earth_rate_n(lat), rho)
         return GroupElement(nav.c_bn.copy(), v, rho)
     v = nav.v.copy()
     if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v + np.cross(earth.earth_rate_e(), nav.r)
+        v = v + cross(earth.earth_rate_e(), nav.r)
     return GroupElement(nav.c_be.copy(), v, nav.r.copy())
 
 
@@ -152,11 +153,11 @@ def apply_correction(variant, nav, bias, dx):
         v = x_new.v
         if variant.frame == "NED_Aux":
             rho = earth.position_vector_n(geo[0], geo[2])
-            v = v - np.cross(earth.earth_rate_n(geo[0]), rho)
+            v = v - cross(earth.earth_rate_n(geo[0]), rho)
         return NavStateNED(c_new, v.copy(), geo), new_bias
     v = x_new.v
     if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v - np.cross(earth.earth_rate_e(), x_new.p)
+        v = v - cross(earth.earth_rate_e(), x_new.p)
     return NavStateECEF(c_new, v.copy(), x_new.p.copy()), new_bias
 
 
@@ -173,10 +174,9 @@ def discretize(f, g, qc, dt):
     PSD matrix.
     """
     qc = np.asarray(qc, dtype=float)
-    if qc.ndim == 1:
-        qc = np.diag(qc)
     phi = np.eye(15) + f * dt + (f @ f) * (0.5 * dt * dt)
-    gq = g @ qc @ g.T
+    # scaling the columns of G equals G @ diag(qc) entry for entry
+    gq = (g * qc if qc.ndim == 1 else g @ qc) @ g.T
     qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
     return phi, 0.5 * (qd + qd.T)
 
@@ -195,6 +195,7 @@ def predict(fs, imu, dt, noise=None):
     )
     phi, qd = discretize(f, g, noise.q_diag(), dt)
     sample = ImuSample(imu.t, gyro, accel)
+    # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
     if fs.variant.frame in ("NED", "NED_Aux"):
         nav = mech.ned_step(fs.nav, sample, dt)
         nav.c_bn = mech.orthonormalize(nav.c_bn)

@@ -41,6 +41,22 @@ def skew(v: np.ndarray) -> np.ndarray:
     )
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors, bit-identical to ``np.cross(a, b)``.
+
+    Spelled out component by component: the same IEEE products and
+    differences as ``np.cross``, without its broadcasting set-up, which
+    dominates the cost for a single pair of 3-vectors.
+    """
+    return np.array(
+        [
+            a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
+
+
 def unskew(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`skew`. Raises PatternViolation if ``m`` is not skew."""
     if np.max(np.abs(m + m.T)) > _PATTERN_TOL * max(1.0, np.max(np.abs(m))):

@@ -11,10 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import earth
-from liese_nav.liegroup import skew
-
-ORTHO_CHECK_INTERVAL = 100
-ORTHO_TOL = 1e-9
+from liese_nav.liegroup import cross, skew
 
 
 @dataclass
@@ -45,16 +42,26 @@ class NavStateECEF:
 
 
 def ned_derivative(state, gyro, accel, gravity_fn=None):
-    """Time derivatives of (C_b^n, v_eb^n, geo)."""
+    """Time derivatives of (C_b^n, v_eb^n, geo).
+
+    The latitude's trig terms and curvature radii are evaluated once and
+    shared by the earth rate, transport rate, gravity and geodetic rates.
+    """
     lat, _, h = state.geo
     earth.check_latitude(lat)
-    w_ie = earth.earth_rate_n(lat)
-    w_en = earth.transport_rate_n(lat, h, state.v_n)
+    v = state.v_n
+    s, c = np.sin(lat), np.cos(lat)
+    rm, rn = earth.radii(lat)
+    w_ie = earth._earth_rate_n(s, c)
+    w_en = earth._transport_rate_n(np.tan(lat), rm, rn, h, v)
     w_in = w_ie + w_en
-    g = (gravity_fn or earth.gravity_n)(lat, h)
+    if gravity_fn is None:
+        g = earth._gravity_n(s**2, rm, rn, h)
+    else:
+        g = gravity_fn(lat, h)
     c_dot = state.c_bn @ skew(gyro) - skew(w_in) @ state.c_bn
-    v_dot = state.c_bn @ accel - np.cross(2.0 * w_ie + w_en, state.v_n) + g
-    geo_dot = earth.n_rv(lat, h) @ state.v_n
+    v_dot = state.c_bn @ accel - cross(2.0 * w_ie + w_en, v) + g
+    geo_dot = earth._n_rv_diagonal(c, rm, rn, h) * v
     return c_dot, v_dot, geo_dot
 
 
@@ -68,12 +75,12 @@ def ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
     c_dot = state.c_be @ skew(gyro) - skew(w_ie) @ state.c_be
     if convention == "earth":
         g = (gravity_fn or earth.gravity_e)(state.r)
-        v_dot = state.c_be @ accel - 2.0 * np.cross(w_ie, state.v) + g
+        v_dot = state.c_be @ accel - 2.0 * cross(w_ie, state.v) + g
         r_dot = state.v.copy()
     elif convention == "inertial":
         big_g = (gravity_fn or earth.gravitation_e)(state.r)
-        v_dot = state.c_be @ accel - np.cross(w_ie, state.v) + big_g
-        r_dot = -np.cross(w_ie, state.r) + state.v
+        v_dot = state.c_be @ accel - cross(w_ie, state.v) + big_g
+        r_dot = -cross(w_ie, state.r) + state.v
     else:
         raise ValueError(f"unknown velocity convention {convention!r}")
     return c_dot, v_dot, r_dot
@@ -94,11 +101,10 @@ def _rk4(state, gyro, accel, dt, deriv):
 
 
 def _advance(state, deriv, dt):
-    out = state.copy()
-    fields = list(vars(out))
-    for name, d in zip(fields, deriv):
-        setattr(out, name, getattr(state, name) + dt * d)
-    return out
+    """The state plus dt times its derivative, field by field."""
+    x1, x2, x3 = vars(state).values()
+    d1, d2, d3 = deriv
+    return type(state)(x1 + dt * d1, x2 + dt * d2, x3 + dt * d3)
 
 
 def ned_step(state, imu, dt, method="rk4", gravity_fn=None):
@@ -121,10 +127,6 @@ def ecef_step(state, imu, dt, method="rk4", convention="earth", gravity_fn=None)
     raise ValueError(f"unknown integrator {method!r}")
 
 
-def orthonormality_error(c):
-    return np.linalg.norm(c.T @ c - np.eye(3))
-
-
 def orthonormalize(c):
     """Project onto SO(3) (polar decomposition via SVD)."""
     u, _, vt = np.linalg.svd(c)
@@ -132,13 +134,6 @@ def orthonormalize(c):
     if np.linalg.det(out) < 0:
         out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     return out
-
-
-def maybe_orthonormalize(c, step_index):
-    """Re-orthonormalize on schedule or when drift exceeds tolerance."""
-    if step_index % ORTHO_CHECK_INTERVAL == 0 or orthonormality_error(c) > ORTHO_TOL:
-        return orthonormalize(c)
-    return c
 
 
 def ned_to_ecef_state(state):

@@ -13,6 +13,7 @@ import numpy as np
 
 from liese_nav import earth
 from liese_nav.errors import ConfigError, NonMonotoneTime
+from liese_nav.liegroup import cross
 from liese_nav.mechanization import ImuSample, NavStateECEF, ecef_to_ned_state
 
 TRAJECTORY_KINDS = ("stationary", "straight", "circle", "figure_eight")
@@ -112,7 +113,7 @@ class TruthGenerator:
         a_e = self.c_n0_e @ a
         w_ie = earth.earth_rate_e()
         gyro = np.array([0.0, 0.0, psi_dot]) + c_be.T @ w_ie
-        accel = c_be.T @ (a_e + 2.0 * np.cross(w_ie, v_e) - earth.gravity_e(r_e))
+        accel = c_be.T @ (a_e + 2.0 * cross(w_ie, v_e) - earth.gravity_e(r_e))
         return gyro, accel
 
     # -- sensor streams ----------------------------------------------------

@@ -31,6 +31,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import earth, mechanization as mech
+from liese_nav.earth import (
+    EARTH_RATE,
+    GRAV_EQUATOR,
+    SOMIGLIANA_K,
+    WGS84_A,
+    WGS84_E2,
+    check_latitude,
+    dcm_ecef_to_ned,
+    earth_rate_e,
+    ecef_to_llh,
+    radii,
+)
+from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG
 from liese_nav.liegroup import GroupElement, exp_se23, log_se23, skew
 from liese_nav.mechanization import ImuSample, NavStateECEF
 from liese_nav.sensors import BiasState
@@ -361,3 +374,432 @@ def assert_f_matches(f_analytic, f_fd, label=""):
             f"{np.max(diff - tol):.3e} at rows {np.nonzero(bad)[0].tolist()}\n"
             f"analytic: {f_analytic[bad, j]}\nfd: {f_fd[bad, j]}"
         )
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references for the propagation hot path
+# ---------------------------------------------------------------------------
+#
+# Verbatim bodies of the earth formulas, strapdown derivatives and steps,
+# error dynamics and discretization as they were before the hot path was
+# rewritten to share trig terms and radii (docstrings and comments dropped,
+# calls renamed to the ref_ copies). The library must reproduce them bit for
+# bit: the rewrite only reorders which values are computed once and reused,
+# never the floating-point operations that produce each entry.
+
+
+def ref_radii_derivatives(lat):
+    s, c = np.sin(lat), np.cos(lat)
+    w2 = 1.0 - WGS84_E2 * s**2
+    drn = WGS84_A * WGS84_E2 * s * c * w2**-1.5
+    drm = 3.0 * WGS84_A * (1.0 - WGS84_E2) * WGS84_E2 * s * c * w2**-2.5
+    return drm, drn
+
+
+def ref_gravity_n(lat, h):
+    s2 = np.sin(lat) ** 2
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
+    rm, rn = radii(lat)
+    rbar = np.sqrt(rm * rn)
+    g = g0 * (rbar / (rbar + h)) ** 2
+    return np.array([0.0, 0.0, g])
+
+
+def ref_gravity_gradient_down(lat, h):
+    rm, rn = radii(lat)
+    rbar = np.sqrt(rm * rn)
+    return 2.0 * ref_gravity_n(lat, h)[2] / (rbar + h)
+
+
+def ref_position_vector_n(lat, h):
+    s, c = np.sin(lat), np.cos(lat)
+    _, rn = radii(lat)
+    return np.array(
+        [-WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)]
+    )
+
+
+def ref_position_vector_gradient_n(lat, h):
+    s, c = np.sin(lat), np.cos(lat)
+    rm, rn = radii(lat)
+    _, drn = ref_radii_derivatives(lat)
+    drho_dlat = np.array(
+        [
+            -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)),
+            0.0,
+            -drn * (1.0 - WGS84_E2 * s**2) + 2.0 * WGS84_E2 * rn * s * c,
+        ]
+    )
+    out = np.zeros((3, 3))
+    out[:, 0] = drho_dlat / (rm + h)
+    out[2, 2] = 1.0
+    return out
+
+
+def ref_gravitation_n(lat, h):
+    omega_ie = ref_earth_rate_n(lat)
+    return ref_gravity_n(lat, h) + skew(omega_ie) @ skew(omega_ie) @ (
+        ref_position_vector_n(lat, h)
+    )
+
+
+def ref_earth_rate_n(lat):
+    return np.array([EARTH_RATE * np.cos(lat), 0.0, -EARTH_RATE * np.sin(lat)])
+
+
+def ref_transport_rate_n(lat, h, vn):
+    rm, rn = radii(lat)
+    return np.array(
+        [
+            vn[1] / (rn + h),
+            -vn[0] / (rm + h),
+            -vn[1] * np.tan(lat) / (rn + h),
+        ]
+    )
+
+
+def ref_n_rv(lat, h):
+    check_latitude(lat)
+    rm, rn = radii(lat)
+    return np.diag([1.0 / (rm + h), 1.0 / ((rn + h) * np.cos(lat)), -1.0])
+
+
+def ref_m1_matrix(lat, h):
+    rm, _ = radii(lat)
+    out = np.zeros((3, 3))
+    out[0, 0] = -EARTH_RATE * np.sin(lat) / (rm + h)
+    out[2, 0] = -EARTH_RATE * np.cos(lat) / (rm + h)
+    return out
+
+
+def ref_m2_matrix(lat, h):
+    rm, rn = radii(lat)
+    return np.array(
+        [
+            [0.0, 1.0 / (rn + h), 0.0],
+            [-1.0 / (rm + h), 0.0, 0.0],
+            [0.0, -np.tan(lat) / (rn + h), 0.0],
+        ]
+    )
+
+
+def ref_m3_matrix(lat, h, vn):
+    rm, rn = radii(lat)
+    drm, drn = ref_radii_derivatives(lat)
+    t, c = np.tan(lat), np.cos(lat)
+    vN, vE = vn[0], vn[1]
+    out = np.zeros((3, 3))
+    out[0, 0] = -vE * drn / (rn + h) ** 2 / (rm + h)
+    out[1, 0] = vN * drm / (rm + h) ** 2 / (rm + h)
+    out[2, 0] = -vE * (1.0 / (c**2 * (rn + h)) - t * drn / (rn + h) ** 2) / (rm + h)
+    out[0, 2] = vE / (rn + h) ** 2
+    out[1, 2] = -vN / (rm + h) ** 2
+    out[2, 2] = -vE * t / (rn + h) ** 2
+    return out
+
+
+def ref_gravity_e(r):
+    lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
+    return dcm_ecef_to_ned(lat, lon).T @ ref_gravity_n(lat, h)
+
+
+def ref_gravitation_e(r):
+    omega = earth_rate_e()
+    return ref_gravity_e(r) + skew(omega) @ skew(omega) @ np.asarray(r, dtype=float)
+
+
+def ref_ned_derivative(state, gyro, accel, gravity_fn=None):
+    lat, _, h = state.geo
+    earth.check_latitude(lat)
+    w_ie = ref_earth_rate_n(lat)
+    w_en = ref_transport_rate_n(lat, h, state.v_n)
+    w_in = w_ie + w_en
+    g = (gravity_fn or ref_gravity_n)(lat, h)
+    c_dot = state.c_bn @ skew(gyro) - skew(w_in) @ state.c_bn
+    v_dot = state.c_bn @ accel - np.cross(2.0 * w_ie + w_en, state.v_n) + g
+    geo_dot = ref_n_rv(lat, h) @ state.v_n
+    return c_dot, v_dot, geo_dot
+
+
+def ref_ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
+    w_ie = earth.earth_rate_e()
+    c_dot = state.c_be @ skew(gyro) - skew(w_ie) @ state.c_be
+    if convention == "earth":
+        g = (gravity_fn or ref_gravity_e)(state.r)
+        v_dot = state.c_be @ accel - 2.0 * np.cross(w_ie, state.v) + g
+        r_dot = state.v.copy()
+    elif convention == "inertial":
+        big_g = (gravity_fn or ref_gravitation_e)(state.r)
+        v_dot = state.c_be @ accel - np.cross(w_ie, state.v) + big_g
+        r_dot = -np.cross(w_ie, state.r) + state.v
+    else:
+        raise ValueError(f"unknown velocity convention {convention!r}")
+    return c_dot, v_dot, r_dot
+
+
+def ref_rk4(state, gyro, accel, dt, deriv):
+    k1 = deriv(state, gyro, accel)
+    s2 = ref_advance(state, k1, 0.5 * dt)
+    k2 = deriv(s2, gyro, accel)
+    s3 = ref_advance(state, k2, 0.5 * dt)
+    k3 = deriv(s3, gyro, accel)
+    s4 = ref_advance(state, k3, dt)
+    k4 = deriv(s4, gyro, accel)
+    combined = tuple(
+        (a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)
+    )
+    return ref_advance(state, combined, dt)
+
+
+def ref_advance(state, deriv, dt):
+    out = state.copy()
+    fields = list(vars(out))
+    for name, d in zip(fields, deriv):
+        setattr(out, name, getattr(state, name) + dt * d)
+    return out
+
+
+def ref_ned_step(state, imu, dt, method="rk4", gravity_fn=None):
+    deriv = lambda s, w, f: ref_ned_derivative(s, w, f, gravity_fn=gravity_fn)
+    if method == "rk4":
+        return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
+    if method == "euler":
+        return ref_advance(state, deriv(state, imu.gyro, imu.accel), dt)
+    raise ValueError(f"unknown integrator {method!r}")
+
+
+def ref_ecef_step(state, imu, dt, method="rk4", convention="earth", gravity_fn=None):
+    deriv = lambda s, w, f: ref_ecef_derivative(
+        s, w, f, convention=convention, gravity_fn=gravity_fn
+    )
+    if method == "rk4":
+        return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
+    if method == "euler":
+        return ref_advance(state, deriv(state, imu.gyro, imu.accel), dt)
+    raise ValueError(f"unknown integrator {method!r}")
+
+
+def ref_bias_rows(f, g, tau_g, tau_a):
+    f[BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * np.eye(3)
+    f[BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * np.eye(3)
+    g[BG, WBG] = np.eye(3)
+    g[BA, WBA] = np.eye(3)
+
+
+def ref_error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
+    f = np.zeros((15, 15))
+    g = np.zeros((15, 12))
+    ref_bias_rows(f, g, tau_g, tau_a)
+    if variant.frame == "NED":
+        ref_ned_blocks(variant, nominal, gyro, accel, f, g)
+    elif variant.frame == "NED_Aux":
+        ref_ned_aux_blocks(variant, nominal, gyro, accel, f, g)
+    elif variant.frame == "ECEF":
+        ref_ecef_blocks(variant, nominal, gyro, accel, f, g)
+    else:  # ECEF_Inertial / ECEF_Aux
+        ref_ecef_inertial_blocks(variant, nominal, gyro, accel, f, g)
+    return f, g
+
+
+def ref_ned_blocks(variant, nom, gyro, accel, f, g):
+    lat, _, h = nom.geo
+    c = nom.c_bn
+    v = nom.v_n
+    r_n = ref_position_vector_n(lat, h)
+    w_ie = ref_earth_rate_n(lat)
+    w_en = ref_transport_rate_n(lat, h, v)
+    w_in = w_ie + w_en
+    m1 = ref_m1_matrix(lat, h)
+    m2 = ref_m2_matrix(lat, h)
+    m3 = ref_m3_matrix(lat, h, v)
+    grav = ref_gravity_n(lat, h)
+    k_g = np.zeros((3, 3))
+    k_g[2, 2] = ref_gravity_gradient_down(lat, h)
+
+    if variant.is_right:
+        sign = -1.0 if variant.error_def == "RightTrue" else 1.0
+        f[PHI, PHI] = -skew(w_in) + m2 @ skew(v) + (m1 + m3) @ skew(r_n)
+        f[PHI, RV] = -m2
+        f[PHI, RR] = -(m1 + m3)
+        f[PHI, BG] = sign * c
+        f[RV, PHI] = (
+            -skew(v) @ m1 @ skew(r_n)
+            + skew(v) @ skew(w_ie)
+            + skew(grav)
+            - k_g @ skew(r_n)
+        )
+        f[RV, RV] = -skew(2.0 * w_ie + w_en)
+        f[RV, RR] = skew(v) @ m1 + k_g
+        f[RV, BG] = sign * skew(v) @ c
+        f[RV, BA] = sign * c
+        f[RR, PHI] = (
+            (skew(v) @ m2 + skew(w_en)) @ skew(r_n)
+            - skew(np.cross(w_en, r_n))
+            + skew(r_n) @ f[PHI, PHI]
+        )
+        f[RR, RV] = np.eye(3) - skew(r_n) @ m2
+        f[RR, RR] = -skew(v) @ m2 - skew(w_en) + skew(r_n) @ f[PHI, RR]
+        f[RR, BG] = sign * skew(r_n) @ c
+        g[PHI, WG] = sign * c
+        g[RV, WG] = sign * skew(v) @ c
+        g[RV, WA] = sign * c
+        g[RR, WG] = sign * skew(r_n) @ c
+    else:
+        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+        ct = c.T
+        sandwich = lambda x: ct @ x @ c
+        f[PHI, PHI] = -skew(gyro)
+        f[PHI, RV] = -sandwich(m2)
+        f[PHI, RR] = -sandwich(m1 + m3)
+        f[PHI, BG] = sign * np.eye(3)
+        f[RV, PHI] = -skew(accel)
+        f[RV, RV] = sandwich(skew(v) @ m2) - skew(gyro) - skew(ct @ w_ie)
+        f[RV, RR] = sandwich(skew(v) @ (2.0 * m1 + m3))
+        f[RV, BA] = sign * np.eye(3)
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = -skew(gyro) + sandwich(skew(w_ie) - skew(v) @ m2)
+        g[PHI, WG] = sign * np.eye(3)
+        g[RV, WA] = sign * np.eye(3)
+
+
+def ref_ned_aux_blocks(variant, nom, gyro, accel, f, g):
+    lat, _, h = nom.geo
+    c = nom.c_bn
+    r_n = ref_position_vector_n(lat, h)
+    w_ie = ref_earth_rate_n(lat)
+    w_en = ref_transport_rate_n(lat, h, nom.v_n)
+    w_in = w_ie + w_en
+    vbar = nom.v_n + np.cross(w_ie, r_n)
+    big_g = ref_gravitation_n(lat, h)
+    if not variant.mems_simplified:
+        m1 = ref_m1_matrix(lat, h)
+        m2 = ref_m2_matrix(lat, h)
+        m3 = ref_m3_matrix(lat, h, nom.v_n)
+        b = -skew(r_n) @ m1 + skew(w_ie) @ ref_position_vector_gradient_n(lat, h)
+        k1 = m1 + m3 - m2 @ b
+        k2 = m2
+
+    if variant.error_def == "LeftEst":
+        f[PHI, PHI] = -skew(gyro)
+        f[PHI, BG] = -np.eye(3)
+        f[RV, PHI] = -skew(accel)
+        f[RV, RV] = -skew(gyro)
+        f[RV, BA] = -np.eye(3)
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = -skew(gyro)
+        g[PHI, WG] = -np.eye(3)
+        g[RV, WA] = -np.eye(3)
+        if not variant.mems_simplified:
+            ct = c.T
+            sandwich = lambda x: ct @ x @ c
+            f[PHI, RV] += -sandwich(k2)
+            f[PHI, RR] += -sandwich(k1)
+            f[RV, RV] += sandwich(skew(vbar) @ k2)
+            f[RV, RR] += sandwich(skew(vbar) @ k1)
+            f[RR, RR] += sandwich(skew(w_ie) - b - skew(nom.v_n) @ m2)
+    else:  # RightTrue
+        f[PHI, PHI] = -skew(w_in)
+        f[PHI, BG] = -c
+        f[RV, PHI] = skew(big_g)
+        f[RV, RV] = -skew(w_in)
+        f[RV, BG] = -skew(vbar) @ c
+        f[RV, BA] = -c
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = -skew(w_in)
+        f[RR, BG] = -skew(r_n) @ c
+        g[PHI, WG] = -c
+        g[RV, WG] = -skew(vbar) @ c
+        g[RV, WA] = -c
+        g[RR, WG] = -skew(r_n) @ c
+        if not variant.mems_simplified:
+            q1 = k1 @ skew(r_n) + k2 @ skew(vbar)
+            f[PHI, PHI] += q1
+            f[PHI, RV] += -k2
+            f[PHI, RR] += -k1
+            bracket = b + skew(nom.v_n) @ m2 + skew(w_en)
+            f[RR, PHI] = (
+                bracket @ skew(r_n)
+                - skew(np.cross(w_in, r_n))
+                + skew(r_n) @ f[PHI, PHI]
+            )
+            f[RR, RV] = np.eye(3) + skew(r_n) @ f[PHI, RV]
+            f[RR, RR] = -bracket + skew(r_n) @ f[PHI, RR]
+
+
+def ref_ecef_blocks(variant, nom, gyro, accel, f, g):
+    c = nom.c_be
+    v = nom.v
+    r = nom.r
+    w_ie = earth.earth_rate_e()
+    if variant.error_def in ("LeftTrue", "LeftEst"):
+        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+        w_ie_b = c.T @ w_ie
+        f[PHI, PHI] = -skew(gyro)
+        f[PHI, BG] = sign * np.eye(3)
+        f[RV, PHI] = -skew(accel)
+        f[RV, RV] = -skew(w_ie_b) - skew(gyro)
+        f[RV, BA] = sign * np.eye(3)
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = skew(w_ie_b) - skew(gyro)
+        g[PHI, WG] = sign * np.eye(3)
+        g[RV, WA] = sign * np.eye(3)
+    else:
+        sign = 1.0 if variant.error_def == "RightEst" else -1.0
+        grav = ref_gravity_e(r)
+        f[PHI, PHI] = -skew(w_ie)
+        f[PHI, BG] = sign * c
+        f[RV, PHI] = skew(v) @ skew(w_ie) + skew(grav)
+        f[RV, RV] = -2.0 * skew(w_ie)
+        f[RV, BG] = sign * skew(v) @ c
+        f[RV, BA] = sign * c
+        f[RR, PHI] = -skew(r) @ skew(w_ie)
+        f[RR, RV] = np.eye(3)
+        f[RR, BG] = sign * skew(r) @ c
+        g[PHI, WG] = sign * c
+        g[RV, WG] = sign * skew(v) @ c
+        g[RV, WA] = sign * c
+        g[RR, WG] = sign * skew(r) @ c
+
+
+def ref_ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
+    c = nom.c_be
+    w_ie = earth.earth_rate_e()
+    r = nom.r
+    v_i = nom.v + np.cross(w_ie, r)
+    if variant.error_def in ("LeftTrue", "LeftEst"):
+        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+        f[PHI, PHI] = -skew(gyro)
+        f[PHI, BG] = sign * np.eye(3)
+        f[RV, PHI] = -skew(accel)
+        f[RV, RV] = -skew(gyro)
+        f[RV, BA] = sign * np.eye(3)
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = -skew(gyro)
+        g[PHI, WG] = sign * np.eye(3)
+        g[RV, WA] = sign * np.eye(3)
+    else:
+        sign = 1.0 if variant.error_def == "RightEst" else -1.0
+        big_g = ref_gravitation_e(r)
+        f[PHI, PHI] = -skew(w_ie)
+        f[PHI, BG] = sign * c
+        f[RV, PHI] = skew(big_g)
+        f[RV, RV] = -skew(w_ie)
+        f[RV, BG] = sign * skew(v_i) @ c
+        f[RV, BA] = sign * c
+        f[RR, RV] = np.eye(3)
+        f[RR, RR] = -skew(w_ie)
+        f[RR, BG] = sign * skew(r) @ c
+        g[PHI, WG] = sign * c
+        g[RV, WG] = sign * skew(v_i) @ c
+        g[RV, WA] = sign * c
+        g[RR, WG] = sign * skew(r) @ c
+
+
+def ref_discretize(f, g, qc, dt):
+    qc = np.asarray(qc, dtype=float)
+    if qc.ndim == 1:
+        qc = np.diag(qc)
+    phi = np.eye(15) + f * dt + (f @ f) * (0.5 * dt * dt)
+    gq = g @ qc @ g.T
+    qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
+    return phi, 0.5 * (qd + qd.T)

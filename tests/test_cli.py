@@ -1,6 +1,9 @@
 """Scenario-runner CLI: artifacts, determinism, exit codes, compare logic."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import liese_nav
 from liese_nav import cli
 from liese_nav.liegroup import so3_exp
 
@@ -252,3 +256,18 @@ def test_quaternion_roundtrip():
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
         assert q[0] >= 0.0
         assert np.max(np.abs(cli.quaternion_to_dcm(q) - c)) <= 1e-12
+
+
+def test_cli_imports_without_scipy():
+    # scipy is a test extra only: a plain install must import the runner
+    src = str(Path(liese_nav.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = "import sys; sys.modules['scipy'] = None; import liese_nav.cli"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

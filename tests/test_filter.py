@@ -221,6 +221,12 @@ def test_innovation_gate():
     assert report.nis <= flt.GATE_THRESHOLD
 
 
+def test_gate_threshold_is_chi2_quantile():
+    # the literal gate is the 0.999 quantile of chi-square with 3 dof
+    stats = pytest.importorskip("scipy.stats")
+    assert flt.GATE_THRESHOLD == float(stats.chi2.ppf(0.999, df=3))
+
+
 def test_joseph_update_keeps_psd():
     # [DERIVED] 1e4 random updates never break symmetry / PSD
     variant = Variant("ECEF", "LeftEst")

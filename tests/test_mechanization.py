@@ -10,16 +10,16 @@ ORIGIN = np.array([0.7, 0.2, 120.0])
 
 
 def propagate_ned(state, samples, dt, method="rk4"):
-    for k, s in enumerate(samples):
+    for s in samples:
         state = mech.ned_step(state, s, dt, method=method)
-        state.c_bn = mech.maybe_orthonormalize(state.c_bn, k + 1)
+        state.c_bn = mech.orthonormalize(state.c_bn)
     return state
 
 
 def propagate_ecef(state, samples, dt, convention="earth"):
-    for k, s in enumerate(samples):
+    for s in samples:
         state = mech.ecef_step(state, s, dt, convention=convention)
-        state.c_be = mech.maybe_orthonormalize(state.c_be, k + 1)
+        state.c_be = mech.orthonormalize(state.c_be)
     return state
 
 
@@ -112,7 +112,7 @@ def test_zero_gravity_hook():
 def test_orthonormalize_projects():
     rng = np.random.default_rng(3)
     c = mech.orthonormalize(np.eye(3) + 1e-3 * rng.standard_normal((3, 3)))
-    assert mech.orthonormality_error(c) < 1e-14
+    assert np.linalg.norm(c.T @ c - np.eye(3)) < 1e-14
     assert np.linalg.det(c) == pytest.approx(1.0, abs=1e-12)
 
 
