@@ -18,6 +18,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -28,8 +29,8 @@ from pydantic import BaseModel, ConfigDict, ValidationError
 from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
 from liese_nav.errors import ConfigError, IncompatibleMode, IoError, LieseNavError
-from liese_nav.liegroup import so3_log
-from liese_nav.mechanization import ecef_to_ned_state
+from liese_nav.liegroup import matvec, so3_log
+from liese_nav.mechanization import ecef_to_ned_state, stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -139,6 +140,14 @@ def build_scenario(cfg):
         raise ConfigError("duration_s and imu_dt_s must be positive")
     if cfg.gnss.period_s < cfg.imu_dt_s:
         raise ConfigError("gnss period_s must be >= imu_dt_s")
+    # the filter applies a fix at the IMU epoch that reaches its time, so a
+    # fix between two epochs would be applied up to one step late
+    steps = cfg.gnss.period_s / cfg.imu_dt_s
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(
+            f"gnss period_s {cfg.gnss.period_s} is not a whole multiple of "
+            f"imu_dt_s {cfg.imu_dt_s}"
+        )
     if cfg.mode not in flt.MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r} (expected one of {flt.MODES})")
     variant = Variant(
@@ -165,35 +174,43 @@ def build_scenario(cfg):
 
 
 def dcm_to_quaternion(c):
-    """Unit quaternion (scalar first) from a rotation matrix, q0 >= 0.
+    """Unit quaternion (scalar first) from a rotation matrix, q0 >= 0; an
+    (N, 3, 3) stack gives (N, 4).
 
     Shepperd's method: pivot on the largest of the four squared components
     for numerical stability at every attitude.
     """
-    tr = np.trace(c)
-    cand = np.array([1.0 + tr, *(1.0 + 2.0 * np.diag(c) - tr)])
-    k = int(np.argmax(cand))
-    s = 0.5 * np.sqrt(cand[k])
-    if k == 0:
-        q = np.array(
-            [
-                s,
-                0.25 * (c[2, 1] - c[1, 2]) / s,
-                0.25 * (c[0, 2] - c[2, 0]) / s,
-                0.25 * (c[1, 0] - c[0, 1]) / s,
-            ]
-        )
-    else:
-        i = k - 1
-        j, l = (i + 1) % 3, (i + 2) % 3
-        q = np.empty(4)
-        q[k] = s
-        q[0] = 0.25 * (c[l, j] - c[j, l]) / s
-        q[1 + j] = 0.25 * (c[j, i] + c[i, j]) / s
-        q[1 + l] = 0.25 * (c[l, i] + c[i, l]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
+    c = np.asarray(c, dtype=float)
+    if c.ndim == 2:
+        return dcm_to_quaternion(c[None])[0]
+    tr = np.trace(c, axis1=1, axis2=2)
+    diag = np.diagonal(c, axis1=1, axis2=2)
+    cand = np.column_stack([1.0 + tr, 1.0 + 2.0 * diag - tr[:, None]])
+    pivot = np.argmax(cand, axis=1)
+    s = 0.5 * np.sqrt(np.take_along_axis(cand, pivot[:, None], axis=1)[:, 0])
+    q = np.empty((len(c), 4))
+    for k in range(4):
+        rows = pivot == k
+        ck, sk = c[rows], s[rows]
+        if k == 0:
+            q[rows] = np.column_stack(
+                [
+                    sk,
+                    0.25 * (ck[:, 2, 1] - ck[:, 1, 2]) / sk,
+                    0.25 * (ck[:, 0, 2] - ck[:, 2, 0]) / sk,
+                    0.25 * (ck[:, 1, 0] - ck[:, 0, 1]) / sk,
+                ]
+            )
+        else:
+            i = k - 1
+            j, l = (i + 1) % 3, (i + 2) % 3
+            q[rows, k] = sk
+            q[rows, 0] = 0.25 * (ck[:, l, j] - ck[:, j, l]) / sk
+            q[rows, 1 + j] = 0.25 * (ck[:, j, i] + ck[:, i, j]) / sk
+            q[rows, 1 + l] = 0.25 * (ck[:, l, i] + ck[:, i, l]) / sk
+    q[q[:, 0] < 0] *= -1.0
+    # (1, 4) @ (4, 1) per row: the same dot product np.linalg.norm takes
+    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
 
 
 def quaternion_to_dcm(q):
@@ -223,15 +240,35 @@ def _fmt(values):
     return ",".join(repr(float(v)) for v in values)
 
 
-def _traj_row(t, ned):
+def _traj_row(row):
+    """One CSV row from a (t, geo, v_n, q) row of the table _traj_rows builds."""
+    return _fmt(row.tolist())
+
+
+def _traj_rows(times, ned):
+    """CSV rows of a stacked NED trajectory; one batched quaternion pass.
+
+    Rows convert to Python floats one at a time, so that the whole table
+    never exists as Python objects at once.
+    """
     q = dcm_to_quaternion(ned.c_bn)
-    return _fmt([t, *ned.geo, *ned.v_n, *q])
+    table = np.column_stack([np.asarray(times), ned.geo, ned.v_n, q])
+    return [_traj_row(row) for row in table]
 
 
 def _as_ned(variant, nav):
     if variant is None or variant.frame in ("NED", "NED_Aux"):
         return nav
     return ecef_to_ned_state(nav)
+
+
+def _make_dir(path):
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out}: {exc}") from exc
+    return out
 
 
 def write_csv(path, header, rows):
@@ -294,11 +331,22 @@ def _initial_state(cfg, variant, gen, rng):
     return nav, bias, p0
 
 
-def run_scenario(cfg, out_dir, write_sensors=True):
-    """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
+@dataclass
+class Simulation:
+    """Truth and sensor streams of one scenario."""
 
-    Returns the metrics dictionary that is also written to metrics.json.
-    """
+    variant: Variant
+    noise: ImuNoiseParams
+    gen: TruthGenerator
+    rng: "np.random.Generator"  # positioned after the sensor draws
+    biases: list  # true bias at each IMU epoch
+    imu: list  # corrupted ImuSample stream
+    raw_fixes: list  # (t, antenna position, covariance)
+    truth_rows: list  # truth.csv rows at every IMU epoch and the end
+
+
+def _simulate(cfg):
+    """The simulation both ``run`` and ``simulate`` start from."""
     spec, variant, noise = build_scenario(cfg)
     gen = TruthGenerator(spec)
     rng = np.random.default_rng(cfg.seed)
@@ -317,7 +365,35 @@ def run_scenario(cfg, out_dir, write_sensors=True):
         cfg.gnss.period_s, cfg.duration_s + 1e-9, cfg.gnss.period_s
     )
     raw_fixes = gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
-    fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in raw_fixes]
+    grid = np.arange(n + 1) * dt
+    truth_rows = _traj_rows(grid, gen.states_ned(grid))
+    return Simulation(variant, noise, gen, rng, biases, imu, raw_fixes, truth_rows)
+
+
+def _write_sensors(out, sim):
+    write_csv(out / "truth.csv", TRAJ_HEADER, sim.truth_rows)
+    write_csv(
+        out / "imu.csv",
+        IMU_HEADER,
+        [_fmt([s.t, *s.gyro.tolist(), *s.accel.tolist()]) for s in sim.imu],
+    )
+    write_csv(
+        out / "gnss.csv",
+        GNSS_HEADER,
+        [_fmt([t, *pos, r[0, 0], r[1, 1], r[2, 2]]) for t, pos, r in sim.raw_fixes],
+    )
+
+
+def run_scenario(cfg, out_dir, write_sensors=True):
+    """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
+
+    Returns the metrics dictionary that is also written to metrics.json.
+    """
+    sim = _simulate(cfg)
+    variant, noise, gen, rng = sim.variant, sim.noise, sim.gen, sim.rng
+    dt = cfg.imu_dt_s
+    lever = np.array(cfg.gnss.lever_arm_b_m)
+    fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
 
     nav0, bias0, p0 = _initial_state(cfg, variant, gen, rng)
     fs = flt.FilterState(variant, nav0, bias0, p0, 0.0)
@@ -327,8 +403,8 @@ def run_scenario(cfg, out_dir, write_sensors=True):
     phi_acc = np.eye(15)
     fix_iter = iter(fixes)
     fix = next(fix_iter, None)
-    for k in range(n):
-        fs, phi = flt.predict(fs, imu[k], dt, noise=noise)
+    for sample in sim.imu:
+        fs, phi = flt.predict(fs, sample, dt, noise=noise)
         phi_acc = phi @ phi_acc
         if fix is not None and fs.t >= fix.t - 1e-9:
             if pending is not None:
@@ -350,45 +426,33 @@ def run_scenario(cfg, out_dir, write_sensors=True):
     )
     smoothed = smo.rts_smooth(variant, records)
 
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
-
+    out = _make_dir(out_dir)
     if write_sensors:
-        truth_rows = [
-            _traj_row(k * dt, gen.state_ned(k * dt)) for k in range(n + 1)
-        ]
-        write_csv(out / "truth.csv", TRAJ_HEADER, truth_rows)
-        write_csv(
-            out / "imu.csv",
-            IMU_HEADER,
-            [_fmt([s.t, *s.gyro, *s.accel]) for s in imu],
-        )
-        write_csv(
-            out / "gnss.csv",
-            GNSS_HEADER,
-            [_fmt([t, *pos, r[0, 0], r[1, 1], r[2, 2]]) for t, pos, r in raw_fixes],
-        )
+        _write_sensors(out, sim)
 
+    # each track converts to NED once, for its CSV and for the metrics
+    filtered_ned = _as_ned(variant, stack_states([r.nav for r in records]))
+    smoothed_ned = _as_ned(variant, stack_states([e.nav for e in smoothed]))
     write_csv(
         out / "filtered.csv",
         TRAJ_HEADER,
-        [_traj_row(r.t, _as_ned(variant, r.nav)) for r in records],
+        _traj_rows([r.t for r in records], filtered_ned),
     )
     write_csv(
         out / "smoothed.csv",
         TRAJ_HEADER,
-        [_traj_row(e.t, _as_ned(variant, e.nav)) for e in smoothed],
+        _traj_rows([e.t for e in smoothed], smoothed_ned),
     )
     write_csv(
         out / "covariance.csv",
         "t," + ",".join(f"p{i}{j}" for i in range(15) for j in range(15)),
-        [_fmt([r.t, *r.p_post.ravel()]) for r in records],
+        [_fmt([r.t, *r.p_post.ravel().tolist()]) for r in records],
     )
 
-    metrics = _metrics(cfg, variant, gen, dt, biases, records, smoothed, nis_log)
+    metrics = _metrics(
+        cfg, variant, gen, dt, sim.biases, records, filtered_ned, smoothed_ned,
+        nis_log,
+    )
     try:
         (out / "metrics.json").write_text(
             json.dumps(metrics, indent=2, sort_keys=True) + "\n"
@@ -398,22 +462,22 @@ def run_scenario(cfg, out_dir, write_sensors=True):
     return metrics
 
 
-def _epoch_errors(variant, gen, navs, times):
-    """NED-axis position/velocity errors and attitude rotation vectors."""
-    pos, vel, att = [], [], []
-    for nav, t in zip(navs, times):
-        truth = gen.state_ned(t)
-        ned = _as_ned(variant, nav)
-        c_ne = earth.dcm_ecef_to_ned(*truth.geo[:2]).T
-        dp = earth.llh_to_ecef(*ned.geo) - earth.llh_to_ecef(*truth.geo)
-        pos.append(c_ne.T @ dp)
-        vel.append(ned.v_n - truth.v_n)
-        att.append(so3_log(truth.c_bn.T @ ned.c_bn))
-    return np.array(pos), np.array(vel), np.array(att)
+def _epoch_errors(truth, ned):
+    """NED-axis position/velocity errors and attitude rotation vectors of a
+    stacked NED track against the stacked truth at the same epochs."""
+    lat, lon, h = truth.geo.T
+    c_en = earth.dcm_ecef_to_ned_array(lat, lon)
+    dp = earth.llh_to_ecef_array(*ned.geo.T) - earth.llh_to_ecef_array(lat, lon, h)
+    pos = matvec(c_en, np.ascontiguousarray(dp.T))
+    vel = ned.v_n - truth.v_n
+    att = np.array(
+        [so3_log(r) for r in np.swapaxes(truth.c_bn, -1, -2) @ ned.c_bn]
+    )
+    return pos, vel, att
 
 
-def _rmse_block(variant, gen, navs, times):
-    pos, vel, att = _epoch_errors(variant, gen, navs, times)
+def _rmse_block(truth, ned):
+    pos, vel, att = _epoch_errors(truth, ned)
     axis_rmse = lambda e: [float(x) for x in np.sqrt(np.mean(e**2, axis=0))]
     return {
         "position_m": axis_rmse(pos),
@@ -422,17 +486,18 @@ def _rmse_block(variant, gen, navs, times):
     }
 
 
-def _metrics(cfg, variant, gen, dt, biases, records, smoothed, nis_log):
-    times = [r.t for r in records]
+def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log):
+    """Metrics of the stacked NED tracks ``filtered`` and ``smoothed``, whose
+    epochs are the records'; truth is evaluated at those epochs at once."""
+    truth_e = gen.states_ecef([r.t for r in records])
+    truth_n = ecef_to_ned_state(truth_e)
+    truth = truth_n if variant.frame in ("NED", "NED_Aux") else truth_e
     nees_log = []
-    for rec in records:
+    for k, rec in enumerate(records):
         idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
-        true_nav = (
-            gen.state_ned(rec.t)
-            if variant.frame in ("NED", "NED_Aux")
-            else gen.state_ecef(rec.t)
+        dx = flt.error_state(
+            variant, state_at(truth, k), biases[idx], rec.nav, rec.bias
         )
-        dx = flt.error_state(variant, true_nav, biases[idx], rec.nav, rec.bias)
         try:
             nees = float(dx @ np.linalg.solve(rec.p_post, dx))
         except np.linalg.LinAlgError:
@@ -444,8 +509,8 @@ def _metrics(cfg, variant, gen, dt, biases, records, smoothed, nis_log):
         "seed": cfg.seed,
         "epochs": len(records),
         "rmse": {
-            "filtered": _rmse_block(variant, gen, [r.nav for r in records], times),
-            "smoothed": _rmse_block(variant, gen, [e.nav for e in smoothed], times),
+            "filtered": _rmse_block(truth_n, filtered),
+            "smoothed": _rmse_block(truth_n, smoothed),
         },
         "final_nees": nees_log[-1]["value"] if nees_log else None,
         "nees": nees_log,
@@ -455,11 +520,7 @@ def _metrics(cfg, variant, gen, dt, biases, records, smoothed, nis_log):
 
 def run_monte_carlo(cfg, out_dir, n_runs):
     """Fan out independent seeded runs; merge metrics by run index."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
+    out = _make_dir(out_dir)
     cap = os.environ.get("LIESE_NAV_THREADS")
     try:
         max_workers = max(1, int(cap)) if cap else min(n_runs, os.cpu_count() or 1)
@@ -496,42 +557,8 @@ def run_monte_carlo(cfg, out_dir, n_runs):
 
 def simulate_only(cfg, out_dir):
     """Write truth and sensor streams without running the filter."""
-    spec, _, noise = build_scenario(cfg)
-    gen = TruthGenerator(spec)
-    rng = np.random.default_rng(cfg.seed)
-    dt = cfg.imu_dt_s
-    n = int(round(cfg.duration_s / dt))
-    clean = gen.synthesize_imu(cfg.duration_s, dt)
-    true_bias0 = BiasState(
-        np.array(cfg.initial.true_bias_g_rad_s),
-        np.array(cfg.initial.true_bias_a_m_s2),
-    )
-    biases = sensors.simulate_biases(noise, n, dt, rng, initial=true_bias0)
-    imu = sensors.corrupt(clean, biases, noise, dt, rng)
-    lever = np.array(cfg.gnss.lever_arm_b_m)
-    gnss_times = np.arange(
-        cfg.gnss.period_s, cfg.duration_s + 1e-9, cfg.gnss.period_s
-    )
-    raw_fixes = gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
-
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
-    write_csv(
-        out / "truth.csv",
-        TRAJ_HEADER,
-        [_traj_row(k * dt, gen.state_ned(k * dt)) for k in range(n + 1)],
-    )
-    write_csv(
-        out / "imu.csv", IMU_HEADER, [_fmt([s.t, *s.gyro, *s.accel]) for s in imu]
-    )
-    write_csv(
-        out / "gnss.csv",
-        GNSS_HEADER,
-        [_fmt([t, *pos, r[0, 0], r[1, 1], r[2, 2]]) for t, pos, r in raw_fixes],
-    )
+    sim = _simulate(cfg)
+    _write_sensors(_make_dir(out_dir), sim)
 
 
 def compare_runs(dir_a, dir_b, pos_tol, cov_tol):

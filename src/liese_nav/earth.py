@@ -1,9 +1,22 @@
-"""WGS-84 earth model: radii, gravity, transport rates, frame conversions."""
+"""WGS-84 earth model: radii, gravity, transport rates, frame conversions.
+
+Array forms, for the simulator and the metrics, which evaluate a whole time
+grid at once: ``ecef_to_llh`` takes a (3, N) array of positions itself.
+``radii``, ``llh_to_ecef``, ``dcm_ecef_to_ned``, ``gravity_n`` and
+``gravity_e`` run in every propagation step, so their scalar bodies stay as
+they are and each has an ``_array`` twin at the end of this module, equal to
+it bit for bit (tests/test_bit_identity.py). Array vectors are component
+first, (3, N), as ``np.array([x, y, z])`` builds them; array matrices are
+(N, 3, 3) stacks.
+"""
+
+import itertools
+import math
 
 import numpy as np
 
 from liese_nav.errors import PoleSingularity
-from liese_nav.liegroup import skew
+from liese_nav.liegroup import matvec, skew
 
 WGS84_A = 6378137.0
 WGS84_E2 = 6.69437999014e-3
@@ -228,8 +241,14 @@ def llh_to_ecef(lat, lon, h):
 
 
 def ecef_to_llh(r):
-    """Iterative ECEF to geodetic conversion (converges to <1e-9 m)."""
+    """Iterative ECEF to geodetic conversion (converges to <1e-9 m).
+
+    For a (3, N) array of positions, returns arrays of N latitudes,
+    longitudes and heights.
+    """
     x, y, z = r
+    if isinstance(x, np.ndarray):
+        return _ecef_to_llh_array(x, y, z)
     lon = np.arctan2(y, x)
     p = np.hypot(x, y)
     lat = np.arctan2(z, p * (1.0 - WGS84_E2))
@@ -276,3 +295,100 @@ def gravitation_e(r):
     """Gravitational acceleration in ECEF: g + (omega x)(omega x) r."""
     omega = earth_rate_e()
     return gravity_e(r) + skew(omega) @ skew(omega) @ np.asarray(r, dtype=float)
+
+
+# ---------------------------------------------------------------------------
+# array twins of the scalar forms above, for N points at once
+# ---------------------------------------------------------------------------
+
+
+def _pow(x, k):
+    """``x ** k`` elementwise through libm ``pow``, as a np.float64 scalar
+    computes it; numpy's array power loop rounds some results differently."""
+    x = np.asarray(x, dtype=float)
+    out = map(math.pow, x.ravel().tolist(), itertools.repeat(k))
+    return np.fromiter(out, float, x.size).reshape(x.shape)
+
+
+def radii_array(lat):
+    """:func:`radii` for an array of latitudes."""
+    s2 = _pow(np.sin(lat), 2)
+    w = np.sqrt(1.0 - WGS84_E2 * s2)
+    rn = WGS84_A / w
+    rm = WGS84_A * (1.0 - WGS84_E2) / _pow(w, 3)
+    return rm, rn
+
+
+def gravity_n_array(lat, h):
+    """:func:`gravity_n` for arrays of points; (3, N)."""
+    rm, rn = radii_array(lat)
+    s2 = _pow(np.sin(lat), 2)
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
+    rbar = np.sqrt(rm * rn)
+    g_down = g0 * _pow(rbar / (rbar + h), 2)
+    zero = np.zeros_like(g_down)
+    return np.array([zero, zero, g_down])
+
+
+def llh_to_ecef_array(lat, lon, h):
+    """:func:`llh_to_ecef` for arrays of points; (3, N)."""
+    s, c = np.sin(lat), np.cos(lat)
+    _, rn = radii_array(lat)
+    return np.array(
+        [
+            (rn + h) * c * np.cos(lon),
+            (rn + h) * c * np.sin(lon),
+            (rn * (1.0 - WGS84_E2) + h) * s,
+        ]
+    )
+
+
+def dcm_ecef_to_ned_array(lat, lon):
+    """:func:`dcm_ecef_to_ned` for arrays of points; (N, 3, 3)."""
+    s, c = np.sin(lat), np.cos(lat)
+    sl, cl = np.sin(lon), np.cos(lon)
+    zero = np.zeros_like(s)
+    rows = np.array(
+        [
+            [-s * cl, -s * sl, c],
+            [-sl, cl, zero],
+            [-c * cl, -c * sl, -s],
+        ]
+    )
+    return np.ascontiguousarray(np.moveaxis(rows, (0, 1), (-2, -1)))
+
+
+def gravity_e_array(r):
+    """:func:`gravity_e` for a (3, N) array of positions; (3, N)."""
+    lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
+    c_ne = np.swapaxes(dcm_ecef_to_ned_array(lat, lon), -1, -2)
+    return matvec(c_ne, gravity_n_array(lat, h).T).T
+
+
+def _ecef_to_llh_array(x, y, z):
+    """The loop of :func:`ecef_to_llh` over N points at once.
+
+    Each point stops at the iteration where the scalar loop breaks for it,
+    and its height takes the branch the scalar loop takes for its latitude.
+    """
+    lon = np.arctan2(y, x)
+    p = np.hypot(x, y)
+    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
+    h = np.zeros_like(lat)
+    todo = np.arange(lat.size)  # points whose scalar loop has not broken
+    for _ in range(12):
+        old, pt, zt = lat[todo], p[todo], z[todo]
+        _, rn = radii_array(old)
+        new = np.arctan2(zt + WGS84_E2 * rn * np.sin(old), pt)
+        converged = np.abs(new - old) < 1e-15
+        low = np.abs(new) < 1.3
+        high = ~low
+        ht = np.empty_like(new)
+        ht[low] = pt[low] / np.cos(new[low]) - rn[low]
+        ht[high] = zt[high] / np.sin(new[high]) - rn[high] * (1.0 - WGS84_E2)
+        lat[todo] = new
+        h[todo] = ht
+        todo = todo[~converged]
+        if not todo.size:
+            break
+    return lat, lon, h

@@ -57,6 +57,17 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for a matrix or an (N, 3, 3) stack times a 3-vector or an
+    (N, 3) stack, broadcast over the leading axis.
+
+    Each product is the same BLAS matrix-vector call as a single ``m @ v``,
+    so stacked results equal per-sample ones bit for bit; ``v @ m.T`` is
+    one matrix-matrix call that rounds differently.
+    """
+    return (m @ v[..., None])[..., 0]
+
+
 def unskew(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`skew`. Raises PatternViolation if ``m`` is not skew."""
     if np.max(np.abs(m + m.T)) > _PATTERN_TOL * max(1.0, np.max(np.abs(m))):

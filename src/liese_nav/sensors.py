@@ -29,14 +29,9 @@ class ImuNoiseParams:
 
     def q_diag(self):
         """Continuous-time PSD diagonal for (w_g, w_a, w_bg, w_ba)."""
-        return np.concatenate(
-            [
-                np.full(3, self.sigma_g**2),
-                np.full(3, self.sigma_a**2),
-                np.full(3, self.sigma_bg**2),
-                np.full(3, self.sigma_ba**2),
-            ]
-        )
+        return np.array(
+            [self.sigma_g**2, self.sigma_a**2, self.sigma_bg**2, self.sigma_ba**2]
+        ).repeat(3)
 
 
 @dataclass
@@ -66,31 +61,30 @@ def discretize_bias(tau, sigma_b, dt):
 
 
 def simulate_biases(params, n_steps, dt, rng, initial=None):
-    """Sample a bias trajectory with the exact discrete transition."""
-    state = initial.copy() if initial is not None else BiasState()
+    """Sample a bias trajectory with the exact discrete transition.
+
+    The driving noise of all steps is drawn in one call, in the order of
+    one gyro and one accel triple per step; the recursion runs step by step.
+    """
+    state = initial if initial is not None else BiasState()
     phi_g, q_g = discretize_bias(params.tau_g, params.sigma_bg, dt)
     phi_a, q_a = discretize_bias(params.tau_a, params.sigma_ba, dt)
-    out = []
-    for _ in range(n_steps):
-        out.append(state.copy())
-        state = BiasState(
-            phi_g * state.gyro + np.sqrt(q_g) * rng.standard_normal(3),
-            phi_a * state.accel + np.sqrt(q_a) * rng.standard_normal(3),
-        )
-    return out
+    phi = np.array([[phi_g], [phi_a]])
+    drive = np.array([[np.sqrt(q_g)], [np.sqrt(q_a)]]) * rng.standard_normal(
+        (n_steps, 2, 3)
+    )
+    out = np.empty((n_steps, 2, 3))
+    b = np.array([state.gyro, state.accel], dtype=float)
+    for k in range(n_steps):
+        out[k] = b
+        b = phi * b + drive[k]
+    return [BiasState(g, a) for g, a in out]
 
 
 def corrupt(samples, biases, params, dt, rng):
     """Apply bias and white noise to a clean IMU stream."""
-    sg = params.sigma_g / np.sqrt(dt)
-    sa = params.sigma_a / np.sqrt(dt)
-    out = []
-    for s, b in zip(samples, biases):
-        out.append(
-            ImuSample(
-                s.t,
-                s.gyro + b.gyro + sg * rng.standard_normal(3),
-                s.accel + b.accel + sa * rng.standard_normal(3),
-            )
-        )
-    return out
+    scale = np.array([[params.sigma_g], [params.sigma_a]]) / np.sqrt(dt)
+    clean = np.array([(s.gyro, s.accel) for s in samples], float).reshape(-1, 2, 3)
+    bias = np.array([(b.gyro, b.accel) for b in biases], float).reshape(-1, 2, 3)
+    noisy = clean + bias + scale * rng.standard_normal((len(samples), 2, 3))
+    return [ImuSample(s.t, g, a) for s, (g, a) in zip(samples, noisy)]

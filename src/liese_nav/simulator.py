@@ -7,14 +7,20 @@ analytic derivatives, so integrating them through the strapdown equations
 reproduces the truth up to integrator error.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from liese_nav import earth
 from liese_nav.errors import ConfigError, NonMonotoneTime
-from liese_nav.liegroup import cross
-from liese_nav.mechanization import ImuSample, NavStateECEF, ecef_to_ned_state
+from liese_nav.liegroup import matvec
+from liese_nav.mechanization import (
+    ImuSample,
+    NavStateECEF,
+    NavStateNED,
+    ecef_to_ned_state,
+    state_at,
+)
 
 TRAJECTORY_KINDS = ("stationary", "straight", "circle", "figure_eight")
 
@@ -37,12 +43,20 @@ class TrajectorySpec:
 
 
 def _rot_z(psi):
+    """Yaw rotations, (N, 3, 3), for an array of N angles."""
     c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    zero, one = np.zeros_like(c), np.ones_like(c)
+    return np.stack([c, -s, zero, s, c, zero, zero, zero, one], axis=-1).reshape(
+        c.shape + (3, 3)
+    )
 
 
 class TruthGenerator:
-    """Evaluates the analytic truth and synthesizes sensor streams."""
+    """Evaluates the analytic truth and synthesizes sensor streams.
+
+    Every quantity is evaluated over an array of times in one pass; the
+    single-time methods are the N = 1 case of the same code.
+    """
 
     def __init__(self, spec: TrajectorySpec):
         self.spec = spec
@@ -54,67 +68,92 @@ class TruthGenerator:
     # -- tangent-plane kinematics ------------------------------------------
 
     def _plane(self, t):
-        """Position, velocity, acceleration (NED plane) plus yaw, yaw rate."""
+        """Position, velocity, acceleration (NED plane; (N, 3) each) plus
+        yaw (N,) and yaw rate at the times t (N,)."""
         s = self.spec
+        t = np.asarray(t, dtype=float)
+        zero = np.zeros_like(t)
+        rest = np.zeros(t.shape + (3,))
+        yaw0 = np.full(t.shape, s.heading0)
         if s.kind == "stationary":
-            z = np.zeros(3)
-            return z, z, z, s.heading0, 0.0
+            return rest, rest, rest, yaw0, 0.0
         if s.kind == "straight":
             u = s.speed * np.array([np.cos(s.heading0), np.sin(s.heading0), 0.0])
-            return u * t, u, np.zeros(3), s.heading0, 0.0
+            return u * t[:, None], np.broadcast_to(u, rest.shape), rest, yaw0, 0.0
         if s.kind == "circle":
             omega = s.speed / s.radius
             psi = s.heading0 + omega * t
-            p = (s.speed / omega) * np.array(
+            p = (s.speed / omega) * np.stack(
                 [
                     np.sin(psi) - np.sin(s.heading0),
                     -np.cos(psi) + np.cos(s.heading0),
-                    0.0,
-                ]
+                    zero,
+                ],
+                axis=-1,
             )
-            u = s.speed * np.array([np.cos(psi), np.sin(psi), 0.0])
-            a = s.speed * omega * np.array([-np.sin(psi), np.cos(psi), 0.0])
+            u = s.speed * np.stack([np.cos(psi), np.sin(psi), zero], axis=-1)
+            a = s.speed * omega * np.stack([-np.sin(psi), np.cos(psi), zero], axis=-1)
             return p, u, a, psi, omega
         # figure_eight: Gerono lemniscate, constant yaw
         w = 2.0 * np.pi / s.period
         amp = s.amplitude
-        p = np.array([amp * np.sin(w * t), 0.5 * amp * np.sin(2.0 * w * t), 0.0])
-        u = np.array(
-            [amp * w * np.cos(w * t), amp * w * np.cos(2.0 * w * t), 0.0]
+        p = np.stack(
+            [amp * np.sin(w * t), 0.5 * amp * np.sin(2.0 * w * t), zero], axis=-1
         )
-        a = np.array(
+        u = np.stack(
+            [amp * w * np.cos(w * t), amp * w * np.cos(2.0 * w * t), zero], axis=-1
+        )
+        a = np.stack(
             [
                 -amp * w * w * np.sin(w * t),
                 -2.0 * amp * w * w * np.sin(2.0 * w * t),
-                0.0,
-            ]
+                zero,
+            ],
+            axis=-1,
         )
-        return p, u, a, s.heading0, 0.0
+        return p, u, a, yaw0, 0.0
 
     # -- earth-frame truth -------------------------------------------------
 
-    def state_ecef(self, t) -> NavStateECEF:
-        p, u, _, psi, _ = self._plane(t)
-        return NavStateECEF(
+    def _kinematics(self, times):
+        """Stacked ECEF truth, ECEF acceleration and yaw rate at the times."""
+        p, u, a, psi, psi_dot = self._plane(times)
+        state = NavStateECEF(
             self.c_n0_e @ _rot_z(psi),
-            self.c_n0_e @ u,
-            self.r0_e + self.c_n0_e @ p,
+            matvec(self.c_n0_e, u),
+            self.r0_e + matvec(self.c_n0_e, p),
         )
+        return state, matvec(self.c_n0_e, a), psi_dot
 
-    def state_ned(self, t):
-        return ecef_to_ned_state(self.state_ecef(t))
+    def states_ecef(self, times) -> NavStateECEF:
+        """ECEF truth at an array of N times: fields (N, 3, 3), (N, 3), (N, 3)."""
+        return self._kinematics(times)[0]
+
+    def states_ned(self, times) -> NavStateNED:
+        """NED truth at an array of N times: fields (N, 3, 3), (N, 3), (N, 3)."""
+        return ecef_to_ned_state(self.states_ecef(times))
+
+    def state_ecef(self, t) -> NavStateECEF:
+        return state_at(self.states_ecef([t]), 0)
+
+    def state_ned(self, t) -> NavStateNED:
+        return state_at(self.states_ned([t]), 0)
+
+    def imu_at(self, times):
+        """Exact (gyro, accel), (N, 3) each, at the times by inverse
+        mechanization."""
+        state, a_e, psi_dot = self._kinematics(times)
+        c_eb = np.swapaxes(state.c_be, -1, -2)
+        w_ie = earth.earth_rate_e()
+        gyro = np.array([0.0, 0.0, psi_dot]) + matvec(c_eb, w_ie)
+        g_e = earth.gravity_e_array(state.r.T).T
+        accel = matvec(c_eb, a_e + 2.0 * np.cross(w_ie, state.v) - g_e)
+        return gyro, accel
 
     def imu_instantaneous(self, t):
         """Exact (gyro, accel) at time t by inverse mechanization."""
-        p, u, a, psi, psi_dot = self._plane(t)
-        c_be = self.c_n0_e @ _rot_z(psi)
-        r_e = self.r0_e + self.c_n0_e @ p
-        v_e = self.c_n0_e @ u
-        a_e = self.c_n0_e @ a
-        w_ie = earth.earth_rate_e()
-        gyro = np.array([0.0, 0.0, psi_dot]) + c_be.T @ w_ie
-        accel = c_be.T @ (a_e + 2.0 * cross(w_ie, v_e) - earth.gravity_e(r_e))
-        return gyro, accel
+        gyro, accel = self.imu_at([t])
+        return gyro[0], accel[0]
 
     # -- sensor streams ----------------------------------------------------
 
@@ -124,22 +163,16 @@ class TruthGenerator:
         Rates are evaluated at the interval midpoint, which keeps the
         piecewise-constant representation second-order accurate.
         """
-        n = int(round(duration / dt))
-        samples = []
-        for k in range(n):
-            t = k * dt
-            gyro, accel = self.imu_instantaneous(t + 0.5 * dt)
-            samples.append(ImuSample(t, gyro, accel))
-        return samples
+        t = np.arange(int(round(duration / dt))) * dt
+        gyro, accel = self.imu_at(t + 0.5 * dt)
+        return [ImuSample(*sample) for sample in zip(t.tolist(), gyro, accel)]
 
     def sample_gnss(self, times, lever_arm_b, sigma_pos, rng):
         """GNSS antenna positions in ECEF with isotropic white noise."""
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise NonMonotoneTime("GNSS timestamps must be strictly increasing")
-        fixes = []
-        for t in times:
-            s = self.state_ecef(t)
-            pos = s.r + s.c_be @ lever_arm_b + sigma_pos * rng.standard_normal(3)
-            fixes.append((t, pos, sigma_pos**2 * np.eye(3)))
-        return fixes
+        s = self.states_ecef(times)
+        noise = sigma_pos * rng.standard_normal((times.size, 3))
+        pos = s.r + matvec(s.c_be, lever_arm_b) + noise
+        return [(t, p, sigma_pos**2 * np.eye(3)) for t, p in zip(times, pos)]

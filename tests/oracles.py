@@ -44,9 +44,9 @@ from liese_nav.earth import (
     radii,
 )
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG
-from liese_nav.liegroup import GroupElement, exp_se23, log_se23, skew
+from liese_nav.liegroup import GroupElement, cross, exp_se23, log_se23, skew, so3_log
 from liese_nav.mechanization import ImuSample, NavStateECEF
-from liese_nav.sensors import BiasState
+from liese_nav.sensors import BiasState, discretize_bias
 
 TAU = 0.1  # half-width of the central time difference, seconds
 # RK4 substeps over each half-window; the flows vary on ~15 s timescales,
@@ -803,3 +803,198 @@ def ref_discretize(f, g, qc, dt):
     gq = g @ qc @ g.T
     qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
     return phi, 0.5 * (qd + qd.T)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references for the simulator side
+# ---------------------------------------------------------------------------
+#
+# Verbatim bodies of the per-sample truth, sensor synthesis, bias and noise
+# draws, NED conversion, quaternion and metrics code as they were before the
+# simulator side was evaluated over whole time grids (docstrings dropped,
+# calls renamed to the ref_ copies). The array code must reproduce every
+# sample bit for bit.
+
+
+def ref_rot_z(psi):
+    c, s = np.cos(psi), np.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def ref_ecef_to_ned_state(state):
+    lat, lon, h = ecef_to_llh(state.r)
+    c_en = dcm_ecef_to_ned(lat, lon)
+    return mech.NavStateNED(
+        c_en @ state.c_be, c_en @ state.v, np.array([lat, lon, h])
+    )
+
+
+class RefTruthGenerator:
+    def __init__(self, spec):
+        self.spec = spec
+        lat, lon, h = spec.origin
+        check_latitude(lat)
+        self.r0_e = earth.llh_to_ecef(lat, lon, h)
+        self.c_n0_e = dcm_ecef_to_ned(lat, lon).T
+
+    def _plane(self, t):
+        s = self.spec
+        if s.kind == "stationary":
+            z = np.zeros(3)
+            return z, z, z, s.heading0, 0.0
+        if s.kind == "straight":
+            u = s.speed * np.array([np.cos(s.heading0), np.sin(s.heading0), 0.0])
+            return u * t, u, np.zeros(3), s.heading0, 0.0
+        if s.kind == "circle":
+            omega = s.speed / s.radius
+            psi = s.heading0 + omega * t
+            p = (s.speed / omega) * np.array(
+                [
+                    np.sin(psi) - np.sin(s.heading0),
+                    -np.cos(psi) + np.cos(s.heading0),
+                    0.0,
+                ]
+            )
+            u = s.speed * np.array([np.cos(psi), np.sin(psi), 0.0])
+            a = s.speed * omega * np.array([-np.sin(psi), np.cos(psi), 0.0])
+            return p, u, a, psi, omega
+        w = 2.0 * np.pi / s.period
+        amp = s.amplitude
+        p = np.array([amp * np.sin(w * t), 0.5 * amp * np.sin(2.0 * w * t), 0.0])
+        u = np.array(
+            [amp * w * np.cos(w * t), amp * w * np.cos(2.0 * w * t), 0.0]
+        )
+        a = np.array(
+            [
+                -amp * w * w * np.sin(w * t),
+                -2.0 * amp * w * w * np.sin(2.0 * w * t),
+                0.0,
+            ]
+        )
+        return p, u, a, s.heading0, 0.0
+
+    def state_ecef(self, t):
+        p, u, _, psi, _ = self._plane(t)
+        return NavStateECEF(
+            self.c_n0_e @ ref_rot_z(psi),
+            self.c_n0_e @ u,
+            self.r0_e + self.c_n0_e @ p,
+        )
+
+    def state_ned(self, t):
+        return ref_ecef_to_ned_state(self.state_ecef(t))
+
+    def imu_instantaneous(self, t):
+        p, u, a, psi, psi_dot = self._plane(t)
+        c_be = self.c_n0_e @ ref_rot_z(psi)
+        r_e = self.r0_e + self.c_n0_e @ p
+        v_e = self.c_n0_e @ u
+        a_e = self.c_n0_e @ a
+        w_ie = earth_rate_e()
+        gyro = np.array([0.0, 0.0, psi_dot]) + c_be.T @ w_ie
+        accel = c_be.T @ (a_e + 2.0 * cross(w_ie, v_e) - earth.gravity_e(r_e))
+        return gyro, accel
+
+    def synthesize_imu(self, duration, dt):
+        n = int(round(duration / dt))
+        samples = []
+        for k in range(n):
+            t = k * dt
+            gyro, accel = self.imu_instantaneous(t + 0.5 * dt)
+            samples.append(ImuSample(t, gyro, accel))
+        return samples
+
+    def sample_gnss(self, times, lever_arm_b, sigma_pos, rng):
+        times = np.asarray(times, dtype=float)
+        fixes = []
+        for t in times:
+            s = self.state_ecef(t)
+            pos = s.r + s.c_be @ lever_arm_b + sigma_pos * rng.standard_normal(3)
+            fixes.append((t, pos, sigma_pos**2 * np.eye(3)))
+        return fixes
+
+
+def ref_q_diag(params):
+    return np.concatenate(
+        [
+            np.full(3, params.sigma_g**2),
+            np.full(3, params.sigma_a**2),
+            np.full(3, params.sigma_bg**2),
+            np.full(3, params.sigma_ba**2),
+        ]
+    )
+
+
+def ref_simulate_biases(params, n_steps, dt, rng, initial=None):
+    state = initial.copy() if initial is not None else BiasState()
+    phi_g, q_g = discretize_bias(params.tau_g, params.sigma_bg, dt)
+    phi_a, q_a = discretize_bias(params.tau_a, params.sigma_ba, dt)
+    out = []
+    for _ in range(n_steps):
+        out.append(state.copy())
+        state = BiasState(
+            phi_g * state.gyro + np.sqrt(q_g) * rng.standard_normal(3),
+            phi_a * state.accel + np.sqrt(q_a) * rng.standard_normal(3),
+        )
+    return out
+
+
+def ref_corrupt(samples, biases, params, dt, rng):
+    sg = params.sigma_g / np.sqrt(dt)
+    sa = params.sigma_a / np.sqrt(dt)
+    out = []
+    for s, b in zip(samples, biases):
+        out.append(
+            ImuSample(
+                s.t,
+                s.gyro + b.gyro + sg * rng.standard_normal(3),
+                s.accel + b.accel + sa * rng.standard_normal(3),
+            )
+        )
+    return out
+
+
+def ref_orthonormalize(c):
+    u, _, vt = np.linalg.svd(c)
+    out = u @ vt
+    if np.linalg.det(out) < 0:
+        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    return out
+
+
+def ref_dcm_to_quaternion(c):
+    tr = np.trace(c)
+    cand = np.array([1.0 + tr, *(1.0 + 2.0 * np.diag(c) - tr)])
+    k = int(np.argmax(cand))
+    s = 0.5 * np.sqrt(cand[k])
+    if k == 0:
+        q = np.array(
+            [
+                s,
+                0.25 * (c[2, 1] - c[1, 2]) / s,
+                0.25 * (c[0, 2] - c[2, 0]) / s,
+                0.25 * (c[1, 0] - c[0, 1]) / s,
+            ]
+        )
+    else:
+        i = k - 1
+        j, l = (i + 1) % 3, (i + 2) % 3
+        q = np.empty(4)
+        q[k] = s
+        q[0] = 0.25 * (c[l, j] - c[j, l]) / s
+        q[1 + j] = 0.25 * (c[j, i] + c[i, j]) / s
+        q[1 + l] = 0.25 * (c[l, i] + c[i, l]) / s
+    if q[0] < 0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def ref_epoch_errors(truths, neds):
+    pos, vel, att = [], [], []
+    for truth, ned in zip(truths, neds):
+        c_ne = dcm_ecef_to_ned(*truth.geo[:2]).T
+        dp = earth.llh_to_ecef(*ned.geo) - earth.llh_to_ecef(*truth.geo)
+        pos.append(c_ne.T @ dp)
+        vel.append(ned.v_n - truth.v_n)
+        att.append(so3_log(truth.c_bn.T @ ned.c_bn))
+    return np.array(pos), np.array(vel), np.array(att)

@@ -1,21 +1,25 @@
-"""The propagation hot path reproduces its reference arithmetic bit for bit.
+"""The propagation hot path and the simulator side reproduce their reference
+arithmetic bit for bit.
 
 The references in ``oracles`` are verbatim copies of the earth formulas,
 strapdown steps, error dynamics and discretization from before the hot path
-shared its trig terms and radii. Sharing only changes which values are
-computed once, so every comparison here is ``np.array_equal``, never a
-tolerance: the filter's outputs must stay byte-identical.
+shared its trig terms and radii, and of the per-sample truth, sensor and
+metrics code from before the simulator side was evaluated over whole time
+grids. Sharing values and stacking samples only change how often and in what
+shape each value is computed, so every comparison here is exact, never a
+tolerance: the outputs must stay byte-identical.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from liese_nav import earth, filter as flt, mechanization as mech
-from liese_nav.errormodels import error_dynamics, supported_variants
+from liese_nav import cli, earth, filter as flt, mechanization as mech, sensors
+from liese_nav.errormodels import Variant, error_dynamics, supported_variants
 from liese_nav.liegroup import cross, so3_exp
-from liese_nav.mechanization import NavStateNED
-from liese_nav.sensors import ImuNoiseParams
+from liese_nav.mechanization import NavStateECEF, NavStateNED
+from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 ORIGIN = np.array([0.7, 0.2, 120.0])
@@ -149,3 +153,220 @@ def test_error_dynamics_and_discretize_match_reference(variant):
                 phi0, qd0 = oracles.ref_discretize(f0, g0, qc, DT)
                 assert np.array_equal(phi, phi0)
                 assert np.array_equal(qd, qd0)
+
+
+# ---------------------------------------------------------------------------
+# the simulator side over whole time grids
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    """Exact equality that also tells -0.0 from 0.0, which repr() prints."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_row_equal(stacked, k, ref, label):
+    for name, x, y in zip(vars(ref), vars(stacked).values(), vars(ref).values()):
+        assert same_bits(x[k], y), f"{label}: {name} differs"
+
+
+KINDS = {
+    "stationary": dict(heading0=0.9),
+    "straight": dict(speed=12.0, heading0=-2.1),
+    "circle": dict(speed=15.0, radius=250.0, heading0=0.4),
+    "figure_eight": dict(amplitude=200.0, period=40.0, heading0=1.1),
+}
+# the second origin lies beyond 1.3 rad, where ecef_to_llh switches its
+# height formula
+ORIGINS = {"north": [0.7, 0.2, 120.0], "south-polar": [-1.35, -2.9, 800.0]}
+
+
+def generators(kind, origin):
+    spec = TrajectorySpec(kind, np.array(ORIGINS[origin]), **KINDS[kind])
+    return TruthGenerator(spec), oracles.RefTruthGenerator(spec)
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_truth_states_match_reference(kind, origin):
+    gen, ref = generators(kind, origin)
+    times = np.arange(0.0, 45.0, 0.29)
+    ecef, ned = gen.states_ecef(times), gen.states_ned(times)
+    for k, t in enumerate(times):
+        assert_row_equal(ecef, k, ref.state_ecef(t), f"ecef t={t}")
+        assert_row_equal(ned, k, ref.state_ned(t), f"ned t={t}")
+    for t in (0.0, 7.3, 1e3):
+        assert_states_equal(gen.state_ecef(t), ref.state_ecef(t), f"single t={t}")
+        assert_states_equal(gen.state_ned(t), ref.state_ned(t), f"single t={t}")
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_imu_samples_match_reference(kind, origin):
+    gen, ref = generators(kind, origin)
+    new, old = gen.synthesize_imu(20.0, 0.02), ref.synthesize_imu(20.0, 0.02)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.t == b.t
+        assert same_bits(a.gyro, b.gyro) and same_bits(a.accel, b.accel), a.t
+    for t in (0.0, 3.3, 1e3):
+        for x, y in zip(gen.imu_instantaneous(t), ref.imu_instantaneous(t)):
+            assert same_bits(x, y), t
+
+
+@pytest.mark.parametrize("origin", ORIGINS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_gnss_fixes_match_reference(kind, origin):
+    gen, ref = generators(kind, origin)
+    times = np.arange(0.5, 40.0, 0.5)
+    lever = np.array([0.4, -0.2, 1.1])
+    new = gen.sample_gnss(times, lever, 1.5, np.random.default_rng(3))
+    old = ref.sample_gnss(times, lever, 1.5, np.random.default_rng(3))
+    assert len(new) == len(old)
+    for (t, pos, r), (t0, pos0, r0) in zip(new, old):
+        assert t == t0 and same_bits(pos, pos0) and same_bits(r, r0), t
+
+
+def _rotations():
+    """Rotations whose Shepperd pivot is each of the four components."""
+    rng = np.random.default_rng(8)
+    out = [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])]
+    out.append(np.diag([-1.0, -1.0, 1.0]))
+    for _ in range(400):
+        axis = rng.normal(size=3)
+        angle = rng.uniform(0.0, np.pi)
+        out.append(so3_exp(axis / np.linalg.norm(axis) * angle))
+    return np.array(out)
+
+
+def test_quaternions_match_reference_on_every_pivot():
+    c = _rotations()
+    cand = np.column_stack(
+        [1.0 + np.trace(c, axis1=1, axis2=2)]
+        + [1.0 + 2.0 * c[:, i, i] - np.trace(c, axis1=1, axis2=2) for i in range(3)]
+    )
+    assert set(np.argmax(cand, axis=1)) == {0, 1, 2, 3}
+    q = cli.dcm_to_quaternion(c)
+    for k, m in enumerate(c):
+        ref = oracles.ref_dcm_to_quaternion(m)
+        assert same_bits(q[k], ref), k
+        assert same_bits(cli.dcm_to_quaternion(m), ref), k
+
+
+POLE = np.pi / 2 - earth.POLE_MARGIN
+LATITUDES = st.one_of(
+    st.floats(-POLE, POLE),
+    st.floats(1.3, POLE),
+    st.floats(-POLE, -1.3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(LATITUDES, st.floats(-np.pi, np.pi), st.floats(-500.0, 1e5)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_ecef_to_llh_array_matches_scalar(points):
+    r = np.array([earth.llh_to_ecef(*p) for p in points]).T
+    lat, lon, h = earth.ecef_to_llh(r)
+    for k in range(r.shape[1]):
+        scalar = earth.ecef_to_llh(r[:, k])
+        assert same_bits([lat[k], lon[k], h[k]], scalar), points[k]
+
+
+def test_earth_array_twins_match_scalar():
+    rng = np.random.default_rng(12)
+    lat = np.concatenate(
+        [[-POLE, -1.3, -0.35, 0.0, 0.7, 1.2999, 1.3, 1.45, POLE],
+         rng.uniform(-POLE, POLE, 200)]
+    )
+    lon = rng.uniform(-np.pi, np.pi, lat.size)
+    h = rng.uniform(-500.0, 1e5, lat.size)
+    rm, rn = earth.radii_array(lat)
+    r = earth.llh_to_ecef_array(lat, lon, h)
+    dcm = earth.dcm_ecef_to_ned_array(lat, lon)
+    g_n = earth.gravity_n_array(lat, h)
+    g_e = earth.gravity_e_array(r)
+    for k in range(lat.size):
+        assert same_bits([rm[k], rn[k]], earth.radii(lat[k])), k
+        assert same_bits(r[:, k], earth.llh_to_ecef(lat[k], lon[k], h[k])), k
+        assert same_bits(dcm[k], earth.dcm_ecef_to_ned(lat[k], lon[k])), k
+        assert same_bits(g_n[:, k], earth.gravity_n(lat[k], h[k])), k
+        assert same_bits(g_e[:, k], earth.gravity_e(r[:, k])), k
+
+
+@pytest.mark.parametrize("tau", [(400.0, 900.0), (None, None)], ids=["gm", "rc"])
+def test_bias_and_noise_draws_match_reference(tau):
+    params = ImuNoiseParams(2e-4, 3e-3, 1e-5, 2e-4, *tau)
+    gen = TruthGenerator(
+        TrajectorySpec("circle", ORIGIN, speed=15.0, radius=250.0, heading0=0.4)
+    )
+    clean = gen.synthesize_imu(10.0, 0.02)
+    initial = BiasState(np.array([2e-4, -1e-4, 1.5e-4]), np.array([1e-3, -2e-3, 0.0]))
+    rng, rng0 = np.random.default_rng(21), np.random.default_rng(21)
+    biases = sensors.simulate_biases(params, len(clean), 0.02, rng, initial)
+    biases0 = oracles.ref_simulate_biases(params, len(clean), 0.02, rng0, initial)
+    imu = sensors.corrupt(clean, biases, params, 0.02, rng)
+    imu0 = oracles.ref_corrupt(clean, biases0, params, 0.02, rng0)
+    for b, b0 in zip(biases, biases0, strict=True):
+        assert same_bits(b.gyro, b0.gyro) and same_bits(b.accel, b0.accel)
+    for s, s0 in zip(imu, imu0, strict=True):
+        assert s.t == s0.t
+        assert same_bits(s.gyro, s0.gyro) and same_bits(s.accel, s0.accel)
+    # both streams leave the generator at the same place
+    assert same_bits(rng.standard_normal(4), rng0.standard_normal(4))
+
+
+def test_q_diag_matches_concatenation():
+    for params in (ImuNoiseParams(), ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6)):
+        assert same_bits(params.q_diag(), oracles.ref_q_diag(params))
+
+
+def test_orthonormalize_matches_reference_on_reflections():
+    rng = np.random.default_rng(14)
+    for k in range(50):
+        c = so3_exp(rng.normal(size=3)) + 1e-3 * rng.normal(size=(3, 3))
+        if k % 2:  # a reflection: the polar factor has det -1
+            c = c @ np.diag([1.0, 1.0, -1.0])
+            u, _, vt = np.linalg.svd(c)
+            assert np.linalg.det(u @ vt) < 0
+        out = mech.orthonormalize(c)
+        assert same_bits(out, oracles.ref_orthonormalize(c)), k
+        assert np.linalg.det(out) > 0
+
+
+def _perturbed_ned(truth, rng):
+    return NavStateNED(
+        truth.c_bn @ so3_exp(rng.normal(scale=1e-3, size=3)),
+        truth.v_n + rng.normal(scale=0.1, size=3),
+        truth.geo + rng.normal(scale=[1e-6, 1e-6, 1.0]),
+    )
+
+
+def test_cli_tracks_and_metrics_match_reference():
+    gen = TruthGenerator(
+        TrajectorySpec("circle", ORIGIN, speed=15.0, radius=250.0, heading0=0.4)
+    )
+    rng = np.random.default_rng(16)
+    times = np.sort(rng.uniform(0.0, 30.0, 40))
+    truths = [oracles.RefTruthGenerator(gen.spec).state_ned(t) for t in times]
+    neds = [_perturbed_ned(t, rng) for t in truths]
+    ecefs = [mech.ned_to_ecef_state(n) for n in neds]
+
+    # the one NED conversion the ECEF tracks share
+    as_ned = cli._as_ned(Variant("ECEF", "LeftEst"), mech.stack_states(ecefs))
+    for k, nav in enumerate(ecefs):
+        assert_row_equal(as_ned, k, oracles.ref_ecef_to_ned_state(nav), f"epoch {k}")
+
+    rows = cli._traj_rows(times, mech.stack_states(neds))
+    for t, ned, row in zip(times, neds, rows, strict=True):
+        q = oracles.ref_dcm_to_quaternion(ned.c_bn)
+        assert row == cli._fmt([t, *ned.geo, *ned.v_n, *q])
+
+    new = cli._epoch_errors(gen.states_ned(times), mech.stack_states(neds))
+    for x, y in zip(new, oracles.ref_epoch_errors(truths, neds), strict=True):
+        assert same_bits(x, y)

@@ -247,6 +247,38 @@ def test_simulate_writes_sensors_only(tmp_path):
     assert not (out / "filtered.csv").exists()
 
 
+def test_simulate_matches_run_sensor_files(tmp_path):
+    # [TRIVIAL: one simulation setup] both commands write the same streams
+    cfg = write_config(tmp_path)
+    sim, run = tmp_path / "sim", tmp_path / "run"
+    assert invoke("simulate", "--config", str(cfg), "--out", str(sim)).exit_code == 0
+    assert invoke("run", "--config", str(cfg), "--out", str(run)).exit_code == 0
+    for name in ("truth.csv", "imu.csv", "gnss.csv"):
+        assert (sim / name).read_bytes() == (run / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_gnss_period_off_imu_grid_exits_2(tmp_path, command):
+    # [TRIVIAL: validation] a fix between two IMU epochs cannot be applied
+    # at its own time, so the config is rejected
+    cfg = write_config(
+        tmp_path, {"gnss": {"period_s": 0.03, "sigma_pos_m": 1.5}}
+    )
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2
+    assert "period_s" in res.output
+
+
+def test_gnss_period_on_imu_grid_accepted():
+    # whole multiples pass despite binary rounding of the two periods
+    grid = [(0.01, 1.0), (0.02, 0.02), (0.05, 1.0), (0.01, 0.07), (0.1, 0.3)]
+    for dt, period in grid:
+        cfg = cli.ScenarioConfig(
+            **{**BASE_CONFIG, "imu_dt_s": dt, "gnss": {"period_s": period}}
+        )
+        cli.build_scenario(cfg)
+
+
 def test_quaternion_roundtrip():
     # [DERIVED: inverse-pair oracle] over random rotations, all pivots
     rng = np.random.default_rng(2)
