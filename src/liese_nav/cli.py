@@ -30,7 +30,7 @@ from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
 from liese_nav.errors import ConfigError, IncompatibleMode, IoError, LieseNavError
 from liese_nav.liegroup import matvec, so3_log
-from liese_nav.mechanization import ecef_to_ned_state, stack_states, state_at
+from liese_nav.mechanization import stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -40,6 +40,7 @@ EXIT_IO = 3
 TRAJ_HEADER = "t,lat,lon,h,vn,ve,vd,q0,q1,q2,q3"
 IMU_HEADER = "t,wx,wy,wz,fx,fy,fz"
 GNSS_HEADER = "t,x,y,z,sxx,syy,szz"
+COV_HEADER = "t," + ",".join(f"p{i}{j}" for i in range(15) for j in range(15))
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +139,10 @@ def build_scenario(cfg):
     )
     if cfg.duration_s <= 0 or cfg.imu_dt_s <= 0:
         raise ConfigError("duration_s and imu_dt_s must be positive")
+    if round(cfg.duration_s / cfg.imu_dt_s) < 1:
+        raise ConfigError(
+            f"duration_s {cfg.duration_s} is shorter than one imu_dt_s step"
+        )
     if cfg.gnss.period_s < cfg.imu_dt_s:
         raise ConfigError("gnss period_s must be >= imu_dt_s")
     # the filter applies a fix at the IMU epoch that reaches its time, so a
@@ -213,29 +218,6 @@ def dcm_to_quaternion(c):
     return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
 
 
-def quaternion_to_dcm(q):
-    q0, q1, q2, q3 = np.asarray(q, dtype=float) / np.linalg.norm(q)
-    return np.array(
-        [
-            [
-                q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
-                2.0 * (q1 * q2 - q0 * q3),
-                2.0 * (q1 * q3 + q0 * q2),
-            ],
-            [
-                2.0 * (q1 * q2 + q0 * q3),
-                q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
-                2.0 * (q2 * q3 - q0 * q1),
-            ],
-            [
-                2.0 * (q1 * q3 - q0 * q2),
-                2.0 * (q2 * q3 + q0 * q1),
-                q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
-            ],
-        ]
-    )
-
-
 def _fmt(values):
     return ",".join(repr(float(v)) for v in values)
 
@@ -256,12 +238,6 @@ def _traj_rows(times, ned):
     return [_traj_row(row) for row in table]
 
 
-def _as_ned(variant, nav):
-    if variant is None or variant.frame in ("NED", "NED_Aux"):
-        return nav
-    return ecef_to_ned_state(nav)
-
-
 def _make_dir(path):
     out = Path(path)
     try:
@@ -279,6 +255,13 @@ def write_csv(path, header, rows):
                 fh.write(row + "\n")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_json(path, obj):
+    try:
+        path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path.name}: {exc}") from exc
 
 
 def read_csv(path, header):
@@ -301,18 +284,11 @@ def read_csv(path, header):
 def _initial_state(cfg, variant, gen, rng):
     """Truth at t=0 plus the configured initial error draw."""
     ini = cfg.initial
-    if variant.frame in ("NED", "NED_Aux"):
-        nav = gen.state_ned(0.0)
-    else:
-        nav = gen.state_ecef(0.0)
-    sigmas = np.concatenate(
-        [
-            np.full(3, ini.attitude_sigma_rad),
-            np.full(3, ini.velocity_sigma_m_s),
-            np.full(3, ini.position_sigma_m),
-            np.full(3, ini.bias_g_sigma_rad_s),
-            np.full(3, ini.bias_a_sigma_m_s2),
-        ]
+    nav = state_at(variant.chart.states(gen, [0.0]), 0)
+    sigmas = np.repeat(
+        [ini.attitude_sigma_rad, ini.velocity_sigma_m_s, ini.position_sigma_m,
+         ini.bias_g_sigma_rad_s, ini.bias_a_sigma_m_s2],
+        3,
     )
     p0 = np.diag(np.maximum(sigmas, 1e-12) ** 2)
     dx = sigmas * rng.standard_normal(15)
@@ -321,12 +297,7 @@ def _initial_state(cfg, variant, gen, rng):
         # deterministic extra misalignment about the local down axis
         cz, sz = np.cos(ini.yaw_error_rad), np.sin(ini.yaw_error_rad)
         rot = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
-        if variant.frame in ("NED", "NED_Aux"):
-            nav.c_bn[:] = rot @ nav.c_bn
-        else:
-            lat, lon, _ = earth.ecef_to_llh(nav.r)
-            c_ne = earth.dcm_ecef_to_ned(lat, lon).T
-            nav.c_be[:] = c_ne @ rot @ c_ne.T @ nav.c_be
+        variant.chart.misalign(nav, rot)
         p0[:3, :3] += ini.yaw_error_rad**2 * np.eye(3)
     return nav, bias, p0
 
@@ -390,40 +361,11 @@ def run_scenario(cfg, out_dir, write_sensors=True):
     Returns the metrics dictionary that is also written to metrics.json.
     """
     sim = _simulate(cfg)
-    variant, noise, gen, rng = sim.variant, sim.noise, sim.gen, sim.rng
-    dt = cfg.imu_dt_s
+    variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
     lever = np.array(cfg.gnss.lever_arm_b_m)
     fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
-
-    nav0, bias0, p0 = _initial_state(cfg, variant, gen, rng)
-    fs = flt.FilterState(variant, nav0, bias0, p0, 0.0)
-
-    records, nis_log = [], []
-    pending = None
-    phi_acc = np.eye(15)
-    fix_iter = iter(fixes)
-    fix = next(fix_iter, None)
-    for sample in sim.imu:
-        fs, phi = flt.predict(fs, sample, dt, noise=noise)
-        phi_acc = phi @ phi_acc
-        if fix is not None and fs.t >= fix.t - 1e-9:
-            if pending is not None:
-                records.append(
-                    smo.ForwardRecord(
-                        pending.t, pending.nav, pending.bias, pending.p,
-                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
-                    )
-                )
-            fs, report = flt.update(fs, fix, mode=cfg.mode)
-            nis_log.append({"t": fs.t, "value": float(report.nis)})
-            pending = fs.copy()
-            phi_acc = np.eye(15)
-            fix = next(fix_iter, None)
-    if pending is None:
-        pending = fs.copy()
-    records.append(
-        smo.ForwardRecord(pending.t, pending.nav, pending.bias, pending.p)
-    )
+    fs = flt.FilterState(variant, *_initial_state(cfg, variant, gen, sim.rng), 0.0)
+    records, nis_log = smo.run_forward(fs, sim.imu, fixes, dt, sim.noise, cfg.mode)
     smoothed = smo.rts_smooth(variant, records)
 
     out = _make_dir(out_dir)
@@ -431,21 +373,16 @@ def run_scenario(cfg, out_dir, write_sensors=True):
         _write_sensors(out, sim)
 
     # each track converts to NED once, for its CSV and for the metrics
-    filtered_ned = _as_ned(variant, stack_states([r.nav for r in records]))
-    smoothed_ned = _as_ned(variant, stack_states([e.nav for e in smoothed]))
-    write_csv(
-        out / "filtered.csv",
-        TRAJ_HEADER,
-        _traj_rows([r.t for r in records], filtered_ned),
-    )
-    write_csv(
-        out / "smoothed.csv",
-        TRAJ_HEADER,
-        _traj_rows([e.t for e in smoothed], smoothed_ned),
-    )
+    filtered_ned = variant.chart.as_ned(stack_states([r.nav for r in records]))
+    smoothed_ned = variant.chart.as_ned(stack_states([e.nav for e in smoothed]))
+    for name, track, ned in (
+        ("filtered.csv", records, filtered_ned),
+        ("smoothed.csv", smoothed, smoothed_ned),
+    ):
+        write_csv(out / name, TRAJ_HEADER, _traj_rows([e.t for e in track], ned))
     write_csv(
         out / "covariance.csv",
-        "t," + ",".join(f"p{i}{j}" for i in range(15) for j in range(15)),
+        COV_HEADER,
         [_fmt([r.t, *r.p_post.ravel().tolist()]) for r in records],
     )
 
@@ -453,12 +390,7 @@ def run_scenario(cfg, out_dir, write_sensors=True):
         cfg, variant, gen, dt, sim.biases, records, filtered_ned, smoothed_ned,
         nis_log,
     )
-    try:
-        (out / "metrics.json").write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n"
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write metrics.json: {exc}") from exc
+    _write_json(out / "metrics.json", metrics)
     return metrics
 
 
@@ -489,9 +421,8 @@ def _rmse_block(truth, ned):
 def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log):
     """Metrics of the stacked NED tracks ``filtered`` and ``smoothed``, whose
     epochs are the records'; truth is evaluated at those epochs at once."""
-    truth_e = gen.states_ecef([r.t for r in records])
-    truth_n = ecef_to_ned_state(truth_e)
-    truth = truth_n if variant.frame in ("NED", "NED_Aux") else truth_e
+    truth = variant.chart.states(gen, [r.t for r in records])
+    truth_n = variant.chart.as_ned(truth)
     nees_log = []
     for k, rec in enumerate(records):
         idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
@@ -546,12 +477,7 @@ def run_monte_carlo(cfg, out_dir, n_runs):
         ),
         "rmse": [m["rmse"] for m in results],
     }
-    try:
-        (out / "metrics.json").write_text(
-            json.dumps(merged, indent=2, sort_keys=True) + "\n"
-        )
-    except OSError as exc:
-        raise IoError(f"cannot write metrics.json: {exc}") from exc
+    _write_json(out / "metrics.json", merged)
     return merged
 
 
@@ -574,9 +500,8 @@ def compare_runs(dir_a, dir_b, pos_tol, cov_tol):
         pa = earth.llh_to_ecef(*ra[1:4])
         pb = earth.llh_to_ecef(*rb[1:4])
         pos_delta.append(float(np.max(np.abs(pa - pb))))
-    cov_header = "t," + ",".join(f"p{i}{j}" for i in range(15) for j in range(15))
-    ca = read_csv(Path(dir_a) / "covariance.csv", cov_header)
-    cb = read_csv(Path(dir_b) / "covariance.csv", cov_header)
+    ca = read_csv(Path(dir_a) / "covariance.csv", COV_HEADER)
+    cb = read_csv(Path(dir_b) / "covariance.csv", COV_HEADER)
     if ca.shape != cb.shape:
         raise IoError("epoch mismatch between covariance files")
     cov_delta = [

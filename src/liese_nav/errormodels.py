@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liese_nav import earth
+from liese_nav import earth, mechanization as mech
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import cross, skew
+from liese_nav.liegroup import GroupElement, cross, skew
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 
 PHI = slice(0, 3)
@@ -75,7 +75,24 @@ class Variant:
 
     @property
     def is_right(self):
+        """Errors compose on the world side (eta = A B^-1), not the body side."""
         return self.error_def.startswith("Right")
+
+    @property
+    def inverts_true(self):
+        """LeftTrue and RightEst invert the true state; this flag signs H and
+        every bias and noise column of G and F."""
+        return self.error_def in ("LeftTrue", "RightEst")
+
+    @property
+    def aux_velocity(self):
+        """The group velocity carries the earth-rate offset w_ie x r."""
+        return self.frame in ("NED_Aux", "ECEF_Inertial", "ECEF_Aux")
+
+    @property
+    def chart(self):
+        """The frame family's chart: NED_CHART or ECEF_CHART."""
+        return NED_CHART if self.frame in ("NED", "NED_Aux") else ECEF_CHART
 
     @property
     def name(self):
@@ -91,6 +108,134 @@ def supported_variants(include_mems=True):
             if include_mems and frame in _MEMS_FRAMES:
                 out.append(Variant(frame, ed, mems_simplified=True))
     return out
+
+
+# ---------------------------------------------------------------------------
+# frame charts: the one place that tells the NED frames from the ECEF frames
+# ---------------------------------------------------------------------------
+
+
+class NedChart:
+    """Geodetic NED states (C_b^n, v_eb^n, lat/lon/h), embedded with the
+    position vector r_eb^n. The error's position slot is the ECEF
+    displacement resolved in the estimate's NED axes (a full-rank chart)."""
+
+    def states(self, gen, times):
+        """Stacked truth at the times."""
+        return gen.states_ned(times)
+
+    def as_ned(self, nav):
+        return nav
+
+    def attitude_position(self, nav):
+        lat, _, h = nav.geo
+        return nav.c_bn, earth.position_vector_n(lat, h)
+
+    def affine_terms(self, nav, aux):
+        """(v, r, w_ie, w_in, gravitation if aux else gravity)."""
+        lat, _, h = nav.geo
+        v = nav.v_n
+        w_ie = earth.earth_rate_n(lat)
+        w_in = w_ie + earth.transport_rate_n(lat, h, v)
+        grav = (earth.gravitation_n if aux else earth.gravity_n)(lat, h)
+        return v, earth.position_vector_n(lat, h), w_ie, w_in, grav
+
+    def embed(self, nav, aux):
+        c, rho = self.attitude_position(nav)
+        v = nav.v_n.copy()
+        if aux:
+            v = v + cross(earth.earth_rate_n(nav.geo[0]), rho)
+        return GroupElement(c.copy(), v, rho)
+
+    def embed_pair(self, true_nav, est_nav, aux):
+        """Embeddings of (true, estimate) for their error: the true position
+        is the estimate's plus the ECEF displacement in its NED axes."""
+        x_true, x_est = self.embed(true_nav, aux), self.embed(est_nav, aux)
+        lat, lon, _ = est_nav.geo
+        c_en = earth.dcm_ecef_to_ned(lat, lon)
+        d_e = earth.llh_to_ecef(*true_nav.geo) - earth.llh_to_ecef(*est_nav.geo)
+        return GroupElement(x_true.R, x_true.v, x_est.p + c_en @ d_e), x_est
+
+    def retract(self, nav, x_est, x_new, aux):
+        """The state whose embedding is x_new, read through the chart."""
+        c_new = mech.orthonormalize(x_new.R)
+        lat, lon, _ = nav.geo
+        c_ne = earth.dcm_ecef_to_ned(lat, lon).T
+        r_e = earth.llh_to_ecef(*nav.geo) + c_ne @ (x_new.p - x_est.p)
+        geo = np.array(earth.ecef_to_llh(r_e))
+        v = x_new.v
+        if aux:
+            rho = earth.position_vector_n(geo[0], geo[2])
+            v = v - cross(earth.earth_rate_n(geo[0]), rho)
+        return NavStateNED(c_new, v.copy(), geo)
+
+    def step(self, nav, sample, dt):
+        nav = mech.ned_step(nav, sample, dt)
+        nav.c_bn = mech.orthonormalize(nav.c_bn)
+        return nav
+
+    def innovation(self, nav, fix):
+        """Measured minus predicted antenna position and its covariance."""
+        lat, lon, _ = nav.geo
+        c_en = earth.dcm_ecef_to_ned(lat, lon)
+        pred = earth.llh_to_ecef(*nav.geo) + c_en.T @ (nav.c_bn @ fix.lever_arm_b)
+        return c_en @ (fix.pos - pred), c_en @ fix.r @ c_en.T
+
+    def misalign(self, nav, rot):
+        """Turn the attitude in place by rot, given in local NED axes."""
+        nav.c_bn[:] = rot @ nav.c_bn
+
+
+class EcefChart:
+    """ECEF states (C_b^e, v_eb^e, r_eb^e); the group position is r_eb^e."""
+
+    def states(self, gen, times):
+        return gen.states_ecef(times)
+
+    def as_ned(self, nav):
+        return mech.ecef_to_ned_state(nav)
+
+    def attitude_position(self, nav):
+        return nav.c_be, nav.r
+
+    def affine_terms(self, nav, aux):
+        w_ie = earth.earth_rate_e()
+        grav = (earth.gravitation_e if aux else earth.gravity_e)(nav.r)
+        return nav.v, nav.r, w_ie, w_ie, grav
+
+    def embed(self, nav, aux):
+        v = nav.v.copy()
+        if aux:
+            v = v + cross(earth.earth_rate_e(), nav.r)
+        return GroupElement(nav.c_be.copy(), v, nav.r.copy())
+
+    def embed_pair(self, true_nav, est_nav, aux):
+        return self.embed(true_nav, aux), self.embed(est_nav, aux)
+
+    def retract(self, nav, x_est, x_new, aux):
+        c_new = mech.orthonormalize(x_new.R)
+        v = x_new.v
+        if aux:
+            v = v - cross(earth.earth_rate_e(), x_new.p)
+        return NavStateECEF(c_new, v.copy(), x_new.p.copy())
+
+    def step(self, nav, sample, dt):
+        nav = mech.ecef_step(nav, sample, dt)
+        nav.c_be = mech.orthonormalize(nav.c_be)
+        return nav
+
+    def innovation(self, nav, fix):
+        pred = nav.r + nav.c_be @ fix.lever_arm_b
+        return fix.pos - pred, fix.r
+
+    def misalign(self, nav, rot):
+        lat, lon, _ = earth.ecef_to_llh(nav.r)
+        c_ne = earth.dcm_ecef_to_ned(lat, lon).T
+        nav.c_be[:] = c_ne @ rot @ c_ne.T @ nav.c_be
+
+
+NED_CHART = NedChart()
+ECEF_CHART = EcefChart()
 
 
 def _bias_rows(f, g, tau_g, tau_a):
@@ -110,14 +255,7 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     f = np.zeros((15, 15))
     g = np.zeros((15, 12))
     _bias_rows(f, g, tau_g, tau_a)
-    if variant.frame == "NED":
-        _ned_blocks(variant, nominal, gyro, accel, f, g)
-    elif variant.frame == "NED_Aux":
-        _ned_aux_blocks(variant, nominal, gyro, accel, f, g)
-    elif variant.frame == "ECEF":
-        _ecef_blocks(variant, nominal, gyro, accel, f, g)
-    else:  # ECEF_Inertial / ECEF_Aux
-        _ecef_inertial_blocks(variant, nominal, gyro, accel, f, g)
+    _BLOCKS[variant.frame](variant, nominal, gyro, accel, f, g)
     return f, g
 
 
@@ -149,11 +287,12 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
     s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(lat, h, v)
     sk_v = skew(v)
     sk_v_m2 = sk_v @ m2
+    # the two definitions of each side share all non-bias blocks and differ
+    # in the sign of every bias/noise column
+    sign = 1.0 if variant.inverts_true else -1.0
 
     if variant.is_right:
-        # world-frame errors; RightTrue and RightEst share all non-bias
-        # blocks and differ in the sign of every bias/noise column
-        sign = -1.0 if variant.error_def == "RightTrue" else 1.0
+        # world-frame errors
         w_in = w_ie + w_en
         grav = earth._gravity_n(s_lat**2, rm, rn, h)
         k_g = np.zeros((3, 3))
@@ -187,8 +326,7 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
         g[RV, WA] = sign * c
         g[RR, WG] = sign * sk_r @ c
     else:
-        # body-frame errors; LeftTrue and LeftEst share all non-bias blocks
-        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+        # body-frame errors
         ct = c.T
         sandwich = lambda x: ct @ x @ c
         sk_g = skew(gyro)
@@ -229,7 +367,7 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
         k1 = m1 + m3 - m2 @ b
         k2 = m2
 
-    if variant.error_def == "LeftEst":
+    if not variant.is_right:  # LeftEst
         sk_g = skew(gyro)
         f[PHI, PHI] = -sk_g
         f[PHI, BG] = -_I3
@@ -292,8 +430,8 @@ def _ecef_blocks(variant, nom, gyro, accel, f, g):
     v = nom.v
     r = nom.r
     w_ie = earth.earth_rate_e()
-    if variant.error_def in ("LeftTrue", "LeftEst"):
-        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+    sign = 1.0 if variant.inverts_true else -1.0
+    if not variant.is_right:
         w_ie_b = c.T @ w_ie
         f[PHI, PHI] = -skew(gyro)
         f[PHI, BG] = sign * _I3
@@ -305,7 +443,6 @@ def _ecef_blocks(variant, nom, gyro, accel, f, g):
         g[PHI, WG] = sign * _I3
         g[RV, WA] = sign * _I3
     else:
-        sign = 1.0 if variant.error_def == "RightEst" else -1.0
         grav = earth.gravity_e(r)
         f[PHI, PHI] = -skew(w_ie)
         f[PHI, BG] = sign * c
@@ -327,8 +464,8 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
     w_ie = earth.earth_rate_e()
     r = nom.r
     v_i = nom.v + cross(w_ie, r)
-    if variant.error_def in ("LeftTrue", "LeftEst"):
-        sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
+    sign = 1.0 if variant.inverts_true else -1.0
+    if not variant.is_right:
         f[PHI, PHI] = -skew(gyro)
         f[PHI, BG] = sign * _I3
         f[RV, PHI] = -skew(accel)
@@ -341,7 +478,6 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
     else:
         # RightEst (ECEF_Inertial) or RightTrue (ECEF_Aux): identical
         # non-bias blocks, opposite bias/noise column signs
-        sign = 1.0 if variant.error_def == "RightEst" else -1.0
         big_g = earth.gravitation_e(r)
         f[PHI, PHI] = -skew(w_ie)
         f[PHI, BG] = sign * c
@@ -358,16 +494,18 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
         g[RR, WG] = sign * skew(r) @ c
 
 
+_BLOCKS = {
+    "NED": _ned_blocks,
+    "NED_Aux": _ned_aux_blocks,
+    "ECEF": _ecef_blocks,
+    "ECEF_Inertial": _ecef_inertial_blocks,
+    "ECEF_Aux": _ecef_inertial_blocks,
+}
+
+
 # ---------------------------------------------------------------------------
 # measurement models (GNSS position with body lever arm)
 # ---------------------------------------------------------------------------
-
-
-def _nav_frame_quantities(variant, nominal):
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, _, h = nominal.geo
-        return nominal.c_bn, earth.position_vector_n(lat, h)
-    return nominal.c_be, nominal.r
 
 
 def measurement_se23(variant, nominal, lever_arm):
@@ -376,20 +514,15 @@ def measurement_se23(variant, nominal, lever_arm):
     Innovation convention: z = measured - predicted antenna position,
     expressed in the navigation frame (NED chart axes or ECEF).
     """
-    c, r = _nav_frame_quantities(variant, nominal)
+    c, r = variant.chart.attitude_position(nominal)
+    sign = 1.0 if variant.inverts_true else -1.0
     h = np.zeros((3, 15))
-    if variant.error_def == "LeftEst":
-        h[:, PHI] = -c @ skew(lever_arm)
-        h[:, RR] = c
-    elif variant.error_def == "LeftTrue":
-        h[:, PHI] = c @ skew(lever_arm)
-        h[:, RR] = -c
-    elif variant.error_def == "RightTrue":
-        h[:, PHI] = -skew(r + c @ lever_arm)
-        h[:, RR] = _I3
-    else:  # RightEst
-        h[:, PHI] = skew(r + c @ lever_arm)
-        h[:, RR] = -_I3
+    if variant.is_right:
+        h[:, PHI] = sign * skew(r + c @ lever_arm)
+        h[:, RR] = -sign * _I3
+    else:
+        h[:, PHI] = (sign * c) @ skew(lever_arm)
+        h[:, RR] = -sign * c
     return h
 
 
@@ -403,20 +536,11 @@ def measurement_left_invariant(variant, nominal, lever_arm):
         raise IncompatibleMode(
             "left-invariant measurement requires the LeftEst error definition"
         )
-    c, _ = _nav_frame_quantities(variant, nominal)
+    c, _ = variant.chart.attitude_position(nominal)
     h = np.zeros((3, 15))
     h[:, PHI] = -skew(lever_arm)
     h[:, RR] = _I3
     return h, c.T
-
-
-def measurement_right(variant, nominal, lever_arm):
-    """World-frame measurement model for right-invariant error definitions."""
-    if not variant.is_right:
-        raise IncompatibleMode(
-            "right measurement model requires a Right* error definition"
-        )
-    return measurement_se23(variant, nominal, lever_arm)
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +557,10 @@ def group_affine_dynamics(variant, nominal, gyro, accel):
     w1 = np.zeros((5, 5))
     w1[:3, :3] = skew(gyro)
     w1[:3, 3] = accel
+    v, r, w_ie, w_in, grav = variant.chart.affine_terms(nominal, variant.aux_velocity)
     w2 = np.zeros((5, 5))
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, _, h = nominal.geo
-        v = nominal.v_n
-        r_n = earth.position_vector_n(lat, h)
-        w_ie = earth.earth_rate_n(lat)
-        w_in = w_ie + earth.transport_rate_n(lat, h, v)
-        w2[:3, :3] = -skew(w_in)
-        if variant.frame == "NED":
-            w2[:3, 3] = earth.gravity_n(lat, h) - cross(w_ie, v)
-            w2[:3, 4] = v + cross(w_ie, r_n)
-        else:
-            w2[:3, 3] = earth.gravitation_n(lat, h)
-            w2[:3, 4] = v + cross(w_ie, r_n)
-    else:
-        v = nominal.v
-        r = nominal.r
-        w_ie = earth.earth_rate_e()
-        w2[:3, :3] = -skew(w_ie)
-        if variant.frame == "ECEF":
-            w2[:3, 3] = earth.gravity_e(r) - cross(w_ie, v)
-            w2[:3, 4] = v + cross(w_ie, r)
-        else:
-            w2[:3, 3] = earth.gravitation_e(r)
-            w2[:3, 4] = v + cross(w_ie, r)
+    w2[:3, :3] = -skew(w_in)
+    # an auxiliary velocity absorbs the Coriolis term into gravitation
+    w2[:3, 3] = grav if variant.aux_velocity else grav - cross(w_ie, v)
+    w2[:3, 4] = v + cross(w_ie, r)
     return w1, w2

@@ -11,10 +11,9 @@ Error coordinates and retraction
 --------------------------------
 The group part of a correction is applied on the side dictated by the
 variant's error definition (left- or right-multiplication by exp(xi)); the
-bias part is additive (delta_b = b_true - b_hat for every variant). For the
-local-frame (NED) variants the position slot of the retraction is carried to
-the geodetic nominal through the local chart: the ECEF position moves by the
-estimate-frame-resolved slot displacement. ``error_state`` applies the exact
+bias part is additive (delta_b = b_true - b_hat for every variant). The
+variant's chart (``errormodels.NedChart`` or ``EcefChart``) carries the
+group element back to a navigation state; ``error_state`` applies the exact
 inverse map, so retraction followed by error extraction is the identity (up
 to the double-precision floor of earth-radius coordinates, ~1e-9 m).
 """
@@ -23,15 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liese_nav import earth, mechanization as mech
 from liese_nav.errormodels import (
     error_dynamics,
     measurement_left_invariant,
     measurement_se23,
 )
 from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
-from liese_nav.liegroup import GroupElement, cross, exp_se23, log_se23
-from liese_nav.mechanization import ImuSample, NavStateECEF, NavStateNED
+from liese_nav.liegroup import exp_se23, log_se23
+from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
 # chi-square 0.999 quantile with 3 degrees of freedom, chi2.ppf(0.999, 3);
@@ -77,39 +75,16 @@ class UpdateReport:
 # ---------------------------------------------------------------------------
 
 
-def embed(variant, nav):
-    """Own-frame SE2(3) embedding of a navigation state."""
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, _, h = nav.geo
-        rho = earth.position_vector_n(lat, h)
-        v = nav.v_n.copy()
-        if variant.frame == "NED_Aux":
-            v = v + cross(earth.earth_rate_n(lat), rho)
-        return GroupElement(nav.c_bn.copy(), v, rho)
-    v = nav.v.copy()
-    if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v + cross(earth.earth_rate_e(), nav.r)
-    return GroupElement(nav.c_be.copy(), v, nav.r.copy())
+def _compose_error(variant, x_true, x_est):
+    """eta = A B^-1 (right) or B^-1 A (left); B is the state inverted."""
+    a, b = (x_est, x_true) if variant.inverts_true else (x_true, x_est)
+    return a.compose(b.inverse()) if variant.is_right else b.inverse().compose(a)
 
 
-def _compose_error(error_def, x_true, x_est):
-    if error_def == "RightTrue":
-        return x_true.compose(x_est.inverse())
-    if error_def == "RightEst":
-        return x_est.compose(x_true.inverse())
-    if error_def == "LeftTrue":
-        return x_true.inverse().compose(x_est)
-    return x_est.inverse().compose(x_true)  # LeftEst
-
-
-def _true_from_error(error_def, x_est, eta):
-    if error_def == "RightTrue":
-        return eta.compose(x_est)
-    if error_def == "RightEst":
-        return eta.inverse().compose(x_est)
-    if error_def == "LeftTrue":
-        return x_est.compose(eta.inverse())
-    return x_est.compose(eta)  # LeftEst
+def _true_from_error(variant, x_est, eta):
+    """The true state whose error against x_est is eta."""
+    eta = eta.inverse() if variant.inverts_true else eta
+    return eta.compose(x_est) if variant.is_right else x_est.compose(eta)
 
 
 def error_state(variant, true_nav, true_bias, est_nav, est_bias):
@@ -119,14 +94,8 @@ def error_state(variant, true_nav, true_bias, est_nav, est_bias):
     displacement (the full-rank local chart); attitude and velocity compare
     each state's own resolved triples.
     """
-    x_true = embed(variant, true_nav)
-    x_est = embed(variant, est_nav)
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, lon, _ = est_nav.geo
-        c_en = earth.dcm_ecef_to_ned(lat, lon)
-        d_e = earth.llh_to_ecef(*true_nav.geo) - earth.llh_to_ecef(*est_nav.geo)
-        x_true = GroupElement(x_true.R, x_true.v, x_est.p + c_en @ d_e)
-    eta = _compose_error(variant.error_def, x_true, x_est)
+    x_true, x_est = variant.chart.embed_pair(true_nav, est_nav, variant.aux_velocity)
+    eta = _compose_error(variant, x_true, x_est)
     db = np.concatenate(
         [true_bias.gyro - est_bias.gyro, true_bias.accel - est_bias.accel]
     )
@@ -142,23 +111,10 @@ def apply_correction(variant, nav, bias, dx):
     new_bias = BiasState(bias.gyro + dx[9:12], bias.accel + dx[12:15])
     if not np.any(dx[:9]):
         return nav.copy(), new_bias
-    x_est = embed(variant, nav)
-    x_new = _true_from_error(variant.error_def, x_est, exp_se23(dx[:9]))
-    c_new = mech.orthonormalize(x_new.R)
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, lon, _ = nav.geo
-        c_ne = earth.dcm_ecef_to_ned(lat, lon).T
-        r_e = earth.llh_to_ecef(*nav.geo) + c_ne @ (x_new.p - x_est.p)
-        geo = np.array(earth.ecef_to_llh(r_e))
-        v = x_new.v
-        if variant.frame == "NED_Aux":
-            rho = earth.position_vector_n(geo[0], geo[2])
-            v = v - cross(earth.earth_rate_n(geo[0]), rho)
-        return NavStateNED(c_new, v.copy(), geo), new_bias
-    v = x_new.v
-    if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v - cross(earth.earth_rate_e(), x_new.p)
-    return NavStateECEF(c_new, v.copy(), x_new.p.copy()), new_bias
+    chart, aux = variant.chart, variant.aux_velocity
+    x_est = chart.embed(nav, aux)
+    x_new = _true_from_error(variant, x_est, exp_se23(dx[:9]))
+    return chart.retract(nav, x_est, x_new, aux), new_bias
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +152,7 @@ def predict(fs, imu, dt, noise=None):
     phi, qd = discretize(f, g, noise.q_diag(), dt)
     sample = ImuSample(imu.t, gyro, accel)
     # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-    if fs.variant.frame in ("NED", "NED_Aux"):
-        nav = mech.ned_step(fs.nav, sample, dt)
-        nav.c_bn = mech.orthonormalize(nav.c_bn)
-    else:
-        nav = mech.ecef_step(fs.nav, sample, dt)
-        nav.c_be = mech.orthonormalize(nav.c_be)
+    nav = fs.variant.chart.step(fs.nav, sample, dt)
     phi_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
     phi_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
     bias = BiasState(phi_g * fs.bias.gyro, phi_a * fs.bias.accel)
@@ -215,25 +166,12 @@ def predict(fs, imu, dt, noise=None):
 # ---------------------------------------------------------------------------
 
 
-def _innovation_nav(nav, variant, fix):
-    """Innovation (measured - predicted antenna position) and its covariance,
-    resolved in the variant's navigation frame."""
-    l = fix.lever_arm_b
-    if variant.frame in ("NED", "NED_Aux"):
-        lat, lon, _ = nav.geo
-        c_en = earth.dcm_ecef_to_ned(lat, lon)
-        pred = earth.llh_to_ecef(*nav.geo) + c_en.T @ (nav.c_bn @ l)
-        return c_en @ (fix.pos - pred), c_en @ fix.r @ c_en.T
-    pred = nav.r + nav.c_be @ l
-    return fix.pos - pred, fix.r
-
-
 def update(fs, fix, mode="se23", gate=False):
     """GNSS position update; returns (FilterState, UpdateReport)."""
     if mode not in MODES:
         raise IncompatibleMode(f"unknown filter mode {mode!r}")
     variant = fs.variant
-    z, r_eff = _innovation_nav(fs.nav, variant, fix)
+    z, r_eff = variant.chart.innovation(fs.nav, fix)
     if mode == "invariant":
         h, m = measurement_left_invariant(variant, fs.nav, fix.lever_arm_b)
         z = m @ z

@@ -43,11 +43,6 @@ class BiasState:
         return BiasState(self.gyro.copy(), self.accel.copy())
 
 
-def bias_decay_rate(tau):
-    """Diagonal entry of the bias error dynamics: -1/tau (GM) or 0 (RC)."""
-    return 0.0 if tau is None else -1.0 / tau
-
-
 def discretize_bias(tau, sigma_b, dt):
     """Exact discretization of one bias axis.
 

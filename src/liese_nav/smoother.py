@@ -1,4 +1,4 @@
-"""RTS smoothing over a stored forward EKF pass.
+"""The forward EKF pass (``run_forward``) and RTS smoothing over it.
 
 The backward recursion is the standard Rauch-Tung-Striebel pass expressed in
 the variant's error coordinates: the smoothed-vs-predicted state difference
@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from liese_nav import filter as flt
 from liese_nav.errors import SingularPredCov
 from liese_nav.filter import apply_correction, error_state
 from liese_nav.sensors import BiasState
@@ -41,6 +42,37 @@ class SmoothedEpoch:
     nav: object
     bias: BiasState
     p: np.ndarray
+
+
+def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
+    """Filter the IMU samples from FilterState ``fs``, updating at the first
+    epoch that reaches each GNSS fix. Returns (records, nis): a ForwardRecord
+    per update, the last one (or, with no fix, the last prediction) final,
+    and one {"t", "value"} NIS entry per update."""
+    records, nis = [], []
+    pending = None  # last post-update state awaiting its prediction leg
+    phi_acc = np.eye(15)
+    fix_iter = iter(fixes)
+    fix = next(fix_iter, None)
+    for sample in imu:
+        fs, phi = flt.predict(fs, sample, dt, noise=noise)
+        phi_acc = phi @ phi_acc
+        if fix is not None and fs.t >= fix.t - 1e-9:
+            if pending is not None:
+                records.append(
+                    ForwardRecord(
+                        pending.t, pending.nav, pending.bias, pending.p,
+                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
+                    )
+                )
+            fs, report = flt.update(fs, fix, mode=mode)
+            nis.append({"t": fs.t, "value": float(report.nis)})
+            pending = fs.copy()
+            phi_acc = np.eye(15)
+            fix = next(fix_iter, None)
+    last = fs.copy() if pending is None else pending
+    records.append(ForwardRecord(last.t, last.nav, last.bias, last.p))
+    return records, nis
 
 
 def rts_smooth(variant, records):

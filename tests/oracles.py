@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from liese_nav import earth, mechanization as mech
+from liese_nav import earth, filter as flt, mechanization as mech, smoother as smo
 from liese_nav.earth import (
     EARTH_RATE,
     GRAV_EQUATOR,
@@ -43,10 +43,11 @@ from liese_nav.earth import (
     ecef_to_llh,
     radii,
 )
-from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG
+from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
+from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
 from liese_nav.liegroup import GroupElement, cross, exp_se23, log_se23, skew, so3_log
 from liese_nav.mechanization import ImuSample, NavStateECEF
-from liese_nav.sensors import BiasState, discretize_bias
+from liese_nav.sensors import BiasState, ImuNoiseParams, discretize_bias
 
 TAU = 0.1  # half-width of the central time difference, seconds
 # RK4 substeps over each half-window; the flows vary on ~15 s timescales,
@@ -998,3 +999,282 @@ def ref_epoch_errors(truths, neds):
         vel.append(ned.v_n - truth.v_n)
         att.append(so3_log(truth.c_bn.T @ ned.c_bn))
     return np.array(pos), np.array(vel), np.array(att)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references for the variant dispatch
+# ---------------------------------------------------------------------------
+#
+# Verbatim bodies of the embedding, error composition, retraction,
+# innovation, update, measurement models, group-affine form, prediction,
+# initial state and CLI forward loop as they were when each decided the
+# frame and the error definition by comparing strings (docstrings dropped,
+# calls renamed to the ref_ copies). The chart and flag dispatch must
+# reproduce them bit for bit.
+
+
+def ref_embed(variant, nav):
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, _, h = nav.geo
+        rho = earth.position_vector_n(lat, h)
+        v = nav.v_n.copy()
+        if variant.frame == "NED_Aux":
+            v = v + cross(earth.earth_rate_n(lat), rho)
+        return GroupElement(nav.c_bn.copy(), v, rho)
+    v = nav.v.copy()
+    if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
+        v = v + cross(earth.earth_rate_e(), nav.r)
+    return GroupElement(nav.c_be.copy(), v, nav.r.copy())
+
+
+def ref_compose_error(error_def, x_true, x_est):
+    if error_def == "RightTrue":
+        return x_true.compose(x_est.inverse())
+    if error_def == "RightEst":
+        return x_est.compose(x_true.inverse())
+    if error_def == "LeftTrue":
+        return x_true.inverse().compose(x_est)
+    return x_est.inverse().compose(x_true)  # LeftEst
+
+
+def ref_true_from_error(error_def, x_est, eta):
+    if error_def == "RightTrue":
+        return eta.compose(x_est)
+    if error_def == "RightEst":
+        return eta.inverse().compose(x_est)
+    if error_def == "LeftTrue":
+        return x_est.compose(eta.inverse())
+    return x_est.compose(eta)  # LeftEst
+
+
+def ref_error_state(variant, true_nav, true_bias, est_nav, est_bias):
+    x_true = ref_embed(variant, true_nav)
+    x_est = ref_embed(variant, est_nav)
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, lon, _ = est_nav.geo
+        c_en = earth.dcm_ecef_to_ned(lat, lon)
+        d_e = earth.llh_to_ecef(*true_nav.geo) - earth.llh_to_ecef(*est_nav.geo)
+        x_true = GroupElement(x_true.R, x_true.v, x_est.p + c_en @ d_e)
+    eta = ref_compose_error(variant.error_def, x_true, x_est)
+    db = np.concatenate(
+        [true_bias.gyro - est_bias.gyro, true_bias.accel - est_bias.accel]
+    )
+    return np.concatenate([log_se23(eta), db])
+
+
+def ref_apply_correction(variant, nav, bias, dx):
+    new_bias = BiasState(bias.gyro + dx[9:12], bias.accel + dx[12:15])
+    if not np.any(dx[:9]):
+        return nav.copy(), new_bias
+    x_est = ref_embed(variant, nav)
+    x_new = ref_true_from_error(variant.error_def, x_est, exp_se23(dx[:9]))
+    c_new = mech.orthonormalize(x_new.R)
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, lon, _ = nav.geo
+        c_ne = earth.dcm_ecef_to_ned(lat, lon).T
+        r_e = earth.llh_to_ecef(*nav.geo) + c_ne @ (x_new.p - x_est.p)
+        geo = np.array(earth.ecef_to_llh(r_e))
+        v = x_new.v
+        if variant.frame == "NED_Aux":
+            rho = earth.position_vector_n(geo[0], geo[2])
+            v = v - cross(earth.earth_rate_n(geo[0]), rho)
+        return mech.NavStateNED(c_new, v.copy(), geo), new_bias
+    v = x_new.v
+    if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
+        v = v - cross(earth.earth_rate_e(), x_new.p)
+    return NavStateECEF(c_new, v.copy(), x_new.p.copy()), new_bias
+
+
+def ref_predict(fs, imu, dt, noise=None):
+    noise = noise or ImuNoiseParams()
+    gyro = imu.gyro - fs.bias.gyro
+    accel = imu.accel - fs.bias.accel
+    f, g = error_dynamics(
+        fs.variant, fs.nav, gyro, accel, tau_g=noise.tau_g, tau_a=noise.tau_a
+    )
+    phi, qd = flt.discretize(f, g, noise.q_diag(), dt)
+    sample = ImuSample(imu.t, gyro, accel)
+    if fs.variant.frame in ("NED", "NED_Aux"):
+        nav = mech.ned_step(fs.nav, sample, dt)
+        nav.c_bn = mech.orthonormalize(nav.c_bn)
+    else:
+        nav = mech.ecef_step(fs.nav, sample, dt)
+        nav.c_be = mech.orthonormalize(nav.c_be)
+    phi_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
+    phi_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
+    bias = BiasState(phi_g * fs.bias.gyro, phi_a * fs.bias.accel)
+    p = phi @ fs.p @ phi.T + qd
+    p = 0.5 * (p + p.T)
+    return flt.FilterState(fs.variant, nav, bias, p, fs.t + dt), phi
+
+
+def ref_innovation_nav(nav, variant, fix):
+    l = fix.lever_arm_b
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, lon, _ = nav.geo
+        c_en = earth.dcm_ecef_to_ned(lat, lon)
+        pred = earth.llh_to_ecef(*nav.geo) + c_en.T @ (nav.c_bn @ l)
+        return c_en @ (fix.pos - pred), c_en @ fix.r @ c_en.T
+    pred = nav.r + nav.c_be @ l
+    return fix.pos - pred, fix.r
+
+
+def ref_update(fs, fix, mode="se23", gate=False):
+    if mode not in flt.MODES:
+        raise IncompatibleMode(f"unknown filter mode {mode!r}")
+    variant = fs.variant
+    z, r_eff = ref_innovation_nav(fs.nav, variant, fix)
+    if mode == "invariant":
+        h, m = ref_measurement_left_invariant(variant, fs.nav, fix.lever_arm_b)
+        z = m @ z
+        r_eff = m @ r_eff @ m.T
+    else:
+        h = ref_measurement_se23(variant, fs.nav, fix.lever_arm_b)
+    p = fs.p
+    s = h @ p @ h.T + r_eff
+    nis = float(z @ np.linalg.solve(s, z))
+    if gate and nis > flt.GATE_THRESHOLD:
+        raise InnovationGateExceeded(
+            f"NIS {nis:.2f} exceeds chi-square gate {flt.GATE_THRESHOLD:.2f} "
+            f"at t={fix.t}"
+        )
+    k = np.linalg.solve(s, h @ p).T
+    dx = k @ z
+    nav, bias = ref_apply_correction(variant, fs.nav, fs.bias, dx)
+    ikh = np.eye(15) - k @ h
+    p_new = ikh @ p @ ikh.T + k @ r_eff @ k.T
+    p_new = 0.5 * (p_new + p_new.T)
+    out = flt.FilterState(variant, nav, bias, p_new, fs.t)
+    return out, flt.UpdateReport(z=z, s=s, k=k, nis=nis, dx=dx)
+
+
+def ref_nav_frame_quantities(variant, nominal):
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, _, h = nominal.geo
+        return nominal.c_bn, earth.position_vector_n(lat, h)
+    return nominal.c_be, nominal.r
+
+
+def ref_measurement_se23(variant, nominal, lever_arm):
+    c, r = ref_nav_frame_quantities(variant, nominal)
+    h = np.zeros((3, 15))
+    if variant.error_def == "LeftEst":
+        h[:, PHI] = -c @ skew(lever_arm)
+        h[:, RR] = c
+    elif variant.error_def == "LeftTrue":
+        h[:, PHI] = c @ skew(lever_arm)
+        h[:, RR] = -c
+    elif variant.error_def == "RightTrue":
+        h[:, PHI] = -skew(r + c @ lever_arm)
+        h[:, RR] = np.eye(3)
+    else:  # RightEst
+        h[:, PHI] = skew(r + c @ lever_arm)
+        h[:, RR] = -np.eye(3)
+    return h
+
+
+def ref_measurement_left_invariant(variant, nominal, lever_arm):
+    if variant.error_def != "LeftEst":
+        raise IncompatibleMode(
+            "left-invariant measurement requires the LeftEst error definition"
+        )
+    c, _ = ref_nav_frame_quantities(variant, nominal)
+    h = np.zeros((3, 15))
+    h[:, PHI] = -skew(lever_arm)
+    h[:, RR] = np.eye(3)
+    return h, c.T
+
+
+def ref_group_affine_dynamics(variant, nominal, gyro, accel):
+    w1 = np.zeros((5, 5))
+    w1[:3, :3] = skew(gyro)
+    w1[:3, 3] = accel
+    w2 = np.zeros((5, 5))
+    if variant.frame in ("NED", "NED_Aux"):
+        lat, _, h = nominal.geo
+        v = nominal.v_n
+        r_n = earth.position_vector_n(lat, h)
+        w_ie = earth.earth_rate_n(lat)
+        w_in = w_ie + earth.transport_rate_n(lat, h, v)
+        w2[:3, :3] = -skew(w_in)
+        if variant.frame == "NED":
+            w2[:3, 3] = earth.gravity_n(lat, h) - cross(w_ie, v)
+            w2[:3, 4] = v + cross(w_ie, r_n)
+        else:
+            w2[:3, 3] = earth.gravitation_n(lat, h)
+            w2[:3, 4] = v + cross(w_ie, r_n)
+    else:
+        v = nominal.v
+        r = nominal.r
+        w_ie = earth.earth_rate_e()
+        w2[:3, :3] = -skew(w_ie)
+        if variant.frame == "ECEF":
+            w2[:3, 3] = earth.gravity_e(r) - cross(w_ie, v)
+            w2[:3, 4] = v + cross(w_ie, r)
+        else:
+            w2[:3, 3] = earth.gravitation_e(r)
+            w2[:3, 4] = v + cross(w_ie, r)
+    return w1, w2
+
+
+def ref_initial_state(cfg, variant, gen, rng):
+    ini = cfg.initial
+    if variant.frame in ("NED", "NED_Aux"):
+        nav = gen.state_ned(0.0)
+    else:
+        nav = gen.state_ecef(0.0)
+    sigmas = np.concatenate(
+        [
+            np.full(3, ini.attitude_sigma_rad),
+            np.full(3, ini.velocity_sigma_m_s),
+            np.full(3, ini.position_sigma_m),
+            np.full(3, ini.bias_g_sigma_rad_s),
+            np.full(3, ini.bias_a_sigma_m_s2),
+        ]
+    )
+    p0 = np.diag(np.maximum(sigmas, 1e-12) ** 2)
+    dx = sigmas * rng.standard_normal(15)
+    nav, bias = ref_apply_correction(variant, nav, BiasState(), dx)
+    if ini.yaw_error_rad != 0.0:
+        cz, sz = np.cos(ini.yaw_error_rad), np.sin(ini.yaw_error_rad)
+        rot = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]])
+        if variant.frame in ("NED", "NED_Aux"):
+            nav.c_bn[:] = rot @ nav.c_bn
+        else:
+            lat, lon, _ = earth.ecef_to_llh(nav.r)
+            c_ne = earth.dcm_ecef_to_ned(lat, lon).T
+            nav.c_be[:] = c_ne @ rot @ c_ne.T @ nav.c_be
+        p0[:3, :3] += ini.yaw_error_rad**2 * np.eye(3)
+    return nav, bias, p0
+
+
+def ref_forward(fs, imu, fixes, dt, noise, mode):
+    """The forward loop of the scenario runner, with the ref_ predict and
+    update; returns (records, nis_log)."""
+    records, nis_log = [], []
+    pending = None
+    phi_acc = np.eye(15)
+    fix_iter = iter(fixes)
+    fix = next(fix_iter, None)
+    for sample in imu:
+        fs, phi = ref_predict(fs, sample, dt, noise=noise)
+        phi_acc = phi @ phi_acc
+        if fix is not None and fs.t >= fix.t - 1e-9:
+            if pending is not None:
+                records.append(
+                    smo.ForwardRecord(
+                        pending.t, pending.nav, pending.bias, pending.p,
+                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
+                    )
+                )
+            fs, report = ref_update(fs, fix, mode=mode)
+            nis_log.append({"t": fs.t, "value": float(report.nis)})
+            pending = fs.copy()
+            phi_acc = np.eye(15)
+            fix = next(fix_iter, None)
+    if pending is None:
+        pending = fs.copy()
+    records.append(
+        smo.ForwardRecord(pending.t, pending.nav, pending.bias, pending.p)
+    )
+    return records, nis_log

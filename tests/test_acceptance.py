@@ -242,29 +242,7 @@ def _forward(variant, mode, duration, dt, seed, gnss_sigma=1.5,
         sigmas * rng.standard_normal(15),
     )
     fs = flt.FilterState(variant, nav0, bias0, np.diag(sigmas**2), 0.0)
-    records = []
-    pending = None
-    phi_acc = np.eye(15)
-    fix_iter = iter(fixes)
-    fix = next(fix_iter, None)
-    for k in range(n):
-        fs, phi = flt.predict(fs, imu[k], dt, noise=NOISE)
-        phi_acc = phi @ phi_acc
-        if fix is not None and fs.t >= fix.t - 1e-9:
-            if pending is not None:
-                records.append(
-                    smo.ForwardRecord(
-                        pending.t, pending.nav, pending.bias, pending.p,
-                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
-                    )
-                )
-            fs, _ = flt.update(fs, fix, mode=mode)
-            pending = fs.copy()
-            phi_acc = np.eye(15)
-            fix = next(fix_iter, None)
-    records.append(
-        smo.ForwardRecord(pending.t, pending.nav, pending.bias, pending.p)
-    )
+    records, _ = smo.run_forward(fs, imu, fixes, dt, NOISE, mode)
     smoothed = smo.rts_smooth(variant, records) if smooth else None
     return records, smoothed, biases
 

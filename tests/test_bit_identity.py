@@ -1,14 +1,19 @@
-"""The propagation hot path and the simulator side reproduce their reference
-arithmetic bit for bit.
+"""The propagation hot path, the simulator side and the variant dispatch
+reproduce their reference arithmetic bit for bit.
 
 The references in ``oracles`` are verbatim copies of the earth formulas,
 strapdown steps, error dynamics and discretization from before the hot path
-shared its trig terms and radii, and of the per-sample truth, sensor and
-metrics code from before the simulator side was evaluated over whole time
-grids. Sharing values and stacking samples only change how often and in what
-shape each value is computed, so every comparison here is exact, never a
-tolerance: the outputs must stay byte-identical.
+shared its trig terms and radii, of the per-sample truth, sensor and metrics
+code from before the simulator side was evaluated over whole time grids, and
+of the embedding, retraction, measurement, update and forward-loop code from
+before the frame and error-definition string chains became the flags and the
+chart of ``Variant``. Sharing values, stacking samples and moving a decision
+only change how often, in what shape and where each value is computed, so
+every comparison here is exact, never a tolerance: the outputs must stay
+byte-identical.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -16,7 +21,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from liese_nav import cli, earth, filter as flt, mechanization as mech, sensors
-from liese_nav.errormodels import Variant, error_dynamics, supported_variants
+from liese_nav import smoother as smo
+from liese_nav.errormodels import (
+    Variant,
+    error_dynamics,
+    group_affine_dynamics,
+    measurement_left_invariant,
+    measurement_se23,
+    supported_variants,
+)
 from liese_nav.liegroup import cross, so3_exp
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 from liese_nav.sensors import BiasState, ImuNoiseParams
@@ -358,7 +371,7 @@ def test_cli_tracks_and_metrics_match_reference():
     ecefs = [mech.ned_to_ecef_state(n) for n in neds]
 
     # the one NED conversion the ECEF tracks share
-    as_ned = cli._as_ned(Variant("ECEF", "LeftEst"), mech.stack_states(ecefs))
+    as_ned = Variant("ECEF", "LeftEst").chart.as_ned(mech.stack_states(ecefs))
     for k, nav in enumerate(ecefs):
         assert_row_equal(as_ned, k, oracles.ref_ecef_to_ned_state(nav), f"epoch {k}")
 
@@ -370,3 +383,153 @@ def test_cli_tracks_and_metrics_match_reference():
     new = cli._epoch_errors(gen.states_ned(times), mech.stack_states(neds))
     for x, y in zip(new, oracles.ref_epoch_errors(truths, neds), strict=True):
         assert same_bits(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the variant dispatch: one chart per frame family, two error-definition flags
+# ---------------------------------------------------------------------------
+
+
+def assert_same(a, b, label):
+    """same_bits through states, records, reports, group elements and the
+    tuples, lists and dicts that hold them."""
+    if hasattr(a, "__dict__"):
+        assert type(a) is type(b), label
+        for name, x in vars(a).items():
+            assert_same(x, getattr(b, name), f"{label}.{name}")
+    elif isinstance(a, (tuple, list, dict)):
+        assert type(a) is type(b) and len(a) == len(b), label
+        for k, x in (a.items() if isinstance(a, dict) else enumerate(a)):
+            assert_same(x, b[k], f"{label}[{k}]")
+    elif a is None or isinstance(a, str):
+        assert a == b, label
+    else:
+        assert same_bits(a, b), label
+
+
+def _modes(variant):
+    return [m for m in flt.MODES if m == "se23" or variant.error_def == "LeftEst"]
+
+
+def _own_frame(variant, nav):
+    return mech.ned_to_ecef_state(nav) if variant.frame.startswith("ECEF") else nav
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+def test_dispatch_matches_reference(variant):
+    rng = np.random.default_rng(23)
+    scale = np.repeat([1e-3, 0.1, 1.0, 5e-4, 5e-3], 3)
+    noise = ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, 400.0, 900.0)
+    # a zero lever arm makes exact zeros in H, whose sign repr() would print
+    for k, (truth, lever) in enumerate(
+        zip(_nominals(), [np.array([0.4, -0.2, 1.1]), np.zeros(3)] * 2)
+    ):
+        label = f"{variant.name} nominal {k}"
+        true_nav = _own_frame(variant, truth)
+        est = _own_frame(variant, _perturbed_ned(truth, rng))
+        b_true = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+        b_est = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+        gyro, accel = rng.normal(scale=0.1, size=3), rng.normal(scale=5.0, size=3)
+
+        assert_same(
+            variant.chart.embed(est, variant.aux_velocity),
+            oracles.ref_embed(variant, est),
+            label,
+        )
+        assert_same(
+            flt.error_state(variant, true_nav, b_true, est, b_est),
+            oracles.ref_error_state(variant, true_nav, b_true, est, b_est),
+            label,
+        )
+        dx = scale * rng.standard_normal(15)
+        for d in (dx, np.concatenate([np.zeros(9), dx[9:]])):
+            assert_same(
+                flt.apply_correction(variant, est, b_est, d),
+                oracles.ref_apply_correction(variant, est, b_est, d),
+                label,
+            )
+        assert_same(
+            measurement_se23(variant, est, lever),
+            oracles.ref_measurement_se23(variant, est, lever),
+            label,
+        )
+        if variant.error_def == "LeftEst":
+            assert_same(
+                measurement_left_invariant(variant, est, lever),
+                oracles.ref_measurement_left_invariant(variant, est, lever),
+                label,
+            )
+        assert_same(
+            group_affine_dynamics(variant, est, gyro, accel),
+            oracles.ref_group_affine_dynamics(variant, est, gyro, accel),
+            label,
+        )
+
+        p = rng.normal(size=(15, 15)) * scale
+        fs = flt.FilterState(variant, est, b_est, p @ p.T + np.diag(scale**2), 3.0)
+        sample = mech.ImuSample(3.0, gyro, accel)
+        assert_same(
+            flt.predict(fs, sample, DT, noise),
+            oracles.ref_predict(fs, sample, DT, noise),
+            label,
+        )
+        fix = flt.GnssFix(
+            3.0,
+            earth.llh_to_ecef(*truth.geo) + rng.normal(scale=2.0, size=3),
+            np.diag([1.5, 2.0, 3.0]),
+            lever,
+        )
+        assert_same(
+            variant.chart.innovation(est, fix),
+            oracles.ref_innovation_nav(est, variant, fix),
+            label,
+        )
+        for mode in _modes(variant):
+            assert_same(
+                flt.update(fs, fix, mode),
+                oracles.ref_update(fs, fix, mode),
+                f"{label} {mode}",
+            )
+
+
+@pytest.mark.parametrize(
+    "frame, error_def, mode",
+    [("NED", "RightEst", "se23"), ("ECEF_Inertial", "LeftEst", "invariant")],
+)
+def test_forward_pass_matches_reference(frame, error_def, mode):
+    cfg = cli.ScenarioConfig(
+        trajectory={
+            "kind": "circle", "origin_lat_rad": 0.7, "origin_lon_rad": -1.2,
+            "origin_h_m": 300.0, "speed_m_s": 15.0, "radius_m": 250.0,
+            "heading0_rad": 0.4,
+        },
+        duration_s=10.0,
+        imu_dt_s=DT,
+        gnss={"period_s": 1.0, "sigma_pos_m": 1.5, "lever_arm_b_m": [0.4, -0.2, 1.1]},
+        noise={
+            "sigma_g_rad_s_sqrt_hz": 1e-4, "sigma_a_m_s2_sqrt_hz": 1e-3,
+            "sigma_bg_rad_s_sqrt_s": 1e-7, "sigma_ba_m_s2_sqrt_s": 1e-6,
+            "tau_g_s": 400.0, "tau_a_s": 900.0,
+        },
+        initial={
+            "attitude_sigma_rad": 1e-3, "velocity_sigma_m_s": 0.1,
+            "position_sigma_m": 1.0, "bias_g_sigma_rad_s": 5e-4,
+            "bias_a_sigma_m_s2": 5e-3, "yaw_error_rad": 0.3,
+        },
+        variant={"frame": frame, "error_def": error_def},
+        mode=mode,
+        seed=9,
+    )
+    sim = cli._simulate(cfg)
+    lever = np.array(cfg.gnss.lever_arm_b_m)
+    fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
+    starts = [
+        init(cfg, sim.variant, sim.gen, copy.deepcopy(sim.rng))
+        for init in (cli._initial_state, oracles.ref_initial_state)
+    ]
+    assert_same(starts[0], starts[1], "initial state")
+    fs0 = [flt.FilterState(sim.variant, *start, 0.0) for start in starts]
+    new = smo.run_forward(fs0[0], sim.imu, fixes, DT, sim.noise, mode)
+    ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
+    assert len(new[0]) == 10  # one record per fix, the last one final
+    assert_same(new, ref, "forward pass")

@@ -269,6 +269,23 @@ def test_gnss_period_off_imu_grid_exits_2(tmp_path, command):
     assert "period_s" in res.output
 
 
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_duration_below_one_imu_step_exits_2(tmp_path, command):
+    # [TRIVIAL: validation] round(duration / dt) = 0 IMU steps leaves
+    # nothing to filter or to write
+    cfg = write_config(
+        tmp_path,
+        {
+            "duration_s": 0.004,
+            "imu_dt_s": 0.01,
+            "gnss": {"period_s": 0.01, "sigma_pos_m": 1.5},
+        },
+    )
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2
+    assert "duration_s" in res.output
+
+
 def test_gnss_period_on_imu_grid_accepted():
     # whole multiples pass despite binary rounding of the two periods
     grid = [(0.01, 1.0), (0.02, 0.02), (0.05, 1.0), (0.01, 0.07), (0.1, 0.3)]
@@ -279,6 +296,31 @@ def test_gnss_period_on_imu_grid_accepted():
         cli.build_scenario(cfg)
 
 
+def quaternion_to_dcm(q):
+    """C_b^n of a unit quaternion (scalar first): the inverse of
+    cli.dcm_to_quaternion."""
+    q0, q1, q2, q3 = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return np.array(
+        [
+            [
+                q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3,
+                2.0 * (q1 * q2 - q0 * q3),
+                2.0 * (q1 * q3 + q0 * q2),
+            ],
+            [
+                2.0 * (q1 * q2 + q0 * q3),
+                q0 * q0 - q1 * q1 + q2 * q2 - q3 * q3,
+                2.0 * (q2 * q3 - q0 * q1),
+            ],
+            [
+                2.0 * (q1 * q3 - q0 * q2),
+                2.0 * (q2 * q3 + q0 * q1),
+                q0 * q0 - q1 * q1 - q2 * q2 + q3 * q3,
+            ],
+        ]
+    )
+
+
 def test_quaternion_roundtrip():
     # [DERIVED: inverse-pair oracle] over random rotations, all pivots
     rng = np.random.default_rng(2)
@@ -287,7 +329,7 @@ def test_quaternion_roundtrip():
         q = cli.dcm_to_quaternion(c)
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
         assert q[0] >= 0.0
-        assert np.max(np.abs(cli.quaternion_to_dcm(q) - c)) <= 1e-12
+        assert np.max(np.abs(quaternion_to_dcm(q) - c)) <= 1e-12
 
 
 def test_cli_imports_without_scipy():

@@ -9,7 +9,6 @@ from liese_nav.errormodels import (
     error_dynamics,
     group_affine_dynamics,
     measurement_left_invariant,
-    measurement_right,
     measurement_se23,
     supported_variants,
 )
@@ -309,8 +308,3 @@ def test_measurement_mode_compatibility():
     nav, _, _ = nominal_for(Variant("NED", "RightTrue"), 3.0)
     with pytest.raises(IncompatibleMode):
         measurement_left_invariant(Variant("NED", "RightTrue"), nav, LEVER)
-    with pytest.raises(IncompatibleMode):
-        measurement_right(Variant("NED", "LeftEst"), nav, LEVER)
-    assert measurement_right(
-        Variant("NED", "RightTrue"), nav, LEVER
-    ) == pytest.approx(measurement_se23(Variant("NED", "RightTrue"), nav, LEVER))

@@ -18,8 +18,6 @@ def test_random_constant_discretization():
     phi, q = sensors.discretize_bias(None, 2e-4, 0.1)
     assert phi == 1.0
     assert q == pytest.approx(4e-8 * 0.1, rel=1e-12)
-    assert sensors.bias_decay_rate(None) == 0.0
-    assert sensors.bias_decay_rate(50.0) == -0.02
 
 
 def test_gm_stationary_variance():

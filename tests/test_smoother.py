@@ -146,31 +146,31 @@ def run_forward(variant, duration=20.0, dt=0.02, gnss_period=1.0, seed=5):
     else:
         nav0 = GEN.state_ecef(0.0)
     fs = flt.FilterState(variant, nav0, BiasState(), p0, 0.0)
-
-    records = []
-    pending = None  # last post-update state awaiting its prediction leg
-    phi_acc = np.eye(15)
-    fix_iter = iter(fixes)
-    fix = next(fix_iter, None)
-    for k in range(n):
-        fs, phi = flt.predict(fs, imu[k], dt, noise=noise)
-        phi_acc = phi @ phi_acc
-        if fix is not None and fs.t >= fix.t - 1e-9:
-            if pending is not None:
-                records.append(
-                    smo.ForwardRecord(
-                        pending.t, pending.nav, pending.bias, pending.p,
-                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
-                    )
-                )
-            fs, _ = flt.update(fs, fix)
-            pending = fs.copy()
-            phi_acc = np.eye(15)
-            fix = next(fix_iter, None)
-    records.append(
-        smo.ForwardRecord(pending.t, pending.nav, pending.bias, pending.p)
-    )
+    records, _ = smo.run_forward(fs, imu, fixes, dt, noise)
     return records
+
+
+def test_run_forward_without_a_fix_keeps_the_last_prediction():
+    # [TRIVIAL: boundary] a window that ends before its first fix, or has
+    # none, gives exactly one final record: the last prediction
+    variant = Variant("NED", "LeftEst")
+    dt = 0.02
+    imu = GEN.synthesize_imu(0.5, dt)
+    fs0 = flt.FilterState(variant, GEN.state_ned(0.0), BiasState(), np.eye(15), 0.0)
+    late = flt.GnssFix(1.0, GEN.state_ecef(1.0).r, np.eye(3), LEVER)
+    expected = fs0
+    for sample in imu:
+        expected, _ = flt.predict(expected, sample, dt)
+    for fixes in ([], [late]):
+        records, nis = smo.run_forward(fs0, imu, fixes, dt)
+        assert nis == []
+        assert len(records) == 1
+        rec = records[0]
+        assert rec.phi is None and rec.p_pred is None and rec.nav_pred is None
+        assert rec.t == expected.t
+        assert np.array_equal(rec.p_post, expected.p)
+        assert np.array_equal(rec.nav.geo, expected.nav.geo)
+        assert np.array_equal(rec.nav.c_bn, expected.nav.c_bn)
 
 
 def _pos_errors(navs, times):
