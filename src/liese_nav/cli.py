@@ -16,6 +16,7 @@ identical seeds produce byte-identical outputs.
 
 import concurrent.futures
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +29,9 @@ from pydantic import BaseModel, ConfigDict, ValidationError
 
 from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
-from liese_nav.errors import ConfigError, IncompatibleMode, IoError, LieseNavError
+from liese_nav.errors import (
+    ConfigError, IncompatibleMode, IoError, LieseNavError, NotPSD,
+)
 from liese_nav.liegroup import matvec, so3_log
 from liese_nav.mechanization import stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
@@ -41,6 +44,13 @@ TRAJ_HEADER = "t,lat,lon,h,vn,ve,vd,q0,q1,q2,q3"
 IMU_HEADER = "t,wx,wy,wz,fx,fy,fz"
 GNSS_HEADER = "t,x,y,z,sxx,syy,szz"
 COV_HEADER = "t," + ",".join(f"p{i}{j}" for i in range(15) for j in range(15))
+
+# covariance.csv formats the 120 entries of P's upper triangle once each;
+# _MIRROR picks, for every row-major (i, j), the string of (min, max)
+_UPPER = np.triu_indices(15)
+_upper_pos = np.empty((15, 15), dtype=int)
+_upper_pos[_UPPER] = _upper_pos.T[_UPPER] = np.arange(len(_UPPER[0]))
+_MIRROR = operator.itemgetter(*_upper_pos.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +248,31 @@ def _traj_rows(times, ned):
     return [_traj_row(row) for row in table]
 
 
+def _cov_row(t, p):
+    upper = list(map(repr, p[_UPPER].tolist()))
+    return ",".join((repr(float(t)), *_MIRROR(upper)))
+
+
+def _cov_rows(records):
+    """covariance.csv rows of the records' P, which predict and update keep
+    exactly symmetric (0.5 * (P + P')): each upper-triangle entry is
+    formatted once and its string reused for the mirrored entry.
+
+    First checks the symmetry of every P bit for bit and raises NotPSD with
+    the epoch of the first asymmetric one; then returns the rows as a
+    generator, which ``write_csv`` formats as it writes.
+    """
+    for start in range(0, len(records), smo.BLOCK):
+        block = records[start:start + smo.BLOCK]
+        p = np.stack([rec.p_post for rec in block]).view(np.int64)
+        bad = np.flatnonzero(~(p == np.swapaxes(p, -1, -2)).all(axis=(-2, -1)))
+        if bad.size:
+            raise NotPSD(
+                f"covariance at t={block[bad[0]].t} is not exactly symmetric"
+            )
+    return (_cov_row(rec.t, rec.p_post) for rec in records)
+
+
 def _make_dir(path):
     out = Path(path)
     try:
@@ -380,11 +415,7 @@ def run_scenario(cfg, out_dir, write_sensors=True):
         ("smoothed.csv", smoothed, smoothed_ned),
     ):
         write_csv(out / name, TRAJ_HEADER, _traj_rows([e.t for e in track], ned))
-    write_csv(
-        out / "covariance.csv",
-        COV_HEADER,
-        [_fmt([r.t, *r.p_post.ravel().tolist()]) for r in records],
-    )
+    write_csv(out / "covariance.csv", COV_HEADER, _cov_rows(records))
 
     metrics = _metrics(
         cfg, variant, gen, dt, sim.biases, records, filtered_ned, smoothed_ned,
@@ -402,9 +433,7 @@ def _epoch_errors(truth, ned):
     dp = earth.llh_to_ecef_array(*ned.geo.T) - earth.llh_to_ecef_array(lat, lon, h)
     pos = matvec(c_en, np.ascontiguousarray(dp.T))
     vel = ned.v_n - truth.v_n
-    att = np.array(
-        [so3_log(r) for r in np.swapaxes(truth.c_bn, -1, -2) @ ned.c_bn]
-    )
+    att = so3_log(np.swapaxes(truth.c_bn, -1, -2) @ ned.c_bn)
     return pos, vel, att
 
 
@@ -418,22 +447,39 @@ def _rmse_block(truth, ned):
     }
 
 
+def _nees(records, dx):
+    """dx' P^-1 dx of every record, from one stacked solve per block of
+    epochs; the product stays per row, so each value equals its per-epoch
+    solve bit for bit. If some P is singular, its block falls back to epoch
+    by epoch, and only that epoch reads NaN."""
+    sol = np.full_like(dx, np.nan)
+    for start in range(0, len(records), smo.BLOCK):
+        rows = slice(start, start + smo.BLOCK)
+        p = np.stack([rec.p_post for rec in records[rows]])
+        try:
+            sol[rows] = np.linalg.solve(p, dx[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for k, (pk, dxk) in enumerate(zip(p, dx[rows]), start):
+                try:
+                    sol[k] = np.linalg.solve(pk, dxk)
+                except np.linalg.LinAlgError:
+                    pass
+    return [float(a @ b) for a, b in zip(dx, sol)]
+
+
 def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log):
     """Metrics of the stacked NED tracks ``filtered`` and ``smoothed``, whose
     epochs are the records'; truth is evaluated at those epochs at once."""
     truth = variant.chart.states(gen, [r.t for r in records])
     truth_n = variant.chart.as_ned(truth)
-    nees_log = []
+    dx = np.empty((len(records), 15))
     for k, rec in enumerate(records):
         idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
-        dx = flt.error_state(
+        dx[k] = flt.error_state(
             variant, state_at(truth, k), biases[idx], rec.nav, rec.bias
         )
-        try:
-            nees = float(dx @ np.linalg.solve(rec.p_post, dx))
-        except np.linalg.LinAlgError:
-            nees = float("nan")
-        nees_log.append({"t": rec.t, "value": nees})
+    nees = _nees(records, dx)
+    nees_log = [{"t": rec.t, "value": v} for rec, v in zip(records, nees)]
     return {
         "variant": variant.name,
         "mode": cfg.mode,

@@ -46,20 +46,20 @@ def radii(lat):
 
 # Each formula below lives in one private helper that takes the latitude's
 # trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
-# caller that needs several of them at one point evaluates those once; the
-# public functions are the same formulas evaluated at (lat, h).
+# caller that needs several of them at one point evaluates those once. The
+# public functions are the same formulas evaluated at (lat, h); the
+# curvature and gradient terms that only the NED error models and the
+# mechanization read (_radii_derivatives, _gravity_gradient_down,
+# _position_vector_gradient_n, _n_rv_diagonal, _m1/_m2/_m3_matrix) have no
+# public form.
 
 
 def _radii_derivatives(s, c):
+    """d(R_M)/dlat and d(R_N)/dlat."""
     w2 = 1.0 - WGS84_E2 * s**2
     drn = WGS84_A * WGS84_E2 * s * c * w2**-1.5
     drm = 3.0 * WGS84_A * (1.0 - WGS84_E2) * WGS84_E2 * s * c * w2**-2.5
     return drm, drn
-
-
-def radii_derivatives(lat):
-    """d(R_M)/dlat and d(R_N)/dlat."""
-    return _radii_derivatives(np.sin(lat), np.cos(lat))
 
 
 def _gravity_n(s2, rm, rn, h):
@@ -80,13 +80,8 @@ def gravity_n(lat, h):
 
 
 def _gravity_gradient_down(g_down, rm, rn, h):
-    return 2.0 * g_down / (np.sqrt(rm * rn) + h)
-
-
-def gravity_gradient_down(lat, h):
     """Coefficient k with d(g_D) = k * d(r_D); equals 2 g / (R + h)."""
-    rm, rn = radii(lat)
-    return _gravity_gradient_down(gravity_n(lat, h)[2], rm, rn, h)
+    return 2.0 * g_down / (np.sqrt(rm * rn) + h)
 
 
 def _position_vector_n(s, c, rn, h):
@@ -102,6 +97,11 @@ def position_vector_n(lat, h):
 
 
 def _position_vector_gradient_n(s, c, rm, rn, drn, h):
+    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
+
+    The earth-center vector depends on latitude and height only, with
+    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
+    """
     drho_dlat = np.array(
         [
             -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)),
@@ -113,18 +113,6 @@ def _position_vector_gradient_n(s, c, rm, rn, drn, h):
     out[:, 0] = drho_dlat / (rm + h)
     out[2, 2] = 1.0
     return out
-
-
-def position_vector_gradient_n(lat, h):
-    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
-
-    The earth-center vector depends on latitude and height only, with
-    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
-    """
-    s, c = np.sin(lat), np.cos(lat)
-    rm, rn = radii(lat)
-    _, drn = _radii_derivatives(s, c)
-    return _position_vector_gradient_n(s, c, rm, rn, drn, h)
 
 
 def _gravitation_n(w_ie, g_n, r_n):
@@ -163,30 +151,21 @@ def transport_rate_n(lat, h, vn):
 
 
 def _n_rv_diagonal(c, rm, rn, h):
+    """Diagonal of N with (lat_dot, lon_dot, h_dot) = N @ vn for NED velocity
+    vn; the caller checks the latitude against the poles."""
     return np.array([1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0])
 
 
-def n_rv(lat, h):
-    """Maps NED velocity to geodetic rates: (lat_dot, lon_dot, h_dot) = N @ vn."""
-    check_latitude(lat)
-    rm, rn = radii(lat)
-    return np.diag(_n_rv_diagonal(np.cos(lat), rm, rn, h))
-
-
 def _m1_matrix(s, c, rm, h):
+    """d(omega_ie^n) / d(r_eb^n) with d(lat) = d(r_N)/(R_M+h)."""
     out = np.zeros((3, 3))
     out[0, 0] = -EARTH_RATE * s / (rm + h)
     out[2, 0] = -EARTH_RATE * c / (rm + h)
     return out
 
 
-def m1_matrix(lat, h):
-    """d(omega_ie^n) / d(r_eb^n) with d(lat) = d(r_N)/(R_M+h)."""
-    rm, _ = radii(lat)
-    return _m1_matrix(np.sin(lat), np.cos(lat), rm, h)
-
-
 def _m2_matrix(t, rm, rn, h):
+    """d(omega_en^n) / d(v^n)."""
     return np.array(
         [
             [0.0, 1.0 / (rn + h), 0.0],
@@ -196,13 +175,13 @@ def _m2_matrix(t, rm, rn, h):
     )
 
 
-def m2_matrix(lat, h):
-    """d(omega_en^n) / d(v^n)."""
-    rm, rn = radii(lat)
-    return _m2_matrix(np.tan(lat), rm, rn, h)
-
-
 def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
+    """d(omega_en^n) / d(r_eb^n) at fixed velocity.
+
+    Obtained by direct differentiation of omega_en^n(lat, h, v), including
+    the latitude dependence of the curvature radii; d(lat) = d(r_N)/(R_M+h)
+    and d(h) = -d(r_D).
+    """
     vN, vE = vn[0], vn[1]
     out = np.zeros((3, 3))
     # column 0: sensitivity to r_N through latitude
@@ -214,18 +193,6 @@ def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
     out[1, 2] = -vN / (rm + h) ** 2
     out[2, 2] = -vE * t / (rn + h) ** 2
     return out
-
-
-def m3_matrix(lat, h, vn):
-    """d(omega_en^n) / d(r_eb^n) at fixed velocity.
-
-    Obtained by direct differentiation of omega_en^n(lat, h, v), including
-    the latitude dependence of the curvature radii; d(lat) = d(r_N)/(R_M+h)
-    and d(h) = -d(r_D).
-    """
-    rm, rn = radii(lat)
-    drm, drn = radii_derivatives(lat)
-    return _m3_matrix(np.tan(lat), np.cos(lat), rm, rn, drm, drn, h, vn)
 
 
 def llh_to_ecef(lat, lon, h):

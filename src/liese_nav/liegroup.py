@@ -95,26 +95,55 @@ def so3_exp(phi: np.ndarray) -> np.ndarray:
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
-    """Logarithm map of SO(3).
+    """Logarithm map of SO(3); an (N, 3, 3) stack gives (N, 3).
+
+    The trace is summed and clipped in plain floats, in ``np.trace``'s
+    order: the same bits as numpy scalar arithmetic at a tenth of its cost.
+    A stack takes, element by element, the branch a single rotation takes.
 
     Raises
     ------
     NearPiRotation
-        If the rotation angle is within ``NEAR_PI_MARGIN`` of pi.
+        If a rotation angle is within ``NEAR_PI_MARGIN`` of pi.
     """
-    cos_angle = float(np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0))
+    if rot.ndim == 3:
+        return _so3_log_stack(rot)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+    cos_angle = min(max((r00 + r11 + r22 - 1.0) / 2.0, -1.0), 1.0)
     angle = float(np.arccos(cos_angle))
     if angle > np.pi - NEAR_PI_MARGIN:
         raise NearPiRotation(f"rotation angle {angle} within margin of pi")
-    axis_vec = np.array(
-        [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
-    )
+    axis_vec = np.array([r21 - r12, r02 - r20, r10 - r01])
     if angle < SMALL_ANGLE:
         # axis_vec = 2 sin(angle) * axis; phi = axis_vec * angle / (2 sin(angle))
         a2 = angle * angle
         factor = 0.5 * (1.0 + a2 / 6.0 * (1.0 + a2 * 7.0 / 60.0))
         return factor * axis_vec
     return axis_vec * (angle / (2.0 * np.sin(angle)))
+
+
+def _so3_log_stack(rot):
+    cos_angle = (rot[:, 0, 0] + rot[:, 1, 1] + rot[:, 2, 2] - 1.0) / 2.0
+    angle = np.arccos(np.clip(cos_angle, -1.0, 1.0))
+    near_pi = np.flatnonzero(angle > np.pi - NEAR_PI_MARGIN)
+    if near_pi.size:
+        k = near_pi[0]
+        raise NearPiRotation(f"rotation {k}: angle {angle[k]} within margin of pi")
+    axis_vec = np.stack(
+        [
+            rot[:, 2, 1] - rot[:, 1, 2],
+            rot[:, 0, 2] - rot[:, 2, 0],
+            rot[:, 1, 0] - rot[:, 0, 1],
+        ],
+        axis=-1,
+    )
+    small = angle < SMALL_ANGLE
+    big = ~small
+    factor = np.empty_like(angle)
+    a2 = angle[small] * angle[small]
+    factor[small] = 0.5 * (1.0 + a2 / 6.0 * (1.0 + a2 * 7.0 / 60.0))
+    factor[big] = angle[big] / (2.0 * np.sin(angle[big]))
+    return factor[:, None] * axis_vec
 
 
 def left_jacobian(phi: np.ndarray) -> np.ndarray:

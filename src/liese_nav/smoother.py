@@ -75,26 +75,55 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     return records, nis
 
 
+# Epochs per stacked solve (here and in the metrics and covariance.csv):
+# 64 covariances (115 kB) stay below glibc's default 128 kB mmap threshold.
+# Freeing whole-track stacks (1.8 MB on a 1000-epoch track) raises that
+# threshold, and later allocations stay on the heap: perfbench's
+# ecef-dense-gnss peak RSS read 4.5 MB (6 %) higher with them.
+BLOCK = 64
+
+
+def _gains(records):
+    """The smoother gain C = P_post Phi' P_pred^-1 of every record but the
+    final one, latest first, as the backward pass needs them.
+
+    The gains do not depend on the backward recursion, so each block of
+    epochs comes from one stacked solve on the transpose; each gain equals
+    its per-epoch solve bit for bit. SingularPredCov names the epoch the
+    backward pass reaches first.
+    """
+    for stop in range(len(records) - 1, 0, -BLOCK):
+        block = records[max(0, stop - BLOCK):stop]
+        p_pred = np.stack([rec.p_pred for rec in block])
+        p_pred += 1e-12 * np.eye(15)
+        rhs = np.stack([rec.phi @ rec.p_post for rec in block])
+        try:
+            c = np.linalg.solve(p_pred, rhs)
+        except np.linalg.LinAlgError:
+            c = None
+        if c is None or not np.isfinite(c).all():
+            for rec, a, b in zip(reversed(block), p_pred[::-1], rhs[::-1]):
+                try:
+                    ck = np.linalg.solve(a, b)
+                except np.linalg.LinAlgError as exc:
+                    raise SingularPredCov(
+                        f"predicted covariance singular at t={rec.t}"
+                    ) from exc
+                if not np.isfinite(ck).all():
+                    raise SingularPredCov(
+                        f"predicted covariance numerically singular at t={rec.t}"
+                    )
+        yield from np.swapaxes(c, -1, -2)[::-1]
+
+
 def rts_smooth(variant, records):
     """Backward RTS pass; returns a list of SmoothedEpoch, oldest first."""
     if not records:
         return []
     last = records[-1]
     out = [SmoothedEpoch(last.t, last.nav.copy(), last.bias.copy(), last.p_post.copy())]
-    for rec in reversed(records[:-1]):
+    for rec, c in zip(reversed(records[:-1]), _gains(records)):
         nxt = out[-1]
-        p_pred = rec.p_pred + 1e-12 * np.eye(15)
-        try:
-            # C = P_post Phi' P_pred^{-1}, via a solve on the transpose
-            c = np.linalg.solve(p_pred, rec.phi @ rec.p_post).T
-        except np.linalg.LinAlgError as exc:
-            raise SingularPredCov(
-                f"predicted covariance singular at t={rec.t}"
-            ) from exc
-        if not np.all(np.isfinite(c)):
-            raise SingularPredCov(
-                f"predicted covariance numerically singular at t={rec.t}"
-            )
         dx_next = error_state(
             variant, nxt.nav, nxt.bias, rec.nav_pred, rec.bias_pred
         )

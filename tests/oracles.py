@@ -44,8 +44,12 @@ from liese_nav.earth import (
     radii,
 )
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
-from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
-from liese_nav.liegroup import GroupElement, cross, exp_se23, log_se23, skew, so3_log
+from liese_nav.errors import (
+    IncompatibleMode, InnovationGateExceeded, NearPiRotation, SingularPredCov,
+)
+from liese_nav.liegroup import (
+    NEAR_PI_MARGIN, SMALL_ANGLE, GroupElement, cross, exp_se23, log_se23, skew,
+)
 from liese_nav.mechanization import ImuSample, NavStateECEF
 from liese_nav.sensors import BiasState, ImuNoiseParams, discretize_bias
 
@@ -290,7 +294,7 @@ class FOracle:
                 - np.cross(2.0 * w_ie + w_en, s.vel)
                 + self._gfn(lat, h)
             )
-        geo_dot = earth.n_rv(lat, h) @ v
+        geo_dot = ref_n_rv(lat, h) @ v
         return c_dot, v_dot, geo_dot
 
     def _mems_deriv(self, x, gyro, accel):
@@ -997,7 +1001,7 @@ def ref_epoch_errors(truths, neds):
         dp = earth.llh_to_ecef(*ned.geo) - earth.llh_to_ecef(*truth.geo)
         pos.append(c_ne.T @ dp)
         vel.append(ned.v_n - truth.v_n)
-        att.append(so3_log(truth.c_bn.T @ ned.c_bn))
+        att.append(ref_so3_log(truth.c_bn.T @ ned.c_bn))
     return np.array(pos), np.array(vel), np.array(att)
 
 
@@ -1278,3 +1282,82 @@ def ref_forward(fs, imu, fixes, dt, noise, mode):
         smo.ForwardRecord(pending.t, pending.nav, pending.bias, pending.p)
     )
     return records, nis_log
+
+
+# ---------------------------------------------------------------------------
+# bit-exact references for the back end
+# ---------------------------------------------------------------------------
+#
+# Verbatim bodies of the SO(3) logarithm, the RTS pass, the metrics' NEES
+# and the covariance.csv rows as they were when each evaluated one epoch at
+# a time (docstrings dropped, calls renamed to the ref_ copies). The lean
+# scalar logarithm, its stacked form, the stacked smoother gains and NEES
+# solve and the upper-triangle covariance rows must reproduce them bit for
+# bit.
+
+
+def ref_so3_log(rot):
+    cos_angle = float(np.clip((np.trace(rot) - 1.0) / 2.0, -1.0, 1.0))
+    angle = float(np.arccos(cos_angle))
+    if angle > np.pi - NEAR_PI_MARGIN:
+        raise NearPiRotation(f"rotation angle {angle} within margin of pi")
+    axis_vec = np.array(
+        [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
+    )
+    if angle < SMALL_ANGLE:
+        a2 = angle * angle
+        factor = 0.5 * (1.0 + a2 / 6.0 * (1.0 + a2 * 7.0 / 60.0))
+        return factor * axis_vec
+    return axis_vec * (angle / (2.0 * np.sin(angle)))
+
+
+def ref_rts_smooth(variant, records):
+    if not records:
+        return []
+    last = records[-1]
+    out = [smo.SmoothedEpoch(last.t, last.nav.copy(), last.bias.copy(), last.p_post.copy())]
+    for rec in reversed(records[:-1]):
+        nxt = out[-1]
+        p_pred = rec.p_pred + 1e-12 * np.eye(15)
+        try:
+            c = np.linalg.solve(p_pred, rec.phi @ rec.p_post).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularPredCov(
+                f"predicted covariance singular at t={rec.t}"
+            ) from exc
+        if not np.all(np.isfinite(c)):
+            raise SingularPredCov(
+                f"predicted covariance numerically singular at t={rec.t}"
+            )
+        dx_next = flt.error_state(
+            variant, nxt.nav, nxt.bias, rec.nav_pred, rec.bias_pred
+        )
+        dx = c @ dx_next
+        nav, bias = flt.apply_correction(variant, rec.nav, rec.bias, dx)
+        p = rec.p_post + c @ (nxt.p - rec.p_pred) @ c.T
+        p = 0.5 * (p + p.T)
+        out.append(smo.SmoothedEpoch(rec.t, nav, bias, p))
+    out.reverse()
+    return out
+
+
+def ref_nees(variant, truth, biases, dt, records):
+    """The metrics' NEES loop; ``truth`` is the list of true states at the
+    records' epochs."""
+    nees_log = []
+    for k, rec in enumerate(records):
+        idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
+        dx = flt.error_state(variant, truth[k], biases[idx], rec.nav, rec.bias)
+        try:
+            nees = float(dx @ np.linalg.solve(rec.p_post, dx))
+        except np.linalg.LinAlgError:
+            nees = float("nan")
+        nees_log.append({"t": rec.t, "value": nees})
+    return nees_log
+
+
+def ref_cov_rows(records):
+    return [
+        ",".join(repr(float(v)) for v in [r.t, *r.p_post.ravel().tolist()])
+        for r in records
+    ]

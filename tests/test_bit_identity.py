@@ -7,13 +7,16 @@ shared its trig terms and radii, of the per-sample truth, sensor and metrics
 code from before the simulator side was evaluated over whole time grids, and
 of the embedding, retraction, measurement, update and forward-loop code from
 before the frame and error-definition string chains became the flags and the
-chart of ``Variant``. Sharing values, stacking samples and moving a decision
+chart of ``Variant``, and of the SO(3) logarithm, RTS pass, NEES and
+covariance rows from before the back end was evaluated over whole tracks.
+Sharing values, stacking samples and moving a decision
 only change how often, in what shape and where each value is computed, so
 every comparison here is exact, never a tolerance: the outputs must stay
 byte-identical.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from liese_nav.errormodels import (
     measurement_se23,
     supported_variants,
 )
-from liese_nav.liegroup import cross, so3_exp
+from liese_nav.errors import NearPiRotation
+from liese_nav.liegroup import NEAR_PI_MARGIN, SMALL_ANGLE, cross, so3_exp, so3_log
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
@@ -66,22 +70,33 @@ def test_cross_matches_numpy():
 def test_earth_formulas_match_reference(lat, h):
     rng = np.random.default_rng(4)
     v = rng.normal(scale=20.0, size=3)
+    # the terms with no public form, from the private helpers at (lat, h)
+    s, c, t = np.sin(lat), np.cos(lat), np.tan(lat)
+    rm, rn = earth.radii(lat)
+    drm, drn = earth._radii_derivatives(s, c)
+    g_down = earth.gravity_n(lat, h)[2]
     pairs = [
-        (earth.radii_derivatives(lat), oracles.ref_radii_derivatives(lat)),
+        ((drm, drn), oracles.ref_radii_derivatives(lat)),
         (earth.gravity_n(lat, h), oracles.ref_gravity_n(lat, h)),
-        (earth.gravity_gradient_down(lat, h), oracles.ref_gravity_gradient_down(lat, h)),
+        (
+            earth._gravity_gradient_down(g_down, rm, rn, h),
+            oracles.ref_gravity_gradient_down(lat, h),
+        ),
         (earth.position_vector_n(lat, h), oracles.ref_position_vector_n(lat, h)),
         (
-            earth.position_vector_gradient_n(lat, h),
+            earth._position_vector_gradient_n(s, c, rm, rn, drn, h),
             oracles.ref_position_vector_gradient_n(lat, h),
         ),
         (earth.gravitation_n(lat, h), oracles.ref_gravitation_n(lat, h)),
         (earth.earth_rate_n(lat), oracles.ref_earth_rate_n(lat)),
         (earth.transport_rate_n(lat, h, v), oracles.ref_transport_rate_n(lat, h, v)),
-        (earth.n_rv(lat, h), oracles.ref_n_rv(lat, h)),
-        (earth.m1_matrix(lat, h), oracles.ref_m1_matrix(lat, h)),
-        (earth.m2_matrix(lat, h), oracles.ref_m2_matrix(lat, h)),
-        (earth.m3_matrix(lat, h, v), oracles.ref_m3_matrix(lat, h, v)),
+        (np.diag(earth._n_rv_diagonal(c, rm, rn, h)), oracles.ref_n_rv(lat, h)),
+        (earth._m1_matrix(s, c, rm, h), oracles.ref_m1_matrix(lat, h)),
+        (earth._m2_matrix(t, rm, rn, h), oracles.ref_m2_matrix(lat, h)),
+        (
+            earth._m3_matrix(t, c, rm, rn, drm, drn, h, v),
+            oracles.ref_m3_matrix(lat, h, v),
+        ),
     ]
     r = earth.llh_to_ecef(lat, 0.3, h)
     pairs += [
@@ -492,12 +507,8 @@ def test_dispatch_matches_reference(variant):
             )
 
 
-@pytest.mark.parametrize(
-    "frame, error_def, mode",
-    [("NED", "RightEst", "se23"), ("ECEF_Inertial", "LeftEst", "invariant")],
-)
-def test_forward_pass_matches_reference(frame, error_def, mode):
-    cfg = cli.ScenarioConfig(
+def _scenario(frame, error_def, mode):
+    return cli.ScenarioConfig(
         trajectory={
             "kind": "circle", "origin_lat_rad": 0.7, "origin_lon_rad": -1.2,
             "origin_h_m": 300.0, "speed_m_s": 15.0, "radius_m": 250.0,
@@ -520,9 +531,21 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
         mode=mode,
         seed=9,
     )
-    sim = cli._simulate(cfg)
+
+
+def _fixes(cfg, sim):
     lever = np.array(cfg.gnss.lever_arm_b_m)
-    fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
+    return [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
+
+
+@pytest.mark.parametrize(
+    "frame, error_def, mode",
+    [("NED", "RightEst", "se23"), ("ECEF_Inertial", "LeftEst", "invariant")],
+)
+def test_forward_pass_matches_reference(frame, error_def, mode):
+    cfg = _scenario(frame, error_def, mode)
+    sim = cli._simulate(cfg)
+    fixes = _fixes(cfg, sim)
     starts = [
         init(cfg, sim.variant, sim.gen, copy.deepcopy(sim.rng))
         for init in (cli._initial_state, oracles.ref_initial_state)
@@ -533,3 +556,129 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
     ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
     assert len(new[0]) == 10  # one record per fix, the last one final
     assert_same(new, ref, "forward pass")
+
+
+# ---------------------------------------------------------------------------
+# the back end over whole tracks: logarithm, smoother gains, NEES, covariance
+# ---------------------------------------------------------------------------
+
+
+def _log_cases():
+    """Rotations on both sides of the small-angle switch, up to the near-pi
+    margin, and near-identity matrices off SO(3) whose trace the clip cuts."""
+    rng = np.random.default_rng(31)
+    axes = rng.normal(size=(3000, 3))
+    axes /= np.sqrt(np.sum(axes * axes, axis=1))[:, None]
+    angles = np.concatenate(
+        [
+            10.0 ** rng.uniform(-10.0, np.log10(3.0), 2000),
+            SMALL_ANGLE * (1.0 + rng.uniform(-1e-3, 1e-3, 500)),
+            np.pi - NEAR_PI_MARGIN * rng.uniform(1.01, 3.0, 500),
+        ]
+    )
+    rots = [so3_exp(a * x) for a, x in zip(angles, axes)]
+    rots += [np.eye(3), np.eye(3) + 1e-15 * rng.normal(size=(3, 3))]
+    rots += [np.eye(3) + np.diag(rng.uniform(0.0, 1e-14, 3)) for _ in range(20)]
+    return np.stack(rots)
+
+
+def test_so3_log_matches_reference():
+    rots = _log_cases()
+    angles = np.arccos(np.clip((np.trace(rots, axis1=1, axis2=2) - 1) / 2, -1, 1))
+    assert (angles < SMALL_ANGLE).sum() >= 500 and (angles > 3.0).sum() >= 500
+    stacked = so3_log(rots)
+    for k, rot in enumerate(rots):
+        ref = oracles.ref_so3_log(rot)
+        assert same_bits(so3_log(rot), ref), k
+        assert same_bits(stacked[k], ref), k
+
+
+def test_so3_log_raises_near_pi_in_both_forms():
+    axis = np.array([0.6, -0.8, 0.0])
+    near_pi = so3_exp((np.pi - 0.5 * NEAR_PI_MARGIN) * axis)
+    for log in (oracles.ref_so3_log, so3_log):
+        with pytest.raises(NearPiRotation):
+            log(near_pi)
+    rots = _log_cases()
+    rots[1234] = near_pi
+    with pytest.raises(NearPiRotation, match="rotation 1234"):
+        so3_log(rots)
+
+
+def _forward(frame, error_def, mode):
+    cfg = _scenario(frame, error_def, mode)
+    sim = cli._simulate(cfg)
+    fs = flt.FilterState(
+        sim.variant, *cli._initial_state(cfg, sim.variant, sim.gen, sim.rng), 0.0
+    )
+    records, nis = smo.run_forward(fs, sim.imu, _fixes(cfg, sim), DT, sim.noise, mode)
+    return cfg, sim, records, nis
+
+
+def _metrics(cfg, sim, records, smoothed, nis):
+    as_ned = sim.variant.chart.as_ned
+    return cli._metrics(
+        cfg, sim.variant, sim.gen, DT, sim.biases, records,
+        as_ned(mech.stack_states([r.nav for r in records])),
+        as_ned(mech.stack_states([e.nav for e in smoothed])),
+        nis,
+    )
+
+
+BACK_END_CASES = [
+    ("NED", "RightEst", "se23"),
+    ("ECEF", "LeftEst", "invariant"),
+    ("NED_Aux", "LeftEst", "se23"),
+]
+
+
+# a block of 3 epochs splits the 10 records into four stacked solves
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "four-blocks"])
+@pytest.mark.parametrize("frame, error_def, mode", BACK_END_CASES)
+def test_back_end_matches_reference(frame, error_def, mode, block, monkeypatch):
+    if block:
+        monkeypatch.setattr(smo, "BLOCK", block)
+    cfg, sim, records, nis = _forward(frame, error_def, mode)
+    variant = sim.variant
+    smoothed = smo.rts_smooth(variant, records)
+    assert_same(smoothed, oracles.ref_rts_smooth(variant, records), "smoother")
+    truth = variant.chart.states(sim.gen, [r.t for r in records])
+    ref_nees = oracles.ref_nees(
+        variant, [mech.state_at(truth, k) for k in range(len(records))],
+        sim.biases, DT, records,
+    )
+    metrics = _metrics(cfg, sim, records, smoothed, nis)
+    assert_same(metrics["nees"], ref_nees, "nees")
+    assert list(cli._cov_rows(records)) == oracles.ref_cov_rows(records)
+
+
+@pytest.mark.parametrize("block", [None, 3], ids=["one-block", "four-blocks"])
+def test_singular_covariance_gives_nan_nees_at_its_epoch_only(block, monkeypatch):
+    if block:
+        monkeypatch.setattr(smo, "BLOCK", block)
+    cfg, sim, records, nis = _forward("NED", "LeftEst", "se23")
+    smoothed = smo.rts_smooth(sim.variant, records)
+    before = _metrics(cfg, sim, records, smoothed, nis)["nees"]
+    records[4].p_post = np.zeros((15, 15))
+    after = _metrics(cfg, sim, records, smoothed, nis)["nees"]
+    assert math.isnan(after[4]["value"])
+    for k, (a, b) in enumerate(zip(before, after, strict=True)):
+        assert a["t"] == b["t"]
+        if k != 4:
+            assert same_bits(a["value"], b["value"]), k
+
+
+def test_cov_rows_match_reference_on_signed_zeros_and_extremes(monkeypatch):
+    monkeypatch.setattr(smo, "BLOCK", 7)
+    rng = np.random.default_rng(37)
+    records = []
+    for k in range(20):
+        a = rng.normal(size=(15, 15)) * 10.0 ** rng.uniform(-300, 300, (15, 15))
+        p = 0.5 * (a + a.T)
+        zero = rng.random((15, 15)) < 0.2
+        p[zero | zero.T] = 0.0
+        p[:, 3] = p[3, :] = -0.0
+        p[7, 2] = p[2, 7] = 5e-324
+        p[1, 9] = p[9, 1] = np.inf
+        records.append(smo.ForwardRecord(0.1 * k + 1e-17, None, None, p))
+    assert list(cli._cov_rows(records)) == oracles.ref_cov_rows(records)

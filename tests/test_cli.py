@@ -12,7 +12,8 @@ import yaml
 from click.testing import CliRunner
 
 import liese_nav
-from liese_nav import cli
+from liese_nav import cli, smoother as smo
+from liese_nav.errors import NotPSD
 from liese_nav.liegroup import so3_exp
 
 BASE_CONFIG = {
@@ -294,6 +295,28 @@ def test_gnss_period_on_imu_grid_accepted():
             **{**BASE_CONFIG, "imu_dt_s": dt, "gnss": {"period_s": period}}
         )
         cli.build_scenario(cfg)
+
+
+@pytest.mark.parametrize("asymmetric", ["value", "sign of zero"])
+def test_covariance_rows_refuse_an_asymmetric_p(tmp_path, asymmetric, monkeypatch):
+    # covariance.csv mirrors the upper triangle, so an asymmetric P would be
+    # written wrong; it must fail loudly with its epoch, before any row
+    rng = np.random.default_rng(5)
+    records = []
+    for t in (0.5, 1.0, 2.5, 3.0):
+        a = rng.normal(size=(15, 15))
+        records.append(smo.ForwardRecord(t, None, None, 0.5 * (a + a.T)))
+    bad = records[2].p_post
+    if asymmetric == "value":
+        bad[3, 7] = np.nextafter(bad[7, 3], np.inf)
+    else:
+        bad[3, 7], bad[7, 3] = 0.0, -0.0
+    path = tmp_path / "covariance.csv"
+    for block in (smo.BLOCK, 2):  # the checks in one stack, or in two
+        monkeypatch.setattr(smo, "BLOCK", block)
+        with pytest.raises(NotPSD, match=r"t=2\.5 "):
+            cli.write_csv(path, cli.COV_HEADER, cli._cov_rows(records))
+        assert not path.exists()
 
 
 def quaternion_to_dcm(q):

@@ -93,17 +93,49 @@ def test_matches_vector_rts_in_linear_regime():
         assert np.max(np.abs(ep.p - p_ref)) <= 1e-8
 
 
-def test_singular_pred_cov_raises():
-    variant = Variant("ECEF", "LeftEst")
+def _records_with_pred_cov(bad_at, p_bad):
+    """Four records of a static nav; the prior of record ``bad_at`` is
+    ``p_bad``, every other one the identity."""
     nav = GEN.state_ecef(0.0)
-    bad = np.full((15, 15), np.nan)
     records = [
         smo.ForwardRecord(
-            0.0, nav, BiasState(), np.eye(15), np.eye(15), bad, nav, BiasState()
-        ),
-        smo.ForwardRecord(1.0, nav, BiasState(), np.eye(15)),
+            float(k), nav, BiasState(), np.eye(15), np.eye(15),
+            p_bad if k == bad_at else np.eye(15), nav, BiasState(),
+        )
+        for k in range(3)
     ]
-    with pytest.raises(SingularPredCov):
+    return records + [smo.ForwardRecord(3.0, nav, BiasState(), np.eye(15))]
+
+
+def test_singular_pred_cov_raises(monkeypatch):
+    variant = Variant("ECEF", "LeftEst")
+    for block in (smo.BLOCK, 2):  # the gains in one stacked solve, or in two
+        monkeypatch.setattr(smo, "BLOCK", block)
+        for p_bad in (
+            np.full((15, 15), np.nan),
+            # exactly singular once the 1e-12 ridge is added: solve raises
+            -1e-12 * np.eye(15),
+        ):
+            for bad_at in range(3):
+                records = _records_with_pred_cov(bad_at, p_bad)
+                with pytest.raises(SingularPredCov, match=rf"t={bad_at}\.0$"):
+                    smo.rts_smooth(variant, records)
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "two-blocks"])
+def test_singular_pred_cov_names_the_epoch_the_backward_pass_meets_first(
+    block, monkeypatch
+):
+    if block:
+        monkeypatch.setattr(smo, "BLOCK", block)
+    variant = Variant("ECEF", "LeftEst")
+    records = _records_with_pred_cov(0, -1e-12 * np.eye(15))
+    records[1].p_pred = np.full((15, 15), np.nan)
+    with pytest.raises(SingularPredCov, match=r"numerically singular at t=1\.0$"):
+        smo.rts_smooth(variant, records)
+    records[1].p_pred = np.eye(15)
+    records[2].p_pred = -1e-12 * np.eye(15)
+    with pytest.raises(SingularPredCov, match=r"covariance singular at t=2\.0$"):
         smo.rts_smooth(variant, records)
 
 
