@@ -14,18 +14,17 @@ parse -> serialize -> parse is idempotent and identical configs with
 identical seeds produce byte-identical outputs.
 """
 
-import concurrent.futures
 import json
 import operator
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import click
 import numpy as np
 import yaml
-from pydantic import BaseModel, ConfigDict, ValidationError
+from pydantic import BaseModel, ConfigDict, Field, ValidationError
 
 from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
@@ -59,7 +58,11 @@ _MIRROR = operator.itemgetter(*_upper_pos.ravel().tolist())
 
 
 class _Strict(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    # NaN and +-Inf would only fail deep inside the run, with the wrong code
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
+
+
+Vector3 = Annotated[list[float], Field(min_length=3, max_length=3)]
 
 
 class TrajectoryConfig(_Strict):
@@ -77,7 +80,7 @@ class TrajectoryConfig(_Strict):
 class GnssConfig(_Strict):
     period_s: float = 1.0
     sigma_pos_m: float = 1.0
-    lever_arm_b_m: list[float] = [0.0, 0.0, 0.0]
+    lever_arm_b_m: Vector3 = [0.0, 0.0, 0.0]
 
 
 class NoiseConfig(_Strict):
@@ -96,8 +99,8 @@ class InitialConfig(_Strict):
     bias_g_sigma_rad_s: float = 0.0
     bias_a_sigma_m_s2: float = 0.0
     yaw_error_rad: float = 0.0
-    true_bias_g_rad_s: list[float] = [0.0, 0.0, 0.0]
-    true_bias_a_m_s2: list[float] = [0.0, 0.0, 0.0]
+    true_bias_g_rad_s: Vector3 = [0.0, 0.0, 0.0]
+    true_bias_a_m_s2: Vector3 = [0.0, 0.0, 0.0]
 
 
 class VariantConfig(_Strict):
@@ -306,9 +309,17 @@ def read_csv(path, header):
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != header:
         raise IoError(f"{path}: expected header {header!r}")
-    return np.array(
-        [[float(x) for x in line.split(",")] for line in lines[1:]], dtype=float
-    )
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        try:
+            if len(fields) != width:
+                raise ValueError(f"{len(fields)} fields, expected {width}")
+            rows.append([float(x) for x in fields])
+        except ValueError as exc:
+            raise IoError(f"{path}, line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +387,7 @@ def _simulate(cfg):
     return Simulation(variant, noise, gen, rng, biases, imu, raw_fixes, truth_rows)
 
 
-def _write_sensors(out, sim):
+def _write_streams(out, sim):
     write_csv(out / "truth.csv", TRAJ_HEADER, sim.truth_rows)
     write_csv(
         out / "imu.csv",
@@ -390,7 +401,7 @@ def _write_sensors(out, sim):
     )
 
 
-def run_scenario(cfg, out_dir, write_sensors=True):
+def run_scenario(cfg, out_dir):
     """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
 
     Returns the metrics dictionary that is also written to metrics.json.
@@ -404,8 +415,7 @@ def run_scenario(cfg, out_dir, write_sensors=True):
     smoothed = smo.rts_smooth(variant, records)
 
     out = _make_dir(out_dir)
-    if write_sensors:
-        _write_sensors(out, sim)
+    _write_streams(out, sim)
 
     # each track converts to NED once, for its CSV and for the metrics
     filtered_ned = variant.chart.as_ned(stack_states([r.nav for r in records]))
@@ -496,31 +506,21 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
 
 
 def run_monte_carlo(cfg, out_dir, n_runs):
-    """Fan out independent seeded runs; merge metrics by run index."""
+    """Independent runs with seeds ``seed + idx``, one after another; merge
+    their metrics by run index."""
     out = _make_dir(out_dir)
-    cap = os.environ.get("LIESE_NAV_THREADS")
-    try:
-        max_workers = max(1, int(cap)) if cap else min(n_runs, os.cpu_count() or 1)
-    except ValueError as exc:
-        raise ConfigError(f"LIESE_NAV_THREADS must be an integer: {cap!r}") from exc
-
-    def one(idx):
-        sub = cfg.model_copy(deep=True)
-        sub.seed = cfg.seed + idx
-        return run_scenario(sub, out / f"run_{idx:03d}")
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(one, range(n_runs)))
-
+    results = []
+    for idx in range(n_runs):
+        sub = cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
+        results.append(run_scenario(sub, out / f"run_{idx:03d}"))
+    final_nees = [m["final_nees"] for m in results]
     merged = {
         "runs": n_runs,
         "base_seed": cfg.seed,
         "variant": results[0]["variant"],
         "mode": results[0]["mode"],
-        "final_nees": [m["final_nees"] for m in results],
-        "mean_final_nees": float(
-            np.mean([m["final_nees"] for m in results])
-        ),
+        "final_nees": final_nees,
+        "mean_final_nees": float(np.mean(final_nees)),
         "rmse": [m["rmse"] for m in results],
     }
     _write_json(out / "metrics.json", merged)
@@ -530,26 +530,28 @@ def run_monte_carlo(cfg, out_dir, n_runs):
 def simulate_only(cfg, out_dir):
     """Write truth and sensor streams without running the filter."""
     sim = _simulate(cfg)
-    _write_sensors(_make_dir(out_dir), sim)
+    _write_streams(_make_dir(out_dir), sim)
+
+
+def _read_pair(dir_a, dir_b, name, header):
+    """The file ``name`` of both runs, which must hold the same epochs."""
+    a, b = (read_csv(Path(d) / name, header) for d in (dir_a, dir_b))
+    if a.shape != b.shape:
+        raise IoError(f"epoch mismatch: {len(a)} vs {len(b)} rows of {name}")
+    if not len(a):
+        raise IoError(f"no epochs in either {name}")
+    return a, b
 
 
 def compare_runs(dir_a, dir_b, pos_tol, cov_tol):
     """Per-epoch position and covariance deltas between two run outputs."""
-    fa = read_csv(Path(dir_a) / "filtered.csv", TRAJ_HEADER)
-    fb = read_csv(Path(dir_b) / "filtered.csv", TRAJ_HEADER)
-    if fa.shape != fb.shape:
-        raise IoError(
-            f"epoch mismatch: {fa.shape[0]} vs {fb.shape[0]} filtered rows"
-        )
+    fa, fb = _read_pair(dir_a, dir_b, "filtered.csv", TRAJ_HEADER)
     pos_delta = []
     for ra, rb in zip(fa, fb):
         pa = earth.llh_to_ecef(*ra[1:4])
         pb = earth.llh_to_ecef(*rb[1:4])
         pos_delta.append(float(np.max(np.abs(pa - pb))))
-    ca = read_csv(Path(dir_a) / "covariance.csv", COV_HEADER)
-    cb = read_csv(Path(dir_b) / "covariance.csv", COV_HEADER)
-    if ca.shape != cb.shape:
-        raise IoError("epoch mismatch between covariance files")
+    ca, cb = _read_pair(dir_a, dir_b, "covariance.csv", COV_HEADER)
     cov_delta = [
         float(np.linalg.norm(a[1:] - b[1:])) for a, b in zip(ca, cb)
     ]
@@ -583,7 +585,7 @@ def main():
 @main.command("run")
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--variant", "variant_name", default=None, type=str)
-@click.option("--mode", default=None, type=click.Choice(["invariant", "se23"]))
+@click.option("--mode", default=None, type=click.Choice(flt.MODES))
 @click.option("--seed", default=None, type=int)
 @click.option("--out", "out_dir", default="out", type=str)
 @click.option("--monte-carlo", "n_runs", default=None, type=int)

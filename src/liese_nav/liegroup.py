@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from liese_nav.errors import NearPiRotation, NotPSD, PatternViolation
+from liese_nav.errors import NearPiRotation, PatternViolation
 
 # Below this angle the closed-form Rodrigues coefficients switch to their
 # truncated Taylor series (4 terms), which is exact to double precision there.
@@ -66,13 +66,6 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     one matrix-matrix call that rounds differently.
     """
     return (m @ v[..., None])[..., 0]
-
-
-def unskew(m: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`skew`. Raises PatternViolation if ``m`` is not skew."""
-    if np.max(np.abs(m + m.T)) > _PATTERN_TOL * max(1.0, np.max(np.abs(m))):
-        raise PatternViolation("matrix is not skew-symmetric")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def _rodrigues_coeffs(angle: float) -> tuple[float, float]:
@@ -190,17 +183,6 @@ def hat(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def vee(mat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`hat`. Raises PatternViolation on a malformed matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (5, 5):
-        raise PatternViolation(f"expected 5x5 matrix, got shape {mat.shape}")
-    if np.max(np.abs(mat[3:, :])) > _PATTERN_TOL * max(1.0, np.max(np.abs(mat))):
-        raise PatternViolation("bottom rows of a se_2(3) element must be zero")
-    phi = unskew(mat[:3, :3])
-    return np.concatenate([phi, mat[:3, 3], mat[:3, 4]])
-
-
 @dataclass
 class GroupElement:
     """Element of SE_2(3) stored as the triple ``(R, v, p)``."""
@@ -266,34 +248,3 @@ def log_se23(element: GroupElement) -> np.ndarray:
     phi = so3_log(element.R)
     jinv = left_jacobian_inv(phi)
     return np.concatenate([phi, jinv @ element.v, jinv @ element.p])
-
-
-def _psd_sqrt(cov: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; raises NotPSD otherwise."""
-    cov = np.asarray(cov, dtype=float)
-    sym = 0.5 * (cov + cov.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    if eigvals.min() < -tol * scale:
-        raise NotPSD(f"minimum eigenvalue {eigvals.min()} below tolerance")
-    return eigvecs @ np.diag(np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
-
-
-def sample_concentrated_gaussian(
-    mean: GroupElement,
-    cov: np.ndarray,
-    side: str,
-    rng: np.random.Generator,
-) -> GroupElement:
-    """Draw from a concentrated Gaussian on SE_2(3).
-
-    ``side='left'`` returns ``mean @ exp(hat(eps))`` and ``side='right'``
-    returns ``exp(hat(eps)) @ mean`` with ``eps ~ N(0, cov)`` in R^9.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    eps = _psd_sqrt(cov) @ rng.standard_normal(9)
-    perturbation = exp_se23(eps)
-    if side == "left":
-        return mean.compose(perturbation)
-    return perturbation.compose(mean)

@@ -156,14 +156,6 @@ def orthonormalize(c):
     return out
 
 
-def ned_to_ecef_state(state):
-    lat, lon, h = state.geo
-    c_ne = earth.dcm_ecef_to_ned(lat, lon).T
-    return NavStateECEF(
-        c_ne @ state.c_bn, c_ne @ state.v_n, earth.llh_to_ecef(lat, lon, h)
-    )
-
-
 def ecef_to_ned_state(state):
     """The NED form of an ECEF state; a stacked state, whose fields carry a
     leading axis of N points, converts to a stacked NED state."""

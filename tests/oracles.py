@@ -107,6 +107,15 @@ def true_from_error(error_def, x_est, eta):
     return x_est.compose(eta)  # LeftEst
 
 
+def ned_to_ecef_state(state):
+    """The ECEF form of a NED state."""
+    lat, lon, h = state.geo
+    c_ne = dcm_ecef_to_ned(lat, lon).T
+    return NavStateECEF(
+        c_ne @ state.c_bn, c_ne @ state.v_n, earth.llh_to_ecef(lat, lon, h)
+    )
+
+
 def embed_ned(nav, aux=False):
     """Own-frame group embedding of a geodetic state."""
     lat, _, h = nav.geo

@@ -168,7 +168,7 @@ def test_error_dynamics_and_discretize_match_reference(variant):
     q_full = q_full @ q_full.T
     for nom in _nominals():
         if variant.frame.startswith("ECEF"):
-            nom = mech.ned_to_ecef_state(nom)
+            nom = oracles.ned_to_ecef_state(nom)
         gyro = rng.normal(scale=0.1, size=3)
         accel = rng.normal(scale=5.0, size=3)
         for tau_g, tau_a in [(None, None), (400.0, 900.0)]:
@@ -383,7 +383,7 @@ def test_cli_tracks_and_metrics_match_reference():
     times = np.sort(rng.uniform(0.0, 30.0, 40))
     truths = [oracles.RefTruthGenerator(gen.spec).state_ned(t) for t in times]
     neds = [_perturbed_ned(t, rng) for t in truths]
-    ecefs = [mech.ned_to_ecef_state(n) for n in neds]
+    ecefs = [oracles.ned_to_ecef_state(n) for n in neds]
 
     # the one NED conversion the ECEF tracks share
     as_ned = Variant("ECEF", "LeftEst").chart.as_ned(mech.stack_states(ecefs))
@@ -427,7 +427,7 @@ def _modes(variant):
 
 
 def _own_frame(variant, nav):
-    return mech.ned_to_ecef_state(nav) if variant.frame.startswith("ECEF") else nav
+    return oracles.ned_to_ecef_state(nav) if variant.frame.startswith("ECEF") else nav
 
 
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)

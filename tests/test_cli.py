@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ import yaml
 from click.testing import CliRunner
 
 import liese_nav
-from liese_nav import cli, smoother as smo
-from liese_nav.errors import NotPSD
+from liese_nav import cli, filter as flt, smoother as smo
+from liese_nav.errors import ConfigError, IoError, NotPSD
 from liese_nav.liegroup import so3_exp
 
 BASE_CONFIG = {
@@ -209,10 +210,9 @@ def test_invariant_matches_se23(tmp_path):
     assert report["passed"], report
 
 
-def test_monte_carlo_fanout(tmp_path, monkeypatch):
-    # [TRIVIAL] per-run directories plus a merged metrics file; results
-    # keyed by run index are independent of the thread cap
-    monkeypatch.setenv("LIESE_NAV_THREADS", "1")
+def test_monte_carlo_fanout(tmp_path):
+    # [TRIVIAL] per-run directories plus a merged metrics file; every file of
+    # member k equals a standalone run with seed + k, byte for byte
     cfg = write_config(tmp_path)
     out = tmp_path / "mc"
     res = invoke(
@@ -224,18 +224,37 @@ def test_monte_carlo_fanout(tmp_path, monkeypatch):
     assert len(merged["final_nees"]) == 3
     for k in range(3):
         assert (out / f"run_{k:03d}" / "metrics.json").exists()
-    # run_001 must equal a standalone run with seed+1
-    solo = tmp_path / "solo"
-    assert (
-        invoke(
-            "run", "--config", str(cfg), "--seed", str(BASE_CONFIG["seed"] + 1),
-            "--out", str(solo),
-        ).exit_code
-        == 0
-    )
-    assert (out / "run_001" / "filtered.csv").read_bytes() == (
-        solo / "filtered.csv"
-    ).read_bytes()
+        solo = tmp_path / f"solo_{k}"
+        assert (
+            invoke(
+                "run", "--config", str(cfg), "--seed", str(BASE_CONFIG["seed"] + k),
+                "--out", str(solo),
+            ).exit_code
+            == 0
+        )
+        for name in ARTIFACTS:
+            assert (out / f"run_{k:03d}" / name).read_bytes() == (
+                solo / name
+            ).read_bytes(), (k, name)
+
+
+def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
+    # members call cli.run_scenario as it is bound at call time (the
+    # benchmark's tracer replaces it), once each, in index order
+    calls = []
+
+    def fake_run_scenario(cfg, out_dir):
+        calls.append((cfg.seed, Path(out_dir).name))
+        return {"variant": "NED/LeftEst", "mode": cfg.mode, "final_nees": 1.0,
+                "rmse": {}}
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+    cfg = cli.load_config(write_config(tmp_path))
+    merged = cli.run_monte_carlo(cfg, tmp_path / "mc", 4)
+    seed = BASE_CONFIG["seed"]
+    assert calls == [(seed + k, f"run_{k:03d}") for k in range(4)]
+    assert merged["final_nees"] == [1.0] * 4
+    assert cfg.seed == seed
 
 
 def test_simulate_writes_sensors_only(tmp_path):
@@ -285,6 +304,123 @@ def test_duration_below_one_imu_step_exits_2(tmp_path, command):
     res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert res.exit_code == 2
     assert "duration_s" in res.output
+
+
+NON_FINITE = [
+    ("duration_s", float("nan")),
+    ("gnss", {"period_s": 1.0, "sigma_pos_m": float("inf")}),
+    ("trajectory", {**BASE_CONFIG["trajectory"], "heading0_rad": float("-inf")}),
+    ("noise", {**BASE_CONFIG["noise"], "tau_g_s": float("nan")}),
+    ("initial", {"true_bias_a_m_s2": [0.0, float("nan"), 0.0]}),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "section, value", NON_FINITE, ids=[name for name, _ in NON_FINITE]
+)
+def test_non_finite_config_number_exits_2(tmp_path, command, section, value):
+    # [TRIVIAL: validation] NaN and +-Inf are rejected when the config is
+    # read, not deep inside the run with exit 1 (compare's FAIL code)
+    cfg = write_config(tmp_path, {section: value})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert "finite" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_null_bias_time_constants_still_accepted(tmp_path):
+    # tau_*: null selects a random-constant bias; only non-finite floats go
+    noise = {**BASE_CONFIG["noise"], "tau_g_s": None, "tau_a_s": None}
+    cfg = cli.load_config(write_config(tmp_path, {"noise": noise}))
+    assert cfg.noise.tau_g_s is None and cfg.noise.tau_a_s is None
+
+
+THREE_VECTORS = [
+    ("gnss", "lever_arm_b_m"),
+    ("initial", "true_bias_g_rad_s"),
+    ("initial", "true_bias_a_m_s2"),
+]
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize(
+    "section, field", THREE_VECTORS, ids=[f for _, f in THREE_VECTORS]
+)
+def test_three_vector_of_other_length_exits_2(tmp_path, section, field, length):
+    # [TRIVIAL: validation] a 2-entry lever arm used to die inside matvec
+    values = {**BASE_CONFIG[section], field: [0.1] * length}
+    cfg = write_config(tmp_path, {section: values})
+    with pytest.raises(ConfigError, match=field):
+        cli.load_config(cfg)
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+
+
+def test_mode_option_offers_the_filter_modes():
+    # one list of modes: the CLI choice is the filter's own tuple
+    (mode,) = [p for p in cli.cmd_run.params if p.name == "mode"]
+    assert tuple(mode.type.choices) == flt.MODES
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """One finished run, shared by the malformed-file compare tests."""
+    base = tmp_path_factory.mktemp("cmp")
+    out = base / "o"
+    cli.run_scenario(cli.load_config(write_config(base)), out)
+    return out
+
+
+def _damaged_copy(tmp_path, run_dir, name, edit):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for f in ("filtered.csv", "covariance.csv"):
+        (bad / f).write_text((run_dir / f).read_text())
+    lines = (bad / name).read_text().splitlines()
+    (bad / name).write_text("\n".join(edit(lines)) + "\n")
+    return bad
+
+
+def _replace_field(line, value):
+    fields = line.split(",")
+    fields[2] = value
+    return ",".join(fields)
+
+
+MALFORMED = {
+    "non-numeric": (
+        "filtered.csv",
+        lambda lines: [*lines[:3], _replace_field(lines[3], "abc"), *lines[4:]],
+        r"filtered\.csv, line 4",
+    ),
+    "ragged": (
+        "covariance.csv",
+        lambda lines: [*lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]],
+        r"covariance\.csv, line 3: 225 fields, expected 226",
+    ),
+    "header-only": (
+        "filtered.csv",
+        lambda lines: lines[:1],
+        r"(epoch mismatch: \d+ vs \d+ rows of|no epochs in either) filtered\.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+@pytest.mark.parametrize("damaged", ["a", "b", "both"])
+def test_compare_malformed_file_exits_3(tmp_path, run_dir, case, damaged):
+    # [TRIVIAL: validation] a malformed file is an I/O error (exit 3) that
+    # names the file and line, not a traceback with exit 1
+    name, edit, message = MALFORMED[case]
+    bad = _damaged_copy(tmp_path, run_dir, name, edit)
+    dirs = {"a": (bad, run_dir), "b": (run_dir, bad), "both": (bad, bad)}[damaged]
+    with pytest.raises(IoError, match=message):
+        cli.compare_runs(*dirs, 1e-9, 1e-10)
+    res = invoke("compare", *map(str, dirs))
+    assert res.exit_code == 3, res.output
+    assert re.search(message, res.output)
 
 
 def test_gnss_period_on_imu_grid_accepted():
