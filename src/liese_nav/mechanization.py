@@ -1,11 +1,14 @@
 """Strapdown mechanization: NED (geodetic) and ECEF forms.
 
 Continuous-time derivative functions plus RK4/Euler stepping with
-piecewise-constant IMU inputs. The gravity model can be overridden through
-``gravity_fn`` (test hook; e.g. zero gravity, or a frozen model for
+piecewise-constant IMU inputs. A step integrates the state packed into one
+15-vector (rotation row by row, velocity, position), so every RK4 stage is
+one vector expression for both frames. The gravity model can be overridden
+through ``gravity_fn`` (test hook; e.g. zero gravity, or a frozen model for
 linearization checks).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,28 +56,69 @@ def state_at(stacked, k):
     return type(stacked)(*(x[k] for x in vars(stacked).values()))
 
 
-def ned_derivative(state, gyro, accel, gravity_fn=None):
-    """Time derivatives of (C_b^n, v_eb^n, geo).
+def _pack(state):
+    """A state as one 15-vector: the rotation row by row, then the velocity,
+    then the position."""
+    rot, vel, pos = vars(state).values()
+    return np.concatenate((rot.ravel(), vel, pos))
 
-    The latitude's trig terms and curvature radii are evaluated once and
-    shared by the earth rate, transport rate, gravity and geodetic rates.
+
+def _fields(x):
+    """(rotation, velocity, position) views into a packed 15-vector."""
+    return x[:9].reshape(3, 3), x[9:12], x[12:]
+
+
+def _ned_rates(x, sk_gyro, accel, gravity_fn):
+    """The derivative of a packed NED state, packed alike.
+
+    The latitude's trig terms and curvature radii are evaluated once, in
+    Python floats, and shared by the earth rate, transport rate, gravity
+    and geodetic rates; ``sk_gyro`` is skew(gyro), which a step builds once.
     """
-    lat, _, h = state.geo
+    c_bn = x[:9].reshape(3, 3)
+    *v, lat, _, h = x[9:].tolist()
     earth.check_latitude(lat)
-    v = state.v_n
-    s, c = np.sin(lat), np.cos(lat)
+    s, c = math.sin(lat), math.cos(lat)
     rm, rn = earth.radii(lat)
     w_ie = earth._earth_rate_n(s, c)
-    w_en = earth._transport_rate_n(np.tan(lat), rm, rn, h, v)
-    w_in = w_ie + w_en
+    w_en = earth._transport_rate_n(float(np.tan(lat)), rm, rn, h, v)
+    w_in = [a + b for a, b in zip(w_ie, w_en)]
     if gravity_fn is None:
         g = earth._gravity_n(s**2, rm, rn, h)
     else:
         g = gravity_fn(lat, h)
-    c_dot = state.c_bn @ skew(gyro) - skew(w_in) @ state.c_bn
-    v_dot = state.c_bn @ accel - cross(2.0 * w_ie + w_en, v) + g
-    geo_dot = earth._n_rv_diagonal(c, rm, rn, h) * v
-    return c_dot, v_dot, geo_dot
+    coriolis = cross([2.0 * a + b for a, b in zip(w_ie, w_en)], v).tolist()
+    f_n = (c_bn @ accel).tolist()
+    out = np.empty(15)
+    np.subtract(c_bn @ sk_gyro, skew(w_in) @ c_bn, out=out[:9].reshape(3, 3))
+    out[9:] = [a - b + gk for a, b, gk in zip(f_n, coriolis, g)] + [
+        n * u for n, u in zip(earth._n_rv_diagonal(c, rm, rn, h), v)
+    ]
+    return out
+
+
+def ned_derivative(state, gyro, accel, gravity_fn=None):
+    """Time derivatives of (C_b^n, v_eb^n, geo)."""
+    return _fields(_ned_rates(_pack(state), skew(gyro), accel, gravity_fn))
+
+
+def _ecef_rates(x, sk_gyro, accel, convention, gravity_fn):
+    """The derivative of a packed ECEF state, packed alike."""
+    c_be, v, r = _fields(x)
+    w_ie = earth.earth_rate_e()
+    out = np.empty(15)
+    np.subtract(c_be @ sk_gyro, skew(w_ie) @ c_be, out=out[:9].reshape(3, 3))
+    if convention == "earth":
+        g = (gravity_fn or earth.gravity_e)(r)
+        out[9:12] = c_be @ accel - 2.0 * cross(w_ie, v) + g
+        out[12:] = v
+    elif convention == "inertial":
+        big_g = (gravity_fn or earth.gravitation_e)(r)
+        out[9:12] = c_be @ accel - cross(w_ie, v) + big_g
+        out[12:] = -cross(w_ie, r) + v
+    else:
+        raise ValueError(f"unknown velocity convention {convention!r}")
+    return out
 
 
 def ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
@@ -83,60 +127,43 @@ def ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
     'earth' uses v = v_eb^e; 'inertial' uses v = v_ib^e = v_eb^e + w_ie x r
     (the same equations also propagate the earth-rate auxiliary velocity).
     """
-    w_ie = earth.earth_rate_e()
-    c_dot = state.c_be @ skew(gyro) - skew(w_ie) @ state.c_be
-    if convention == "earth":
-        g = (gravity_fn or earth.gravity_e)(state.r)
-        v_dot = state.c_be @ accel - 2.0 * cross(w_ie, state.v) + g
-        r_dot = state.v.copy()
-    elif convention == "inertial":
-        big_g = (gravity_fn or earth.gravitation_e)(state.r)
-        v_dot = state.c_be @ accel - cross(w_ie, state.v) + big_g
-        r_dot = -cross(w_ie, state.r) + state.v
-    else:
-        raise ValueError(f"unknown velocity convention {convention!r}")
-    return c_dot, v_dot, r_dot
-
-
-def _rk4(state, gyro, accel, dt, deriv):
-    k1 = deriv(state, gyro, accel)
-    s2 = _advance(state, k1, 0.5 * dt)
-    k2 = deriv(s2, gyro, accel)
-    s3 = _advance(state, k2, 0.5 * dt)
-    k3 = deriv(s3, gyro, accel)
-    s4 = _advance(state, k3, dt)
-    k4 = deriv(s4, gyro, accel)
-    combined = tuple(
-        (a + 2.0 * b + 2.0 * c + d) / 6.0 for a, b, c, d in zip(k1, k2, k3, k4)
+    return _fields(
+        _ecef_rates(_pack(state), skew(gyro), accel, convention, gravity_fn)
     )
-    return _advance(state, combined, dt)
 
 
-def _advance(state, deriv, dt):
-    """The state plus dt times its derivative, field by field."""
-    x1, x2, x3 = vars(state).values()
-    d1, d2, d3 = deriv
-    return type(state)(x1 + dt * d1, x2 + dt * d2, x3 + dt * d3)
+def _rk4(x, dt, deriv):
+    """One classical RK4 step of a packed state."""
+    k1 = deriv(x)
+    k2 = deriv(x + (0.5 * dt) * k1)
+    k3 = deriv(x + (0.5 * dt) * k2)
+    k4 = deriv(x + dt * k3)
+    return x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def _integrate(state, dt, deriv, method):
+    """The state one step of ``method`` later; deriv maps a packed state to
+    its packed derivative."""
+    x = _pack(state)
+    if method == "rk4":
+        x = _rk4(x, dt, deriv)
+    elif method == "euler":
+        x = x + dt * deriv(x)
+    else:
+        raise ValueError(f"unknown integrator {method!r}")
+    return type(state)(*_fields(x))
 
 
 def ned_step(state, imu, dt, method="rk4", gravity_fn=None):
-    deriv = lambda s, w, f: ned_derivative(s, w, f, gravity_fn=gravity_fn)
-    if method == "rk4":
-        return _rk4(state, imu.gyro, imu.accel, dt, deriv)
-    if method == "euler":
-        return _advance(state, deriv(state, imu.gyro, imu.accel), dt)
-    raise ValueError(f"unknown integrator {method!r}")
+    sk_gyro, accel = skew(imu.gyro), imu.accel
+    deriv = lambda x: _ned_rates(x, sk_gyro, accel, gravity_fn)
+    return _integrate(state, dt, deriv, method)
 
 
 def ecef_step(state, imu, dt, method="rk4", convention="earth", gravity_fn=None):
-    deriv = lambda s, w, f: ecef_derivative(
-        s, w, f, convention=convention, gravity_fn=gravity_fn
-    )
-    if method == "rk4":
-        return _rk4(state, imu.gyro, imu.accel, dt, deriv)
-    if method == "euler":
-        return _advance(state, deriv(state, imu.gyro, imu.accel), dt)
-    raise ValueError(f"unknown integrator {method!r}")
+    sk_gyro, accel = skew(imu.gyro), imu.accel
+    deriv = lambda x: _ecef_rates(x, sk_gyro, accel, convention, gravity_fn)
+    return _integrate(state, dt, deriv, method)
 
 
 def orthonormalize(c):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import filter as flt
-from liese_nav.errors import SingularPredCov
-from liese_nav.filter import apply_correction, error_state
+from liese_nav.errors import NonFiniteInput, SingularPredCov
+from liese_nav.filter import _I15, apply_correction, error_state
 from liese_nav.sensors import BiasState
 
 
@@ -48,10 +48,15 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     """Filter the IMU samples from FilterState ``fs``, updating at the first
     epoch that reaches each GNSS fix. Returns (records, nis): a ForwardRecord
     per update, the last one (or, with no fix, the last prediction) final,
-    and one {"t", "value"} NIS entry per update."""
+    and one {"t", "value"} NIS entry per update.
+
+    Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
+    position holds a NaN or an infinity.
+    """
+    _check_finite(imu, fixes)
     records, nis = [], []
     pending = None  # last post-update state awaiting its prediction leg
-    phi_acc = np.eye(15)
+    phi_acc = _I15
     fix_iter = iter(fixes)
     fix = next(fix_iter, None)
     for sample in imu:
@@ -68,11 +73,26 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
             fs, report = flt.update(fs, fix, mode=mode)
             nis.append({"t": fs.t, "value": float(report.nis)})
             pending = fs.copy()
-            phi_acc = np.eye(15)
+            phi_acc = _I15
             fix = next(fix_iter, None)
     last = fs.copy() if pending is None else pending
     records.append(ForwardRecord(last.t, last.nav, last.bias, last.p))
     return records, nis
+
+
+def _check_finite(imu, fixes):
+    """Raise NonFiniteInput at the first IMU sample, then at the first fix
+    position, that holds a NaN or an infinity; one isfinite per stream."""
+    for what, items, rows in (
+        ("IMU sample", imu, [(s.gyro, s.accel) for s in imu]),
+        ("GNSS fix position", fixes, [fix.pos for fix in fixes]),
+    ):
+        if not rows:
+            continue
+        finite = np.isfinite(np.array(rows, dtype=float)).reshape(len(rows), -1)
+        bad = np.flatnonzero(~finite.all(axis=1))
+        if bad.size:
+            raise NonFiniteInput(f"non-finite {what} at t={items[bad[0]].t}")
 
 
 # Epochs per stacked solve (here and in the metrics and covariance.csv):
@@ -95,7 +115,7 @@ def _gains(records):
     for stop in range(len(records) - 1, 0, -BLOCK):
         block = records[max(0, stop - BLOCK):stop]
         p_pred = np.stack([rec.p_pred for rec in block])
-        p_pred += 1e-12 * np.eye(15)
+        p_pred += 1e-12 * _I15
         rhs = np.stack([rec.phi @ rec.p_post for rec in block])
         try:
             c = np.linalg.solve(p_pred, rhs)

@@ -41,7 +41,6 @@ from liese_nav.earth import (
     dcm_ecef_to_ned,
     earth_rate_e,
     ecef_to_llh,
-    radii,
 )
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
 from liese_nav.errors import (
@@ -270,7 +269,7 @@ class FOracle:
             gyro = self.meas_gyro - bias0.gyro * _decay(tm, self.tau_g)
             accel = self.meas_accel - bias0.accel * _decay(tm, self.tau_a)
             if self.kind == "ned":
-                out = mech._rk4(out, gyro, accel, dt, self._ned_deriv)
+                out = ref_rk4(out, gyro, accel, dt, self._ned_deriv)
             elif self.kind == "ecef":
                 out = mech.ecef_step(
                     out,
@@ -396,10 +395,19 @@ def assert_f_matches(f_analytic, f_fd, label=""):
 #
 # Verbatim bodies of the earth formulas, strapdown derivatives and steps,
 # error dynamics and discretization as they were before the hot path was
-# rewritten to share trig terms and radii (docstrings and comments dropped,
+# rewritten to share trig terms and radii, and of the curvature radii before
+# they were computed in Python floats (docstrings and comments dropped,
 # calls renamed to the ref_ copies). The library must reproduce them bit for
 # bit: the rewrite only reorders which values are computed once and reused,
 # never the floating-point operations that produce each entry.
+
+
+def ref_radii(lat):
+    s2 = np.sin(lat) ** 2
+    w = np.sqrt(1.0 - WGS84_E2 * s2)
+    rn = WGS84_A / w
+    rm = WGS84_A * (1.0 - WGS84_E2) / w**3
+    return rm, rn
 
 
 def ref_radii_derivatives(lat):
@@ -413,21 +421,21 @@ def ref_radii_derivatives(lat):
 def ref_gravity_n(lat, h):
     s2 = np.sin(lat) ** 2
     g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     rbar = np.sqrt(rm * rn)
     g = g0 * (rbar / (rbar + h)) ** 2
     return np.array([0.0, 0.0, g])
 
 
 def ref_gravity_gradient_down(lat, h):
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     rbar = np.sqrt(rm * rn)
     return 2.0 * ref_gravity_n(lat, h)[2] / (rbar + h)
 
 
 def ref_position_vector_n(lat, h):
     s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii(lat)
+    _, rn = ref_radii(lat)
     return np.array(
         [-WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)]
     )
@@ -435,7 +443,7 @@ def ref_position_vector_n(lat, h):
 
 def ref_position_vector_gradient_n(lat, h):
     s, c = np.sin(lat), np.cos(lat)
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     _, drn = ref_radii_derivatives(lat)
     drho_dlat = np.array(
         [
@@ -462,7 +470,7 @@ def ref_earth_rate_n(lat):
 
 
 def ref_transport_rate_n(lat, h, vn):
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     return np.array(
         [
             vn[1] / (rn + h),
@@ -474,12 +482,12 @@ def ref_transport_rate_n(lat, h, vn):
 
 def ref_n_rv(lat, h):
     check_latitude(lat)
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     return np.diag([1.0 / (rm + h), 1.0 / ((rn + h) * np.cos(lat)), -1.0])
 
 
 def ref_m1_matrix(lat, h):
-    rm, _ = radii(lat)
+    rm, _ = ref_radii(lat)
     out = np.zeros((3, 3))
     out[0, 0] = -EARTH_RATE * np.sin(lat) / (rm + h)
     out[2, 0] = -EARTH_RATE * np.cos(lat) / (rm + h)
@@ -487,7 +495,7 @@ def ref_m1_matrix(lat, h):
 
 
 def ref_m2_matrix(lat, h):
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     return np.array(
         [
             [0.0, 1.0 / (rn + h), 0.0],
@@ -498,7 +506,7 @@ def ref_m2_matrix(lat, h):
 
 
 def ref_m3_matrix(lat, h, vn):
-    rm, rn = radii(lat)
+    rm, rn = ref_radii(lat)
     drm, drn = ref_radii_derivatives(lat)
     t, c = np.tan(lat), np.cos(lat)
     vN, vE = vn[0], vn[1]

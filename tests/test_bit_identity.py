@@ -184,6 +184,172 @@ def test_error_dynamics_and_discretize_match_reference(variant):
 
 
 # ---------------------------------------------------------------------------
+# the hot path on random nominals
+# ---------------------------------------------------------------------------
+#
+# The circle tests above visit one track. The hot path computes its earth
+# terms in Python floats (math.sin, math.cos, math.sqrt, float **) where the
+# references use np.float64 scalars; these properties pin that both round
+# alike over the whole envelope: latitudes up to 1e-3 rad from either pole,
+# heights from -500 m to 100 km, speeds up to 300 m/s per axis, any attitude.
+# Entries compare by value, as in the circle tests, which is bit for bit for
+# every nonzero entry. The sign of a zero is not compared: the references
+# order some sums and products differently, so at exactly zero velocities or
+# underflowing latitudes they give +0.0 where the library gives -0.0, e.g.
+# h_dot = -1.0 * v_D at v_D = +0.0 against the reference's N @ v.
+
+FINITE = dict(allow_nan=False, allow_infinity=False)
+NOM_LAT = st.floats(-(np.pi / 2 - 1e-3), np.pi / 2 - 1e-3, **FINITE)
+NOM_H = st.floats(-500.0, 1e5, **FINITE)
+
+
+def triples(bound):
+    return st.lists(
+        st.floats(-bound, bound, **FINITE), min_size=3, max_size=3
+    ).map(np.array)
+
+
+@st.composite
+def ned_nominals(draw):
+    """(NED state, gyro, accel) at a random point of the envelope."""
+    geo = np.array([draw(NOM_LAT), draw(st.floats(-np.pi, np.pi)), draw(NOM_H)])
+    nav = NavStateNED(so3_exp(draw(triples(3.0))), draw(triples(300.0)), geo)
+    return nav, draw(triples(2.0)), draw(triples(50.0))
+
+
+def assert_equal_fields(new, ref, label):
+    """Equal (rotation, velocity, position) triples, entry by entry."""
+    for k, (x, y) in enumerate(zip(new, ref, strict=True)):
+        assert np.array_equal(x, y), f"{label}: field {k} differs"
+
+
+def test_earth_formulas_match_reference_on_random_points():
+    # a last-bit change in one float term reaches some of these formulas at
+    # under 1 % of points (e.g. splitting sqrt(rm * rn) moves gravity at
+    # 0.8 %), so the sweep takes 5000 points of the envelope
+    rng = np.random.default_rng(31)
+    lats = rng.uniform(-(np.pi / 2 - 1e-3), np.pi / 2 - 1e-3, 5000).tolist()
+    heights = rng.uniform(-500.0, 1e5, 5000).tolist()
+    for lat, h, v in zip(lats, heights, rng.uniform(-300.0, 300.0, (5000, 3))):
+        pairs = [
+            (earth.radii(lat), oracles.ref_radii(lat)),
+            (earth.gravity_n(lat, h), oracles.ref_gravity_n(lat, h)),
+            (earth.gravitation_n(lat, h), oracles.ref_gravitation_n(lat, h)),
+            (earth.position_vector_n(lat, h), oracles.ref_position_vector_n(lat, h)),
+            (earth.earth_rate_n(lat), oracles.ref_earth_rate_n(lat)),
+            (
+                earth.transport_rate_n(lat, h, v),
+                oracles.ref_transport_rate_n(lat, h, v),
+            ),
+        ]
+        for k, (new, ref) in enumerate(pairs):
+            assert np.array_equal(new, ref), (k, lat, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=ned_nominals(),
+    dt=st.sampled_from([0.005, 0.01, 0.02]),
+    method=st.sampled_from(["rk4", "euler"]),
+    frozen_gravity=st.booleans(),
+)
+def test_ned_step_matches_reference_on_random_nominals(
+    case, dt, method, frozen_gravity
+):
+    nav, gyro, accel = case
+    gravity_fn = None
+    if frozen_gravity:  # the gravity hook the linearization oracles use
+        lat = nav.geo[0]
+        gravity_fn = lambda lat_, h_: earth.gravity_n(lat, h_)
+    d = mech.ned_derivative(nav, gyro, accel, gravity_fn=gravity_fn)
+    d0 = oracles.ref_ned_derivative(nav, gyro, accel, gravity_fn=gravity_fn)
+    assert_equal_fields(d, d0, "derivative")
+    imu = mech.ImuSample(0.0, gyro, accel)
+    new = mech.ned_step(nav, imu, dt, method=method, gravity_fn=gravity_fn)
+    ref = oracles.ref_ned_step(nav, imu, dt, method=method, gravity_fn=gravity_fn)
+    assert_equal_fields(vars(new).values(), vars(ref).values(), "step")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=ned_nominals(),
+    method=st.sampled_from(["rk4", "euler"]),
+    convention=st.sampled_from(["earth", "inertial"]),
+    frozen_gravity=st.booleans(),
+)
+def test_ecef_step_matches_reference_on_random_nominals(
+    case, method, convention, frozen_gravity
+):
+    nav, gyro, accel = case
+    state = oracles.ned_to_ecef_state(nav)
+    if convention == "inertial":
+        state.v = state.v + np.cross(earth.earth_rate_e(), state.r)
+    gravity_fn = None
+    if frozen_gravity:
+        g0 = (earth.gravity_e if convention == "earth" else earth.gravitation_e)(
+            state.r
+        )
+        gravity_fn = lambda r: g0
+    kw = dict(convention=convention, gravity_fn=gravity_fn)
+    d = mech.ecef_derivative(state, gyro, accel, **kw)
+    d0 = oracles.ref_ecef_derivative(state, gyro, accel, **kw)
+    assert_equal_fields(d, d0, "derivative")
+    imu = mech.ImuSample(0.0, gyro, accel)
+    new = mech.ecef_step(state, imu, DT, method=method, **kw)
+    ref = oracles.ref_ecef_step(state, imu, DT, method=method, **kw)
+    assert_equal_fields(vars(new).values(), vars(ref).values(), "step")
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+@settings(max_examples=40, deadline=None)
+@given(case=ned_nominals(), biases=st.booleans())
+def test_error_dynamics_matches_reference_on_random_nominals(variant, case, biases):
+    nav, gyro, accel = case
+    if variant.frame.startswith("ECEF"):
+        nav = oracles.ned_to_ecef_state(nav)
+    tau = (400.0, 900.0) if biases else (None, None)
+    f, g = error_dynamics(variant, nav, gyro, accel, *tau)
+    f0, g0 = oracles.ref_error_dynamics(variant, nav, gyro, accel, *tau)
+    assert np.array_equal(f, f0)
+    assert np.array_equal(g, g0)
+
+
+def test_hot_path_keeps_numpy_tan_where_libm_tan_rounds_differently():
+    # libm's tan and np.tan round differently on about 0.5 % of latitudes,
+    # too few for the random nominals to meet reliably, and a last-bit
+    # change in tan reaches the NED derivative at about 2 % of those; at
+    # 300 such latitudes the NED derivative, step and error dynamics still
+    # match the references, which use np.tan
+    lats = np.random.default_rng(21).uniform(-1.5, 1.5, 100000)
+    libm = np.array([math.tan(lat) for lat in lats.tolist()])
+    split = lats[libm != np.tan(lats)][:300].tolist()
+    assert len(split) == 300
+    rng = np.random.default_rng(22)
+    ned_variants = [v for v in supported_variants() if v.frame.startswith("NED")]
+    for lat in split:
+        nav = NavStateNED(
+            so3_exp(rng.normal(size=3)),
+            rng.normal(scale=200.0, size=3),
+            np.array([lat, 0.3, 200.0]),
+        )
+        gyro = rng.normal(scale=0.1, size=3)
+        accel = rng.normal(scale=5.0, size=3)
+        d = mech.ned_derivative(nav, gyro, accel)
+        d0 = oracles.ref_ned_derivative(nav, gyro, accel)
+        assert_equal_fields(d, d0, f"derivative at {lat!r}")
+        imu = mech.ImuSample(0.0, gyro, accel)
+        new, ref = mech.ned_step(nav, imu, DT), oracles.ref_ned_step(nav, imu, DT)
+        assert_equal_fields(
+            vars(new).values(), vars(ref).values(), f"step at {lat!r}"
+        )
+        for variant in ned_variants:
+            f, g = error_dynamics(variant, nav, gyro, accel)
+            f0, g0 = oracles.ref_error_dynamics(variant, nav, gyro, accel)
+            assert np.array_equal(f, f0), (variant.name, lat)
+            assert np.array_equal(g, g0), (variant.name, lat)
+
+
+# ---------------------------------------------------------------------------
 # the simulator side over whole time grids
 # ---------------------------------------------------------------------------
 

@@ -238,6 +238,31 @@ def test_monte_carlo_fanout(tmp_path):
             ).read_bytes(), (k, name)
 
 
+@pytest.mark.parametrize("stream", ["gyro", "accel", "fix"])
+def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
+    # a NaN or Inf in the sensor streams stops the run before it writes
+    # anything, naming the sample's time
+    simulate, bad = cli._simulate, {}
+
+    def corrupted(cfg):
+        sim = simulate(cfg)
+        if stream == "fix":
+            t, pos, _ = sim.raw_fixes[2]
+            pos[0], bad["t"] = np.nan, t
+        else:
+            sample = sim.imu[150]
+            getattr(sample, stream)[1] = np.nan if stream == "gyro" else np.inf
+            bad["t"] = sample.t
+        return sim
+
+    monkeypatch.setattr(cli, "_simulate", corrupted)
+    out = tmp_path / "out"
+    res = invoke("run", "--config", str(write_config(tmp_path)), "--out", str(out))
+    assert res.exit_code == 2, res.output
+    assert f"t={bad['t']}" in res.output
+    assert not out.exists()
+
+
 def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
     # members call cli.run_scenario as it is bound at call time (the
     # benchmark's tracer replaces it), once each, in index order

@@ -1,16 +1,22 @@
-"""The benchmark's tracer can still find every function it wraps.
+"""The benchmark still runs against the package.
 
 ``perfbench/tracing.py`` wraps package functions by name, at the module or
 class that owns them; a renamed or moved function would make every traced
 benchmark run fail. The tracer module is loaded from its file and only read.
+A short run of every workload checks the golden outputs and the result line
+that the benchmark's consumers parse.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -46,3 +52,22 @@ def test_install_and_uninstall_restore_every_name():
         for path, attr, _ in TRACER.SPANS + TRACER.COUNTS
     ]
     assert all(a is b for a, b in zip(before, after, strict=True))
+
+
+def test_benchmark_runs_every_workload_and_ends_with_its_result_line():
+    # about 25 s: each workload in a fresh process, the golden-output gate
+    # first, then one second of timed calls
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all",
+         "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=900,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for workload in declared["workloads"]:
+        for metric in declared["end_to_end"]:
+            key = f"{workload['name']}/{metric['name']}"
+            assert isinstance(result["metrics"][key]["value"], float), key

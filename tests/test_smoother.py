@@ -1,9 +1,11 @@
 """RTS smoother against a vector-RTS oracle and dominance properties."""
 
+import re
+
 import numpy as np
 import pytest
 
-from liese_nav import earth, filter as flt, sensors, smoother as smo
+from liese_nav import earth, errors, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
 from liese_nav.errors import SingularPredCov
 from liese_nav.mechanization import NavStateECEF
@@ -203,6 +205,30 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
         assert np.array_equal(rec.p_post, expected.p)
         assert np.array_equal(rec.nav.geo, expected.nav.geo)
         assert np.array_equal(rec.nav.c_bn, expected.nav.c_bn)
+
+
+@pytest.mark.parametrize("case", ["nan-gyro", "inf-accel", "nan-fix-position"])
+def test_non_finite_input_raises_naming_the_sample_time(case):
+    # [ROBUSTNESS] one bad IMU sample or fix position fails before the loop
+    # and names its time, instead of ending in an SVD error many steps later
+    dt = 0.02
+    imu = GEN.synthesize_imu(4.0, dt)
+    times = np.arange(1.0, 4.0 + 1e-9, 1.0)
+    fixes = [
+        flt.GnssFix(t, pos, r, LEVER)
+        for t, pos, r in GEN.sample_gnss(times, LEVER, 1.5, np.random.default_rng(0))
+    ]
+    if case == "nan-gyro":
+        imu[150].gyro[1], bad_t = np.nan, imu[150].t
+    elif case == "inf-accel":
+        imu[150].accel[2], bad_t = -np.inf, imu[150].t
+    else:
+        fixes[2].pos[0], bad_t = np.nan, fixes[2].t
+    fs = flt.FilterState(
+        Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), 0.0
+    )
+    with pytest.raises(errors.NonFiniteInput, match=re.escape(f"t={bad_t}")):
+        smo.run_forward(fs, imu, fixes, dt)
 
 
 def _pos_errors(navs, times):
