@@ -5,7 +5,9 @@ from liese_nav.errors import (
     IncompatibleMode,
     InnovationGateExceeded,
     IoError,
+    LieseNavError,
     NearPiRotation,
+    NonFiniteInput,
     NonMonotoneTime,
     NotPSD,
     PatternViolation,
@@ -19,7 +21,9 @@ __all__ = [
     "IncompatibleMode",
     "InnovationGateExceeded",
     "IoError",
+    "LieseNavError",
     "NearPiRotation",
+    "NonFiniteInput",
     "NonMonotoneTime",
     "NotPSD",
     "PatternViolation",

@@ -37,7 +37,7 @@ _LAT_LIMIT = np.pi / 2 - POLE_MARGIN
 
 
 def check_latitude(lat):
-    if abs(lat) > _LAT_LIMIT:
+    if not abs(lat) <= _LAT_LIMIT:  # true for a NaN latitude too
         raise PoleSingularity(f"latitude {lat} too close to a pole")
 
 

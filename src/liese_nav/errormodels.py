@@ -82,7 +82,7 @@ class Variant:
     @property
     def inverts_true(self):
         """LeftTrue and RightEst invert the true state; this flag signs H and
-        every bias and noise column of G and F."""
+        the input map (see ``error_dynamics``)."""
         return self.error_def in ("LeftTrue", "RightEst")
 
     @property
@@ -246,17 +246,43 @@ def _bias_rows(f, g, tau_g, tau_a):
     g[BA, WBA] = _I3
 
 
+def _input_map(variant, nominal, g):
+    """G's gyro and accel noise columns: the map through which IMU white
+    noise enters the group error, sign * I for a left error and
+    sign * Ad(X) for a right one, X the estimate's group embedding."""
+    sign = 1.0 if variant.inverts_true else -1.0
+    if not variant.is_right:
+        eye = sign * _I3
+        g[PHI, WG] = eye
+        g[RV, WA] = eye
+        return
+    x = variant.chart.embed(nominal, variant.aux_velocity)
+    # scaled before each product: sign * x.adjoint() would flip the sign of
+    # its exact zeros, and covariance.csv writes signed zeros
+    rot = sign * x.R
+    g[PHI, WG] = rot
+    g[RV, WG] = (sign * skew(x.v)) @ x.R
+    g[RV, WA] = rot
+    g[RR, WG] = (sign * skew(x.p)) @ x.R
+
+
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     """Continuous-time (F, G) for the given variant at a nominal state.
 
     ``nominal`` is a NavStateNED for the NED frames and a NavStateECEF in
     the earth-relative velocity convention for the ECEF frames. ``gyro`` and
     ``accel`` are the bias-corrected IMU rates the filter mechanizes with.
+
+    The frame's block function writes the 9x9 state blocks. A bias error
+    drifts the mechanized rates as the IMU noise does, so F's bias columns
+    are a copy of G's gyro and accel noise columns.
     """
     f = np.zeros((15, 15))
     g = np.zeros((15, 12))
     _bias_rows(f, g, tau_g, tau_a)
-    _BLOCKS[variant.frame](variant, nominal, gyro, accel, f, g)
+    _input_map(variant, nominal, g)
+    _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
+    f[:9, 9:] = g[:9, :6]
     return f, g
 
 
@@ -286,14 +312,11 @@ def _local_terms(nom):
     )
 
 
-def _ned_blocks(variant, nom, gyro, accel, f, g):
+def _ned_blocks(variant, nom, gyro, accel, f):
     c = nom.c_bn
     h, v, s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(nom)
     sk_v = skew(v)
     sk_v_m2 = sk_v @ m2
-    # the two definitions of each side share all non-bias blocks and differ
-    # in the sign of every bias/noise column
-    sign = 1.0 if variant.inverts_true else -1.0
 
     if variant.is_right:
         # world-frame errors
@@ -306,14 +329,11 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
         f[PHI, PHI] = -skew(w_in) + m2 @ sk_v + (m1 + m3) @ sk_r
         f[PHI, RV] = -m2
         f[PHI, RR] = -(m1 + m3)
-        f[PHI, BG] = sign * c
         f[RV, PHI] = (
             -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
         )
         f[RV, RV] = -skew([2.0 * a + b for a, b in zip(w_ie, w_en)])
         f[RV, RR] = sk_v @ m1 + k_g
-        f[RV, BG] = sign * sk_v @ c
-        f[RV, BA] = sign * c
         # position row: exact Jacobian in the local-chart coordinates the
         # filter corrects in (position error = estimate-frame-resolved ECEF
         # displacement); m2 doubles as the displacement-to-frame-angle map
@@ -324,11 +344,6 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
         )
         f[RR, RV] = _I3 - sk_r @ m2
         f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
-        f[RR, BG] = sign * sk_r @ c
-        g[PHI, WG] = sign * c
-        g[RV, WG] = sign * sk_v @ c
-        g[RV, WA] = sign * c
-        g[RR, WG] = sign * sk_r @ c
     else:
         # body-frame errors; the five C' X C sandwiches as one stack
         ct = c.T
@@ -336,33 +351,27 @@ def _ned_blocks(variant, nom, gyro, accel, f, g):
             [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), skew(w_ie) - sk_v_m2]
         ) @ c
         sk_g = skew(gyro)
-        eye = sign * _I3
         f[PHI, PHI] = -sk_g
         f[PHI, RV] = -sw_m2
         f[PHI, RR] = -sw_m13
-        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = sw_vm2 - sk_g - skew(ct @ np.array(w_ie))
         f[RV, RR] = sw_vm13
-        f[RV, BA] = eye
         # position row: exact Jacobian in the local-chart coordinates (the
         # body-resolved chart displacement integrates the velocity error
         # one-for-one; no curvature coupling survives)
         f[RR, RV] = _I3
         f[RR, RR] = -sk_g + sw_wv
-        g[PHI, WG] = eye
-        g[RV, WA] = eye
 
 
-def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
+def _ned_aux_blocks(variant, nom, gyro, accel, f):
     c = nom.c_bn
     h, v, s_lat, c_lat, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn = _local_terms(nom)
     w_in = [a + b for a, b in zip(w_ie, w_en)]
-    vbar = np.add(v, cross(w_ie, r_n))
     sk_r = skew(r_n)
-    sk_vbar = skew(vbar)
     sk_w_ie = skew(w_ie)
     if not variant.mems_simplified:
+        sk_vbar = skew(np.add(v, cross(w_ie, r_n)))
         # b = d(w_ie x r_eb^n)/d(dr) in local-chart coordinates; the ground
         # velocity recovered from the auxiliary one inherits it, so the
         # transport-rate sensitivity k1 carries -m2 @ b
@@ -373,16 +382,12 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
         k2 = m2
 
     if not variant.is_right:  # LeftEst
-        neg_sk_g, neg_eye = -skew(gyro), -_I3
+        neg_sk_g = -skew(gyro)
         f[PHI, PHI] = neg_sk_g
-        f[PHI, BG] = neg_eye
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = neg_sk_g
-        f[RV, BA] = neg_eye
         f[RR, RV] = _I3
         f[RR, RR] = neg_sk_g
-        g[PHI, WG] = neg_eye
-        g[RV, WA] = neg_eye
         if not variant.mems_simplified:
             # the five C' X C sandwiches as one stack
             sw_k2, sw_k1, sw_vk2, sw_vk1, sw_wbv = c.T @ np.array(
@@ -400,18 +405,10 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
         big_g = earth._gravitation_n(w_ie, grav, r_n)
         sk_w_in = skew(w_in)
         f[PHI, PHI] = -sk_w_in
-        f[PHI, BG] = -c
         f[RV, PHI] = skew(big_g)
         f[RV, RV] = -sk_w_in
-        f[RV, BG] = -sk_vbar @ c
-        f[RV, BA] = -c
         f[RR, RV] = _I3
         f[RR, RR] = -sk_w_in
-        f[RR, BG] = -sk_r @ c
-        g[PHI, WG] = -c
-        g[RV, WG] = -sk_vbar @ c
-        g[RV, WA] = -c
-        g[RR, WG] = -sk_r @ c
         if not variant.mems_simplified:
             # transport-rate errors couple into the attitude row only
             q1 = k1 @ sk_r + k2 @ sk_vbar
@@ -432,77 +429,42 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f, g):
             f[RR, RR] = -bracket + sk_r @ f[PHI, RR]
 
 
-def _ecef_blocks(variant, nom, gyro, accel, f, g):
-    c = nom.c_be
-    v = nom.v
-    r = nom.r
+def _ecef_blocks(variant, nom, gyro, accel, f):
     w_ie = earth.earth_rate_e()
-    sign = 1.0 if variant.inverts_true else -1.0
     if not variant.is_right:
-        sk_g, sk_w = skew(gyro), skew(c.T @ w_ie)
-        eye = sign * _I3
+        sk_g, sk_w = skew(gyro), skew(nom.c_be.T @ w_ie)
         f[PHI, PHI] = -sk_g
-        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = -sk_w - sk_g
-        f[RV, BA] = eye
         f[RR, RV] = _I3
         f[RR, RR] = sk_w - sk_g
-        g[PHI, WG] = eye
-        g[RV, WA] = eye
     else:
-        grav = earth.gravity_e(r)
-        sk_w, sk_v, sk_r = skew(w_ie), skew(v), skew(r)
+        grav = earth.gravity_e(nom.r)
+        sk_w, sk_v, sk_r = skew(w_ie), skew(nom.v), skew(nom.r)
         f[PHI, PHI] = -sk_w
-        f[PHI, BG] = sign * c
         f[RV, PHI] = sk_v @ sk_w + skew(grav)
         f[RV, RV] = -2.0 * sk_w
-        f[RV, BG] = sign * sk_v @ c
-        f[RV, BA] = sign * c
         f[RR, PHI] = -sk_r @ sk_w
         f[RR, RV] = _I3
-        f[RR, BG] = sign * sk_r @ c
-        g[PHI, WG] = sign * c
-        g[RV, WG] = sign * sk_v @ c
-        g[RV, WA] = sign * c
-        g[RR, WG] = sign * sk_r @ c
 
 
-def _ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
-    c = nom.c_be
-    w_ie = earth.earth_rate_e()
-    r = nom.r
-    v_i = nom.v + cross(w_ie, r)
-    sign = 1.0 if variant.inverts_true else -1.0
+def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
     if not variant.is_right:
         neg_sk_g = -skew(gyro)
-        eye = sign * _I3
         f[PHI, PHI] = neg_sk_g
-        f[PHI, BG] = eye
         f[RV, PHI] = -skew(accel)
         f[RV, RV] = neg_sk_g
-        f[RV, BA] = eye
         f[RR, RV] = _I3
         f[RR, RR] = neg_sk_g
-        g[PHI, WG] = eye
-        g[RV, WA] = eye
     else:
-        # RightEst (ECEF_Inertial) or RightTrue (ECEF_Aux): identical
-        # non-bias blocks, opposite bias/noise column signs
-        big_g = earth.gravitation_e(r)
-        f[PHI, PHI] = -skew(w_ie)
-        f[PHI, BG] = sign * c
-        f[RV, PHI] = skew(big_g)
-        f[RV, RV] = -skew(w_ie)
-        f[RV, BG] = sign * skew(v_i) @ c
-        f[RV, BA] = sign * c
+        # RightEst (ECEF_Inertial) and RightTrue (ECEF_Aux) share these
+        # blocks; only the input map's sign tells them apart
+        neg_sk_w = -skew(earth.earth_rate_e())
+        f[PHI, PHI] = neg_sk_w
+        f[RV, PHI] = skew(earth.gravitation_e(nom.r))
+        f[RV, RV] = neg_sk_w
         f[RR, RV] = _I3
-        f[RR, RR] = -skew(w_ie)
-        f[RR, BG] = sign * skew(r) @ c
-        g[PHI, WG] = sign * c
-        g[RV, WG] = sign * skew(v_i) @ c
-        g[RV, WA] = sign * c
-        g[RR, WG] = sign * skew(r) @ c
+        f[RR, RR] = neg_sk_w
 
 
 _BLOCKS = {

@@ -130,13 +130,12 @@ def discretize(f, g, qc, dt):
     """Second-order transition matrix and trapezoidal process noise.
 
     Phi = I + F dt + F^2 dt^2/2; Qd = (Phi G Qc G' Phi' + G Qc G') dt / 2,
-    symmetrized. ``qc`` may be a 12-vector of PSD diagonals or a full 12x12
-    PSD matrix.
+    symmetrized. ``qc`` is the 12-vector of PSD diagonals
+    (``ImuNoiseParams.q_diag()``).
     """
-    qc = np.asarray(qc, dtype=float)
     phi = _I15 + f * dt + (f @ f) * (0.5 * dt * dt)
     # scaling the columns of G equals G @ diag(qc) entry for entry
-    gq = (g * qc if qc.ndim == 1 else g @ qc) @ g.T
+    gq = (g * qc) @ g.T
     qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
     return phi, 0.5 * (qd + qd.T)
 

@@ -1,6 +1,6 @@
 """Strapdown mechanization: NED (geodetic) and ECEF forms.
 
-Continuous-time derivative functions plus RK4/Euler stepping with
+Continuous-time derivative functions plus RK4 stepping with
 piecewise-constant IMU inputs. A step integrates the state packed into one
 15-vector (rotation row by row, velocity, position), so every RK4 stage is
 one vector expression for both frames. The gravity model can be overridden
@@ -132,38 +132,27 @@ def ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
     )
 
 
-def _rk4(x, dt, deriv):
-    """One classical RK4 step of a packed state."""
+def _rk4(state, dt, deriv):
+    """The state one classical RK4 step later; deriv maps a packed state to
+    its packed derivative."""
+    x = _pack(state)
     k1 = deriv(x)
     k2 = deriv(x + (0.5 * dt) * k1)
     k3 = deriv(x + (0.5 * dt) * k2)
     k4 = deriv(x + dt * k3)
-    return x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+    return type(state)(*_fields(x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)))
 
 
-def _integrate(state, dt, deriv, method):
-    """The state one step of ``method`` later; deriv maps a packed state to
-    its packed derivative."""
-    x = _pack(state)
-    if method == "rk4":
-        x = _rk4(x, dt, deriv)
-    elif method == "euler":
-        x = x + dt * deriv(x)
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
-    return type(state)(*_fields(x))
-
-
-def ned_step(state, imu, dt, method="rk4", gravity_fn=None):
+def ned_step(state, imu, dt, gravity_fn=None):
     sk_gyro, accel = skew(imu.gyro), imu.accel
     deriv = lambda x: _ned_rates(x, sk_gyro, accel, gravity_fn)
-    return _integrate(state, dt, deriv, method)
+    return _rk4(state, dt, deriv)
 
 
-def ecef_step(state, imu, dt, method="rk4", convention="earth", gravity_fn=None):
+def ecef_step(state, imu, dt, convention="earth", gravity_fn=None):
     sk_gyro, accel = skew(imu.gyro), imu.accel
     deriv = lambda x: _ecef_rates(x, sk_gyro, accel, convention, gravity_fn)
-    return _integrate(state, dt, deriv, method)
+    return _rk4(state, dt, deriv)
 
 
 def orthonormalize(c):

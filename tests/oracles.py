@@ -106,6 +106,12 @@ def true_from_error(error_def, x_est, eta):
     return x_est.compose(eta)  # LeftEst
 
 
+def same_bits(a, b):
+    """Exact equality that also tells -0.0 from 0.0, which repr() prints."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def ned_to_ecef_state(state):
     """The ECEF form of a NED state."""
     lat, lon, h = state.geo
@@ -581,24 +587,16 @@ def ref_advance(state, deriv, dt):
     return out
 
 
-def ref_ned_step(state, imu, dt, method="rk4", gravity_fn=None):
+def ref_ned_step(state, imu, dt, gravity_fn=None):
     deriv = lambda s, w, f: ref_ned_derivative(s, w, f, gravity_fn=gravity_fn)
-    if method == "rk4":
-        return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
-    if method == "euler":
-        return ref_advance(state, deriv(state, imu.gyro, imu.accel), dt)
-    raise ValueError(f"unknown integrator {method!r}")
+    return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
 
 
-def ref_ecef_step(state, imu, dt, method="rk4", convention="earth", gravity_fn=None):
+def ref_ecef_step(state, imu, dt, convention="earth", gravity_fn=None):
     deriv = lambda s, w, f: ref_ecef_derivative(
         s, w, f, convention=convention, gravity_fn=gravity_fn
     )
-    if method == "rk4":
-        return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
-    if method == "euler":
-        return ref_advance(state, deriv(state, imu.gyro, imu.accel), dt)
-    raise ValueError(f"unknown integrator {method!r}")
+    return ref_rk4(state, imu.gyro, imu.accel, dt, deriv)
 
 
 def ref_bias_rows(f, g, tau_g, tau_a):
@@ -818,9 +816,7 @@ def ref_ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
 
 
 def ref_discretize(f, g, qc, dt):
-    qc = np.asarray(qc, dtype=float)
-    if qc.ndim == 1:
-        qc = np.diag(qc)
+    qc = np.diag(qc)
     phi = np.eye(15) + f * dt + (f @ f) * (0.5 * dt * dt)
     gq = g @ qc @ g.T
     qd = 0.5 * dt * (phi @ gq @ phi.T + gq)

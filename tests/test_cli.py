@@ -13,7 +13,7 @@ import yaml
 from click.testing import CliRunner
 
 import liese_nav
-from liese_nav import cli, filter as flt, smoother as smo
+from liese_nav import cli, errors, filter as flt, smoother as smo
 from liese_nav.errors import ConfigError, IoError, NotPSD
 from liese_nav.liegroup import so3_exp
 
@@ -529,3 +529,14 @@ def test_cli_imports_without_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_package_error_is_exported():
+    # a caller catches any of the package's errors from the top level
+    names = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.LieseNavError)
+    }
+    assert names <= set(liese_nav.__all__)
+    assert all(getattr(liese_nav, name) is getattr(errors, name) for name in names)

@@ -154,4 +154,6 @@ def test_gravitation_relation():
 def test_pole_singularity():
     with pytest.raises(PoleSingularity):
         earth.check_latitude(np.pi / 2 - 1e-8)
+    with pytest.raises(PoleSingularity):
+        earth.check_latitude(float("nan"))  # no latitude at all
     earth.check_latitude(np.pi / 2 - 1e-3)  # fine away from the guard band

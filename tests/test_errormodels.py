@@ -5,6 +5,7 @@ import pytest
 
 from liese_nav import earth
 from liese_nav.errormodels import (
+    ECEF_CHART,
     Variant,
     error_dynamics,
     group_affine_dynamics,
@@ -13,11 +14,12 @@ from liese_nav.errormodels import (
     supported_variants,
 )
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import exp_se23
+from liese_nav.liegroup import exp_se23, so3_exp
+from liese_nav.mechanization import NavStateNED
 from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
-from oracles import FOracle, SCALES, assert_f_matches
+from oracles import FOracle, SCALES, assert_f_matches, ned_to_ecef_state, same_bits
 
 GEN = TruthGenerator(
     TrajectorySpec(
@@ -136,15 +138,42 @@ def test_f_matches_fd_oracle(variant):
 # ---------------------------------------------------------------------------
 
 
+def random_nominals(variant, rng, n=10):
+    """(nav, gyro, accel) at random attitudes, velocities and places."""
+    for _ in range(n):
+        geo = np.array(
+            [rng.uniform(-1.4, 1.4), rng.uniform(-3.0, 3.0), rng.uniform(-400.0, 9e3)]
+        )
+        rot, vel = so3_exp(rng.normal(size=3)), rng.normal(scale=50.0, size=3)
+        nav = NavStateNED(rot, vel, geo)
+        if variant.chart is ECEF_CHART:
+            nav = ned_to_ecef_state(nav)
+        yield nav, rng.normal(scale=0.3, size=3), rng.normal(scale=8.0, size=3)
+
+
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
 def test_noise_columns_match_bias_columns(variant):
-    # the measurement noises enter exactly where the bias errors do
-    nav, gyro, accel = nominal_for(variant, 5.0)
-    f, g = error_dynamics(variant, nav, gyro, accel)
-    assert np.array_equal(g[:9, :6], f[:9, 9:15])
-    assert np.array_equal(g[9:, 6:], np.eye(6))
-    assert np.array_equal(g[:9, 6:], np.zeros((9, 6)))
-    assert np.array_equal(g[9:, :6], np.zeros((6, 6)))
+    # the IMU noises enter exactly where the bias errors do, through one
+    # input map: sign * I for a left error, sign * Ad(X) for a right one
+    sign = 1.0 if variant.inverts_true else -1.0
+    rng = np.random.default_rng(17)
+    for nav, gyro, accel in [nominal_for(variant, 5.0), *random_nominals(variant, rng)]:
+        f, g = error_dynamics(variant, nav, gyro, accel, tau_g=TAU_G, tau_a=TAU_A)
+        assert same_bits(g[:9, :6], f[:9, 9:15])
+        assert np.array_equal(g[9:, 6:], np.eye(6))
+        assert np.array_equal(g[:9, 6:], np.zeros((9, 6)))
+        assert np.array_equal(g[9:, :6], np.zeros((6, 6)))
+        if not variant.is_right:
+            assert np.array_equal(g[:9, :6], sign * np.eye(9)[:, :6])
+            continue
+        ad = sign * variant.chart.embed(nav, variant.aux_velocity).adjoint()[:, :6]
+        assert np.linalg.norm(g[:9, :6] - ad) <= 1e-12 * np.linalg.norm(ad)
+        # a right error is autonomous: F does not depend on the IMU input
+        f2, _ = error_dynamics(
+            variant, nav, rng.normal(scale=0.3, size=3), rng.normal(scale=8.0, size=3),
+            tau_g=TAU_G, tau_a=TAU_A,
+        )
+        assert same_bits(f, f2)
 
 
 def test_bias_rows_gauss_markov():

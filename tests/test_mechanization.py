@@ -9,9 +9,9 @@ from liese_nav.simulator import TrajectorySpec, TruthGenerator
 ORIGIN = np.array([0.7, 0.2, 120.0])
 
 
-def propagate_ned(state, samples, dt, method="rk4"):
+def propagate_ned(state, samples, dt):
     for s in samples:
-        state = mech.ned_step(state, s, dt, method=method)
+        state = mech.ned_step(state, s, dt)
         state.c_bn = mech.orthonormalize(state.c_bn)
     return state
 
@@ -87,17 +87,6 @@ def test_cross_convention_consistency():
     assert np.linalg.norm(out_earth.r - out_in.r) < 1e-6
     v_back = out_in.v - np.cross(w_ie, out_in.r)
     assert np.linalg.norm(out_earth.v - v_back) < 1e-7
-
-
-def test_euler_converges_to_rk4():
-    spec = TrajectorySpec("circle", ORIGIN, speed=10.0, radius=150.0)
-    gen = TruthGenerator(spec)
-    errs = []
-    for dt in (0.01, 0.005):
-        samples = gen.synthesize_imu(5.0, dt)
-        out = propagate_ned(gen.state_ned(0.0), samples, dt, method="euler")
-        errs.append(position_error_m(out, gen.state_ned(5.0)))
-    assert errs[1] < 0.6 * errs[0]  # first-order integrator, ~linear in dt
 
 
 def test_zero_gravity_hook():
