@@ -3,7 +3,6 @@
 from liese_nav.errors import (
     ConfigError,
     IncompatibleMode,
-    InnovationGateExceeded,
     IoError,
     LieseNavError,
     NearPiRotation,
@@ -19,7 +18,6 @@ from liese_nav.errors import (
 __all__ = [
     "ConfigError",
     "IncompatibleMode",
-    "InnovationGateExceeded",
     "IoError",
     "LieseNavError",
     "NearPiRotation",

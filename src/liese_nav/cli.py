@@ -63,6 +63,10 @@ class _Strict(BaseModel):
 
 
 Vector3 = Annotated[list[float], Field(min_length=3, max_length=3)]
+# a time constant or period of zero divides by zero, and a negative one or a
+# negative standard deviation would run on without a word
+Positive = Annotated[float, Field(gt=0)]
+Sigma = Annotated[float, Field(ge=0)]
 
 
 class TrajectoryConfig(_Strict):
@@ -74,30 +78,30 @@ class TrajectoryConfig(_Strict):
     radius_m: float = 200.0
     heading0_rad: float = 0.0
     amplitude_m: float = 300.0
-    period_s: float = 60.0
+    period_s: Positive = 60.0
 
 
 class GnssConfig(_Strict):
     period_s: float = 1.0
-    sigma_pos_m: float = 1.0
+    sigma_pos_m: Sigma = 1.0
     lever_arm_b_m: Vector3 = [0.0, 0.0, 0.0]
 
 
 class NoiseConfig(_Strict):
-    sigma_g_rad_s_sqrt_hz: float = 0.0
-    sigma_a_m_s2_sqrt_hz: float = 0.0
-    sigma_bg_rad_s_sqrt_s: float = 0.0
-    sigma_ba_m_s2_sqrt_s: float = 0.0
-    tau_g_s: float | None = 3600.0
-    tau_a_s: float | None = 3600.0
+    sigma_g_rad_s_sqrt_hz: Sigma = 0.0
+    sigma_a_m_s2_sqrt_hz: Sigma = 0.0
+    sigma_bg_rad_s_sqrt_s: Sigma = 0.0
+    sigma_ba_m_s2_sqrt_s: Sigma = 0.0
+    tau_g_s: Positive | None = 3600.0
+    tau_a_s: Positive | None = 3600.0
 
 
 class InitialConfig(_Strict):
-    attitude_sigma_rad: float = 0.0
-    velocity_sigma_m_s: float = 0.0
-    position_sigma_m: float = 0.0
-    bias_g_sigma_rad_s: float = 0.0
-    bias_a_sigma_m_s2: float = 0.0
+    attitude_sigma_rad: Sigma = 0.0
+    velocity_sigma_m_s: Sigma = 0.0
+    position_sigma_m: Sigma = 0.0
+    bias_g_sigma_rad_s: Sigma = 0.0
+    bias_a_sigma_m_s2: Sigma = 0.0
     yaw_error_rad: float = 0.0
     true_bias_g_rad_s: Vector3 = [0.0, 0.0, 0.0]
     true_bias_a_m_s2: Vector3 = [0.0, 0.0, 0.0]
@@ -599,10 +603,10 @@ def cmd_run(config_path, variant_name, mode, seed, out_dir, n_runs):
                 raise ConfigError(
                     f"variant {variant_name!r} must look like FRAME/ERRORDEF"
                 )
-            cfg.variant.frame, cfg.variant.error_def = parts
-            if cfg.variant.error_def.endswith("+mems"):
-                cfg.variant.error_def = cfg.variant.error_def[: -len("+mems")]
-                cfg.variant.mems_simplified = True
+            # the suffix sets the flag both ways: without it, the full model
+            cfg.variant.frame, error_def = parts
+            cfg.variant.error_def = error_def.removesuffix("+mems")
+            cfg.variant.mems_simplified = error_def.endswith("+mems")
         if mode is not None:
             cfg.mode = mode
         if seed is not None:

@@ -1,8 +1,8 @@
 """Error-state dynamics (F, G) and measurement models for every variant.
 
 The 15-dim error state is ordered (phi, rho_v, rho_r, db_g, db_a); the
-12-dim noise vector is (w_g, w_a, w_bg, w_ba). Bias errors follow the
-convention db = b_true - b_hat for every variant, so the rate error seen by
+12-dim noise vector is (w_g, w_a, w_bg, w_ba). Bias errors are
+db = b_true - b_hat for every variant, so the rate error seen by
 the filter mechanization is db_g + w_g.
 
 Frames:
@@ -269,8 +269,8 @@ def _input_map(variant, nominal, g):
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     """Continuous-time (F, G) for the given variant at a nominal state.
 
-    ``nominal`` is a NavStateNED for the NED frames and a NavStateECEF in
-    the earth-relative velocity convention for the ECEF frames. ``gyro`` and
+    ``nominal`` is a NavStateNED for the NED frames and a NavStateECEF with
+    earth-relative velocity for the ECEF frames. ``gyro`` and
     ``accel`` are the bias-corrected IMU rates the filter mechanizes with.
 
     The frame's block function writes the 9x9 state blocks. A bias error
@@ -484,7 +484,7 @@ _BLOCKS = {
 def measurement_se23(variant, nominal, lever_arm):
     """Navigation-frame position measurement matrix H (3x15).
 
-    Innovation convention: z = measured - predicted antenna position,
+    Innovation: z = measured - predicted antenna position,
     expressed in the navigation frame (NED chart axes or ECEF).
     """
     c, r = variant.chart.attitude_position(nominal)

@@ -33,10 +33,6 @@ class IncompatibleMode(LieseNavError):
     """The requested filter mode cannot be used with the selected variant."""
 
 
-class InnovationGateExceeded(LieseNavError):
-    """A measurement innovation failed the chi-square gate."""
-
-
 class SingularPredCov(LieseNavError):
     """A predicted covariance is numerically singular during smoothing."""
 

@@ -27,14 +27,10 @@ from liese_nav.errormodels import (
     measurement_left_invariant,
     measurement_se23,
 )
-from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
+from liese_nav.errors import IncompatibleMode
 from liese_nav.liegroup import exp_se23, log_se23
 from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
-
-# chi-square 0.999 quantile with 3 degrees of freedom, chi2.ppf(0.999, 3);
-# a literal, so that importing the filter does not need scipy
-GATE_THRESHOLD = 16.26623619623813
 
 MODES = ("se23", "invariant")
 
@@ -46,7 +42,7 @@ _I15.flags.writeable = False
 @dataclass
 class FilterState:
     variant: object  # errormodels.Variant
-    nav: object  # NavStateNED or NavStateECEF (earth-convention velocity)
+    nav: object  # NavStateNED or NavStateECEF (earth-relative velocity)
     bias: BiasState
     p: np.ndarray  # 15x15 error covariance
     t: float
@@ -169,7 +165,7 @@ def predict(fs, imu, dt, noise=None):
 # ---------------------------------------------------------------------------
 
 
-def update(fs, fix, mode="se23", gate=False):
+def update(fs, fix, mode="se23"):
     """GNSS position update; returns (FilterState, UpdateReport)."""
     if mode not in MODES:
         raise IncompatibleMode(f"unknown filter mode {mode!r}")
@@ -184,11 +180,6 @@ def update(fs, fix, mode="se23", gate=False):
     p = fs.p
     s = h @ p @ h.T + r_eff
     nis = float(z @ np.linalg.solve(s, z))
-    if gate and nis > GATE_THRESHOLD:
-        raise InnovationGateExceeded(
-            f"NIS {nis:.2f} exceeds chi-square gate {GATE_THRESHOLD:.2f} "
-            f"at t={fix.t}"
-        )
     k = np.linalg.solve(s, h @ p).T
     dx = k @ z
     nav, bias = apply_correction(variant, fs.nav, fs.bias, dx)

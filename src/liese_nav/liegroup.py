@@ -27,8 +27,6 @@ SMALL_ANGLE = 1e-6
 # extraction from the skew part is ill-conditioned in that neighbourhood.
 NEAR_PI_MARGIN = 1e-5
 
-_PATTERN_TOL = 1e-9
-
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix such that ``skew(a) @ b == np.cross(a, b)``."""
@@ -190,17 +188,6 @@ class GroupElement:
     @staticmethod
     def identity() -> "GroupElement":
         return GroupElement()
-
-    @staticmethod
-    def from_matrix(mat: np.ndarray) -> "GroupElement":
-        """Build from a 5x5 embedding; checks the fixed block pattern."""
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (5, 5):
-            raise PatternViolation(f"expected 5x5 matrix, got shape {mat.shape}")
-        expected = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-        if np.max(np.abs(mat[3:, :] - expected)) > _PATTERN_TOL:
-            raise PatternViolation("bottom rows must be [0 0 0 1 0; 0 0 0 0 1]")
-        return GroupElement(mat[:3, :3].copy(), mat[:3, 3].copy(), mat[:3, 4].copy())
 
     def as_matrix(self) -> np.ndarray:
         out = np.eye(5)

@@ -3,9 +3,9 @@
 Continuous-time derivative functions plus RK4 stepping with
 piecewise-constant IMU inputs. A step integrates the state packed into one
 15-vector (rotation row by row, velocity, position), so every RK4 stage is
-one vector expression for both frames. The gravity model can be overridden
-through ``gravity_fn`` (test hook; e.g. zero gravity, or a frozen model for
-linearization checks).
+one vector expression for both frames. Both frames carry the earth-relative
+velocity v_eb; the inertial and auxiliary velocities of the ECEF variants
+are embedded from it by the variant's chart (``errormodels.EcefChart``).
 """
 
 import math
@@ -37,7 +37,7 @@ class NavStateNED:
 @dataclass
 class NavStateECEF:
     c_be: np.ndarray  # body-to-ECEF rotation
-    v: np.ndarray  # v_eb^e ('earth') or v_ib^e ('inertial')
+    v: np.ndarray  # v_eb^e
     r: np.ndarray  # r_eb^e
 
     def copy(self):
@@ -68,7 +68,7 @@ def _fields(x):
     return x[:9].reshape(3, 3), x[9:12], x[12:]
 
 
-def _ned_rates(x, sk_gyro, accel, gravity_fn):
+def _ned_rates(x, sk_gyro, accel):
     """The derivative of a packed NED state, packed alike.
 
     The latitude's trig terms and curvature radii are evaluated once, in
@@ -83,10 +83,7 @@ def _ned_rates(x, sk_gyro, accel, gravity_fn):
     w_ie = earth._earth_rate_n(s, c)
     w_en = earth._transport_rate_n(float(np.tan(lat)), rm, rn, h, v)
     w_in = [a + b for a, b in zip(w_ie, w_en)]
-    if gravity_fn is None:
-        g = earth._gravity_n(s**2, rm, rn, h)
-    else:
-        g = gravity_fn(lat, h)
+    g = earth._gravity_n(s**2, rm, rn, h)
     coriolis = cross([2.0 * a + b for a, b in zip(w_ie, w_en)], v).tolist()
     f_n = (c_bn @ accel).tolist()
     out = np.empty(15)
@@ -97,39 +94,16 @@ def _ned_rates(x, sk_gyro, accel, gravity_fn):
     return out
 
 
-def ned_derivative(state, gyro, accel, gravity_fn=None):
-    """Time derivatives of (C_b^n, v_eb^n, geo)."""
-    return _fields(_ned_rates(_pack(state), skew(gyro), accel, gravity_fn))
-
-
-def _ecef_rates(x, sk_gyro, accel, convention, gravity_fn):
+def _ecef_rates(x, sk_gyro, accel):
     """The derivative of a packed ECEF state, packed alike."""
     c_be, v, r = _fields(x)
     w_ie = earth.earth_rate_e()
     out = np.empty(15)
     np.subtract(c_be @ sk_gyro, skew(w_ie) @ c_be, out=out[:9].reshape(3, 3))
-    if convention == "earth":
-        g = (gravity_fn or earth.gravity_e)(r)
-        out[9:12] = c_be @ accel - 2.0 * cross(w_ie, v) + g
-        out[12:] = v
-    elif convention == "inertial":
-        big_g = (gravity_fn or earth.gravitation_e)(r)
-        out[9:12] = c_be @ accel - cross(w_ie, v) + big_g
-        out[12:] = -cross(w_ie, r) + v
-    else:
-        raise ValueError(f"unknown velocity convention {convention!r}")
+    g = earth.gravity_e(r)
+    out[9:12] = c_be @ accel - 2.0 * cross(w_ie, v) + g
+    out[12:] = v
     return out
-
-
-def ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
-    """Time derivatives of (C_b^e, v, r) for either velocity convention.
-
-    'earth' uses v = v_eb^e; 'inertial' uses v = v_ib^e = v_eb^e + w_ie x r
-    (the same equations also propagate the earth-rate auxiliary velocity).
-    """
-    return _fields(
-        _ecef_rates(_pack(state), skew(gyro), accel, convention, gravity_fn)
-    )
 
 
 def _rk4(state, dt, deriv):
@@ -143,16 +117,14 @@ def _rk4(state, dt, deriv):
     return type(state)(*_fields(x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)))
 
 
-def ned_step(state, imu, dt, gravity_fn=None):
+def ned_step(state, imu, dt):
     sk_gyro, accel = skew(imu.gyro), imu.accel
-    deriv = lambda x: _ned_rates(x, sk_gyro, accel, gravity_fn)
-    return _rk4(state, dt, deriv)
+    return _rk4(state, dt, lambda x: _ned_rates(x, sk_gyro, accel))
 
 
-def ecef_step(state, imu, dt, convention="earth", gravity_fn=None):
+def ecef_step(state, imu, dt):
     sk_gyro, accel = skew(imu.gyro), imu.accel
-    deriv = lambda x: _ecef_rates(x, sk_gyro, accel, convention, gravity_fn)
-    return _rk4(state, dt, deriv)
+    return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 
 
 def orthonormalize(c):

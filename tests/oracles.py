@@ -43,9 +43,7 @@ from liese_nav.earth import (
     ecef_to_llh,
 )
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
-from liese_nav.errors import (
-    IncompatibleMode, InnovationGateExceeded, NearPiRotation, SingularPredCov,
-)
+from liese_nav.errors import IncompatibleMode, NearPiRotation, SingularPredCov
 from liese_nav.liegroup import (
     NEAR_PI_MARGIN, SMALL_ANGLE, GroupElement, cross, exp_se23, log_se23, skew,
 )
@@ -277,7 +275,7 @@ class FOracle:
             if self.kind == "ned":
                 out = ref_rk4(out, gyro, accel, dt, self._ned_deriv)
             elif self.kind == "ecef":
-                out = mech.ecef_step(
+                out = ref_ecef_step(
                     out,
                     ImuSample(t, gyro, accel),
                     dt,
@@ -1136,7 +1134,7 @@ def ref_innovation_nav(nav, variant, fix):
     return fix.pos - pred, fix.r
 
 
-def ref_update(fs, fix, mode="se23", gate=False):
+def ref_update(fs, fix, mode="se23"):
     if mode not in flt.MODES:
         raise IncompatibleMode(f"unknown filter mode {mode!r}")
     variant = fs.variant
@@ -1150,11 +1148,6 @@ def ref_update(fs, fix, mode="se23", gate=False):
     p = fs.p
     s = h @ p @ h.T + r_eff
     nis = float(z @ np.linalg.solve(s, z))
-    if gate and nis > flt.GATE_THRESHOLD:
-        raise InnovationGateExceeded(
-            f"NIS {nis:.2f} exceeds chi-square gate {flt.GATE_THRESHOLD:.2f} "
-            f"at t={fix.t}"
-        )
     k = np.linalg.solve(s, h @ p).T
     dx = k @ z
     nav, bias = ref_apply_correction(variant, fs.nav, fs.bias, dx)

@@ -150,6 +150,24 @@ def test_unsupported_variant_exits_2(tmp_path):
     assert "NED_Aux" in res.output and "RightEst" in res.output
 
 
+def test_variant_option_sets_mems_flag_both_ways(tmp_path):
+    # the +mems suffix, or its absence, overrides the config's flag
+    cfg = write_config(
+        tmp_path,
+        {"variant": {"frame": "NED_Aux", "error_def": "LeftEst", "mems_simplified": True}},
+    )
+    out = tmp_path / "o"
+    res = invoke("run", "--config", str(cfg), "--variant", "NED_Aux/LeftEst", "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "metrics.json").read_text())["variant"] == "NED_Aux/LeftEst"
+    out = tmp_path / "o2"
+    res = invoke(
+        "run", "--config", str(cfg), "--variant", "ECEF_Inertial/LeftEst", "--out", str(out)
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads((out / "metrics.json").read_text())["variant"] == "ECEF_Inertial/LeftEst"
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     # [TRIVIAL: strict schema]
     cfg = write_config(tmp_path, {"bogus_key": 1})
@@ -355,10 +373,42 @@ def test_non_finite_config_number_exits_2(tmp_path, command, section, value):
 
 
 def test_null_bias_time_constants_still_accepted(tmp_path):
-    # tau_*: null selects a random-constant bias; only non-finite floats go
+    # tau_*: null selects a random-constant bias; only bad floats go
     noise = {**BASE_CONFIG["noise"], "tau_g_s": None, "tau_a_s": None}
     cfg = cli.load_config(write_config(tmp_path, {"noise": noise}))
     assert cfg.noise.tau_g_s is None and cfg.noise.tau_a_s is None
+
+
+OUT_OF_RANGE = [
+    ("noise", "tau_g_s", 0.0),
+    ("noise", "tau_a_s", -900.0),
+    ("trajectory", "period_s", 0.0),
+    ("noise", "sigma_g_rad_s_sqrt_hz", -1e-4),
+    ("noise", "sigma_ba_m_s2_sqrt_s", -1e-6),
+    ("initial", "attitude_sigma_rad", -1e-3),
+    ("initial", "position_sigma_m", -1.0),
+    ("gnss", "sigma_pos_m", -1.5),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "section, field, value",
+    OUT_OF_RANGE,
+    ids=[f"{field}={value}" for _, field, value in OUT_OF_RANGE],
+)
+def test_out_of_range_config_number_exits_2(tmp_path, command, section, field, value):
+    # [TRIVIAL: validation] a zero time constant or period divides by zero
+    # inside the run (exit 1), and a negative one or a negative sigma would
+    # run on to exit 0, so each is rejected when the config is read
+    values = {**BASE_CONFIG[section], field: value}
+    if field == "period_s":
+        values["kind"] = "figure_eight"
+    cfg = write_config(tmp_path, {section: values})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+    assert not (tmp_path / "o").exists()
 
 
 THREE_VECTORS = [

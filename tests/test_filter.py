@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from liese_nav import earth, filter as flt
 from liese_nav.errormodels import Variant, supported_variants
-from liese_nav.errors import IncompatibleMode, InnovationGateExceeded
+from liese_nav.errors import IncompatibleMode
 from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
@@ -209,22 +209,6 @@ def test_invariant_mode_requires_left_est():
         flt.update(fs, truth_fix(fs.t), mode="invariant")
     with pytest.raises(IncompatibleMode):
         flt.update(fs, truth_fix(fs.t), mode="bogus")
-
-
-def test_innovation_gate():
-    fs = make_fs(Variant("NED", "LeftEst"))
-    bad = truth_fix(fs.t, sigma=1.5, offset=np.array([100.0, -80.0, 60.0]))
-    flt.update(fs, bad)  # gating defaults off
-    with pytest.raises(InnovationGateExceeded):
-        flt.update(fs, bad, gate=True)
-    out, report = flt.update(fs, truth_fix(fs.t), gate=True)
-    assert report.nis <= flt.GATE_THRESHOLD
-
-
-def test_gate_threshold_is_chi2_quantile():
-    # the literal gate is the 0.999 quantile of chi-square with 3 dof
-    stats = pytest.importorskip("scipy.stats")
-    assert flt.GATE_THRESHOLD == float(stats.chi2.ppf(0.999, df=3))
 
 
 def test_joseph_update_keeps_psd():

@@ -145,12 +145,10 @@ class TestAdjoint:
 
 
 class TestPatterns:
-    def test_from_matrix_checks_pattern(self):
-        mat = exp_se23(np.arange(9.0) / 10.0).as_matrix()
-        GroupElement.from_matrix(mat)  # valid
-        mat[4, 4] = 2.0
+    def test_hat_checks_shape(self):
+        assert hat(np.arange(9.0)).shape == (5, 5)
         with pytest.raises(PatternViolation):
-            GroupElement.from_matrix(mat)
+            hat(np.arange(6.0))
 
 
 class TestSampling:
