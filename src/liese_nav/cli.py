@@ -15,6 +15,7 @@ identical seeds produce byte-identical outputs.
 """
 
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from typing import Annotated
 import click
 import numpy as np
 import yaml
-from pydantic import BaseModel, ConfigDict, Field, ValidationError
+from pydantic import AfterValidator, BaseModel, ConfigDict, Field, ValidationError
 
 from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
@@ -66,7 +67,17 @@ Vector3 = Annotated[list[float], Field(min_length=3, max_length=3)]
 # a time constant or period of zero divides by zero, and a negative one or a
 # negative standard deviation would run on without a word
 Positive = Annotated[float, Field(gt=0)]
-Sigma = Annotated[float, Field(ge=0)]
+
+
+def _finite_square(sigma):
+    # the run squares every sigma into a variance, and float ** raises
+    # OverflowError deep inside the run (exit 1) where the square is not finite
+    if not sigma * sigma < math.inf:
+        raise ValueError(f"{sigma} squares to a variance beyond the float range")
+    return sigma
+
+
+Sigma = Annotated[float, Field(ge=0), AfterValidator(_finite_square)]
 
 
 class TrajectoryConfig(_Strict):
@@ -487,10 +498,20 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
     truth = variant.chart.states(gen, [r.t for r in records])
     truth_n = variant.chart.as_ned(truth)
     dx = np.empty((len(records), 15))
-    for k, rec in enumerate(records):
-        idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
-        dx[k] = flt.error_state(
-            variant, state_at(truth, k), biases[idx], rec.nav, rec.bias
+    # one stacked error per block of epochs, which bounds the stacks' memory
+    for start in range(0, len(records), smo.BLOCK):
+        rows = slice(start, start + smo.BLOCK)
+        block = records[rows]
+        true_bias = [
+            biases[min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))]
+            for rec in block
+        ]
+        dx[rows] = flt.error_states(
+            variant,
+            state_at(truth, rows),
+            stack_states(true_bias),
+            stack_states([rec.nav for rec in block]),
+            stack_states([rec.bias for rec in block]),
         )
     nees = _nees(records, dx)
     nees_log = [{"t": rec.t, "value": v} for rec, v in zip(records, nees)]

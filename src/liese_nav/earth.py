@@ -1,18 +1,19 @@
 """WGS-84 earth model: radii, gravity, transport rates, frame conversions.
 
-Scalar forms run in every propagation step. ``radii`` and the private
-formula helpers work on Python floats (``math.sin``, ``math.cos``,
-``math.sqrt`` and float ``**``, which round as np.float64 scalars do) and
-the helpers return plain float triples; the public forms wrap them in
-arrays.
+Scalar forms run in every propagation step. ``radii``, the private
+formula helpers, ``gravity_e`` and the scalar ``ecef_to_llh`` loop work on
+Python floats (``math.sin``, ``math.cos``, ``math.sqrt`` and float ``**``,
+which round as np.float64 scalars do) and the helpers return plain float
+triples; the public forms wrap them in arrays.
 
 Array forms, for the simulator and the metrics, which evaluate a whole time
 grid at once: ``ecef_to_llh`` takes a (3, N) array of positions itself.
-``radii``, ``llh_to_ecef``, ``dcm_ecef_to_ned``, ``gravity_n`` and
-``gravity_e`` each have an ``_array`` twin at the end of this module, equal
-to the scalar form bit for bit (tests/test_bit_identity.py). Array vectors
-are component first, (3, N), as ``np.array([x, y, z])`` builds them; array
-matrices are (N, 3, 3) stacks.
+``radii``, ``gravity_n``, ``position_vector_n``, ``earth_rate_n``,
+``llh_to_ecef``, ``dcm_ecef_to_ned`` and ``gravity_e`` each have an
+``_array`` twin at the end of this module, equal to the scalar form bit for
+bit (tests/test_bit_identity.py). Array vectors are component first,
+(3, N), as ``np.array([x, y, z])`` builds them; array matrices are
+(N, 3, 3) stacks.
 """
 
 import itertools
@@ -210,24 +211,27 @@ def ecef_to_llh(r):
     """Iterative ECEF to geodetic conversion (converges to <1e-9 m).
 
     For a (3, N) array of positions, returns arrays of N latitudes,
-    longitudes and heights.
+    longitudes and heights. A single position iterates in Python floats;
+    ``np.arctan2`` and ``np.hypot`` stay, because their libm forms round
+    differently.
     """
     x, y, z = r
     if isinstance(x, np.ndarray):
         return _ecef_to_llh_array(x, y, z)
+    x, y, z = float(x), float(y), float(z)
     lon = np.arctan2(y, x)
-    p = np.hypot(x, y)
-    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
+    p = float(np.hypot(x, y))
+    lat = float(np.arctan2(z, p * (1.0 - WGS84_E2)))
     h = 0.0
     for _ in range(12):
         _, rn = radii(lat)
-        new_lat = np.arctan2(z + WGS84_E2 * rn * np.sin(lat), p)
+        new_lat = float(np.arctan2(z + WGS84_E2 * rn * math.sin(lat), p))
         converged = abs(new_lat - lat) < 1e-15
         lat = new_lat
         h = (
-            p / np.cos(lat) - rn
+            p / math.cos(lat) - rn
             if abs(lat) < 1.3
-            else z / np.sin(lat) - rn * (1.0 - WGS84_E2)
+            else z / math.sin(lat) - rn * (1.0 - WGS84_E2)
         )
         if converged:
             break
@@ -252,9 +256,17 @@ def earth_rate_e():
 
 
 def gravity_e(r):
-    """Plumb-line gravity vector in ECEF, consistent with gravity_n."""
+    """Plumb-line gravity vector in ECEF, consistent with gravity_n.
+
+    The terms are Python floats; the rotation to ECEF stays the BLAS
+    product, since a hand-expanded C' (0, 0, g) flips signed zeros.
+    """
     lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
-    return dcm_ecef_to_ned(lat, lon).T @ gravity_n(lat, h)
+    s, c = math.sin(lat), math.cos(lat)
+    sl, cl = math.sin(lon), math.cos(lon)
+    rm, rn = radii(lat)
+    dcm = np.array([-s * cl, -s * sl, c, -sl, cl, 0.0, -c * cl, -c * sl, -s])
+    return dcm.reshape(3, 3).T @ np.array(_gravity_n(s**2, rm, rn, h))
 
 
 def gravitation_e(r):
@@ -294,6 +306,25 @@ def gravity_n_array(lat, h):
     g_down = g0 * _pow(rbar / (rbar + h), 2)
     zero = np.zeros_like(g_down)
     return np.array([zero, zero, g_down])
+
+
+def position_vector_n_array(lat, h):
+    """:func:`position_vector_n` for arrays of points; (3, N)."""
+    s, c = np.sin(lat), np.cos(lat)
+    _, rn = radii_array(lat)
+    return np.array(
+        [
+            -WGS84_E2 * rn * s * c,
+            np.zeros_like(s),
+            -(rn * (1.0 - WGS84_E2 * _pow(s, 2)) + h),
+        ]
+    )
+
+
+def earth_rate_n_array(lat):
+    """:func:`earth_rate_n` for an array of latitudes; (3, N)."""
+    s, c = np.sin(lat), np.cos(lat)
+    return np.array([EARTH_RATE * c, np.zeros_like(s), -EARTH_RATE * s])
 
 
 def llh_to_ecef_array(lat, lon, h):

@@ -24,7 +24,7 @@ import numpy as np
 
 from liese_nav import earth, mechanization as mech
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import GroupElement, cross, skew
+from liese_nav.liegroup import GroupElement, cross, matvec, skew
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 
 PHI = slice(0, 3)
@@ -157,6 +157,29 @@ class NedChart:
         d_e = earth.llh_to_ecef(*true_nav.geo) - earth.llh_to_ecef(*est_nav.geo)
         return GroupElement(x_true.R, x_true.v, x_est.p + c_en @ d_e), x_est
 
+    def embed_pairs(self, true_nav, est_nav, aux):
+        """:meth:`embed_pair` of stacked states, as two (R, v, p) triples of
+        stacks whose rows equal the single embeddings bit for bit."""
+        (r_t, v_t, _), (r_e, v_e, p_e) = (
+            self._embed_stack(nav, aux) for nav in (true_nav, est_nav)
+        )
+        lat, lon, _ = est_nav.geo.T
+        c_en = earth.dcm_ecef_to_ned_array(lat, lon)
+        d_e = earth.llh_to_ecef_array(*true_nav.geo.T) - earth.llh_to_ecef_array(
+            *est_nav.geo.T
+        )
+        p_t = p_e + matvec(c_en, np.ascontiguousarray(d_e.T))
+        return (r_t, v_t, p_t), (r_e, v_e, p_e)
+
+    @staticmethod
+    def _embed_stack(nav, aux):
+        lat, _, h = nav.geo.T
+        rho = earth.position_vector_n_array(lat, h)
+        v = nav.v_n
+        if aux:
+            v = v + cross(earth.earth_rate_n_array(lat), rho).T
+        return nav.c_bn, v, np.ascontiguousarray(rho.T)
+
     def retract(self, nav, x_est, x_new, aux):
         """The state whose embedding is x_new, read through the chart."""
         c_new = mech.orthonormalize(x_new.R)
@@ -213,6 +236,18 @@ class EcefChart:
     def embed_pair(self, true_nav, est_nav, aux):
         return self.embed(true_nav, aux), self.embed(est_nav, aux)
 
+    def embed_pairs(self, true_nav, est_nav, aux):
+        """:meth:`embed_pair` of stacked states, as two (R, v, p) triples of
+        stacks."""
+        return tuple(self._embed_stack(nav, aux) for nav in (true_nav, est_nav))
+
+    @staticmethod
+    def _embed_stack(nav, aux):
+        v = nav.v
+        if aux:
+            v = v + cross(earth.earth_rate_e(), nav.r.T).T
+        return nav.c_be, v, nav.r
+
     def retract(self, nav, x_est, x_new, aux):
         c_new = mech.orthonormalize(x_new.R)
         v = x_new.v
@@ -246,24 +281,25 @@ def _bias_rows(f, g, tau_g, tau_a):
     g[BA, WBA] = _I3
 
 
-def _input_map(variant, nominal, g):
+def _input_map(variant, embedding, g):
     """G's gyro and accel noise columns: the map through which IMU white
     noise enters the group error, sign * I for a left error and
-    sign * Ad(X) for a right one, X the estimate's group embedding."""
+    sign * Ad(X) for a right one, X the estimate's group embedding, which
+    the frame's block function hands over as (R, skew(v), skew(p))."""
     sign = 1.0 if variant.inverts_true else -1.0
     if not variant.is_right:
         eye = sign * _I3
         g[PHI, WG] = eye
         g[RV, WA] = eye
         return
-    x = variant.chart.embed(nominal, variant.aux_velocity)
+    r, sk_v, sk_p = embedding
     # scaled before each product: sign * x.adjoint() would flip the sign of
     # its exact zeros, and covariance.csv writes signed zeros
-    rot = sign * x.R
+    rot = sign * r
     g[PHI, WG] = rot
-    g[RV, WG] = (sign * skew(x.v)) @ x.R
+    g[RV, WG] = (sign * sk_v) @ r
     g[RV, WA] = rot
-    g[RR, WG] = (sign * skew(x.p)) @ x.R
+    g[RR, WG] = (sign * sk_p) @ r
 
 
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
@@ -273,15 +309,17 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     earth-relative velocity for the ECEF frames. ``gyro`` and
     ``accel`` are the bias-corrected IMU rates the filter mechanizes with.
 
-    The frame's block function writes the 9x9 state blocks. A bias error
-    drifts the mechanized rates as the IMU noise does, so F's bias columns
-    are a copy of G's gyro and accel noise columns.
+    The frame's block function writes the 9x9 state blocks; for a right
+    error it returns the estimate's group embedding as (R, skew(v),
+    skew(p)), from the terms it already holds, for the input map. A bias
+    error drifts the mechanized rates as the IMU noise does, so F's bias
+    columns are a copy of G's gyro and accel noise columns.
     """
     f = np.zeros((15, 15))
     g = np.zeros((15, 12))
     _bias_rows(f, g, tau_g, tau_a)
-    _input_map(variant, nominal, g)
-    _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
+    embedding = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
+    _input_map(variant, embedding, g)
     f[:9, 9:] = g[:9, :6]
     return f, g
 
@@ -344,6 +382,7 @@ def _ned_blocks(variant, nom, gyro, accel, f):
         )
         f[RR, RV] = _I3 - sk_r @ m2
         f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
+        return c, sk_v, sk_r
     else:
         # body-frame errors; the five C' X C sandwiches as one stack
         ct = c.T
@@ -370,8 +409,8 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f):
     w_in = [a + b for a, b in zip(w_ie, w_en)]
     sk_r = skew(r_n)
     sk_w_ie = skew(w_ie)
+    sk_vbar = skew(np.add(v, cross(w_ie, r_n)))
     if not variant.mems_simplified:
-        sk_vbar = skew(np.add(v, cross(w_ie, r_n)))
         # b = d(w_ie x r_eb^n)/d(dr) in local-chart coordinates; the ground
         # velocity recovered from the auxiliary one inherits it, so the
         # transport-rate sensitivity k1 carries -m2 @ b
@@ -427,6 +466,7 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f):
             )
             f[RR, RV] = _I3 + sk_r @ f[PHI, RV]
             f[RR, RR] = -bracket + sk_r @ f[PHI, RR]
+        return c, sk_vbar, sk_r
 
 
 def _ecef_blocks(variant, nom, gyro, accel, f):
@@ -446,6 +486,7 @@ def _ecef_blocks(variant, nom, gyro, accel, f):
         f[RV, RV] = -2.0 * sk_w
         f[RR, PHI] = -sk_r @ sk_w
         f[RR, RV] = _I3
+        return nom.c_be, sk_v, sk_r
 
 
 def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
@@ -459,12 +500,14 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
     else:
         # RightEst (ECEF_Inertial) and RightTrue (ECEF_Aux) share these
         # blocks; only the input map's sign tells them apart
-        neg_sk_w = -skew(earth.earth_rate_e())
+        w_ie = earth.earth_rate_e()
+        neg_sk_w = -skew(w_ie)
         f[PHI, PHI] = neg_sk_w
         f[RV, PHI] = skew(earth.gravitation_e(nom.r))
         f[RV, RV] = neg_sk_w
         f[RR, RV] = _I3
         f[RR, RR] = neg_sk_w
+        return nom.c_be, skew(nom.v + cross(w_ie, nom.r)), skew(nom.r)
 
 
 _BLOCKS = {

@@ -28,7 +28,9 @@ from liese_nav.errormodels import (
     measurement_se23,
 )
 from liese_nav.errors import IncompatibleMode
-from liese_nav.liegroup import exp_se23, log_se23
+from liese_nav.liegroup import (
+    exp_se23, left_jacobian_inv, log_se23, matvec, so3_log,
+)
 from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
@@ -100,6 +102,38 @@ def error_state(variant, true_nav, true_bias, est_nav, est_bias):
         [true_bias.gyro - est_bias.gyro, true_bias.accel - est_bias.accel]
     )
     return np.concatenate([log_se23(eta), db])
+
+
+def error_states(variant, true_nav, true_bias, est_nav, est_bias):
+    """:func:`error_state` of N epochs at once: stacked states and biases
+    (``mechanization.stack_states``) give an (N, 15) array.
+
+    Each row equals its single call bit for bit: every product is the BLAS
+    call the single group operations make (``matvec``, stacked ``@``, a
+    transpose as a swapped-axes view), and the logarithm's stacked forms
+    take each row's branch.
+    """
+    x_true, x_est = variant.chart.embed_pairs(true_nav, est_nav, variant.aux_velocity)
+    a, b = (x_est, x_true) if variant.inverts_true else (x_true, x_est)
+    (ra, va, pa), (rb, vb, pb) = (map(np.ascontiguousarray, x) for x in (a, b))
+    rt = np.swapaxes(rb, -1, -2)
+    v_inv, p_inv = -matvec(rt, vb), -matvec(rt, pb)  # b^-1 = (R', -R'v, -R'p)
+    if variant.is_right:  # eta = a b^-1
+        rot, vel, pos = ra @ rt, matvec(ra, v_inv) + va, matvec(ra, p_inv) + pa
+    else:  # eta = b^-1 a
+        rot, vel, pos = rt @ ra, matvec(rt, va) + v_inv, matvec(rt, pa) + p_inv
+    phi = so3_log(rot)
+    jinv = left_jacobian_inv(phi)
+    return np.concatenate(
+        [
+            phi,
+            matvec(jinv, vel),
+            matvec(jinv, pos),
+            true_bias.gyro - est_bias.gyro,
+            true_bias.accel - est_bias.accel,
+        ],
+        axis=1,
+    )
 
 
 def apply_correction(variant, nav, bias, dx):

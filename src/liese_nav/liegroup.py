@@ -13,6 +13,7 @@ demand (``as_matrix``), mainly for tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,10 @@ SMALL_ANGLE = 1e-6
 # Rotation angles within this distance of pi raise NearPiRotation: the axis
 # extraction from the skew part is ill-conditioned in that neighbourhood.
 NEAR_PI_MARGIN = 1e-5
+
+# one shared identity, read-only so that no caller can modify it
+_I3 = np.eye(3)
+_I3.flags.writeable = False
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -62,23 +67,36 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-def _rodrigues_coeffs(angle: float) -> tuple[float, float]:
-    """Return (sin(a)/a, (1-cos(a))/a^2) with a small-angle series branch."""
+def _exp_coeffs(angle: float) -> tuple[float, float, float]:
+    """Return (sin(a)/a, (1-cos(a))/a^2, (1-sin(a)/a)/a^2), the coefficients
+    of px and px @ px in the Rodrigues formula and the left Jacobian, with a
+    small-angle series branch; ``angle`` is a Python float."""
     if angle < SMALL_ANGLE:
         a2 = angle * angle
         s = 1.0 - a2 / 6.0 * (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0))
         c = 0.5 * (1.0 - a2 / 12.0 * (1.0 - a2 / 30.0 * (1.0 - a2 / 56.0)))
-        return s, c
-    half_sin = np.sin(0.5 * angle)
-    return np.sin(angle) / angle, 2.0 * half_sin * half_sin / (angle * angle)
+        j = (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0 * (1.0 - a2 / 72.0))) / 6.0
+        return s, c, j
+    if not angle < math.inf:
+        # math.sin raises for an infinite angle; inf - inf is the NaN that
+        # np.sin returns there (and a NaN angle passes through)
+        nan = angle - angle
+        return nan, nan, nan
+    s = math.sin(angle) / angle
+    half_sin = math.sin(0.5 * angle)
+    return s, 2.0 * half_sin * half_sin / (angle * angle), (1.0 - s) / (angle * angle)
+
+
+def _norm(phi: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 3-vector: its body, without the wrapper."""
+    return math.sqrt(np.dot(phi, phi))
 
 
 def so3_exp(phi: np.ndarray) -> np.ndarray:
     """Exponential map of SO(3) (Rodrigues formula)."""
-    angle = float(np.linalg.norm(phi))
-    a, b = _rodrigues_coeffs(angle)
+    a, b, _ = _exp_coeffs(_norm(phi))
     px = skew(phi)
-    return np.eye(3) + a * px + b * (px @ px)
+    return _I3 + a * px + b * (px @ px)
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -135,34 +153,52 @@ def _so3_log_stack(rot):
 
 def left_jacobian(phi: np.ndarray) -> np.ndarray:
     """Left Jacobian of SO(3), J(phi) = sum_n (phi x)^n / (n+1)!."""
-    angle = float(np.linalg.norm(phi))
+    _, b, c = _exp_coeffs(_norm(phi))
     px = skew(phi)
-    if angle < SMALL_ANGLE:
-        a2 = angle * angle
-        b = 0.5 * (1.0 - a2 / 12.0 * (1.0 - a2 / 30.0 * (1.0 - a2 / 56.0)))
-        c = (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0 * (1.0 - a2 / 72.0))) / 6.0
-        return np.eye(3) + b * px + c * (px @ px)
-    a = np.sin(angle) / angle
-    half_sin = np.sin(0.5 * angle)
-    b = 2.0 * half_sin * half_sin / (angle * angle)
-    c = (1.0 - a) / (angle * angle)
-    return np.eye(3) + b * px + c * (px @ px)
+    return _I3 + b * px + c * (px @ px)
 
 
 def left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse of the left Jacobian of SO(3)."""
-    angle = float(np.linalg.norm(phi))
+    """Inverse of the left Jacobian of SO(3); an (N, 3) stack gives
+    (N, 3, 3), each entry equal to its single call bit for bit."""
+    if np.ndim(phi) == 2:
+        return _left_jacobian_inv_stack(phi)
+    angle = _norm(phi)
     px = skew(phi)
     if angle < SMALL_ANGLE:
-        a2 = angle * angle
-        # 1/12 + a^2/720 + a^4/30240 + ...
-        c = (1.0 + a2 / 60.0 * (1.0 + a2 * 10.0 / 420.0)) / 12.0
-        return np.eye(3) - 0.5 * px + c * (px @ px)
-    half = 0.5 * angle
-    cot_term = 1.0 / (angle * angle) - (1.0 + np.cos(angle)) / (
-        2.0 * angle * np.sin(angle)
-    )
-    return np.eye(3) - 0.5 * px + cot_term * (px @ px)
+        c = _jinv_series(angle * angle)
+    elif angle < math.inf:
+        c = _jinv_closed(angle, math.sin(angle), math.cos(angle))
+    else:  # an infinite or NaN angle: the NaN np.sin and np.cos return
+        c = angle - angle
+    return _I3 - 0.5 * px + c * (px @ px)
+
+
+# the px @ px coefficient of the inverse left Jacobian, for Python floats
+# and for arrays alike: its series below SMALL_ANGLE, its closed form above
+
+
+def _jinv_series(a2):
+    # 1/12 + a^2/720 + a^4/30240 + ...
+    return (1.0 + a2 / 60.0 * (1.0 + a2 * 10.0 / 420.0)) / 12.0
+
+
+def _jinv_closed(a, sin_a, cos_a):
+    return 1.0 / (a * a) - (1.0 + cos_a) / (2.0 * a * sin_a)
+
+
+def _left_jacobian_inv_stack(phi):
+    # (N,1,3) @ (N,3,1) is the dot product a single call's norm takes
+    angle = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
+    x, y, z = phi.T
+    zero = np.zeros_like(x)
+    px = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)
+    small = angle < SMALL_ANGLE
+    c = np.empty_like(angle)
+    c[small] = _jinv_series(angle[small] * angle[small])
+    a = angle[~small]
+    c[~small] = _jinv_closed(a, np.sin(a), np.cos(a))
+    return _I3 - 0.5 * px + c[:, None, None] * (px @ px)
 
 
 def hat(xi: np.ndarray) -> np.ndarray:
@@ -219,11 +255,19 @@ class GroupElement:
 
 
 def exp_se23(xi: np.ndarray) -> GroupElement:
-    """Group exponential: closed form via the SO(3) left Jacobian."""
+    """Group exponential: closed form via the SO(3) left Jacobian.
+
+    The angle, skew(phi) and its square are computed once and shared by the
+    rotation and the Jacobian; each product rounds as in ``so3_exp`` and
+    ``left_jacobian``.
+    """
     xi = np.asarray(xi, dtype=float)
     phi = xi[:3]
-    jac = left_jacobian(phi)
-    return GroupElement(so3_exp(phi), jac @ xi[3:6], jac @ xi[6:9])
+    a, b, c = _exp_coeffs(_norm(phi))
+    px = skew(phi)
+    px2 = px @ px
+    jac = _I3 + b * px + c * px2
+    return GroupElement(_I3 + a * px + b * px2, jac @ xi[3:6], jac @ xi[6:9])
 
 
 def log_se23(element: GroupElement) -> np.ndarray:

@@ -8,6 +8,7 @@ velocity v_eb; the inertial and auxiliary velocities of the ECEF variants
 are embedded from it by the variant's chart (``errormodels.EcefChart``).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ def stack_states(states):
 
 
 def state_at(stacked, k):
-    """Point k of a stacked state."""
+    """Point k of a stacked state; a slice k gives the stacked points."""
     return type(stacked)(*(x[k] for x in vars(stacked).values()))
 
 
@@ -94,14 +95,19 @@ def _ned_rates(x, sk_gyro, accel):
     return out
 
 
+# the earth rate in ECEF and its cross-product matrix, read-only
+_W_IE_E = earth.earth_rate_e()
+_SK_W_IE_E = skew(_W_IE_E)
+_W_IE_E.flags.writeable = _SK_W_IE_E.flags.writeable = False
+
+
 def _ecef_rates(x, sk_gyro, accel):
     """The derivative of a packed ECEF state, packed alike."""
     c_be, v, r = _fields(x)
-    w_ie = earth.earth_rate_e()
     out = np.empty(15)
-    np.subtract(c_be @ sk_gyro, skew(w_ie) @ c_be, out=out[:9].reshape(3, 3))
+    np.subtract(c_be @ sk_gyro, _SK_W_IE_E @ c_be, out=out[:9].reshape(3, 3))
     g = earth.gravity_e(r)
-    out[9:12] = c_be @ accel - 2.0 * cross(w_ie, v) + g
+    out[9:12] = c_be @ accel - 2.0 * cross(_W_IE_E, v) + g
     out[12:] = v
     return out
 
@@ -127,9 +133,26 @@ def ecef_step(state, imu, dt):
     return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 
 
+try:
+    # the LAPACK gufunc np.linalg.svd calls, without the wrapper's checks
+    # and errstate, which cost more than the 3x3 SVD itself
+    from numpy.linalg._umath_linalg import svd_f
+
+    _svd = functools.partial(svd_f, signature="d->ddd")
+except ImportError:  # a private module: fall back to the public call
+    _svd = np.linalg.svd
+
+
 def orthonormalize(c):
-    """Project onto SO(3) (polar decomposition via SVD)."""
-    u, _, vt = np.linalg.svd(c)
+    """Project onto SO(3) (polar decomposition via SVD).
+
+    Raises
+    ------
+    np.linalg.LinAlgError
+        If the SVD does not converge, a NaN entry included: the gufunc
+        returns NaN factors there, where np.linalg.svd raises.
+    """
+    u, _, vt = _svd(c)
     out = u @ vt
     # det(out) = out[0] . (out[1] x out[2]) is +-1 here, so the triple
     # product in plain floats gives its sign at a sixth of np.linalg.det's cost
@@ -139,6 +162,8 @@ def orthonormalize(c):
         + x[1] * (y[2] * z[0] - y[0] * z[2])
         + x[2] * (y[0] * z[1] - y[1] * z[0])
     )
+    if not abs(triple) > 0.5:  # true for NaN too
+        raise np.linalg.LinAlgError("SVD did not converge")
     if triple < 0:
         out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
     return out

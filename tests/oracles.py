@@ -524,8 +524,29 @@ def ref_m3_matrix(lat, h, vn):
     return out
 
 
+def ref_ecef_to_llh(r):
+    x, y, z = r
+    lon = np.arctan2(y, x)
+    p = np.hypot(x, y)
+    lat = np.arctan2(z, p * (1.0 - WGS84_E2))
+    h = 0.0
+    for _ in range(12):
+        _, rn = ref_radii(lat)
+        new_lat = np.arctan2(z + WGS84_E2 * rn * np.sin(lat), p)
+        converged = abs(new_lat - lat) < 1e-15
+        lat = new_lat
+        h = (
+            p / np.cos(lat) - rn
+            if abs(lat) < 1.3
+            else z / np.sin(lat) - rn * (1.0 - WGS84_E2)
+        )
+        if converged:
+            break
+    return lat, lon, h
+
+
 def ref_gravity_e(r):
-    lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
+    lat, lon, h = ref_ecef_to_llh(np.asarray(r, dtype=float))
     return dcm_ecef_to_ned(lat, lon).T @ ref_gravity_n(lat, h)
 
 
@@ -1074,7 +1095,7 @@ def ref_error_state(variant, true_nav, true_bias, est_nav, est_bias):
     db = np.concatenate(
         [true_bias.gyro - est_bias.gyro, true_bias.accel - est_bias.accel]
     )
-    return np.concatenate([log_se23(eta), db])
+    return np.concatenate([ref_log_se23(eta), db])
 
 
 def ref_apply_correction(variant, nav, bias, dx):
@@ -1082,7 +1103,7 @@ def ref_apply_correction(variant, nav, bias, dx):
     if not np.any(dx[:9]):
         return nav.copy(), new_bias
     x_est = ref_embed(variant, nav)
-    x_new = ref_true_from_error(variant.error_def, x_est, exp_se23(dx[:9]))
+    x_new = ref_true_from_error(variant.error_def, x_est, ref_exp_se23(dx[:9]))
     c_new = mech.orthonormalize(x_new.R)
     if variant.frame in ("NED", "NED_Aux"):
         lat, lon, _ = nav.geo
@@ -1315,6 +1336,68 @@ def ref_so3_log(rot):
         factor = 0.5 * (1.0 + a2 / 6.0 * (1.0 + a2 * 7.0 / 60.0))
         return factor * axis_vec
     return axis_vec * (angle / (2.0 * np.sin(angle)))
+
+
+# verbatim numpy bodies of the group exponential and logarithm from before
+# they shared the angle and skew terms and took Python-float trig
+
+
+def ref_rodrigues_coeffs(angle):
+    if angle < SMALL_ANGLE:
+        a2 = angle * angle
+        s = 1.0 - a2 / 6.0 * (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0))
+        c = 0.5 * (1.0 - a2 / 12.0 * (1.0 - a2 / 30.0 * (1.0 - a2 / 56.0)))
+        return s, c
+    half_sin = np.sin(0.5 * angle)
+    return np.sin(angle) / angle, 2.0 * half_sin * half_sin / (angle * angle)
+
+
+def ref_so3_exp(phi):
+    angle = float(np.linalg.norm(phi))
+    a, b = ref_rodrigues_coeffs(angle)
+    px = skew(phi)
+    return np.eye(3) + a * px + b * (px @ px)
+
+
+def ref_left_jacobian(phi):
+    angle = float(np.linalg.norm(phi))
+    px = skew(phi)
+    if angle < SMALL_ANGLE:
+        a2 = angle * angle
+        b = 0.5 * (1.0 - a2 / 12.0 * (1.0 - a2 / 30.0 * (1.0 - a2 / 56.0)))
+        c = (1.0 - a2 / 20.0 * (1.0 - a2 / 42.0 * (1.0 - a2 / 72.0))) / 6.0
+        return np.eye(3) + b * px + c * (px @ px)
+    a = np.sin(angle) / angle
+    half_sin = np.sin(0.5 * angle)
+    b = 2.0 * half_sin * half_sin / (angle * angle)
+    c = (1.0 - a) / (angle * angle)
+    return np.eye(3) + b * px + c * (px @ px)
+
+
+def ref_left_jacobian_inv(phi):
+    angle = float(np.linalg.norm(phi))
+    px = skew(phi)
+    if angle < SMALL_ANGLE:
+        a2 = angle * angle
+        c = (1.0 + a2 / 60.0 * (1.0 + a2 * 10.0 / 420.0)) / 12.0
+        return np.eye(3) - 0.5 * px + c * (px @ px)
+    cot_term = 1.0 / (angle * angle) - (1.0 + np.cos(angle)) / (
+        2.0 * angle * np.sin(angle)
+    )
+    return np.eye(3) - 0.5 * px + cot_term * (px @ px)
+
+
+def ref_exp_se23(xi):
+    xi = np.asarray(xi, dtype=float)
+    phi = xi[:3]
+    jac = ref_left_jacobian(phi)
+    return GroupElement(ref_so3_exp(phi), jac @ xi[3:6], jac @ xi[6:9])
+
+
+def ref_log_se23(element):
+    phi = ref_so3_log(element.R)
+    jinv = ref_left_jacobian_inv(phi)
+    return np.concatenate([phi, jinv @ element.v, jinv @ element.p])
 
 
 def ref_rts_smooth(variant, records):

@@ -36,7 +36,8 @@ from liese_nav.errormodels import (
 )
 from liese_nav.errors import NearPiRotation
 from liese_nav.liegroup import (
-    NEAR_PI_MARGIN, SMALL_ANGLE, cross, skew, so3_exp, so3_log,
+    NEAR_PI_MARGIN, SMALL_ANGLE, cross, exp_se23, left_jacobian_inv, log_se23,
+    skew, so3_exp, so3_log,
 )
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 from liese_nav.sensors import BiasState, ImuNoiseParams
@@ -246,6 +247,36 @@ def test_earth_formulas_match_reference_on_random_points():
             assert np.array_equal(new, ref), (k, lat, h)
 
 
+def _ecef_edges():
+    """Positions where a sign or branch of the geodetic conversion or of the
+    gravity rotation turns: the equator (z = 0) with y = +-0 and x of either
+    sign, the prime meridians' x = 0, the poles and latitudes above the
+    1.3 rad height branch."""
+    a, b = earth.WGS84_A, 6356752.314
+    edges = [
+        (x, y, 0.0) for x in (a + 100.0, -(a + 100.0)) for y in (0.0, -0.0)
+    ]
+    edges += [(0.0, a, 0.0), (-0.0, -a, 250.0), (0.0, 0.0, b), (0.0, -0.0, -b)]
+    edges += [earth.llh_to_ecef(lat, lon, 300.0) for lat, lon in (
+        (1.35, 0.0), (-1.4, 2.0), (1.3, -0.0), (POLE, 1.0), (-POLE, -3.0),
+    )]
+    return [np.array(e, dtype=float) for e in edges]
+
+
+def test_gravity_e_and_ecef_to_llh_match_reference():
+    # the Python-float loop and gravity terms against the numpy bodies, at
+    # random points and at the signed-zero edges, where a hand-expanded
+    # C' (0, 0, g) in place of the BLAS product flips the sign of zeros
+    rng = np.random.default_rng(41)
+    lat = rng.uniform(-POLE, POLE, 3000)
+    lon = rng.uniform(-np.pi, np.pi, lat.size)
+    h = rng.uniform(-500.0, 1e5, lat.size)
+    points = list(earth.llh_to_ecef_array(lat, lon, h).T) + _ecef_edges()
+    for k, r in enumerate(points):
+        assert same_bits(earth.ecef_to_llh(r), oracles.ref_ecef_to_llh(r)), k
+        assert same_bits(earth.gravity_e(r), oracles.ref_gravity_e(r)), k
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=ned_nominals(), dt=st.sampled_from([0.005, 0.01, 0.02]))
 def test_ned_step_matches_reference_on_random_nominals(case, dt):
@@ -452,8 +483,12 @@ def test_earth_array_twins_match_scalar():
     dcm = earth.dcm_ecef_to_ned_array(lat, lon)
     g_n = earth.gravity_n_array(lat, h)
     g_e = earth.gravity_e_array(r)
+    rho = earth.position_vector_n_array(lat, h)
+    w_ie = earth.earth_rate_n_array(lat)
     for k in range(lat.size):
         assert same_bits([rm[k], rn[k]], earth.radii(lat[k])), k
+        assert same_bits(rho[:, k], earth.position_vector_n(lat[k], h[k])), k
+        assert same_bits(w_ie[:, k], earth.earth_rate_n(lat[k])), k
         assert same_bits(r[:, k], earth.llh_to_ecef(lat[k], lon[k], h[k])), k
         assert same_bits(dcm[k], earth.dcm_ecef_to_ned(lat[k], lon[k])), k
         assert same_bits(g_n[:, k], earth.gravity_n(lat[k], h[k])), k
@@ -487,7 +522,12 @@ def test_q_diag_matches_concatenation():
         assert same_bits(params.q_diag(), oracles.ref_q_diag(params))
 
 
-def test_orthonormalize_matches_reference_on_reflections():
+# the LAPACK gufunc and the np.linalg.svd fallback taken when the private
+# module cannot be imported
+SVD_PATHS = {"gufunc": mech._svd, "fallback": np.linalg.svd}
+
+
+def test_orthonormalize_matches_reference_on_reflections(monkeypatch):
     rng = np.random.default_rng(14)
     for k in range(50):
         c = so3_exp(rng.normal(size=3)) + 1e-3 * rng.normal(size=(3, 3))
@@ -495,9 +535,26 @@ def test_orthonormalize_matches_reference_on_reflections():
             c = c @ np.diag([1.0, 1.0, -1.0])
             u, _, vt = np.linalg.svd(c)
             assert np.linalg.det(u @ vt) < 0
-        out = mech.orthonormalize(c)
-        assert same_bits(out, oracles.ref_orthonormalize(c)), k
-        assert np.linalg.det(out) > 0
+        for path, svd in SVD_PATHS.items():
+            monkeypatch.setattr(mech, "_svd", svd)
+            out = mech.orthonormalize(c)
+            assert same_bits(out, oracles.ref_orthonormalize(c)), (k, path)
+            assert np.linalg.det(out) > 0
+
+
+@pytest.mark.parametrize("path", SVD_PATHS)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_orthonormalize_raises_on_nan_on_both_paths(path, monkeypatch):
+    # np.linalg.svd raises for a NaN entry; the bare gufunc returns NaN
+    # factors, which the triple-product check turns into the same error
+    monkeypatch.setattr(mech, "_svd", SVD_PATHS[path])
+    c = so3_exp(np.array([0.1, -0.2, 0.3]))
+    c[1, 2] = np.nan
+    for bad in (c, np.full((3, 3), np.nan)):
+        with pytest.raises(np.linalg.LinAlgError):
+            oracles.ref_orthonormalize(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            mech.orthonormalize(bad)
 
 
 def _perturbed_ned(truth, rng):
@@ -815,3 +872,94 @@ def test_cov_rows_match_reference_on_signed_zeros_and_extremes(monkeypatch):
         p[1, 9] = p[9, 1] = np.inf
         records.append(smo.ForwardRecord(0.1 * k + 1e-17, None, None, p))
     assert list(cli._cov_rows(records)) == oracles.ref_cov_rows(records)
+
+
+# ---------------------------------------------------------------------------
+# the retraction path: group exponential and logarithm, stacked error states
+# ---------------------------------------------------------------------------
+
+
+def _tangent_cases():
+    """20,000 tangent vectors with rotation angles from 1e-9 to 2.5 rad, a
+    third of them on the small-angle series branch."""
+    rng = np.random.default_rng(43)
+    n = 20000
+    axes = rng.normal(size=(n, 3))
+    axes /= np.sqrt(np.sum(axes * axes, axis=1))[:, None]
+    angles = 10.0 ** rng.uniform(-9.0, np.log10(2.5), n)
+    angles[:50] = SMALL_ANGLE * (1.0 + rng.uniform(-1e-3, 1e-3, 50))
+    rest = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    return np.concatenate([angles[:, None] * axes, rest], axis=1)
+
+
+def test_exp_and_log_se23_match_reference():
+    cases = _tangent_cases()
+    angles = np.sqrt(np.sum(cases[:, :3] ** 2, axis=1))
+    assert (angles < SMALL_ANGLE).sum() >= 5000 and (angles > 1.0).sum() >= 500
+    jinv = left_jacobian_inv(cases[:, :3])
+    for k, xi in enumerate(cases):
+        x, ref = exp_se23(xi), oracles.ref_exp_se23(xi)
+        assert_same(x, ref, f"exp {k}")
+        assert same_bits(so3_exp(xi[:3]), oracles.ref_so3_exp(xi[:3])), k
+        assert same_bits(log_se23(x), oracles.ref_log_se23(x)), k
+        ref_jinv = oracles.ref_left_jacobian_inv(xi[:3])
+        assert same_bits(left_jacobian_inv(xi[:3]), ref_jinv), k
+        assert same_bits(jinv[k], ref_jinv), k
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_exp_se23_gives_the_reference_nan():
+    # np.sin(inf) is NaN where math.sin(inf) raises ValueError; the Python
+    # float path must return the reference's NaN arrays, not raise
+    for bad in (np.inf, -np.inf, np.nan):
+        for slot in (0, 2, 4, 8):
+            xi = np.linspace(0.1, 0.9, 9)
+            xi[slot] = bad
+            new, ref = exp_se23(xi), oracles.ref_exp_se23(xi)
+            assert_same(new, ref, f"{bad} at {slot}")
+            if slot < 3:
+                assert np.all(np.isnan(new.R)) and np.all(np.isnan(new.v))
+                assert same_bits(
+                    left_jacobian_inv(xi[:3]), oracles.ref_left_jacobian_inv(xi[:3])
+                )
+
+
+def _error_epochs(variant, rng, n):
+    """Stacked truth and estimates at n epochs of a circle: perturbations
+    from 1 mrad down to none at all, so both logarithm branches run."""
+    gen = TruthGenerator(
+        TrajectorySpec("circle", ORIGIN, speed=15.0, radius=250.0, heading0=0.4)
+    )
+    times = np.sort(rng.uniform(0.0, 60.0, n))
+    truth = variant.chart.states(gen, times)
+    est = []
+    for k in range(n):
+        ned = gen.state_ned(times[k])
+        scale = 10.0 ** -(k % 12)
+        if k % 12 == 11:
+            scale = 0.0
+        ned = NavStateNED(
+            ned.c_bn @ so3_exp(rng.normal(scale=1e-3 * scale, size=3)),
+            ned.v_n + rng.normal(scale=0.1 * scale, size=3),
+            ned.geo + rng.normal(scale=[1e-6 * scale, 1e-6 * scale, scale]),
+        )
+        est.append(_own_frame(variant, ned))
+    biases = [BiasState(*rng.normal(scale=1e-3, size=(2, 3))) for _ in range(2 * n)]
+    return truth, est, biases[:n], biases[n:]
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+def test_error_states_match_reference(variant):
+    # the metrics' stacked error, against the verbatim per-epoch error
+    rng = np.random.default_rng(47)
+    truth, est, b_true, b_est = _error_epochs(variant, rng, 120)
+    new = flt.error_states(
+        variant, truth, mech.stack_states(b_true), mech.stack_states(est),
+        mech.stack_states(b_est),
+    )
+    assert new.shape == (120, 15)
+    for k in range(120):
+        ref = oracles.ref_error_state(
+            variant, mech.state_at(truth, k), b_true[k], est[k], b_est[k]
+        )
+        assert same_bits(new[k], ref), k

@@ -1,6 +1,7 @@
 """Scenario-runner CLI: artifacts, determinism, exit codes, compare logic."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -409,6 +410,36 @@ def test_out_of_range_config_number_exits_2(tmp_path, command, section, field, v
     assert res.exit_code == 2, res.output
     assert field in res.output
     assert not (tmp_path / "o").exists()
+
+
+SIGMA_OVERFLOWS = [
+    ("noise", "sigma_bg_rad_s_sqrt_s"),
+    ("gnss", "sigma_pos_m"),
+    ("initial", "position_sigma_m"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "section, field", SIGMA_OVERFLOWS, ids=[f for _, f in SIGMA_OVERFLOWS]
+)
+def test_sigma_whose_square_overflows_exits_2(tmp_path, command, section, field):
+    # [TRIVIAL: validation] 1e200 squared overflows: float ** raised
+    # OverflowError inside the run (exit 1 with a traceback), so a sigma
+    # whose square is not a finite double is rejected when the config is read
+    values = {**BASE_CONFIG[section], field: 1e200}
+    cfg = write_config(tmp_path, {section: values})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_largest_sigma_with_a_finite_square_is_accepted(tmp_path):
+    largest = math.sqrt(sys.float_info.max)
+    values = {**BASE_CONFIG["gnss"], "sigma_pos_m": largest}
+    cfg = cli.load_config(write_config(tmp_path, {"gnss": values}))
+    assert cfg.gnss.sigma_pos_m == largest
 
 
 THREE_VECTORS = [
