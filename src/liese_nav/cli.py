@@ -33,7 +33,7 @@ from liese_nav.errors import (
     ConfigError, IncompatibleMode, IoError, LieseNavError, NotPSD,
 )
 from liese_nav.liegroup import matvec, so3_log
-from liese_nav.mechanization import stack_states, state_at
+from liese_nav.mechanization import ImuSample, Rows, stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -364,6 +364,27 @@ def _initial_state(cfg, variant, gen, rng):
 
 
 @dataclass
+class Truth:
+    """The seed-independent part of a scenario, which a Monte-Carlo run
+    builds once for all its members."""
+
+    variant: Variant
+    noise: ImuNoiseParams
+    gen: TruthGenerator
+    clean: list  # noise-free ImuSample stream
+    truth_rows: list  # truth.csv rows at every IMU epoch and the end
+
+
+def _truth(cfg):
+    spec, variant, noise = build_scenario(cfg)
+    gen = TruthGenerator(spec)
+    dt = cfg.imu_dt_s
+    clean = gen.synthesize_imu(cfg.duration_s, dt)
+    grid = np.arange(len(clean) + 1) * dt
+    return Truth(variant, noise, gen, clean, _traj_rows(grid, gen.states_ned(grid)))
+
+
+@dataclass
 class Simulation:
     """Truth and sensor streams of one scenario."""
 
@@ -371,35 +392,36 @@ class Simulation:
     noise: ImuNoiseParams
     gen: TruthGenerator
     rng: "np.random.Generator"  # positioned after the sensor draws
-    biases: list  # true bias at each IMU epoch
-    imu: list  # corrupted ImuSample stream
+    biases: list  # true bias at each IMU epoch (a list, or Rows)
+    imu: list  # corrupted ImuSample stream (a list, or Rows)
     raw_fixes: list  # (t, antenna position, covariance)
     truth_rows: list  # truth.csv rows at every IMU epoch and the end
 
 
-def _simulate(cfg):
-    """The simulation both ``run`` and ``simulate`` start from."""
-    spec, variant, noise = build_scenario(cfg)
-    gen = TruthGenerator(spec)
+def _simulate(cfg, truth=None):
+    """The simulation both ``run`` and ``simulate`` start from; the sensor
+    draws come from ``default_rng(cfg.seed)``, the truth from ``truth``
+    when a Monte-Carlo run shares it."""
+    truth = truth or _truth(cfg)
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.imu_dt_s
-    n = int(round(cfg.duration_s / dt))
-
-    clean = gen.synthesize_imu(cfg.duration_s, dt)
     true_bias0 = BiasState(
         np.array(cfg.initial.true_bias_g_rad_s),
         np.array(cfg.initial.true_bias_a_m_s2),
     )
-    biases = sensors.simulate_biases(noise, n, dt, rng, initial=true_bias0)
-    imu = sensors.corrupt(clean, biases, noise, dt, rng)
+    biases = sensors.simulate_biases(
+        truth.noise, len(truth.clean), dt, rng, initial=true_bias0
+    )
+    imu = sensors.corrupt(truth.clean, biases, truth.noise, dt, rng)
     lever = np.array(cfg.gnss.lever_arm_b_m)
     gnss_times = np.arange(
         cfg.gnss.period_s, cfg.duration_s + 1e-9, cfg.gnss.period_s
     )
-    raw_fixes = gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
-    grid = np.arange(n + 1) * dt
-    truth_rows = _traj_rows(grid, gen.states_ned(grid))
-    return Simulation(variant, noise, gen, rng, biases, imu, raw_fixes, truth_rows)
+    raw_fixes = truth.gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
+    return Simulation(
+        truth.variant, truth.noise, truth.gen, rng, biases, imu, raw_fixes,
+        truth.truth_rows,
+    )
 
 
 def _write_streams(out, sim):
@@ -421,12 +443,28 @@ def run_scenario(cfg, out_dir):
 
     Returns the metrics dictionary that is also written to metrics.json.
     """
-    sim = _simulate(cfg)
-    variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
+    return _run_member(cfg, _simulate(cfg), out_dir)
+
+
+def _start(cfg, sim):
+    """The member's initial FilterState, drawn from its generator."""
+    start = _initial_state(cfg, sim.variant, sim.gen, sim.rng)
+    return flt.FilterState(sim.variant, *start, 0.0)
+
+
+def _run_member(cfg, sim, out_dir):
+    """Filter, smooth and write one simulated member on its own."""
     lever = np.array(cfg.gnss.lever_arm_b_m)
     fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
-    fs = flt.FilterState(variant, *_initial_state(cfg, variant, gen, sim.rng), 0.0)
-    records, nis_log = smo.run_forward(fs, sim.imu, fixes, dt, sim.noise, cfg.mode)
+    records, nis_log = smo.run_forward(
+        _start(cfg, sim), sim.imu, fixes, cfg.imu_dt_s, sim.noise, cfg.mode
+    )
+    return _write_run(cfg, sim, records, nis_log, out_dir)
+
+
+def _write_run(cfg, sim, records, nis_log, out_dir):
+    """Smooth a member's forward records; write its files and metrics."""
+    variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
     smoothed = smo.rts_smooth(variant, records)
 
     out = _make_dir(out_dir)
@@ -530,14 +568,36 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
     }
 
 
+# The fewest members that a Variant.lockstep variant's Monte-Carlo run
+# filters in lockstep. Per member and IMU step, one stacked predict cost
+# 1.43x a scalar predict at 1 member and 0.86x at 2 (BENCH_13.json).
+LOCKSTEP_MIN_MEMBERS = 2
+
+
 def run_monte_carlo(cfg, out_dir, n_runs):
-    """Independent runs with seeds ``seed + idx``, one after another; merge
-    their metrics by run index."""
+    """Independent runs with seeds ``seed + idx`` into ``run_{idx:03d}``;
+    merge their metrics by run index.
+
+    The seed-independent truth is built once. At least
+    ``LOCKSTEP_MIN_MEMBERS`` members of a ``Variant.lockstep`` variant run
+    one forward pass in lockstep (one stacked predict per IMU epoch);
+    otherwise the members run one after another. Either way, each member's
+    files equal a standalone run with its seed, byte for byte.
+    """
     out = _make_dir(out_dir)
-    results = []
-    for idx in range(n_runs):
-        sub = cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
-        results.append(run_scenario(sub, out / f"run_{idx:03d}"))
+    truth = _truth(cfg)
+    members = [
+        cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
+        for idx in range(n_runs)
+    ]
+    dirs = [out / f"run_{idx:03d}" for idx in range(n_runs)]
+    if truth.variant.lockstep and n_runs >= LOCKSTEP_MIN_MEMBERS:
+        results = _run_lockstep(members, truth, dirs)
+    else:
+        results = [
+            _run_member(sub, _simulate(sub, truth), run_dir)
+            for sub, run_dir in zip(members, dirs)
+        ]
     final_nees = [m["final_nees"] for m in results]
     merged = {
         "runs": n_runs,
@@ -550,6 +610,55 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     }
     _write_json(out / "metrics.json", merged)
     return merged
+
+
+def _member_draws(cfg, truth):
+    """A member's initial state, IMU and bias streams as (steps, 2, 3)
+    arrays, and GNSS fixes, drawn as ``run_scenario`` draws them."""
+    sim = _simulate(cfg, truth)
+    return (
+        _start(cfg, sim),
+        np.array([(s.gyro, s.accel) for s in sim.imu]),
+        np.array([(b.gyro, b.accel) for b in sim.biases]),
+        sim.raw_fixes,
+    )
+
+
+def _run_lockstep(members, truth, dirs):
+    """Filter the members' streams in one forward pass, then smooth and
+    write each member in index order.
+
+    The members' streams are kept as arrays, the IMU as (steps, 2, members,
+    3), and read through ``mechanization.Rows``.
+    """
+    cfg = members[0]
+    starts, imu, biases, raw_fixes = map(
+        list, zip(*(_member_draws(sub, truth) for sub in members))
+    )
+    times = [s.t for s in truth.clean]
+    truth.clean = None  # past the draws, only its times are needed
+    imu = np.stack(imu, axis=2)
+    lever = np.array(cfg.gnss.lever_arm_b_m)
+    positions = np.stack([[pos for _, pos, _ in raw] for raw in raw_fixes], axis=1)
+    fixes = [
+        flt.GnssFix(t, pos, r, lever)
+        for (t, _, r), pos in zip(raw_fixes[0], positions)
+    ]
+    records, nis = smo.run_forward(
+        flt.FilterState.stack(starts), Rows(ImuSample, times, imu[:, 0], imu[:, 1]),
+        fixes, cfg.imu_dt_s, truth.noise, cfg.mode,
+    )
+    results = []
+    for k, (sub, run_dir) in enumerate(zip(members, dirs)):
+        sim = Simulation(
+            truth.variant, truth.noise, truth.gen, None,
+            Rows(BiasState, biases[k][:, 0], biases[k][:, 1]),
+            Rows(ImuSample, times, imu[:, 0, k], imu[:, 1, k]),
+            raw_fixes[k], truth.truth_rows,
+        )
+        results.append(_write_run(sub, sim, records[k], nis[k], run_dir))
+        records[k] = nis[k] = biases[k] = None
+    return results
 
 
 def simulate_only(cfg, out_dir):

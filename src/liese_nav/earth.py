@@ -156,26 +156,27 @@ def _n_rv_diagonal(c, rm, rn, h):
     return 1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0
 
 
-def _m1_matrix(s, c, rm, h):
+# The curvature matrices' entries row by row, as floats: a stack of
+# matrices is one array of many points' entries; one matrix is its entries
+# built flat and reshaped, as liegroup.skew builds its matrix.
+
+
+def _m1_entries(s, c, rm, h):
     """d(omega_ie^n) / d(r_eb^n) with d(lat) = d(r_N)/(R_M+h)."""
-    out = np.zeros((3, 3))
-    out[0, 0] = -EARTH_RATE * s / (rm + h)
-    out[2, 0] = -EARTH_RATE * c / (rm + h)
-    return out
+    return [
+        -EARTH_RATE * s / (rm + h), 0.0, 0.0, 0.0, 0.0, 0.0,
+        -EARTH_RATE * c / (rm + h), 0.0, 0.0,
+    ]
 
 
-def _m2_matrix(t, rm, rn, h):
+def _m2_entries(t, rm, rn, h):
     """d(omega_en^n) / d(v^n)."""
-    return np.array(
-        [
-            [0.0, 1.0 / (rn + h), 0.0],
-            [-1.0 / (rm + h), 0.0, 0.0],
-            [0.0, -t / (rn + h), 0.0],
-        ]
-    )
+    return [
+        0.0, 1.0 / (rn + h), 0.0, -1.0 / (rm + h), 0.0, 0.0, 0.0, -t / (rn + h), 0.0
+    ]
 
 
-def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
+def _m3_entries(t, c, rm, rn, drm, drn, h, vn):
     """d(omega_en^n) / d(r_eb^n) at fixed velocity.
 
     Obtained by direct differentiation of omega_en^n(lat, h, v), including
@@ -183,16 +184,30 @@ def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
     and d(h) = -d(r_D).
     """
     vN, vE = vn[0], vn[1]
-    out = np.zeros((3, 3))
-    # column 0: sensitivity to r_N through latitude
-    out[0, 0] = -vE * drn / (rn + h) ** 2 / (rm + h)
-    out[1, 0] = vN * drm / (rm + h) ** 2 / (rm + h)
-    out[2, 0] = -vE * (1.0 / (c**2 * (rn + h)) - t * drn / (rn + h) ** 2) / (rm + h)
-    # column 2: sensitivity to r_D = -h
-    out[0, 2] = vE / (rn + h) ** 2
-    out[1, 2] = -vN / (rm + h) ** 2
-    out[2, 2] = -vE * t / (rn + h) ** 2
-    return out
+    # column 0: sensitivity to r_N through latitude; column 2: to r_D = -h
+    return [
+        -vE * drn / (rn + h) ** 2 / (rm + h),
+        0.0,
+        vE / (rn + h) ** 2,
+        vN * drm / (rm + h) ** 2 / (rm + h),
+        0.0,
+        -vN / (rm + h) ** 2,
+        -vE * (1.0 / (c**2 * (rn + h)) - t * drn / (rn + h) ** 2) / (rm + h),
+        0.0,
+        -vE * t / (rn + h) ** 2,
+    ]
+
+
+def _m1_matrix(s, c, rm, h):
+    return np.array(_m1_entries(s, c, rm, h)).reshape(3, 3)
+
+
+def _m2_matrix(t, rm, rn, h):
+    return np.array(_m2_entries(t, rm, rn, h)).reshape(3, 3)
+
+
+def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
+    return np.array(_m3_entries(t, c, rm, rn, drm, drn, h, vn)).reshape(3, 3)
 
 
 def llh_to_ecef(lat, lon, h):

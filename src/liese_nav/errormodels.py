@@ -24,7 +24,7 @@ import numpy as np
 
 from liese_nav import earth, mechanization as mech
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import GroupElement, cross, matvec, skew
+from liese_nav.liegroup import GroupElement, cross, matvec, skew, skew_stack
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 
 PHI = slice(0, 3)
@@ -89,6 +89,12 @@ class Variant:
     def aux_velocity(self):
         """The group velocity carries the earth-rate offset w_ie x r."""
         return self.frame in ("NED_Aux", "ECEF_Inertial", "ECEF_Aux")
+
+    @property
+    def lockstep(self):
+        """Monte-Carlo members of this variant predict as one stack (the
+        stacked forms of ``error_dynamics`` and the NED step)."""
+        return self.frame == "NED" and self.error_def == "LeftEst"
 
     @property
     def chart(self):
@@ -274,11 +280,16 @@ NED_CHART = NedChart()
 ECEF_CHART = EcefChart()
 
 
-def _bias_rows(f, g, tau_g, tau_a):
-    f[BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
-    f[BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
+def noise_map(variant, embedding=None):
+    """G, the (15, 12) map of the noise (w_g, w_a, w_bg, w_ba) into the error
+    state. ``embedding`` is the estimate's (R, skew(v), skew(p)) that a right
+    error's input map reads; no nominal enters a left error's G, so a run
+    builds it once (``filter.RunConstants``)."""
+    g = np.zeros((15, 12))
     g[BG, WBG] = _I3
     g[BA, WBA] = _I3
+    _input_map(variant, embedding, g)
+    return g
 
 
 def _input_map(variant, embedding, g):
@@ -314,25 +325,40 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     skew(p)), from the terms it already holds, for the input map. A bias
     error drifts the mechanized rates as the IMU noise does, so F's bias
     columns are a copy of G's gyro and accel noise columns.
+
+    For a ``Variant.lockstep`` variant, a stacked nominal (fields with a
+    leading axis of N members) with (N, 3) rates gives F as an (N, 15, 15)
+    stack, each member equal to its single call bit for bit; G, which no
+    nominal enters for a left error, stays one (15, 12) matrix.
     """
-    f = np.zeros((15, 15))
-    g = np.zeros((15, 12))
-    _bias_rows(f, g, tau_g, tau_a)
-    embedding = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
-    _input_map(variant, embedding, g)
-    f[:9, 9:] = g[:9, :6]
+    stacked = gyro.ndim == 2
+    if stacked and not variant.lockstep:
+        raise UnsupportedVariant(f"{variant.name} has no stacked error dynamics")
+    f = np.zeros(gyro.shape[:-1] + (15, 15))
+    f[..., BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
+    f[..., BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
+    blocks = _ned_left_stack if stacked else _BLOCKS[variant.frame]
+    g = noise_map(variant, blocks(variant, nominal, gyro, accel, f))
+    f[..., :9, 9:] = g[:9, :6]
     return f, g
+
+
+def _point_floats(geo):
+    """The trig terms and curvature radii at a NED point (``geo``, the
+    geodetic position as floats), evaluated once, in Python floats: (h, sin,
+    cos, tan, rm, rn, drm, drn)."""
+    lat, _, h = geo
+    s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
+    rm, rn = earth.radii(lat)
+    return (h, s, c, t, rm, rn, *earth._radii_derivatives(s, c))
 
 
 def _local_terms(nom):
     """Earth terms at a NED nominal from one evaluation of the trig terms and
     curvature radii, in Python floats: (h, v, sin, cos, r_n, w_ie, w_en, m1,
     m2, m3, rm, rn, drn), with the vectors as float triples."""
-    lat, _, h = nom.geo.tolist()
+    h, s, c, t, rm, rn, drm, drn = _point_floats(nom.geo.tolist())
     v = nom.v_n.tolist()
-    s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
-    rm, rn = earth.radii(lat)
-    drm, drn = earth._radii_derivatives(s, c)
     return (
         h,
         v,
@@ -401,6 +427,41 @@ def _ned_blocks(variant, nom, gyro, accel, f):
         # one-for-one; no curvature coupling survives)
         f[RR, RV] = _I3
         f[RR, RR] = -sk_g + sw_wv
+
+
+def _ned_left_stack(variant, nom, gyro, accel, f):
+    """The left-error branch of :func:`_ned_blocks` for a stacked nominal:
+    each member's earth terms are its own float evaluation, and the products
+    and sums are the same BLAS calls and IEEE operations on stacks, so each
+    member's blocks equal its single call bit for bit."""
+    rows = []
+    for geo, v in zip(nom.geo.tolist(), nom.v_n.tolist()):
+        h, s, c, t, rm, rn, drm, drn = _point_floats(geo)
+        rows.append(
+            earth._m1_entries(s, c, rm, h)
+            + earth._m2_entries(t, rm, rn, h)
+            + earth._m3_entries(t, c, rm, rn, drm, drn, h, v)
+            + list(earth._earth_rate_n(s, c))
+        )
+    rows = np.array(rows)
+    m1, m2, m3 = rows[:, :27].reshape(-1, 3, 3, 3).transpose(1, 0, 2, 3)
+    w_ie = rows[:, 27:]
+    sk_v, sk_w_ie = skew_stack(nom.v_n), skew_stack(w_ie)
+    c = nom.c_bn
+    sk_v_m2 = sk_v @ m2
+    ct = c.swapaxes(-1, -2)
+    sw = ct[:, None] @ np.stack(
+        [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), sk_w_ie - sk_v_m2], axis=1
+    ) @ c[:, None]
+    sk_g = skew_stack(gyro)
+    f[:, PHI, PHI] = -sk_g
+    f[:, PHI, RV] = -sw[:, 0]
+    f[:, PHI, RR] = -sw[:, 1]
+    f[:, RV, PHI] = -skew_stack(accel)
+    f[:, RV, RV] = sw[:, 2] - sk_g - skew_stack(matvec(ct, w_ie))
+    f[:, RV, RR] = sw[:, 3]
+    f[:, RR, RV] = _I3
+    f[:, RR, RR] = -sk_g + sw[:, 4]
 
 
 def _ned_aux_blocks(variant, nom, gyro, accel, f):

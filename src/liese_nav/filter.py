@@ -26,13 +26,14 @@ from liese_nav.errormodels import (
     error_dynamics,
     measurement_left_invariant,
     measurement_se23,
+    noise_map,
 )
 from liese_nav.errors import IncompatibleMode
 from liese_nav.liegroup import (
     exp_se23, left_jacobian_inv, log_se23, matvec, so3_log,
 )
-from liese_nav.mechanization import ImuSample
-from liese_nav.sensors import BiasState, ImuNoiseParams
+from liese_nav.mechanization import ImuSample, stack_states, state_at
+from liese_nav.sensors import BiasState
 
 MODES = ("se23", "invariant")
 
@@ -53,6 +54,28 @@ class FilterState:
         return FilterState(
             self.variant, self.nav.copy(), self.bias.copy(), self.p.copy(), self.t
         )
+
+    @staticmethod
+    def stack(states):
+        """One stacked state of members at one time: nav, bias and P gain a
+        leading axis of len(states) members."""
+        first = states[0]
+        return FilterState(
+            first.variant,
+            stack_states([fs.nav for fs in states]),
+            stack_states([fs.bias for fs in states]),
+            np.stack([fs.p for fs in states]),
+            first.t,
+        )
+
+    def members(self):
+        """The members of a stacked state, as views of their own."""
+        return [
+            FilterState(
+                self.variant, state_at(self.nav, k), state_at(self.bias, k), p, self.t
+            )
+            for k, p in enumerate(self.p)
+        ]
 
 
 @dataclass
@@ -156,42 +179,66 @@ def apply_correction(variant, nav, bias, dx):
 # ---------------------------------------------------------------------------
 
 
-def discretize(f, g, qc, dt):
+def noise_cov(g, qc):
+    """G Qc G', ``qc`` the 12-vector of PSD diagonals
+    (``ImuNoiseParams.q_diag()``); scaling the columns of G equals
+    G @ diag(qc) entry for entry."""
+    return (g * qc) @ g.T
+
+
+class RunConstants:
+    """What ``predict`` needs besides the state and the sample, fixed for a
+    run and built once: the step, the bias time constants, the PSD diagonals
+    ``noise.q_diag()``, the bias decays exp(-dt / tau) over one step and,
+    for a left error, whose G no nominal enters, G Qc G' (None for a right
+    error, whose G follows the estimate). Each equals its per-step value
+    bit for bit."""
+
+    def __init__(self, variant, noise, dt):
+        self.dt = dt
+        self.tau_g, self.tau_a = noise.tau_g, noise.tau_a
+        self.qc = noise.q_diag()
+        self.decay_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
+        self.decay_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
+        self.gq = None if variant.is_right else noise_cov(noise_map(variant), self.qc)
+
+
+def discretize(f, gq, dt):
     """Second-order transition matrix and trapezoidal process noise.
 
-    Phi = I + F dt + F^2 dt^2/2; Qd = (Phi G Qc G' Phi' + G Qc G') dt / 2,
-    symmetrized. ``qc`` is the 12-vector of PSD diagonals
-    (``ImuNoiseParams.q_diag()``).
+    Phi = I + F dt + F^2 dt^2/2; Qd = (Phi GQG' Phi' + GQG') dt / 2,
+    symmetrized, with ``gq`` = G Qc G' (:func:`noise_cov`). An (N, 15, 15)
+    stack of F gives stacks of Phi and Qd, each equal to its single call.
     """
     phi = _I15 + f * dt + (f @ f) * (0.5 * dt * dt)
-    # scaling the columns of G equals G @ diag(qc) entry for entry
-    gq = (g * qc) @ g.T
-    qd = 0.5 * dt * (phi @ gq @ phi.T + gq)
-    return phi, 0.5 * (qd + qd.T)
+    qd = 0.5 * dt * (phi @ gq @ phi.swapaxes(-1, -2) + gq)
+    return phi, 0.5 * (qd + qd.swapaxes(-1, -2))
 
 
-def predict(fs, imu, dt, noise=None):
-    """Advance nominal and covariance over one IMU interval.
+def predict(fs, imu, run):
+    """Advance nominal and covariance over one IMU interval; ``run`` holds
+    the run's constants (:class:`RunConstants`).
 
     Returns ``(FilterState, Phi)``; the transition matrix is exposed so a
-    driver can accumulate it between updates for smoothing.
+    driver can accumulate it between updates for smoothing. For a
+    ``Variant.lockstep`` variant, a stacked state (nav, bias and P with a
+    leading axis of N members) and a sample with (N, 3) rates advance as
+    one stack, each member equal to its single predict bit for bit.
     """
-    noise = noise or ImuNoiseParams()
     gyro = imu.gyro - fs.bias.gyro
     accel = imu.accel - fs.bias.accel
     f, g = error_dynamics(
-        fs.variant, fs.nav, gyro, accel, tau_g=noise.tau_g, tau_a=noise.tau_a
+        fs.variant, fs.nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a
     )
-    phi, qd = discretize(f, g, noise.q_diag(), dt)
+    gq = noise_cov(g, run.qc) if run.gq is None else run.gq
+    phi, qd = discretize(f, gq, run.dt)
     sample = ImuSample(imu.t, gyro, accel)
     # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-    nav = fs.variant.chart.step(fs.nav, sample, dt)
-    phi_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
-    phi_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
-    bias = BiasState(phi_g * fs.bias.gyro, phi_a * fs.bias.accel)
-    p = phi @ fs.p @ phi.T + qd
-    p = 0.5 * (p + p.T)
-    return FilterState(fs.variant, nav, bias, p, fs.t + dt), phi
+    nav = fs.variant.chart.step(fs.nav, sample, run.dt)
+    bias = BiasState(run.decay_g * fs.bias.gyro, run.decay_a * fs.bias.accel)
+    p = phi @ fs.p @ phi.swapaxes(-1, -2) + qd
+    p = 0.5 * (p + p.swapaxes(-1, -2))
+    return FilterState(fs.variant, nav, bias, p, fs.t + run.dt), phi
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,18 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)
 
 
+# skew(v)'s row-major entries as positions in (0, x, y, z, -x, -y, -z)
+_SKEW_TAKE = np.array([0, 6, 2, 3, 0, 4, 5, 1, 0])
+
+
+def skew_stack(v: np.ndarray) -> np.ndarray:
+    """:func:`skew` of every row of an (N, 3) stack, as an (N, 3, 3) stack;
+    each entry is the single call's, a negation or a zero, bit for bit."""
+    n = len(v)
+    signed = np.concatenate((np.zeros((n, 1)), v, -v), axis=1)
+    return signed[:, _SKEW_TAKE].reshape(n, 3, 3)
+
+
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors, bit-identical to ``np.cross(a, b)``.
 

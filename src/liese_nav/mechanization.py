@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import earth
-from liese_nav.liegroup import cross, matvec, skew
+from liese_nav.liegroup import cross, matvec, skew, skew_stack
 
 
 @dataclass
@@ -23,6 +23,22 @@ class ImuSample:
     t: float
     gyro: np.ndarray  # omega_ib^b, rad/s
     accel: np.ndarray  # f_ib^b, m/s^2
+
+
+class Rows:
+    """A sequence of ``kind`` objects held as arrays whose first axis is the
+    index: item k is ``kind(*(field[k] for field in fields))``, built on
+    demand, so a long stream (IMU samples with (n,) times and (n, 3) or
+    (n, N, 3) rates, a bias track) keeps no per-item objects alive."""
+
+    def __init__(self, kind, *fields):
+        self.kind, self.fields = kind, fields
+
+    def __len__(self):
+        return len(self.fields[0])
+
+    def __getitem__(self, k):
+        return self.kind(*(field[k] for field in self.fields))
 
 
 @dataclass
@@ -59,39 +75,73 @@ def state_at(stacked, k):
 
 def _pack(state):
     """A state as one 15-vector: the rotation row by row, then the velocity,
-    then the position."""
+    then the position; a stacked state packs to an (N, 15) stack."""
     rot, vel, pos = vars(state).values()
-    return np.concatenate((rot.ravel(), vel, pos))
+    return np.concatenate((rot.reshape(vel.shape[:-1] + (9,)), vel, pos), axis=-1)
 
 
 def _fields(x):
-    """(rotation, velocity, position) views into a packed 15-vector."""
-    return x[:9].reshape(3, 3), x[9:12], x[12:]
+    """(rotation, velocity, position) views into a packed 15-vector or an
+    (N, 15) stack of them."""
+    return x[..., :9].reshape(x.shape[:-1] + (3, 3)), x[..., 9:12], x[..., 12:]
 
 
-def _ned_rates(x, sk_gyro, accel):
-    """The derivative of a packed NED state, packed alike.
+def _ned_point(rest, t):
+    """The earth terms of a NED derivative at one point, in Python floats:
+    w_in^n, the Coriolis term, gravity and the geodetic rates, as one list
+    of 12. ``rest`` is the packed state's tail (v_n, lat, lon, h) as floats,
+    and ``t`` is tan(lat) as ``np.tan`` rounds it.
 
-    The latitude's trig terms and curvature radii are evaluated once, in
-    Python floats, and shared by the earth rate, transport rate, gravity
-    and geodetic rates; ``sk_gyro`` is skew(gyro), which a step builds once.
+    The latitude's trig terms and curvature radii are evaluated once, and
+    shared by the earth rate, transport rate, gravity and geodetic rates.
     """
-    c_bn = x[:9].reshape(3, 3)
-    *v, lat, _, h = x[9:].tolist()
+    *v, lat, _, h = rest
     earth.check_latitude(lat)
     s, c = math.sin(lat), math.cos(lat)
     rm, rn = earth.radii(lat)
-    w_ie = earth._earth_rate_n(s, c)
-    w_en = earth._transport_rate_n(float(np.tan(lat)), rm, rn, h, v)
-    w_in = [a + b for a, b in zip(w_ie, w_en)]
-    g = earth._gravity_n(s**2, rm, rn, h)
-    coriolis = cross([2.0 * a + b for a, b in zip(w_ie, w_en)], v).tolist()
+    (a0, a1, a2), (b0, b1, b2) = (
+        earth._earth_rate_n(s, c), earth._transport_rate_n(t, rm, rn, h, v)
+    )
+    # the products and differences of liegroup.cross(2 w_ie + w_en, v)
+    r0, r1, r2 = 2.0 * a0 + b0, 2.0 * a1 + b1, 2.0 * a2 + b2
+    n0, n1, n2 = earth._n_rv_diagonal(c, rm, rn, h)
+    return [
+        a0 + b0, a1 + b1, a2 + b2,
+        r1 * v[2] - r2 * v[1], r2 * v[0] - r0 * v[2], r0 * v[1] - r1 * v[0],
+        *earth._gravity_n(s**2, rm, rn, h),
+        n0 * v[0], n1 * v[1], n2 * v[2],
+    ]
+
+
+def _ned_rates(x, sk_gyro, accel):
+    """The derivative of a packed NED state, packed alike; ``sk_gyro`` is
+    skew(gyro), which a step builds once."""
+    c_bn = x[:9].reshape(3, 3)
+    rest = x[9:].tolist()
+    t = _ned_point(rest, float(np.tan(rest[3])))
     f_n = (c_bn @ accel).tolist()
     out = np.empty(15)
-    np.subtract(c_bn @ sk_gyro, skew(w_in) @ c_bn, out=out[:9].reshape(3, 3))
-    out[9:] = [a - b + gk for a, b, gk in zip(f_n, coriolis, g)] + [
-        n * u for n, u in zip(earth._n_rv_diagonal(c, rm, rn, h), v)
-    ]
+    np.subtract(c_bn @ sk_gyro, skew(t[:3]) @ c_bn, out=out[:9].reshape(3, 3))
+    out[9:12] = [a - b + gk for a, b, gk in zip(f_n, t[3:6], t[6:9])]
+    out[12:] = t[9:]
+    return out
+
+
+def _ned_rates_stack(x, sk_gyro, accel):
+    """:func:`_ned_rates` of an (N, 15) stack of packed states, with (N, 3, 3)
+    ``sk_gyro`` and (N, 3) ``accel``: each member's earth terms are its own
+    float evaluation, and the products and sums are the same BLAS calls and
+    IEEE operations on stacks, so each row equals its single call bit for
+    bit."""
+    n = len(x)
+    c_bn = x[:, :9].reshape(n, 3, 3)
+    t = np.array(list(map(_ned_point, x[:, 9:].tolist(), np.tan(x[:, 12]).tolist())))
+    out = np.empty((n, 15))
+    np.subtract(
+        c_bn @ sk_gyro, skew_stack(t[:, :3]) @ c_bn, out=out[:, :9].reshape(n, 3, 3)
+    )
+    out[:, 9:12] = matvec(c_bn, accel) - t[:, 3:6] + t[:, 6:9]
+    out[:, 12:] = t[:, 9:]
     return out
 
 
@@ -124,6 +174,12 @@ def _rk4(state, dt, deriv):
 
 
 def ned_step(state, imu, dt):
+    """The NED state one RK4 step later. A stacked state (fields with a
+    leading axis of N members) with (N, 3) IMU rates steps as one stack,
+    each member equal to its single step bit for bit."""
+    if state.c_bn.ndim == 3:
+        sk_gyro, accel = skew_stack(imu.gyro), imu.accel
+        return _rk4(state, dt, lambda x: _ned_rates_stack(x, sk_gyro, accel))
     sk_gyro, accel = skew(imu.gyro), imu.accel
     return _rk4(state, dt, lambda x: _ned_rates(x, sk_gyro, accel))
 
@@ -143,17 +199,29 @@ except ImportError:  # a private module: fall back to the public call
     _svd = np.linalg.svd
 
 
+_FLIP = np.diag([1.0, 1.0, -1.0])
+_FLIP.flags.writeable = False
+
+
 def orthonormalize(c):
-    """Project onto SO(3) (polar decomposition via SVD).
+    """Project onto SO(3) (polar decomposition via SVD); an (N, 3, 3) stack
+    projects each matrix, bit for bit as its single call.
 
     Raises
     ------
     np.linalg.LinAlgError
-        If the SVD does not converge, a NaN entry included: the gufunc
-        returns NaN factors there, where np.linalg.svd raises.
+        If an entry is not finite (LAPACK's SVD does not return on an
+        infinite entry), or if the SVD does not converge: the gufunc returns
+        NaN factors there, where np.linalg.svd raises.
     """
+    # one reduction is finite unless an entry is not finite or the finite
+    # entries overflow the sum; only then are the entries checked one by one
+    if not math.isfinite(c.sum()) and not np.isfinite(c).all():
+        raise np.linalg.LinAlgError("non-finite entry in the matrix to project")
     u, _, vt = _svd(c)
     out = u @ vt
+    if out.ndim == 3:
+        return _signed_stack(u, vt, out)
     # det(out) = out[0] . (out[1] x out[2]) is +-1 here, so the triple
     # product in plain floats gives its sign at a sixth of np.linalg.det's cost
     x, y, z = out.tolist()
@@ -165,7 +233,19 @@ def orthonormalize(c):
     if not abs(triple) > 0.5:  # true for NaN too
         raise np.linalg.LinAlgError("SVD did not converge")
     if triple < 0:
-        out = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+        out = u @ _FLIP @ vt
+    return out
+
+
+def _signed_stack(u, vt, out):
+    """The stacked tail of :func:`orthonormalize`: each det(out) is +-1, so
+    any determinant gives its sign."""
+    det = np.linalg.det(out)
+    if not (np.abs(det) > 0.5).all():  # true for NaN too
+        raise np.linalg.LinAlgError("SVD did not converge")
+    flip = det < 0
+    if flip.any():
+        out[flip] = u[flip] @ _FLIP @ vt[flip]
     return out
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from liese_nav import filter as flt
 from liese_nav.errors import NonFiniteInput, SingularPredCov
 from liese_nav.filter import _I15, apply_correction, error_state
-from liese_nav.sensors import BiasState
+from liese_nav.sensors import BiasState, ImuNoiseParams
 
 
 @dataclass
@@ -50,34 +50,55 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     per update, the last one (or, with no fix, the last prediction) final,
     and one {"t", "value"} NIS entry per update.
 
+    A stacked ``fs`` (nav, bias and P with a leading axis of N members, of a
+    ``Variant.lockstep`` variant) runs N members in lockstep: each sample's
+    rates and each fix position carry the member axis too, the predict is
+    one stacked call, and each member's update is its own call. Records and
+    NIS then come back as one list per member, each equal to the member's
+    own run bit for bit.
+
     Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
     position holds a NaN or an infinity.
     """
     _check_finite(imu, fixes)
-    records, nis = [], []
-    pending = None  # last post-update state awaiting its prediction leg
+    run = flt.RunConstants(fs.variant, noise or ImuNoiseParams(), dt)
+    stacked = fs.p.ndim == 3
+    lanes = len(fs.p) if stacked else 1
+    records, nis = [[] for _ in range(lanes)], [[] for _ in range(lanes)]
+    pending = [None] * lanes  # last post-update states awaiting their leg
     phi_acc = _I15
     fix_iter = iter(fixes)
     fix = next(fix_iter, None)
     for sample in imu:
-        fs, phi = flt.predict(fs, sample, dt, noise=noise)
+        fs, phi = flt.predict(fs, sample, run)
         phi_acc = phi @ phi_acc
         if fix is not None and fs.t >= fix.t - 1e-9:
-            if pending is not None:
-                records.append(
-                    ForwardRecord(
-                        pending.t, pending.nav, pending.bias, pending.p,
-                        phi_acc, fs.p.copy(), fs.nav.copy(), fs.bias.copy(),
+            priors = fs.members() if stacked else [fs]
+            phis = phi_acc if stacked else [phi_acc]
+            positions = fix.pos if stacked else [fix.pos]
+            for k, (prior, leg, pos) in enumerate(zip(priors, phis, positions)):
+                if pending[k] is not None:
+                    last = pending[k]
+                    records[k].append(
+                        ForwardRecord(
+                            last.t, last.nav, last.bias, last.p,
+                            leg.copy(), prior.p.copy(), prior.nav.copy(),
+                            prior.bias.copy(),
+                        )
                     )
+                post, report = flt.update(
+                    prior, flt.GnssFix(fix.t, pos, fix.r, fix.lever_arm_b), mode=mode
                 )
-            fs, report = flt.update(fs, fix, mode=mode)
-            nis.append({"t": fs.t, "value": float(report.nis)})
-            pending = fs.copy()
+                nis[k].append({"t": post.t, "value": float(report.nis)})
+                pending[k] = post.copy()
+            fs = flt.FilterState.stack(pending) if stacked else post
             phi_acc = _I15
             fix = next(fix_iter, None)
-    last = fs.copy() if pending is None else pending
-    records.append(ForwardRecord(last.t, last.nav, last.bias, last.p))
-    return records, nis
+    finals = fs.members() if stacked else [fs]
+    for k, final in enumerate(finals):
+        last = final.copy() if pending[k] is None else pending[k]
+        records[k].append(ForwardRecord(last.t, last.nav, last.bias, last.p))
+    return (records, nis) if stacked else (records[0], nis[0])
 
 
 def _check_finite(imu, fixes):

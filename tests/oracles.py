@@ -1128,7 +1128,7 @@ def ref_predict(fs, imu, dt, noise=None):
     f, g = error_dynamics(
         fs.variant, fs.nav, gyro, accel, tau_g=noise.tau_g, tau_a=noise.tau_a
     )
-    phi, qd = flt.discretize(f, g, noise.q_diag(), dt)
+    phi, qd = ref_discretize(f, g, ref_q_diag(noise), dt)
     sample = ImuSample(imu.t, gyro, accel)
     if fs.variant.frame in ("NED", "NED_Aux"):
         nav = mech.ned_step(fs.nav, sample, dt)

@@ -14,7 +14,8 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from liese_nav import earth, filter as flt, sensors, smoother as smo
+from liese_nav import earth, filter as flt, mechanization as mech, sensors
+from liese_nav import smoother as smo
 from liese_nav.errormodels import (
     Variant,
     error_dynamics,
@@ -214,45 +215,42 @@ def test_criterion_4_measurement_identity():
         assert np.max(np.abs(m - c.T)) <= 1e-15
 
 
-def _forward(variant, mode, duration, dt, seed, gnss_sigma=1.5,
-             clean=None, smooth=False, init_sigmas=None):
-    """One filter (+ optional smoother) pass; returns records and biases."""
+SIGMAS0 = np.concatenate(
+    [np.full(3, 1e-3), np.full(3, 0.1), np.full(3, 1.0),
+     np.full(3, 5e-4), np.full(3, 5e-3)]
+)
+
+
+def _draws(variant, duration, dt, seed, clean):
+    """One seed's initial FilterState, IMU stream, bias track and raw GNSS
+    fixes, drawn from its own generator in the scenario runner's order."""
     rng = np.random.default_rng(seed)
     n = int(round(duration / dt))
-    if clean is None:
-        clean = CIRCLE.synthesize_imu(duration, dt)
     biases = sensors.simulate_biases(NOISE, n, dt, rng, initial=TRUE_BIAS0)
     imu = sensors.corrupt(clean, biases, NOISE, dt, rng)
-    fixes = [
-        flt.GnssFix(t, pos, r, LEVER)
-        for t, pos, r in CIRCLE.sample_gnss(
-            np.arange(1.0, duration + 1e-9, 1.0), LEVER, gnss_sigma, rng
-        )
-    ]
-    sigmas = (
-        init_sigmas
-        if init_sigmas is not None
-        else np.concatenate(
-            [np.full(3, 1e-3), np.full(3, 0.1), np.full(3, 1.0),
-             np.full(3, 5e-4), np.full(3, 5e-3)]
-        )
-    )
+    raw = CIRCLE.sample_gnss(np.arange(1.0, duration + 1e-9, 1.0), LEVER, 1.5, rng)
     nav0, bias0 = flt.apply_correction(
         variant, CIRCLE.state_ned(0.0), BiasState(),
-        sigmas * rng.standard_normal(15),
+        SIGMAS0 * rng.standard_normal(15),
     )
-    fs = flt.FilterState(variant, nav0, bias0, np.diag(sigmas**2), 0.0)
-    records, _ = smo.run_forward(fs, imu, fixes, dt, NOISE, mode)
-    smoothed = smo.rts_smooth(variant, records) if smooth else None
-    return records, smoothed, biases
+    fs = flt.FilterState(variant, nav0, bias0, np.diag(SIGMAS0**2), 0.0)
+    return fs, imu, biases, raw
+
+
+def _forward(variant, mode, duration, dt, seed):
+    """One filter pass; returns its records."""
+    clean = CIRCLE.synthesize_imu(duration, dt)
+    fs, imu, _, raw = _draws(variant, duration, dt, seed, clean)
+    fixes = [flt.GnssFix(t, pos, r, LEVER) for t, pos, r in raw]
+    return smo.run_forward(fs, imu, fixes, dt, NOISE, mode)[0]
 
 
 def test_criterion_5_invariant_matches_se23():
     # [DERIVED: update-equivalence property] 60 s run, per-epoch agreement
     start = time.monotonic()
     variant = Variant("NED", "LeftEst")
-    rec_a, _, _ = _forward(variant, "se23", 60.0, 0.01, seed=11)
-    rec_b, _, _ = _forward(variant, "invariant", 60.0, 0.01, seed=11)
+    rec_a = _forward(variant, "se23", 60.0, 0.01, seed=11)
+    rec_b = _forward(variant, "invariant", 60.0, 0.01, seed=11)
     assert len(rec_a) == len(rec_b)
     for ra, rb in zip(rec_a, rec_b):
         pa = earth.llh_to_ecef(*ra.nav.geo)
@@ -269,49 +267,77 @@ def test_criterion_6_zero_noise_tracking():
     fs = flt.FilterState(
         variant, CIRCLE.state_ned(0.0), BiasState(), np.eye(15) * 1e-6, 0.0
     )
+    run = flt.RunConstants(variant, ImuNoiseParams(), dt)
     for sample in CIRCLE.synthesize_imu(60.0, dt):
-        fs, _ = flt.predict(fs, sample, dt)
+        fs, _ = flt.predict(fs, sample, run)
     err = np.linalg.norm(
         earth.llh_to_ecef(*fs.nav.geo) - CIRCLE.state_ecef(60.0).r
     )
     assert err <= 1e-3
 
 
+def _lockstep_forward(variant, duration, dt, seeds, clean):
+    """Filter and smooth a block of seeds, each with its own ``_draws``, in
+    one lockstep ``run_forward`` (one stacked predict per IMU epoch).
+    Returns per member (records, smoothed, biases), the biases as an
+    (epochs, 2, 3) array."""
+    starts, imu, biases, positions = [], [], [], []
+    for seed in seeds:
+        fs, stream, track, raw = _draws(variant, duration, dt, seed, clean)
+        starts.append(fs)
+        imu.append(np.array([(s.gyro, s.accel) for s in stream]))
+        biases.append(np.array([(b.gyro, b.accel) for b in track]))
+        positions.append([pos for _, pos, _ in raw])
+    imu = np.stack(imu, axis=2)  # (epochs, 2, members, 3)
+    samples = mech.Rows(mech.ImuSample, [s.t for s in clean], imu[:, 0], imu[:, 1])
+    fixes = [
+        flt.GnssFix(t, pos, r, LEVER)
+        for (t, _, r), pos in zip(raw, np.stack(positions, axis=1))
+    ]
+    records, _ = smo.run_forward(
+        flt.FilterState.stack(starts), samples, fixes, dt, NOISE, "se23"
+    )
+    return [
+        (recs, smo.rts_smooth(variant, recs), b) for recs, b in zip(records, biases)
+    ]
+
+
 def test_criterion_7_and_8_monte_carlo_consistency_and_smoother_dominance():
     # [DERIVED: chi^2 consistency + PSD ordering of RTS]
     start = time.monotonic()
     variant = Variant("NED", "LeftEst")
-    duration, dt, n_runs = 60.0, 0.05, 200
+    duration, dt, n_runs, block = 60.0, 0.05, 200, 50
     clean = CIRCLE.synthesize_imu(duration, dt)
     n = int(round(duration / dt))
     truth_ned = {}
     truth_ecef = {}
     tail_nees = []
-    for seed in range(n_runs):
-        records, smoothed, biases = _forward(
-            variant, "se23", duration, dt, seed=seed, clean=clean, smooth=True
-        )
-        filt_err, smo_err = [], []
-        for rec, ep in zip(records, smoothed):
-            if rec.t not in truth_ned:
-                truth_ned[rec.t] = CIRCLE.state_ned(rec.t)
-                truth_ecef[rec.t] = CIRCLE.state_ecef(rec.t).r
-            # criterion 7: NEES of the full error state against the truth
-            idx = min(n - 1, max(0, int(round(rec.t / dt)) - 1))
-            dx = flt.error_state(
-                variant, truth_ned[rec.t], biases[idx], rec.nav, rec.bias
-            )
-            if rec.t >= duration - 30.0:
-                tail_nees.append(float(dx @ np.linalg.solve(rec.p_post, dx)))
-            # criterion 8: per-epoch covariance dominance
-            assert np.min(np.linalg.eigvalsh(rec.p_post - ep.p)) >= -1e-9
-            filt_err.append(
-                earth.llh_to_ecef(*rec.nav.geo) - truth_ecef[rec.t]
-            )
-            smo_err.append(earth.llh_to_ecef(*ep.nav.geo) - truth_ecef[rec.t])
-        rmse_f = np.sqrt(np.mean(np.sum(np.array(filt_err) ** 2, axis=1)))
-        rmse_s = np.sqrt(np.mean(np.sum(np.array(smo_err) ** 2, axis=1)))
-        assert rmse_s <= rmse_f + 1e-9, f"seed {seed}: {rmse_s} > {rmse_f}"
+    for first in range(0, n_runs, block):
+        seeds = range(first, min(n_runs, first + block))
+        members = _lockstep_forward(variant, duration, dt, seeds, clean)
+        for seed, (records, smoothed, biases) in zip(seeds, members):
+            filt_err, smo_err = [], []
+            for rec, ep in zip(records, smoothed):
+                if rec.t not in truth_ned:
+                    truth_ned[rec.t] = CIRCLE.state_ned(rec.t)
+                    truth_ecef[rec.t] = CIRCLE.state_ecef(rec.t).r
+                # criterion 7: NEES of the full error state against the truth
+                idx = min(n - 1, max(0, int(round(rec.t / dt)) - 1))
+                dx = flt.error_state(
+                    variant, truth_ned[rec.t], BiasState(*biases[idx]), rec.nav,
+                    rec.bias,
+                )
+                if rec.t >= duration - 30.0:
+                    tail_nees.append(float(dx @ np.linalg.solve(rec.p_post, dx)))
+                # criterion 8: per-epoch covariance dominance
+                assert np.min(np.linalg.eigvalsh(rec.p_post - ep.p)) >= -1e-9
+                filt_err.append(
+                    earth.llh_to_ecef(*rec.nav.geo) - truth_ecef[rec.t]
+                )
+                smo_err.append(earth.llh_to_ecef(*ep.nav.geo) - truth_ecef[rec.t])
+            rmse_f = np.sqrt(np.mean(np.sum(np.array(filt_err) ** 2, axis=1)))
+            rmse_s = np.sqrt(np.mean(np.sum(np.array(smo_err) ** 2, axis=1)))
+            assert rmse_s <= rmse_f + 1e-9, f"seed {seed}: {rmse_s} > {rmse_f}"
     avg = float(np.mean(tail_nees))
     lo, hi = chi2.ppf(0.025, 15), chi2.ppf(0.975, 15)
     assert lo <= avg <= hi, f"time-averaged NEES {avg:.2f} outside [{lo:.2f}, {hi:.2f}]"
@@ -352,8 +378,9 @@ def test_criterion_9_large_misalignment_converges():
     fs = flt.FilterState(variant, nav0, BiasState(), p0, 0.0)
     fix_iter = iter(fixes)
     fix = next(fix_iter, None)
+    run = flt.RunConstants(variant, NOISE, dt)
     for k in range(n):
-        fs, _ = flt.predict(fs, imu[k], dt, noise=NOISE)
+        fs, _ = flt.predict(fs, imu[k], run)
         if fix is not None and fs.t >= fix.t - 1e-9:
             fs, _ = flt.update(fs, fix)
             fix = next(fix_iter, None)

@@ -17,6 +17,10 @@ byte-identical.
 
 import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from liese_nav.mechanization import NavStateECEF, NavStateNED
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ORIGIN = np.array([0.7, 0.2, 120.0])
 DT = 0.02
 DURATION = 30.0
@@ -178,7 +183,7 @@ def test_error_dynamics_and_discretize_match_reference(variant):
             f0, g0 = oracles.ref_error_dynamics(variant, nom, gyro, accel, tau_g, tau_a)
             assert np.array_equal(f, f0)
             assert np.array_equal(g, g0)
-            phi, qd = flt.discretize(f, g, q_diag, DT)
+            phi, qd = flt.discretize(f, flt.noise_cov(g, q_diag), DT)
             phi0, qd0 = oracles.ref_discretize(f0, g0, q_diag, DT)
             assert np.array_equal(phi, phi0)
             assert np.array_equal(qd, qd0)
@@ -557,6 +562,80 @@ def test_orthonormalize_raises_on_nan_on_both_paths(path, monkeypatch):
             mech.orthonormalize(bad)
 
 
+@pytest.mark.parametrize("path", SVD_PATHS)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_orthonormalize_raises_on_inf_without_hanging(path, stacked):
+    # LAPACK's SVD never returns on an infinite entry, so the check runs in
+    # its own interpreter under a timeout: a hang fails instead of stalling
+    code = f"""
+import numpy as np
+from liese_nav import mechanization as mech
+if {path!r} == "fallback":
+    mech._svd = np.linalg.svd
+c = np.eye(3)
+c[0, 0] = np.inf
+if {stacked}:
+    c = np.stack([np.eye(3), c])
+try:
+    mech.orthonormalize(c)
+except np.linalg.LinAlgError:
+    print("raised")
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=30,
+    )
+    assert out.stdout.strip() == "raised", out.stderr[-2000:]
+
+
+@pytest.mark.parametrize("path", SVD_PATHS)
+def test_stacked_predict_matches_member_predicts(path, monkeypatch):
+    # one stacked predict of N members equals the N single predicts bit for
+    # bit, field by field, over 200 steps from random nominals; member 0 is
+    # turned into a reflection every 50 steps, so its SVD takes the
+    # determinant flip
+    monkeypatch.setattr(mech, "_svd", SVD_PATHS[path])
+    variant = Variant("NED", "LeftEst")
+    run = flt.RunConstants(
+        variant, ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, 400.0, 900.0), DT
+    )
+    rng = np.random.default_rng(41)
+    members = []
+    for lat in (0.7, -1.2, 0.0, 1.45, -0.35):
+        nav = NavStateNED(
+            so3_exp(rng.normal(size=3)),
+            rng.normal(scale=100.0, size=3),
+            np.array([lat, rng.uniform(-3.0, 3.0), rng.uniform(-500.0, 1e4)]),
+        )
+        p = rng.normal(size=(15, 15))
+        bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+        members.append(flt.FilterState(variant, nav, bias, p @ p.T, 0.0))
+    stack = flt.FilterState.stack(members)
+    flips = 0
+    for step in range(200):
+        if step % 50 == 0:
+            for fs in (members[0], stack.members()[0]):
+                fs.nav.c_bn[:] = fs.nav.c_bn @ np.diag([1.0, 1.0, -1.0])
+            flips += 1
+        gyro = rng.normal(scale=0.1, size=(len(members), 3))
+        accel = rng.normal(scale=5.0, size=(len(members), 3))
+        stack, phi = flt.predict(stack, mech.ImuSample(step * DT, gyro, accel), run)
+        for k, (fs, g, a) in enumerate(zip(members, gyro, accel)):
+            members[k], phi_k = flt.predict(fs, mech.ImuSample(step * DT, g, a), run)
+            single, label = members[k], f"step {step} member {k}"
+            assert same_bits(phi[k], phi_k), label
+            assert same_bits(stack.p[k], single.p), label
+            for name in ("c_bn", "v_n", "geo"):
+                assert same_bits(
+                    getattr(stack.nav, name)[k], getattr(single.nav, name)
+                ), (label, name)
+            assert same_bits(stack.bias.gyro[k], single.bias.gyro), label
+            assert same_bits(stack.bias.accel[k], single.bias.accel), label
+            assert stack.t == single.t
+    assert np.linalg.det(members[0].nav.c_bn) > 0 and flips == 4
+
+
 def _perturbed_ned(truth, rng):
     return NavStateNED(
         truth.c_bn @ so3_exp(rng.normal(scale=1e-3, size=3)),
@@ -674,7 +753,7 @@ def test_dispatch_matches_reference(variant):
         fs = flt.FilterState(variant, est, b_est, p @ p.T + np.diag(scale**2), 3.0)
         sample = mech.ImuSample(3.0, gyro, accel)
         assert_same(
-            flt.predict(fs, sample, DT, noise),
+            flt.predict(fs, sample, flt.RunConstants(variant, noise, DT)),
             oracles.ref_predict(fs, sample, DT, noise),
             label,
         )

@@ -231,30 +231,33 @@ def test_invariant_matches_se23(tmp_path):
 
 def test_monte_carlo_fanout(tmp_path):
     # [TRIVIAL] per-run directories plus a merged metrics file; every file of
-    # member k equals a standalone run with seed + k, byte for byte
+    # member k equals a standalone run with seed + k, byte for byte, both for
+    # the fewest members that run in lockstep and for one member fewer, which
+    # run one after another
     cfg = write_config(tmp_path)
-    out = tmp_path / "mc"
-    res = invoke(
-        "run", "--config", str(cfg), "--out", str(out), "--monte-carlo", "3"
-    )
-    assert res.exit_code == 0
-    merged = json.loads((out / "metrics.json").read_text())
-    assert merged["runs"] == 3
-    assert len(merged["final_nees"]) == 3
-    for k in range(3):
-        assert (out / f"run_{k:03d}" / "metrics.json").exists()
-        solo = tmp_path / f"solo_{k}"
-        assert (
-            invoke(
-                "run", "--config", str(cfg), "--seed", str(BASE_CONFIG["seed"] + k),
-                "--out", str(solo),
-            ).exit_code
-            == 0
+    for runs in (cli.LOCKSTEP_MIN_MEMBERS, cli.LOCKSTEP_MIN_MEMBERS - 1):
+        out = tmp_path / f"mc_{runs}"
+        res = invoke(
+            "run", "--config", str(cfg), "--out", str(out), "--monte-carlo", str(runs)
         )
-        for name in ARTIFACTS:
-            assert (out / f"run_{k:03d}" / name).read_bytes() == (
-                solo / name
-            ).read_bytes(), (k, name)
+        assert res.exit_code == 0
+        merged = json.loads((out / "metrics.json").read_text())
+        assert merged["runs"] == runs
+        assert len(merged["final_nees"]) == runs
+        for k in range(runs):
+            solo = tmp_path / f"solo_{k}"
+            if not solo.exists():
+                assert (
+                    invoke(
+                        "run", "--config", str(cfg), "--seed",
+                        str(BASE_CONFIG["seed"] + k), "--out", str(solo),
+                    ).exit_code
+                    == 0
+                )
+            for name in ARTIFACTS:
+                assert (out / f"run_{k:03d}" / name).read_bytes() == (
+                    solo / name
+                ).read_bytes(), (runs, k, name)
 
 
 @pytest.mark.parametrize("stream", ["gyro", "accel", "fix"])
@@ -283,22 +286,54 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
 
 
 def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
-    # members call cli.run_scenario as it is bound at call time (the
-    # benchmark's tracer replaces it), once each, in index order
-    calls = []
+    # member k gets seed + k and run_k; the members' metrics are written in
+    # index order, then merged by run index, in lockstep and one by one
+    writes = []
+    write_json = cli._write_json
 
-    def fake_run_scenario(cfg, out_dir):
-        calls.append((cfg.seed, Path(out_dir).name))
-        return {"variant": "NED/LeftEst", "mode": cfg.mode, "final_nees": 1.0,
-                "rmse": {}}
+    def recording(path, obj):
+        writes.append((path.parent.name, obj.get("seed")))
+        write_json(path, obj)
 
-    monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+    monkeypatch.setattr(cli, "_write_json", recording)
     cfg = cli.load_config(write_config(tmp_path))
-    merged = cli.run_monte_carlo(cfg, tmp_path / "mc", 4)
     seed = BASE_CONFIG["seed"]
-    assert calls == [(seed + k, f"run_{k:03d}") for k in range(4)]
-    assert merged["final_nees"] == [1.0] * 4
-    assert cfg.seed == seed
+    for runs in (4, cli.LOCKSTEP_MIN_MEMBERS - 1):
+        writes.clear()
+        out = tmp_path / f"mc_{runs}"
+        merged = cli.run_monte_carlo(cfg, out, runs)
+        names = [f"run_{k:03d}" for k in range(runs)]
+        assert writes == [(n, seed + k) for k, n in enumerate(names)] + [
+            (out.name, None)
+        ]
+        members = [json.loads((out / n / "metrics.json").read_text()) for n in names]
+        assert merged["final_nees"] == [m["final_nees"] for m in members]
+        assert merged["rmse"] == [m["rmse"] for m in members]
+        assert cfg.seed == seed
+
+
+def test_monte_carlo_non_finite_member_input_exits_2(tmp_path, monkeypatch):
+    # a NaN in one member's IMU stream stops the lockstep run before any
+    # member writes its files, naming the sample's time
+    simulate, bad = cli._simulate, {}
+
+    def corrupted(cfg, truth=None):
+        sim = simulate(cfg, truth)
+        if cfg.seed == BASE_CONFIG["seed"] + 1:
+            sample = sim.imu[150]
+            sample.gyro[2], bad["t"] = np.nan, sample.t
+        return sim
+
+    monkeypatch.setattr(cli, "_simulate", corrupted)
+    out = tmp_path / "mc"
+    res = invoke(
+        "run", "--config", str(write_config(tmp_path)), "--out", str(out),
+        "--monte-carlo", str(cli.LOCKSTEP_MIN_MEMBERS),
+    )
+    assert res.exit_code == 2, res.output
+    assert "non-finite IMU sample" in res.output
+    assert f"t={bad['t']}" in res.output
+    assert not any(out.iterdir())
 
 
 def test_simulate_writes_sensors_only(tmp_path):

@@ -67,7 +67,7 @@ def test_discretize_zero_f():
     rng = np.random.default_rng(0)
     g = rng.normal(size=(15, 12))
     qc = np.full(12, 0.3)
-    phi, qd = flt.discretize(np.zeros((15, 15)), g, qc, 0.5)
+    phi, qd = flt.discretize(np.zeros((15, 15)), flt.noise_cov(g, qc), 0.5)
     assert np.array_equal(phi, np.eye(15))
     assert np.allclose(qd, g @ np.diag(qc) @ g.T * 0.5, atol=1e-14)
 
@@ -77,7 +77,7 @@ def test_discretize_scalar_exponential():
     tau, dt = 50.0, 0.1
     f = np.zeros((15, 15))
     f[9, 9] = -1.0 / tau
-    phi, _ = flt.discretize(f, np.zeros((15, 12)), np.zeros(12), dt)
+    phi, _ = flt.discretize(f, np.zeros((15, 15)), dt)
     assert abs(phi[9, 9] - np.exp(-dt / tau)) <= (dt / tau) ** 3
 
 
@@ -89,7 +89,7 @@ def test_discretize_matches_van_loan():
         f = rng.normal(scale=1.0, size=(15, 15))
         g = rng.normal(scale=1.0, size=(15, 12))
         qc = rng.uniform(0.1, 2.0, size=12)
-        phi, qd = flt.discretize(f, g, qc, dt)
+        phi, qd = flt.discretize(f, flt.noise_cov(g, qc), dt)
         m = np.zeros((30, 30))
         m[:15, :15] = -f
         m[:15, 15:] = g @ np.diag(qc) @ g.T
@@ -115,7 +115,7 @@ def test_predict_bias_block_matches_scalar_kf():
     dt = 0.01
     gyro, accel = GEN.imu_instantaneous(fs.t)
     imu = ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel)
-    out, _ = flt.predict(fs, imu, dt, noise=noise)
+    out, _ = flt.predict(fs, imu, flt.RunConstants(variant, noise, dt))
     a = -1.0 / 100.0
     phi_s = 1.0 + a * dt + 0.5 * (a * dt) ** 2
     qd_s = 0.5 * dt * (2e-6) ** 2 * (phi_s**2 + 1.0)
@@ -136,8 +136,9 @@ def test_predict_trace_grows_with_noise():
     gyro, accel = GEN.imu_instantaneous(fs.t)
     imu = ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel)
     trace = np.trace(fs.p)
+    run = flt.RunConstants(variant, noise, 0.01)
     for _ in range(20):
-        fs, _ = flt.predict(fs, imu, 0.01, noise=noise)
+        fs, _ = flt.predict(fs, imu, run)
         assert np.trace(fs.p) >= trace
         trace = np.trace(fs.p)
     assert np.all(np.linalg.eigvalsh(fs.p) >= -1e-12)
@@ -148,9 +149,10 @@ def test_predict_tracks_mechanization_zero_noise():
     variant = Variant("NED", "LeftEst")
     fs = make_fs(variant, t=0.0)
     dt = 0.01
+    run = flt.RunConstants(variant, ImuNoiseParams(tau_g=None, tau_a=None), dt)
     for imu in GEN.synthesize_imu(2.0, dt):
         biased = ImuSample(imu.t, imu.gyro + BIAS0.gyro, imu.accel + BIAS0.accel)
-        fs, _ = flt.predict(fs, biased, dt, noise=ImuNoiseParams(tau_g=None, tau_a=None))
+        fs, _ = flt.predict(fs, biased, run)
     truth = GEN.state_ecef(2.0)
     pos = earth.llh_to_ecef(*fs.nav.geo)
     assert np.linalg.norm(pos - truth.r) <= 1e-4

@@ -71,3 +71,20 @@ def test_benchmark_runs_every_workload_and_ends_with_its_result_line():
         for metric in declared["end_to_end"]:
             key = f"{workload['name']}/{metric['name']}"
             assert isinstance(result["metrics"][key]["value"], float), key
+
+
+def test_traced_monte_carlo_run_completes():
+    # about 10 s. The traced run divides the earth.radii count by the
+    # mechanization.step count, so a lockstep forward pass that bypassed the
+    # traced step would crash it with ZeroDivisionError.
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "monte-carlo",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    steps = result["metrics"]["mechanization.step_calls"]["value"]
+    assert steps > 0
