@@ -438,32 +438,23 @@ def _write_streams(out, sim):
     )
 
 
-def run_scenario(cfg, out_dir):
+def run_scenario(cfg, out_dir, truth=None, forward=None):
     """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
 
     Returns the metrics dictionary that is also written to metrics.json.
+    Every Monte-Carlo member runs through here as well: ``truth`` is the
+    truth the members share (:func:`_truth`), and a lockstep member hands
+    over its simulation and forward pass as ``forward`` = (sim, records,
+    nis_log), which leaves it the smoothing, metrics and files.
     """
-    return _run_member(cfg, _simulate(cfg), out_dir)
-
-
-def _start(cfg, sim):
-    """The member's initial FilterState, drawn from its generator."""
-    start = _initial_state(cfg, sim.variant, sim.gen, sim.rng)
-    return flt.FilterState(sim.variant, *start, 0.0)
-
-
-def _run_member(cfg, sim, out_dir):
-    """Filter, smooth and write one simulated member on its own."""
-    lever = np.array(cfg.gnss.lever_arm_b_m)
-    fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
-    records, nis_log = smo.run_forward(
-        _start(cfg, sim), sim.imu, fixes, cfg.imu_dt_s, sim.noise, cfg.mode
-    )
-    return _write_run(cfg, sim, records, nis_log, out_dir)
-
-
-def _write_run(cfg, sim, records, nis_log, out_dir):
-    """Smooth a member's forward records; write its files and metrics."""
+    if forward is None:
+        sim = _simulate(cfg, truth)
+        lever = np.array(cfg.gnss.lever_arm_b_m)
+        fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
+        forward = sim, *smo.run_forward(
+            _start(cfg, sim), sim.imu, fixes, cfg.imu_dt_s, sim.noise, cfg.mode
+        )
+    sim, records, nis_log = forward
     variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
     smoothed = smo.rts_smooth(variant, records)
 
@@ -486,6 +477,12 @@ def _write_run(cfg, sim, records, nis_log, out_dir):
     )
     _write_json(out / "metrics.json", metrics)
     return metrics
+
+
+def _start(cfg, sim):
+    """The member's initial FilterState, drawn from its generator."""
+    start = _initial_state(cfg, sim.variant, sim.gen, sim.rng)
+    return flt.FilterState(sim.variant, *start, 0.0)
 
 
 def _epoch_errors(truth, ned):
@@ -570,7 +567,9 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
 
 # The fewest members that a Variant.lockstep variant's Monte-Carlo run
 # filters in lockstep. Per member and IMU step, one stacked predict cost
-# 1.43x a scalar predict at 1 member and 0.86x at 2 (BENCH_13.json).
+# 1.43x a scalar predict at 1 member and 0.86x at 2; end to end, a lockstep
+# run_monte_carlo took 1.38x the member loop's time at 1 member and 0.94x at
+# 2 (BENCH_13.json).
 LOCKSTEP_MIN_MEMBERS = 2
 
 
@@ -595,8 +594,7 @@ def run_monte_carlo(cfg, out_dir, n_runs):
         results = _run_lockstep(members, truth, dirs)
     else:
         results = [
-            _run_member(sub, _simulate(sub, truth), run_dir)
-            for sub, run_dir in zip(members, dirs)
+            run_scenario(sub, run_dir, truth) for sub, run_dir in zip(members, dirs)
         ]
     final_nees = [m["final_nees"] for m in results]
     merged = {
@@ -656,7 +654,7 @@ def _run_lockstep(members, truth, dirs):
             Rows(ImuSample, times, imu[:, 0, k], imu[:, 1, k]),
             raw_fixes[k], truth.truth_rows,
         )
-        results.append(_write_run(sub, sim, records[k], nis[k], run_dir))
+        results.append(run_scenario(sub, run_dir, forward=(sim, records[k], nis[k])))
         records[k] = nis[k] = biases[k] = None
     return results
 

@@ -313,7 +313,7 @@ def _input_map(variant, embedding, g):
     g[RR, WG] = (sign * sk_p) @ r
 
 
-def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
+def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None):
     """Continuous-time (F, G) for the given variant at a nominal state.
 
     ``nominal`` is a NavStateNED for the NED frames and a NavStateECEF with
@@ -330,6 +330,9 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     leading axis of N members) with (N, 3) rates gives F as an (N, 15, 15)
     stack, each member equal to its single call bit for bit; G, which no
     nominal enters for a left error, stays one (15, 12) matrix.
+
+    ``g`` is a left error's G built once for the run
+    (``filter.RunConstants``); without it, G is built here.
     """
     stacked = gyro.ndim == 2
     if stacked and not variant.lockstep:
@@ -338,7 +341,9 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None):
     f[..., BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
     f[..., BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
     blocks = _ned_left_stack if stacked else _BLOCKS[variant.frame]
-    g = noise_map(variant, blocks(variant, nominal, gyro, accel, f))
+    embedding = blocks(variant, nominal, gyro, accel, f)
+    if g is None:
+        g = noise_map(variant, embedding)
     f[..., :9, 9:] = g[:9, :6]
     return f, g
 

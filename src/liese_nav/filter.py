@@ -190,9 +190,9 @@ class RunConstants:
     """What ``predict`` needs besides the state and the sample, fixed for a
     run and built once: the step, the bias time constants, the PSD diagonals
     ``noise.q_diag()``, the bias decays exp(-dt / tau) over one step and,
-    for a left error, whose G no nominal enters, G Qc G' (None for a right
-    error, whose G follows the estimate). Each equals its per-step value
-    bit for bit."""
+    for a left error, whose G no nominal enters, G (read-only) and G Qc G'
+    (both None for a right error, whose G follows the estimate). Each
+    equals its per-step value bit for bit."""
 
     def __init__(self, variant, noise, dt):
         self.dt = dt
@@ -200,7 +200,11 @@ class RunConstants:
         self.qc = noise.q_diag()
         self.decay_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
         self.decay_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
-        self.gq = None if variant.is_right else noise_cov(noise_map(variant), self.qc)
+        self.g = self.gq = None
+        if not variant.is_right:
+            self.g = noise_map(variant)
+            self.g.flags.writeable = False
+            self.gq = noise_cov(self.g, self.qc)
 
 
 def discretize(f, gq, dt):
@@ -228,7 +232,7 @@ def predict(fs, imu, run):
     gyro = imu.gyro - fs.bias.gyro
     accel = imu.accel - fs.bias.accel
     f, g = error_dynamics(
-        fs.variant, fs.nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a
+        fs.variant, fs.nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a, g=run.g
     )
     gq = noise_cov(g, run.qc) if run.gq is None else run.gq
     phi, qd = discretize(f, gq, run.dt)

@@ -266,8 +266,8 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
     # anything, naming the sample's time
     simulate, bad = cli._simulate, {}
 
-    def corrupted(cfg):
-        sim = simulate(cfg)
+    def corrupted(cfg, truth=None):
+        sim = simulate(cfg, truth)
         if stream == "fix":
             t, pos, _ = sim.raw_fixes[2]
             pos[0], bad["t"] = np.nan, t
@@ -286,23 +286,32 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
 
 
 def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
-    # member k gets seed + k and run_k; the members' metrics are written in
-    # index order, then merged by run index, in lockstep and one by one
-    writes = []
-    write_json = cli._write_json
+    # member k gets seed + k and run_k; each member passes through
+    # cli.run_scenario (the span a traced benchmark run times per member),
+    # the members' metrics are written in index order, then merged by run
+    # index, in lockstep and one by one
+    writes, members_run = [], []
+    write_json, run_scenario = cli._write_json, cli.run_scenario
 
     def recording(path, obj):
         writes.append((path.parent.name, obj.get("seed")))
         write_json(path, obj)
 
+    def member(cfg, out_dir, *args, **kwargs):
+        members_run.append((Path(out_dir).name, cfg.seed))
+        return run_scenario(cfg, out_dir, *args, **kwargs)
+
     monkeypatch.setattr(cli, "_write_json", recording)
+    monkeypatch.setattr(cli, "run_scenario", member)
     cfg = cli.load_config(write_config(tmp_path))
     seed = BASE_CONFIG["seed"]
     for runs in (4, cli.LOCKSTEP_MIN_MEMBERS - 1):
         writes.clear()
+        members_run.clear()
         out = tmp_path / f"mc_{runs}"
         merged = cli.run_monte_carlo(cfg, out, runs)
         names = [f"run_{k:03d}" for k in range(runs)]
+        assert members_run == [(n, seed + k) for k, n in enumerate(names)]
         assert writes == [(n, seed + k) for k, n in enumerate(names)] + [
             (out.name, None)
         ]

@@ -76,7 +76,9 @@ def test_benchmark_runs_every_workload_and_ends_with_its_result_line():
 def test_traced_monte_carlo_run_completes():
     # about 10 s. The traced run divides the earth.radii count by the
     # mechanization.step count, so a lockstep forward pass that bypassed the
-    # traced step would crash it with ZeroDivisionError.
+    # traced step would crash it with ZeroDivisionError; a member that
+    # bypassed cli.run_scenario, the tracer's member span, would leave the
+    # member metrics without a value.
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "monte-carlo",
          "--seconds", "1", "--trace", "1"],
@@ -86,5 +88,9 @@ def test_traced_monte_carlo_run_completes():
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    steps = result["metrics"]["mechanization.step_calls"]["value"]
-    assert steps > 0
+    assert result["metrics"]["mechanization.step_calls"]["value"] > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [
+        m["name"] for m in declared if result["metrics"][m["name"]]["value"] is None
+    ]
+    assert not missing, missing
