@@ -33,7 +33,7 @@ from liese_nav.errors import (
     ConfigError, IncompatibleMode, IoError, LieseNavError, NotPSD,
 )
 from liese_nav.liegroup import matvec, so3_log
-from liese_nav.mechanization import ImuSample, Rows, stack_states, state_at
+from liese_nav.mechanization import Rows, stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -371,7 +371,7 @@ class Truth:
     variant: Variant
     noise: ImuNoiseParams
     gen: TruthGenerator
-    clean: list  # noise-free ImuSample stream
+    clean: Rows  # noise-free IMU stream
     truth_rows: list  # truth.csv rows at every IMU epoch and the end
 
 
@@ -392,8 +392,8 @@ class Simulation:
     noise: ImuNoiseParams
     gen: TruthGenerator
     rng: "np.random.Generator"  # positioned after the sensor draws
-    biases: list  # true bias at each IMU epoch (a list, or Rows)
-    imu: list  # corrupted ImuSample stream (a list, or Rows)
+    biases: Rows  # true bias at each IMU epoch
+    imu: Rows  # corrupted IMU stream
     raw_fixes: list  # (t, antenna position, covariance)
     truth_rows: list  # truth.csv rows at every IMU epoch and the end
 
@@ -426,11 +426,8 @@ def _simulate(cfg, truth=None):
 
 def _write_streams(out, sim):
     write_csv(out / "truth.csv", TRAJ_HEADER, sim.truth_rows)
-    write_csv(
-        out / "imu.csv",
-        IMU_HEADER,
-        [_fmt([s.t, *s.gyro.tolist(), *s.accel.tolist()]) for s in sim.imu],
-    )
+    imu = np.column_stack([sim.imu.times, sim.imu.values.reshape(len(sim.imu), 6)])
+    write_csv(out / "imu.csv", IMU_HEADER, [_fmt(row.tolist()) for row in imu])
     write_csv(
         out / "gnss.csv",
         GNSS_HEADER,
@@ -449,10 +446,9 @@ def run_scenario(cfg, out_dir, truth=None, forward=None):
     """
     if forward is None:
         sim = _simulate(cfg, truth)
-        lever = np.array(cfg.gnss.lever_arm_b_m)
-        fixes = [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
         forward = sim, *smo.run_forward(
-            _start(cfg, sim), sim.imu, fixes, cfg.imu_dt_s, sim.noise, cfg.mode
+            _start(cfg, sim), sim.imu, _fixes(cfg, sim), cfg.imu_dt_s, sim.noise,
+            cfg.mode,
         )
     sim, records, nis_log = forward
     variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
@@ -483,6 +479,12 @@ def _start(cfg, sim):
     """The member's initial FilterState, drawn from its generator."""
     start = _initial_state(cfg, sim.variant, sim.gen, sim.rng)
     return flt.FilterState(sim.variant, *start, 0.0)
+
+
+def _fixes(cfg, sim):
+    """The member's GNSS fixes, for the filter's updates."""
+    lever = np.array(cfg.gnss.lever_arm_b_m)
+    return [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
 
 
 def _epoch_errors(truth, ned):
@@ -530,21 +532,21 @@ def _nees(records, dx):
 def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log):
     """Metrics of the stacked NED tracks ``filtered`` and ``smoothed``, whose
     epochs are the records'; truth is evaluated at those epochs at once."""
-    truth = variant.chart.states(gen, [r.t for r in records])
+    times = [r.t for r in records]
+    truth = variant.chart.states(gen, times)
     truth_n = variant.chart.as_ned(truth)
+    # the true bias of the IMU interval that ends at each epoch
+    steps = np.rint(np.array(times) / dt).astype(int) - 1
+    true_bias = biases.values[np.clip(steps, 0, len(biases) - 1)]
     dx = np.empty((len(records), 15))
     # one stacked error per block of epochs, which bounds the stacks' memory
     for start in range(0, len(records), smo.BLOCK):
         rows = slice(start, start + smo.BLOCK)
         block = records[rows]
-        true_bias = [
-            biases[min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))]
-            for rec in block
-        ]
         dx[rows] = flt.error_states(
             variant,
             state_at(truth, rows),
-            stack_states(true_bias),
+            BiasState(true_bias[rows, 0], true_bias[rows, 1]),
             stack_states([rec.nav for rec in block]),
             stack_states([rec.bias for rec in block]),
         )
@@ -610,52 +612,22 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     return merged
 
 
-def _member_draws(cfg, truth):
-    """A member's initial state, IMU and bias streams as (steps, 2, 3)
-    arrays, and GNSS fixes, drawn as ``run_scenario`` draws them."""
-    sim = _simulate(cfg, truth)
-    return (
-        _start(cfg, sim),
-        np.array([(s.gyro, s.accel) for s in sim.imu]),
-        np.array([(b.gyro, b.accel) for b in sim.biases]),
-        sim.raw_fixes,
-    )
-
-
 def _run_lockstep(members, truth, dirs):
     """Filter the members' streams in one forward pass, then smooth and
-    write each member in index order.
-
-    The members' streams are kept as arrays, the IMU as (steps, 2, members,
-    3), and read through ``mechanization.Rows``.
-    """
+    write each member in index order."""
     cfg = members[0]
-    starts, imu, biases, raw_fixes = map(
-        list, zip(*(_member_draws(sub, truth) for sub in members))
-    )
-    times = [s.t for s in truth.clean]
-    truth.clean = None  # past the draws, only its times are needed
-    imu = np.stack(imu, axis=2)
-    lever = np.array(cfg.gnss.lever_arm_b_m)
-    positions = np.stack([[pos for _, pos, _ in raw] for raw in raw_fixes], axis=1)
-    fixes = [
-        flt.GnssFix(t, pos, r, lever)
-        for (t, _, r), pos in zip(raw_fixes[0], positions)
-    ]
+    sims = [_simulate(sub, truth) for sub in members]
     records, nis = smo.run_forward(
-        flt.FilterState.stack(starts), Rows(ImuSample, times, imu[:, 0], imu[:, 1]),
-        fixes, cfg.imu_dt_s, truth.noise, cfg.mode,
+        [_start(sub, sim) for sub, sim in zip(members, sims)],
+        [sim.imu for sim in sims],
+        [_fixes(sub, sim) for sub, sim in zip(members, sims)],
+        cfg.imu_dt_s, truth.noise, cfg.mode,
     )
     results = []
     for k, (sub, run_dir) in enumerate(zip(members, dirs)):
-        sim = Simulation(
-            truth.variant, truth.noise, truth.gen, None,
-            Rows(BiasState, biases[k][:, 0], biases[k][:, 1]),
-            Rows(ImuSample, times, imu[:, 0, k], imu[:, 1, k]),
-            raw_fixes[k], truth.truth_rows,
-        )
-        results.append(run_scenario(sub, run_dir, forward=(sim, records[k], nis[k])))
-        records[k] = nis[k] = biases[k] = None
+        forward = sims[k], records[k], nis[k]
+        results.append(run_scenario(sub, run_dir, forward=forward))
+        sims[k] = records[k] = nis[k] = None
     return results
 
 

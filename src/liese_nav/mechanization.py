@@ -26,19 +26,25 @@ class ImuSample:
 
 
 class Rows:
-    """A sequence of ``kind`` objects held as arrays whose first axis is the
-    index: item k is ``kind(*(field[k] for field in fields))``, built on
-    demand, so a long stream (IMU samples with (n,) times and (n, 3) or
-    (n, N, 3) rates, a bias track) keeps no per-item objects alive."""
+    """A stream of ``kind`` objects over one array whose first axis is the
+    index: item k is ``kind(times[k], *values[k])``, or ``kind(*values[k])``
+    without times. An IMU stream holds (n, 2, 3) rates (gyro, accel), or
+    (n, 2, N, 3) for N members, and Python-float times; a bias track holds
+    (n, 2, 3). Items are built on demand and their fields are views, so a
+    write to one reaches the array; a slice is the stream of its rows."""
 
-    def __init__(self, kind, *fields):
-        self.kind, self.fields = kind, fields
+    def __init__(self, kind, values, times=None):
+        self.kind, self.values, self.times = kind, values, times
 
     def __len__(self):
-        return len(self.fields[0])
+        return len(self.values)
 
     def __getitem__(self, k):
-        return self.kind(*(field[k] for field in self.fields))
+        if isinstance(k, slice):
+            times = None if self.times is None else self.times[k]
+            return Rows(self.kind, self.values[k], times)
+        head = () if self.times is None else (self.times[k],)
+        return self.kind(*head, *self.values[k])
 
 
 @dataclass

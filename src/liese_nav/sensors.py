@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from liese_nav.mechanization import ImuSample
+from liese_nav.mechanization import ImuSample, Rows
 
 
 @dataclass
@@ -56,7 +56,8 @@ def discretize_bias(tau, sigma_b, dt):
 
 
 def simulate_biases(params, n_steps, dt, rng, initial=None):
-    """Sample a bias trajectory with the exact discrete transition.
+    """Sample a bias trajectory with the exact discrete transition; returns
+    a ``Rows`` of ``BiasState`` over one (n_steps, 2, 3) array.
 
     The driving noise of all steps is drawn in one call, in the order of
     one gyro and one accel triple per step; the recursion runs step by step.
@@ -73,13 +74,12 @@ def simulate_biases(params, n_steps, dt, rng, initial=None):
     for k in range(n_steps):
         out[k] = b
         b = phi * b + drive[k]
-    return [BiasState(g, a) for g, a in out]
+    return Rows(BiasState, out)
 
 
 def corrupt(samples, biases, params, dt, rng):
-    """Apply bias and white noise to a clean IMU stream."""
+    """Apply bias and white noise to a clean IMU stream; ``samples`` and
+    ``biases`` are ``Rows`` over (n, 2, 3) arrays, and so is the result."""
     scale = np.array([[params.sigma_g], [params.sigma_a]]) / np.sqrt(dt)
-    clean = np.array([(s.gyro, s.accel) for s in samples], float).reshape(-1, 2, 3)
-    bias = np.array([(b.gyro, b.accel) for b in biases], float).reshape(-1, 2, 3)
-    noisy = clean + bias + scale * rng.standard_normal((len(samples), 2, 3))
-    return [ImuSample(s.t, g, a) for s, (g, a) in zip(samples, noisy)]
+    noise = scale * rng.standard_normal((len(samples), 2, 3))
+    return Rows(ImuSample, samples.values + biases.values + noise, samples.times)

@@ -18,6 +18,7 @@ from liese_nav.mechanization import (
     ImuSample,
     NavStateECEF,
     NavStateNED,
+    Rows,
     ecef_to_ned_state,
     state_at,
 )
@@ -158,14 +159,15 @@ class TruthGenerator:
     # -- sensor streams ----------------------------------------------------
 
     def synthesize_imu(self, duration, dt):
-        """Noise-free IMU stream; sample k is valid over [k*dt, (k+1)*dt).
+        """Noise-free IMU stream, a ``Rows`` of ``ImuSample`` over one
+        (n, 2, 3) array; sample k is valid over [k*dt, (k+1)*dt).
 
         Rates are evaluated at the interval midpoint, which keeps the
         piecewise-constant representation second-order accurate.
         """
         t = np.arange(int(round(duration / dt))) * dt
-        gyro, accel = self.imu_at(t + 0.5 * dt)
-        return [ImuSample(*sample) for sample in zip(t.tolist(), gyro, accel)]
+        rates = np.stack(self.imu_at(t + 0.5 * dt), axis=1)
+        return Rows(ImuSample, rates, t.tolist())
 
     def sample_gnss(self, times, lever_arm_b, sigma_pos, rng):
         """GNSS antenna positions in ECEF with isotropic white noise."""

@@ -6,6 +6,7 @@ at k+1 is mapped into a 15-vector with the group logarithm, pulled back
 through the smoother gain, and retracted into the filtered nominal at k.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from liese_nav import filter as flt
 from liese_nav.errors import NonFiniteInput, SingularPredCov
 from liese_nav.filter import _I15, apply_correction, error_state
+from liese_nav.mechanization import ImuSample, Rows
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
 
@@ -45,38 +47,47 @@ class SmoothedEpoch:
 
 
 def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
-    """Filter the IMU samples from FilterState ``fs``, updating at the first
-    epoch that reaches each GNSS fix. Returns (records, nis): a ForwardRecord
-    per update, the last one (or, with no fix, the last prediction) final,
-    and one {"t", "value"} NIS entry per update.
+    """Filter the IMU stream ``imu`` (a ``mechanization.Rows``) from
+    FilterState ``fs``, updating with each GNSS fix after the first IMU step
+    k at which ``fs.t + k * dt`` reaches its time (the states' own times sum
+    ``dt`` step by step, and drift from that on a long run or a large start
+    time). Returns (records, nis): a ForwardRecord per update, the last one
+    (or, with no fix, the last prediction) final, and one {"t", "value"} NIS
+    entry per update.
 
-    A stacked ``fs`` (nav, bias and P with a leading axis of N members, of a
-    ``Variant.lockstep`` variant) runs N members in lockstep: each sample's
-    rates and each fix position carry the member axis too, the predict is
-    one stacked call, and each member's update is its own call. Records and
-    NIS then come back as one list per member, each equal to the member's
-    own run bit for bit.
+    Lists of member start states (of a ``Variant.lockstep`` variant),
+    streams and fix lists, all members' at the same times, run in lockstep:
+    one stacked predict per IMU epoch, and each member's update with its own
+    fix. Records and NIS then come back as one list per member, each equal
+    to the member's own run bit for bit.
 
     Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
     position holds a NaN or an infinity.
     """
-    _check_finite(imu, fixes)
+    lockstep = isinstance(fs, list)
+    if lockstep:
+        fs = flt.FilterState.stack(fs)
+        imu = Rows(ImuSample, np.stack([s.values for s in imu], axis=2), imu[0].times)
+        groups = list(zip(*fixes))
+    else:
+        groups = [(fix,) for fix in fixes]
+    _check_finite(imu, groups)
     run = flt.RunConstants(fs.variant, noise or ImuNoiseParams(), dt)
-    stacked = fs.p.ndim == 3
-    lanes = len(fs.p) if stacked else 1
+    lanes = len(fs.p) if lockstep else 1
     records, nis = [[] for _ in range(lanes)], [[] for _ in range(lanes)]
     pending = [None] * lanes  # last post-update states awaiting their leg
     phi_acc = _I15
-    fix_iter = iter(fixes)
-    fix = next(fix_iter, None)
-    for sample in imu:
+    # the IMU step at which each group of fixes is due; fs.t sums dt
+    due = [math.ceil((group[0].t - fs.t - 1e-9) / dt) for group in groups]
+    applied = 0
+    for step, sample in enumerate(imu, 1):
         fs, phi = flt.predict(fs, sample, run)
         phi_acc = phi @ phi_acc
-        if fix is not None and fs.t >= fix.t - 1e-9:
-            priors = fs.members() if stacked else [fs]
-            phis = phi_acc if stacked else [phi_acc]
-            positions = fix.pos if stacked else [fix.pos]
-            for k, (prior, leg, pos) in enumerate(zip(priors, phis, positions)):
+        if applied < len(groups) and step >= due[applied]:
+            priors = fs.members() if lockstep else [fs]
+            phis = phi_acc if lockstep else [phi_acc]
+            group = groups[applied]
+            for k, (prior, leg, fix) in enumerate(zip(priors, phis, group)):
                 if pending[k] is not None:
                     last = pending[k]
                     records[k].append(
@@ -86,34 +97,30 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
                             prior.bias.copy(),
                         )
                     )
-                post, report = flt.update(
-                    prior, flt.GnssFix(fix.t, pos, fix.r, fix.lever_arm_b), mode=mode
-                )
+                post, report = flt.update(prior, fix, mode=mode)
                 nis[k].append({"t": post.t, "value": float(report.nis)})
                 pending[k] = post.copy()
-            fs = flt.FilterState.stack(pending) if stacked else post
+            fs = flt.FilterState.stack(pending) if lockstep else post
             phi_acc = _I15
-            fix = next(fix_iter, None)
-    finals = fs.members() if stacked else [fs]
+            applied += 1
+    finals = fs.members() if lockstep else [fs]
     for k, final in enumerate(finals):
         last = final.copy() if pending[k] is None else pending[k]
         records[k].append(ForwardRecord(last.t, last.nav, last.bias, last.p))
-    return (records, nis) if stacked else (records[0], nis[0])
+    return (records, nis) if lockstep else (records[0], nis[0])
 
 
-def _check_finite(imu, fixes):
+def _check_finite(imu, groups):
     """Raise NonFiniteInput at the first IMU sample, then at the first fix
     position, that holds a NaN or an infinity; one isfinite per stream."""
-    for what, items, rows in (
-        ("IMU sample", imu, [(s.gyro, s.accel) for s in imu]),
-        ("GNSS fix position", fixes, [fix.pos for fix in fixes]),
-    ):
-        if not rows:
-            continue
-        finite = np.isfinite(np.array(rows, dtype=float)).reshape(len(rows), -1)
-        bad = np.flatnonzero(~finite.all(axis=1))
-        if bad.size:
-            raise NonFiniteInput(f"non-finite {what} at t={items[bad[0]].t}")
+    bad = np.argwhere(~np.isfinite(imu.values))
+    if bad.size:
+        raise NonFiniteInput(f"non-finite IMU sample at t={imu.times[bad[0, 0]]}")
+    pos = np.array([[fix.pos for fix in group] for group in groups], float)
+    bad = np.argwhere(~np.isfinite(pos))
+    if bad.size:
+        t = groups[bad[0, 0]][0].t
+        raise NonFiniteInput(f"non-finite GNSS fix position at t={t}")
 
 
 # Epochs per stacked solve (here and in the metrics and covariance.csv):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from liese_nav import earth, filter as flt, mechanization as mech, sensors
+from liese_nav import earth, filter as flt, sensors
 from liese_nav import smoother as smo
 from liese_nav.errormodels import (
     Variant,
@@ -222,7 +222,7 @@ SIGMAS0 = np.concatenate(
 
 
 def _draws(variant, duration, dt, seed, clean):
-    """One seed's initial FilterState, IMU stream, bias track and raw GNSS
+    """One seed's initial FilterState, IMU stream, bias track and GNSS
     fixes, drawn from its own generator in the scenario runner's order."""
     rng = np.random.default_rng(seed)
     n = int(round(duration / dt))
@@ -234,14 +234,13 @@ def _draws(variant, duration, dt, seed, clean):
         SIGMAS0 * rng.standard_normal(15),
     )
     fs = flt.FilterState(variant, nav0, bias0, np.diag(SIGMAS0**2), 0.0)
-    return fs, imu, biases, raw
+    return fs, imu, biases, [flt.GnssFix(t, pos, r, LEVER) for t, pos, r in raw]
 
 
 def _forward(variant, mode, duration, dt, seed):
     """One filter pass; returns its records."""
     clean = CIRCLE.synthesize_imu(duration, dt)
-    fs, imu, _, raw = _draws(variant, duration, dt, seed, clean)
-    fixes = [flt.GnssFix(t, pos, r, LEVER) for t, pos, r in raw]
+    fs, imu, _, fixes = _draws(variant, duration, dt, seed, clean)
     return smo.run_forward(fs, imu, fixes, dt, NOISE, mode)[0]
 
 
@@ -279,24 +278,11 @@ def test_criterion_6_zero_noise_tracking():
 def _lockstep_forward(variant, duration, dt, seeds, clean):
     """Filter and smooth a block of seeds, each with its own ``_draws``, in
     one lockstep ``run_forward`` (one stacked predict per IMU epoch).
-    Returns per member (records, smoothed, biases), the biases as an
-    (epochs, 2, 3) array."""
-    starts, imu, biases, positions = [], [], [], []
-    for seed in seeds:
-        fs, stream, track, raw = _draws(variant, duration, dt, seed, clean)
-        starts.append(fs)
-        imu.append(np.array([(s.gyro, s.accel) for s in stream]))
-        biases.append(np.array([(b.gyro, b.accel) for b in track]))
-        positions.append([pos for _, pos, _ in raw])
-    imu = np.stack(imu, axis=2)  # (epochs, 2, members, 3)
-    samples = mech.Rows(mech.ImuSample, [s.t for s in clean], imu[:, 0], imu[:, 1])
-    fixes = [
-        flt.GnssFix(t, pos, r, LEVER)
-        for (t, _, r), pos in zip(raw, np.stack(positions, axis=1))
-    ]
-    records, _ = smo.run_forward(
-        flt.FilterState.stack(starts), samples, fixes, dt, NOISE, "se23"
+    Returns per member (records, smoothed, biases)."""
+    starts, imu, biases, fixes = map(
+        list, zip(*(_draws(variant, duration, dt, seed, clean) for seed in seeds))
     )
+    records, _ = smo.run_forward(starts, imu, fixes, dt, NOISE, "se23")
     return [
         (recs, smo.rts_smooth(variant, recs), b) for recs, b in zip(records, biases)
     ]
@@ -324,8 +310,7 @@ def test_criterion_7_and_8_monte_carlo_consistency_and_smoother_dominance():
                 # criterion 7: NEES of the full error state against the truth
                 idx = min(n - 1, max(0, int(round(rec.t / dt)) - 1))
                 dx = flt.error_state(
-                    variant, truth_ned[rec.t], BiasState(*biases[idx]), rec.nav,
-                    rec.bias,
+                    variant, truth_ned[rec.t], biases[idx], rec.nav, rec.bias,
                 )
                 if rec.t >= duration - 30.0:
                     tail_nees.append(float(dx @ np.linalg.solve(rec.p_post, dx)))

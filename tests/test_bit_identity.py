@@ -18,6 +18,7 @@ byte-identical.
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ from liese_nav.errormodels import (
     measurement_se23,
     supported_variants,
 )
-from liese_nav.errors import NearPiRotation
+from liese_nav.errors import NearPiRotation, NonFiniteInput
 from liese_nav.liegroup import (
     NEAR_PI_MARGIN, SMALL_ANGLE, cross, exp_se23, left_jacobian_inv, log_se23,
     skew, so3_exp, so3_log,
@@ -802,11 +803,6 @@ def _scenario(frame, error_def, mode):
     )
 
 
-def _fixes(cfg, sim):
-    lever = np.array(cfg.gnss.lever_arm_b_m)
-    return [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
-
-
 @pytest.mark.parametrize(
     "frame, error_def, mode",
     [("NED", "RightEst", "se23"), ("ECEF_Inertial", "LeftEst", "invariant")],
@@ -814,7 +810,7 @@ def _fixes(cfg, sim):
 def test_forward_pass_matches_reference(frame, error_def, mode):
     cfg = _scenario(frame, error_def, mode)
     sim = cli._simulate(cfg)
-    fixes = _fixes(cfg, sim)
+    fixes = cli._fixes(cfg, sim)
     starts = [
         init(cfg, sim.variant, sim.gen, copy.deepcopy(sim.rng))
         for init in (cli._initial_state, oracles.ref_initial_state)
@@ -825,6 +821,52 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
     ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
     assert len(new[0]) == 10  # one record per fix, the last one final
     assert_same(new, ref, "forward pass")
+
+
+def _members(n):
+    """Start states, IMU streams and fix lists of n members of one NED/LeftEst
+    scenario (seeds 9, 10, ...), drawn as the Monte-Carlo runner draws them."""
+    base = _scenario("NED", "LeftEst", "se23")
+    draws = []
+    for k in range(n):
+        cfg = base.model_copy(update={"seed": base.seed + k}, deep=True)
+        sim = cli._simulate(cfg)
+        draws.append((cli._start(cfg, sim), sim.imu, cli._fixes(cfg, sim)))
+    return base, sim.noise, [list(x) for x in zip(*draws)]
+
+
+@pytest.mark.parametrize("steps", [None, 40], ids=["whole", "before-first-fix"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lockstep_forward_matches_member_forwards(n, steps):
+    # one run_forward over member lists equals each member's own run_forward
+    # bit for bit; 40 steps (0.8 s) end before the first fix at 1 s, so each
+    # member's one record is its final prediction
+    cfg, noise, (starts, imus, fixes) = _members(n)
+    if steps:
+        imus = [imu[:steps] for imu in imus]
+    singles = [
+        smo.run_forward(fs.copy(), imu, member_fixes, DT, noise, cfg.mode)
+        for fs, imu, member_fixes in zip(starts, imus, fixes)
+    ]
+    lockstep = smo.run_forward(starts, imus, fixes, DT, noise, cfg.mode)
+    expected = tuple(list(x) for x in zip(*singles))
+    assert_same(lockstep, expected, "lockstep forward pass")
+    assert [len(records) for records in lockstep[0]] == [1 if steps else 10] * n
+
+
+@pytest.mark.parametrize("stream", ["imu", "fix"])
+@pytest.mark.parametrize("bad", [0, 2])
+def test_lockstep_forward_names_a_members_non_finite_input(bad, stream):
+    # a NaN in member bad's IMU stream or fix list stops the lockstep pass
+    # before its loop, naming the sample's time
+    cfg, noise, (starts, imus, fixes) = _members(3)
+    if stream == "imu":
+        sample = imus[bad][150]
+        sample.accel[1], t = np.nan, sample.t
+    else:
+        fixes[bad][4].pos[2], t = np.nan, fixes[bad][4].t
+    with pytest.raises(NonFiniteInput, match=re.escape(f"t={t}")):
+        smo.run_forward(starts, imus, fixes, DT, noise, cfg.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +922,9 @@ def _forward(frame, error_def, mode):
     fs = flt.FilterState(
         sim.variant, *cli._initial_state(cfg, sim.variant, sim.gen, sim.rng), 0.0
     )
-    records, nis = smo.run_forward(fs, sim.imu, _fixes(cfg, sim), DT, sim.noise, mode)
+    records, nis = smo.run_forward(
+        fs, sim.imu, cli._fixes(cfg, sim), DT, sim.noise, mode
+    )
     return cfg, sim, records, nis
 
 

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from liese_nav import earth, mechanization as mech
 from liese_nav.errors import PoleSingularity
+from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 ORIGIN = np.array([0.7, 0.2, 120.0])
@@ -118,3 +119,36 @@ def test_straight_line_latitude_shift():
     rm, _ = earth.radii(0.0)
     expected = 100.0 / (rm + 50.0)
     assert truth.geo[0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_rows_is_a_stream_over_one_array():
+    # [TRIVIAL] len, iteration to its end, a negative index, fields that
+    # are views (a write reaches the array), and slices that are streams
+    values = np.arange(24.0).reshape(4, 2, 3)
+    rows = mech.Rows(mech.ImuSample, values, [0.0, 0.5, 1.0, 1.5])
+    assert len(rows) == 4
+    items = iter(rows)
+    assert [next(items).t for _ in range(4)] == [0.0, 0.5, 1.0, 1.5]
+    with pytest.raises(StopIteration):
+        next(items)
+    with pytest.raises(IndexError):
+        rows[4]
+    last = rows[-1]
+    assert last.t == 1.5
+    assert np.array_equal(last.gyro, values[3, 0])
+    assert np.array_equal(last.accel, values[3, 1])
+    rows[1].gyro[2] = -1.0
+    list(rows)[2].accel[0] = -2.0
+    assert values[1, 0, 2] == -1.0 and values[2, 1, 0] == -2.0
+    middle = rows[1:3]
+    assert isinstance(middle, mech.Rows) and len(middle) == 2
+    assert [s.t for s in middle] == [0.5, 1.0]
+    middle[-1].gyro[0] = -3.0
+    assert values[2, 0, 0] == -3.0
+    # a stream without times; N members stack on the third axis
+    biases = mech.Rows(BiasState, values)
+    assert len(biases) == 4 and len(list(biases)) == 4
+    assert np.array_equal(biases[-1].accel, values[3, 1])
+    assert [b.gyro[0] for b in biases[::2]] == [values[0, 0, 0], values[2, 0, 0]]
+    members = mech.Rows(mech.ImuSample, np.zeros((4, 2, 5, 3)), [0.0] * 4)
+    assert members[0].gyro.shape == members[3].accel.shape == (5, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liese_nav import sensors
-from liese_nav.mechanization import ImuSample
+from liese_nav.mechanization import ImuSample, Rows
 
 
 def test_gm_discretization_values():
@@ -43,8 +43,8 @@ def test_corrupt_white_noise_scaling():
     # [DERIVED] per-sample sigma = density / sqrt(dt)
     params = sensors.ImuNoiseParams(sigma_g=1e-3, sigma_a=2e-3)
     dt = 0.01
-    clean = [ImuSample(k * dt, np.zeros(3), np.zeros(3)) for k in range(20000)]
-    biases = [sensors.BiasState() for _ in clean]
+    clean = Rows(ImuSample, np.zeros((20000, 2, 3)), [k * dt for k in range(20000)])
+    biases = Rows(sensors.BiasState, np.zeros((20000, 2, 3)))
     rng = np.random.default_rng(2)
     noisy = sensors.corrupt(clean, biases, params, dt, rng)
     gyros = np.array([s.gyro for s in noisy])
@@ -53,8 +53,8 @@ def test_corrupt_white_noise_scaling():
 
 def test_corrupt_adds_bias():
     params = sensors.ImuNoiseParams()
-    clean = [ImuSample(0.0, np.ones(3), np.zeros(3))]
-    biases = [sensors.BiasState(np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.2, 0.0]))]
+    clean = Rows(ImuSample, np.array([[np.ones(3), np.zeros(3)]]), [0.0])
+    biases = Rows(sensors.BiasState, np.array([[[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]]))
     out = sensors.corrupt(clean, biases, params, 0.01, np.random.default_rng(0))
     assert out[0].gyro[0] == pytest.approx(1.1)
     assert out[0].accel[1] == pytest.approx(0.2)

@@ -208,6 +208,27 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
         assert np.array_equal(rec.nav.c_bn, expected.nav.c_bn)
 
 
+def test_fixes_apply_at_their_imu_step_far_from_time_zero():
+    # [ROBUSTNESS] from t0 = 86400 s, 86400 + 0.01 rounds down, so the state
+    # time, which sums dt step by step, falls behind the step count by about
+    # 5e-12 s a step; each fix is still applied at the IMU step of its time,
+    # not one step late, and the fix at the last step is not dropped
+    dt, t0 = 0.01, 86400.0
+    imu = GEN.synthesize_imu(10.0, dt)
+    fixes = [
+        flt.GnssFix(t0 + k, GEN.state_ecef(float(k)).r, np.eye(3), LEVER)
+        for k in range(1, 11)
+    ]
+    fs = flt.FilterState(
+        Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), t0
+    )
+    records, nis = smo.run_forward(fs, imu, fixes, dt)
+    assert len(nis) == len(records) == len(fixes)
+    for entry, rec, fix in zip(nis, records, fixes):
+        assert abs(entry["t"] - fix.t) < 0.5 * dt
+        assert rec.t == entry["t"]
+
+
 @pytest.mark.parametrize("case", ["nan-gyro", "inf-accel", "nan-fix-position"])
 def test_non_finite_input_raises_naming_the_sample_time(case):
     # [ROBUSTNESS] one bad IMU sample or fix position fails before the loop
