@@ -133,7 +133,8 @@ class ScenarioConfig(_Strict):
     initial: InitialConfig = InitialConfig()
     variant: VariantConfig = VariantConfig()
     mode: str = "se23"
-    seed: int = 0
+    # np.random.default_rng raises on a negative seed, deep inside the run
+    seed: int = Field(0, ge=0)
 
 
 def load_config(path):
@@ -385,23 +386,19 @@ def _truth(cfg):
 
 
 @dataclass
-class Simulation:
+class Simulation(Truth):
     """Truth and sensor streams of one scenario."""
 
-    variant: Variant
-    noise: ImuNoiseParams
-    gen: TruthGenerator
     rng: "np.random.Generator"  # positioned after the sensor draws
     biases: Rows  # true bias at each IMU epoch
     imu: Rows  # corrupted IMU stream
-    raw_fixes: list  # (t, antenna position, covariance)
-    truth_rows: list  # truth.csv rows at every IMU epoch and the end
+    fixes: list  # filter.GnssFix of the antenna positions
 
 
 def _simulate(cfg, truth=None):
     """The simulation both ``run`` and ``simulate`` start from; the sensor
     draws come from ``default_rng(cfg.seed)``, the truth from ``truth``
-    when a Monte-Carlo run shares it."""
+    when the members of a run share it."""
     truth = truth or _truth(cfg)
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.imu_dt_s
@@ -417,11 +414,8 @@ def _simulate(cfg, truth=None):
     gnss_times = np.arange(
         cfg.gnss.period_s, cfg.duration_s + 1e-9, cfg.gnss.period_s
     )
-    raw_fixes = truth.gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
-    return Simulation(
-        truth.variant, truth.noise, truth.gen, rng, biases, imu, raw_fixes,
-        truth.truth_rows,
-    )
+    fixes = truth.gen.sample_gnss(gnss_times, lever, cfg.gnss.sigma_pos_m, rng)
+    return Simulation(**vars(truth), rng=rng, biases=biases, imu=imu, fixes=fixes)
 
 
 def _write_streams(out, sim):
@@ -431,25 +425,21 @@ def _write_streams(out, sim):
     write_csv(
         out / "gnss.csv",
         GNSS_HEADER,
-        [_fmt([t, *pos, r[0, 0], r[1, 1], r[2, 2]]) for t, pos, r in sim.raw_fixes],
+        [_fmt([fix.t, *fix.pos, *fix.r.diagonal()]) for fix in sim.fixes],
     )
 
 
-def run_scenario(cfg, out_dir, truth=None, forward=None):
+def run_scenario(cfg, out_dir, forward=None):
     """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
 
     Returns the metrics dictionary that is also written to metrics.json.
-    Every Monte-Carlo member runs through here as well: ``truth`` is the
-    truth the members share (:func:`_truth`), and a lockstep member hands
-    over its simulation and forward pass as ``forward`` = (sim, records,
-    nis_log), which leaves it the smoothing, metrics and files.
+    Every Monte-Carlo member runs through here as well, and hands over its
+    simulation and forward pass from :func:`_filter` as ``forward`` =
+    (sim, records, nis_log), which leaves it the smoothing, metrics and
+    files; a standalone run is a block of one member.
     """
     if forward is None:
-        sim = _simulate(cfg, truth)
-        forward = sim, *smo.run_forward(
-            _start(cfg, sim), sim.imu, _fixes(cfg, sim), cfg.imu_dt_s, sim.noise,
-            cfg.mode,
-        )
+        forward = next(_filter([cfg], _truth(cfg)))
     sim, records, nis_log = forward
     variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
     smoothed = smo.rts_smooth(variant, records)
@@ -481,10 +471,22 @@ def _start(cfg, sim):
     return flt.FilterState(sim.variant, *start, 0.0)
 
 
-def _fixes(cfg, sim):
-    """The member's GNSS fixes, for the filter's updates."""
-    lever = np.array(cfg.gnss.lever_arm_b_m)
-    return [flt.GnssFix(t, pos, r, lever) for t, pos, r in sim.raw_fixes]
+def _filter(members, truth):
+    """Simulate each member config on the shared ``truth`` and filter all of
+    them in one ``smoother.run_forward`` call, which alone decides between
+    the scalar and the stacked pass. Yields (sim, records, nis_log) per
+    member in order, and drops a member's data once the next is asked for.
+    """
+    sims = [_simulate(sub, truth) for sub in members]
+    records, nis = smo.run_forward(
+        [_start(sub, sim) for sub, sim in zip(members, sims)],
+        [sim.imu for sim in sims],
+        [sim.fixes for sim in sims],
+        members[0].imu_dt_s, truth.noise, members[0].mode,
+    )
+    for k in range(len(members)):
+        yield sims[k], records[k], nis[k]
+        sims[k] = records[k] = nis[k] = None
 
 
 def _epoch_errors(truth, ned):
@@ -567,37 +569,35 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
     }
 
 
-# The fewest members that a Variant.lockstep variant's Monte-Carlo run
-# filters in lockstep. Per member and IMU step, one stacked predict cost
-# 1.43x a scalar predict at 1 member and 0.86x at 2; end to end, a lockstep
-# run_monte_carlo took 1.38x the member loop's time at 1 member and 0.94x at
-# 2 (BENCH_13.json).
-LOCKSTEP_MIN_MEMBERS = 2
+# Members per forward pass of a Variant.lockstep variant's Monte-Carlo run,
+# which bounds the records held at once; criterion 7 filters its 200 seeds
+# in blocks of this size. A 200-member run in blocks of 50 took no longer
+# than in one block, and in blocks of 16 it took longer.
+LOCKSTEP_BLOCK = 50
 
 
 def run_monte_carlo(cfg, out_dir, n_runs):
     """Independent runs with seeds ``seed + idx`` into ``run_{idx:03d}``;
     merge their metrics by run index.
 
-    The seed-independent truth is built once. At least
-    ``LOCKSTEP_MIN_MEMBERS`` members of a ``Variant.lockstep`` variant run
-    one forward pass in lockstep (one stacked predict per IMU epoch);
-    otherwise the members run one after another. Either way, each member's
-    files equal a standalone run with its seed, byte for byte.
+    The seed-independent truth is built once. The members run in blocks of
+    ``LOCKSTEP_BLOCK`` for a ``Variant.lockstep`` variant, one forward pass
+    per block (one stacked predict per IMU epoch), and in blocks of one
+    otherwise; each member's files equal a standalone run with its seed,
+    byte for byte.
     """
     out = _make_dir(out_dir)
     truth = _truth(cfg)
-    members = [
-        cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
-        for idx in range(n_runs)
-    ]
-    dirs = [out / f"run_{idx:03d}" for idx in range(n_runs)]
-    if truth.variant.lockstep and n_runs >= LOCKSTEP_MIN_MEMBERS:
-        results = _run_lockstep(members, truth, dirs)
-    else:
-        results = [
-            run_scenario(sub, run_dir, truth) for sub, run_dir in zip(members, dirs)
+    size = LOCKSTEP_BLOCK if truth.variant.lockstep else 1
+    results = []
+    for first in range(0, n_runs, size):
+        block = range(first, min(n_runs, first + size))
+        members = [
+            cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
+            for idx in block
         ]
+        for idx, sub, forward in zip(block, members, _filter(members, truth)):
+            results.append(run_scenario(sub, out / f"run_{idx:03d}", forward))
     final_nees = [m["final_nees"] for m in results]
     merged = {
         "runs": n_runs,
@@ -610,25 +610,6 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     }
     _write_json(out / "metrics.json", merged)
     return merged
-
-
-def _run_lockstep(members, truth, dirs):
-    """Filter the members' streams in one forward pass, then smooth and
-    write each member in index order."""
-    cfg = members[0]
-    sims = [_simulate(sub, truth) for sub in members]
-    records, nis = smo.run_forward(
-        [_start(sub, sim) for sub, sim in zip(members, sims)],
-        [sim.imu for sim in sims],
-        [_fixes(sub, sim) for sub, sim in zip(members, sims)],
-        cfg.imu_dt_s, truth.noise, cfg.mode,
-    )
-    results = []
-    for k, (sub, run_dir) in enumerate(zip(members, dirs)):
-        forward = sims[k], records[k], nis[k]
-        results.append(run_scenario(sub, run_dir, forward=forward))
-        sims[k] = records[k] = nis[k] = None
-    return results
 
 
 def simulate_only(cfg, out_dir):
@@ -659,14 +640,15 @@ def compare_runs(dir_a, dir_b, pos_tol, cov_tol):
     cov_delta = [
         float(np.linalg.norm(a[1:] - b[1:])) for a, b in zip(ca, cb)
     ]
-    report = {
-        "max_pos_delta_m": max(pos_delta),
-        "max_cov_delta_fro": max(cov_delta),
+    # unlike max, np.max returns NaN if any delta is NaN, which fails the gate
+    max_pos, max_cov = float(np.max(pos_delta)), float(np.max(cov_delta))
+    return {
+        "max_pos_delta_m": max_pos,
+        "max_cov_delta_fro": max_cov,
         "pos_delta": pos_delta,
         "cov_delta": cov_delta,
-        "passed": max(pos_delta) <= pos_tol and max(cov_delta) <= cov_tol,
+        "passed": max_pos <= pos_tol and max_cov <= cov_tol,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +672,7 @@ def main():
 @click.option("--config", "config_path", required=True, type=str)
 @click.option("--variant", "variant_name", default=None, type=str)
 @click.option("--mode", default=None, type=click.Choice(flt.MODES))
-@click.option("--seed", default=None, type=int)
+@click.option("--seed", default=None, type=click.IntRange(min=0))
 @click.option("--out", "out_dir", default="out", type=str)
 @click.option("--monte-carlo", "n_runs", default=None, type=int)
 def cmd_run(config_path, variant_name, mode, seed, out_dir, n_runs):

@@ -13,6 +13,7 @@ import numpy as np
 
 from liese_nav import earth
 from liese_nav.errors import ConfigError, NonMonotoneTime
+from liese_nav.filter import GnssFix
 from liese_nav.liegroup import matvec
 from liese_nav.mechanization import (
     ImuSample,
@@ -170,11 +171,12 @@ class TruthGenerator:
         return Rows(ImuSample, rates, t.tolist())
 
     def sample_gnss(self, times, lever_arm_b, sigma_pos, rng):
-        """GNSS antenna positions in ECEF with isotropic white noise."""
+        """GnssFix of each antenna position in ECEF with isotropic white noise."""
         times = np.asarray(times, dtype=float)
         if np.any(np.diff(times) <= 0):
             raise NonMonotoneTime("GNSS timestamps must be strictly increasing")
         s = self.states_ecef(times)
         noise = sigma_pos * rng.standard_normal((times.size, 3))
         pos = s.r + matvec(s.c_be, lever_arm_b) + noise
-        return [(t, p, sigma_pos**2 * np.eye(3)) for t, p in zip(times, pos)]
+        var = sigma_pos**2
+        return [GnssFix(t, p, var * np.eye(3), lever_arm_b) for t, p in zip(times, pos)]

@@ -14,7 +14,7 @@ import time
 import numpy as np
 from scipy.stats import chi2
 
-from liese_nav import earth, filter as flt, sensors
+from liese_nav import cli, earth, filter as flt, sensors
 from liese_nav import smoother as smo
 from liese_nav.errormodels import (
     Variant,
@@ -228,13 +228,13 @@ def _draws(variant, duration, dt, seed, clean):
     n = int(round(duration / dt))
     biases = sensors.simulate_biases(NOISE, n, dt, rng, initial=TRUE_BIAS0)
     imu = sensors.corrupt(clean, biases, NOISE, dt, rng)
-    raw = CIRCLE.sample_gnss(np.arange(1.0, duration + 1e-9, 1.0), LEVER, 1.5, rng)
+    fixes = CIRCLE.sample_gnss(np.arange(1.0, duration + 1e-9, 1.0), LEVER, 1.5, rng)
     nav0, bias0 = flt.apply_correction(
         variant, CIRCLE.state_ned(0.0), BiasState(),
         SIGMAS0 * rng.standard_normal(15),
     )
     fs = flt.FilterState(variant, nav0, bias0, np.diag(SIGMAS0**2), 0.0)
-    return fs, imu, biases, [flt.GnssFix(t, pos, r, LEVER) for t, pos, r in raw]
+    return fs, imu, biases, fixes
 
 
 def _forward(variant, mode, duration, dt, seed):
@@ -292,7 +292,7 @@ def test_criterion_7_and_8_monte_carlo_consistency_and_smoother_dominance():
     # [DERIVED: chi^2 consistency + PSD ordering of RTS]
     start = time.monotonic()
     variant = Variant("NED", "LeftEst")
-    duration, dt, n_runs, block = 60.0, 0.05, 200, 50
+    duration, dt, n_runs, block = 60.0, 0.05, 200, cli.LOCKSTEP_BLOCK
     clean = CIRCLE.synthesize_imu(duration, dt)
     n = int(round(duration / dt))
     truth_ned = {}
@@ -345,12 +345,7 @@ def test_criterion_9_large_misalignment_converges():
     clean = gen.synthesize_imu(duration, dt)
     biases = sensors.simulate_biases(NOISE, n, dt, rng, initial=TRUE_BIAS0)
     imu = sensors.corrupt(clean, biases, NOISE, dt, rng)
-    fixes = [
-        flt.GnssFix(t, pos, r, LEVER)
-        for t, pos, r in gen.sample_gnss(
-            np.arange(1.0, duration + 1e-9, 1.0), LEVER, 1.5, rng
-        )
-    ]
+    fixes = gen.sample_gnss(np.arange(1.0, duration + 1e-9, 1.0), LEVER, 1.5, rng)
     nav0 = gen.state_ned(0.0)
     cz, sz = np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)
     nav0.c_bn[:] = np.array([[cz, -sz, 0.0], [sz, cz, 0.0], [0.0, 0.0, 1.0]]) @ nav0.c_bn

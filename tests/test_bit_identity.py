@@ -422,8 +422,9 @@ def test_gnss_fixes_match_reference(kind, origin):
     new = gen.sample_gnss(times, lever, 1.5, np.random.default_rng(3))
     old = ref.sample_gnss(times, lever, 1.5, np.random.default_rng(3))
     assert len(new) == len(old)
-    for (t, pos, r), (t0, pos0, r0) in zip(new, old):
-        assert t == t0 and same_bits(pos, pos0) and same_bits(r, r0), t
+    for fix, (t0, pos0, r0) in zip(new, old):
+        assert fix.t == t0, t0
+        assert same_bits(fix.pos, pos0) and same_bits(fix.r, r0), t0
 
 
 def _rotations():
@@ -810,7 +811,7 @@ def _scenario(frame, error_def, mode):
 def test_forward_pass_matches_reference(frame, error_def, mode):
     cfg = _scenario(frame, error_def, mode)
     sim = cli._simulate(cfg)
-    fixes = cli._fixes(cfg, sim)
+    fixes = sim.fixes
     starts = [
         init(cfg, sim.variant, sim.gen, copy.deepcopy(sim.rng))
         for init in (cli._initial_state, oracles.ref_initial_state)
@@ -831,7 +832,7 @@ def _members(n):
     for k in range(n):
         cfg = base.model_copy(update={"seed": base.seed + k}, deep=True)
         sim = cli._simulate(cfg)
-        draws.append((cli._start(cfg, sim), sim.imu, cli._fixes(cfg, sim)))
+        draws.append((cli._start(cfg, sim), sim.imu, sim.fixes))
     return base, sim.noise, [list(x) for x in zip(*draws)]
 
 
@@ -923,7 +924,7 @@ def _forward(frame, error_def, mode):
         sim.variant, *cli._initial_state(cfg, sim.variant, sim.gen, sim.rng), 0.0
     )
     records, nis = smo.run_forward(
-        fs, sim.imu, cli._fixes(cfg, sim), DT, sim.noise, mode
+        fs, sim.imu, sim.fixes, DT, sim.noise, mode
     )
     return cfg, sim, records, nis
 

@@ -229,35 +229,52 @@ def test_invariant_matches_se23(tmp_path):
     assert report["passed"], report
 
 
-def test_monte_carlo_fanout(tmp_path):
+def test_monte_carlo_fanout(tmp_path, monkeypatch):
     # [TRIVIAL] per-run directories plus a merged metrics file; every file of
-    # member k equals a standalone run with seed + k, byte for byte, both for
-    # the fewest members that run in lockstep and for one member fewer, which
-    # run one after another
-    cfg = write_config(tmp_path)
-    for runs in (cli.LOCKSTEP_MIN_MEMBERS, cli.LOCKSTEP_MIN_MEMBERS - 1):
-        out = tmp_path / f"mc_{runs}"
+    # member k equals a standalone run with seed + k, byte for byte: for one
+    # lockstep block, for a lockstep block followed by a block of one, which
+    # runs the scalar pass, and for ECEF members, which run in blocks of one.
+    # run_forward never receives more than LOCKSTEP_BLOCK members.
+    run_forward, sizes = smo.run_forward, []
+
+    def recording(fs, *args):
+        if isinstance(fs, list):
+            sizes.append(len(fs))
+        return run_forward(fs, *args)
+
+    monkeypatch.setattr(smo, "run_forward", recording)
+    # frame, members, LOCKSTEP_BLOCK, members per run_forward call
+    cases = [
+        ("NED", 2, cli.LOCKSTEP_BLOCK, [2]),
+        ("NED", 3, 2, [2, 1]),
+        ("ECEF", 2, cli.LOCKSTEP_BLOCK, [1, 1]),
+    ]
+    for case, (frame, runs, block, blocks) in enumerate(cases):
+        monkeypatch.setattr(cli, "LOCKSTEP_BLOCK", block)
+        variant = {"variant": {"frame": frame, "error_def": "LeftEst"}}
+        cfg = write_config(tmp_path, variant, name=f"scen_{case}.yaml")
+        out = tmp_path / f"mc_{case}"
+        sizes.clear()
         res = invoke(
             "run", "--config", str(cfg), "--out", str(out), "--monte-carlo", str(runs)
         )
-        assert res.exit_code == 0
+        assert res.exit_code == 0, res.output
+        assert sizes == blocks, case
+        assert max(sizes) <= block
         merged = json.loads((out / "metrics.json").read_text())
         assert merged["runs"] == runs
         assert len(merged["final_nees"]) == runs
         for k in range(runs):
-            solo = tmp_path / f"solo_{k}"
-            if not solo.exists():
-                assert (
-                    invoke(
-                        "run", "--config", str(cfg), "--seed",
-                        str(BASE_CONFIG["seed"] + k), "--out", str(solo),
-                    ).exit_code
-                    == 0
-                )
+            solo = tmp_path / f"solo_{case}_{k}"
+            res = invoke(
+                "run", "--config", str(cfg), "--seed", str(BASE_CONFIG["seed"] + k),
+                "--out", str(solo),
+            )
+            assert res.exit_code == 0, res.output
             for name in ARTIFACTS:
                 assert (out / f"run_{k:03d}" / name).read_bytes() == (
                     solo / name
-                ).read_bytes(), (runs, k, name)
+                ).read_bytes(), (case, k, name)
 
 
 @pytest.mark.parametrize("stream", ["gyro", "accel", "fix"])
@@ -269,8 +286,8 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
     def corrupted(cfg, truth=None):
         sim = simulate(cfg, truth)
         if stream == "fix":
-            t, pos, _ = sim.raw_fixes[2]
-            pos[0], bad["t"] = np.nan, t
+            fix = sim.fixes[2]
+            fix.pos[0], bad["t"] = np.nan, fix.t
         else:
             sample = sim.imu[150]
             getattr(sample, stream)[1] = np.nan if stream == "gyro" else np.inf
@@ -289,7 +306,7 @@ def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
     # member k gets seed + k and run_k; each member passes through
     # cli.run_scenario (the span a traced benchmark run times per member),
     # the members' metrics are written in index order, then merged by run
-    # index, in lockstep and one by one
+    # index, in a lockstep block of four and in a block of one
     writes, members_run = [], []
     write_json, run_scenario = cli._write_json, cli.run_scenario
 
@@ -305,7 +322,7 @@ def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", member)
     cfg = cli.load_config(write_config(tmp_path))
     seed = BASE_CONFIG["seed"]
-    for runs in (4, cli.LOCKSTEP_MIN_MEMBERS - 1):
+    for runs in (4, 1):
         writes.clear()
         members_run.clear()
         out = tmp_path / f"mc_{runs}"
@@ -322,8 +339,8 @@ def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
 
 
 def test_monte_carlo_non_finite_member_input_exits_2(tmp_path, monkeypatch):
-    # a NaN in one member's IMU stream stops the lockstep run before any
-    # member writes its files, naming the sample's time
+    # a NaN in one member's IMU stream stops the run before any member of
+    # its block writes its files, naming the sample's time
     simulate, bad = cli._simulate, {}
 
     def corrupted(cfg, truth=None):
@@ -337,12 +354,38 @@ def test_monte_carlo_non_finite_member_input_exits_2(tmp_path, monkeypatch):
     out = tmp_path / "mc"
     res = invoke(
         "run", "--config", str(write_config(tmp_path)), "--out", str(out),
-        "--monte-carlo", str(cli.LOCKSTEP_MIN_MEMBERS),
+        "--monte-carlo", "2",
     )
     assert res.exit_code == 2, res.output
     assert "non-finite IMU sample" in res.output
     assert f"t={bad['t']}" in res.output
     assert not any(out.iterdir())
+
+
+NEGATIVE_SEED = [
+    # (config seed, command and its arguments besides --config and --out)
+    (-1, ["run"]),
+    (-1, ["run", "--monte-carlo", "2"]),
+    (-1, ["simulate"]),
+    (3, ["run", "--seed", "-1"]),
+    (3, ["run", "--seed", "-1", "--monte-carlo", "2"]),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, args", NEGATIVE_SEED,
+    ids=[f"seed {seed}, {' '.join(args)}" for seed, args in NEGATIVE_SEED],
+)
+def test_negative_seed_exits_2(tmp_path, seed, args):
+    # [TRIVIAL: validation] np.random.default_rng raises on a negative seed,
+    # with a traceback and exit 1 after a Monte-Carlo run has made its
+    # output directory; in the config or as --seed, it is rejected first
+    cfg = write_config(tmp_path, {"seed": seed})
+    out = tmp_path / "o"
+    res = invoke(args[0], "--config", str(cfg), "--out", str(out), *args[1:])
+    assert res.exit_code == 2, res.output
+    assert "seed" in res.output
+    assert not out.exists()
 
 
 def test_simulate_writes_sensors_only(tmp_path):
@@ -533,9 +576,9 @@ def _damaged_copy(tmp_path, run_dir, name, edit):
     return bad
 
 
-def _replace_field(line, value):
+def _replace_field(line, value, index=2):
     fields = line.split(",")
-    fields[2] = value
+    fields[index] = value
     return ",".join(fields)
 
 
@@ -571,6 +614,30 @@ def test_compare_malformed_file_exits_3(tmp_path, run_dir, case, damaged):
     res = invoke("compare", *map(str, dirs))
     assert res.exit_code == 3, res.output
     assert re.search(message, res.output)
+
+
+@pytest.mark.parametrize(
+    "name, row, field, reported",
+    [
+        ("filtered.csv", 3, 1, "max_pos_delta_m"),
+        ("covariance.csv", 4, 10, "max_cov_delta_fro"),
+    ],
+)
+def test_compare_nan_delta_fails(tmp_path, run_dir, name, row, field, reported):
+    # a NaN latitude or covariance entry past the first epoch gives a NaN
+    # delta, which Python's max dropped, so the copy passed; it must fail
+    # the gate and show as the reported max
+    edit = lambda lines: [
+        *lines[:row], _replace_field(lines[row], "nan", field), *lines[row + 1:]
+    ]
+    bad = _damaged_copy(tmp_path, run_dir, name, edit)
+    report = cli.compare_runs(run_dir, bad, 1e-9, 1e-10)
+    assert math.isnan(report[reported])
+    assert not report["passed"]
+    res = invoke("compare", str(run_dir), str(bad))
+    assert res.exit_code == 1, res.output
+    assert "= nan" in res.output
+    assert "FAIL" in res.output
 
 
 def test_gnss_period_on_imu_grid_accepted():

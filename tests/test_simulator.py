@@ -83,16 +83,17 @@ def test_gnss_lever_arm_and_noise():
         def standard_normal(self, n):
             return np.zeros(n)
 
-    for t, pos, r in gen.sample_gnss(times, lever, 1.5, ZeroRng()):
-        s = gen.state_ecef(t)
-        assert np.max(np.abs(pos - (s.r + s.c_be @ lever))) <= 1e-9
-        assert np.array_equal(r, 1.5**2 * np.eye(3))
+    for fix in gen.sample_gnss(times, lever, 1.5, ZeroRng()):
+        s = gen.state_ecef(fix.t)
+        assert np.max(np.abs(fix.pos - (s.r + s.c_be @ lever))) <= 1e-9
+        assert np.array_equal(fix.r, 1.5**2 * np.eye(3))
+        assert fix.lever_arm_b is lever
 
     rng = np.random.default_rng(11)
     many = np.arange(1.0, 2001.0)
     devs = [
-        pos - (gen.state_ecef(t).r + gen.state_ecef(t).c_be @ lever)
-        for t, pos, _ in gen.sample_gnss(many, lever, 1.5, rng)
+        fix.pos - (gen.state_ecef(fix.t).r + gen.state_ecef(fix.t).c_be @ lever)
+        for fix in gen.sample_gnss(many, lever, 1.5, rng)
     ]
     assert abs(np.std(devs) - 1.5) <= 0.1
 

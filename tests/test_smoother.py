@@ -160,10 +160,7 @@ def run_forward(variant, duration=20.0, dt=0.02, gnss_period=1.0, seed=5):
     biases = sensors.simulate_biases(noise, n, dt, rng, initial=true_bias0)
     imu = sensors.corrupt(clean, biases, noise, dt, rng)
     times = np.arange(gnss_period, duration + 1e-9, gnss_period)
-    fixes = [
-        flt.GnssFix(t, pos, r, LEVER)
-        for t, pos, r in GEN.sample_gnss(times, LEVER, 1.5, rng)
-    ]
+    fixes = GEN.sample_gnss(times, LEVER, 1.5, rng)
     p0 = np.diag(
         np.concatenate(
             [
@@ -236,10 +233,7 @@ def test_non_finite_input_raises_naming_the_sample_time(case):
     dt = 0.02
     imu = GEN.synthesize_imu(4.0, dt)
     times = np.arange(1.0, 4.0 + 1e-9, 1.0)
-    fixes = [
-        flt.GnssFix(t, pos, r, LEVER)
-        for t, pos, r in GEN.sample_gnss(times, LEVER, 1.5, np.random.default_rng(0))
-    ]
+    fixes = GEN.sample_gnss(times, LEVER, 1.5, np.random.default_rng(0))
     if case == "nan-gyro":
         imu[150].gyro[1], bad_t = np.nan, imu[150].t
     elif case == "inf-accel":
