@@ -2,6 +2,7 @@
 
 from liese_nav.errors import (
     ConfigError,
+    Divergence,
     IncompatibleMode,
     IoError,
     LieseNavError,
@@ -17,6 +18,7 @@ from liese_nav.errors import (
 
 __all__ = [
     "ConfigError",
+    "Divergence",
     "IncompatibleMode",
     "IoError",
     "LieseNavError",

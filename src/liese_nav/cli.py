@@ -582,7 +582,7 @@ def run_monte_carlo(cfg, out_dir, n_runs):
 
     The seed-independent truth is built once. The members run in blocks of
     ``LOCKSTEP_BLOCK`` for a ``Variant.lockstep`` variant, one forward pass
-    per block (one stacked predict per IMU epoch), and in blocks of one
+    per block (one stacked predict per leg chunk), and in blocks of one
     otherwise; each member's files equal a standalone run with its seed,
     byte for byte.
     """

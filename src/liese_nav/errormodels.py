@@ -92,8 +92,10 @@ class Variant:
 
     @property
     def lockstep(self):
-        """Monte-Carlo members of this variant predict as one stack (the
-        stacked forms of ``error_dynamics`` and the NED step)."""
+        """This variant has the stacked forms of ``error_dynamics`` and the
+        NED step: ``filter.predict`` builds a leg's F in one stacked call
+        over its steps (and its Monte-Carlo members), and members run in
+        lockstep as one stack."""
         return self.frame == "NED" and self.error_def == "LeftEst"
 
     @property
@@ -327,9 +329,10 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     columns are a copy of G's gyro and accel noise columns.
 
     For a ``Variant.lockstep`` variant, a stacked nominal (fields with a
-    leading axis of N members) with (N, 3) rates gives F as an (N, 15, 15)
-    stack, each member equal to its single call bit for bit; G, which no
-    nominal enters for a left error, stays one (15, 12) matrix.
+    leading axis of N points: the steps of a leg, its members, or both
+    flattened) with (N, 3) rates gives F as an (N, 15, 15) stack, each row
+    equal to its single call bit for bit; G, which no nominal enters for a
+    left error, stays one (15, 12) matrix.
 
     ``g`` is a left error's G built once for the run
     (``filter.RunConstants``); without it, G is built here.

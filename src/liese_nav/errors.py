@@ -41,6 +41,11 @@ class ConfigError(LieseNavError):
     """Invalid or inconsistent configuration input."""
 
 
+class Divergence(LieseNavError):
+    """The filter left the numbers it can represent: a state or covariance
+    turned non-finite or singular during the forward pass."""
+
+
 class NonFiniteInput(LieseNavError):
     """An IMU sample or a GNSS fix holds a NaN or an infinity."""
 

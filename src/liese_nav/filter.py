@@ -18,6 +18,8 @@ inverse map, so retraction followed by error extraction is the identity (up
 to the double-precision floor of earth-radius coordinates, ~1e-9 m).
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,17 @@ from liese_nav.mechanization import ImuSample, stack_states, state_at
 from liese_nav.sensors import BiasState
 
 MODES = ("se23", "invariant")
+
+try:
+    # the LAPACK gufuncs np.linalg.solve calls, without the wrapper's checks
+    # and errstate, which cost more than the 3x3 solves themselves; a
+    # singular system gives NaN there, where np.linalg.solve raises
+    from numpy.linalg import _umath_linalg
+
+    _solve = functools.partial(_umath_linalg.solve, signature="dd->d")
+    _solve_vec = functools.partial(_umath_linalg.solve1, signature="dd->d")
+except ImportError:  # a private module: fall back to the public call
+    _solve = _solve_vec = np.linalg.solve
 
 # one shared identity, read-only so that no caller can modify it
 _I15 = np.eye(15)
@@ -211,38 +224,78 @@ def discretize(f, gq, dt):
     """Second-order transition matrix and trapezoidal process noise.
 
     Phi = I + F dt + F^2 dt^2/2; Qd = (Phi GQG' Phi' + GQG') dt / 2,
-    symmetrized, with ``gq`` = G Qc G' (:func:`noise_cov`). An (N, 15, 15)
-    stack of F gives stacks of Phi and Qd, each equal to its single call.
+    symmetrized, with ``gq`` = G Qc G' (:func:`noise_cov`). A stack of F
+    (leading axes before the 15 x 15), with one ``gq`` or a stack alike,
+    gives stacks of Phi and Qd, each equal to its single call.
     """
     phi = _I15 + f * dt + (f @ f) * (0.5 * dt * dt)
     qd = 0.5 * dt * (phi @ gq @ phi.swapaxes(-1, -2) + gq)
     return phi, 0.5 * (qd + qd.swapaxes(-1, -2))
 
 
-def predict(fs, imu, run):
-    """Advance nominal and covariance over one IMU interval; ``run`` holds
-    the run's constants (:class:`RunConstants`).
+def predict(fs, imu, run, phi_acc=_I15):
+    """Advance nominal and covariance over a leg: ``imu`` is a
+    ``mechanization.Rows`` of one or more IMU epochs, and ``run`` holds the
+    run's constants (:class:`RunConstants`).
 
-    Returns ``(FilterState, Phi)``; the transition matrix is exposed so a
-    driver can accumulate it between updates for smoothing. For a
-    ``Variant.lockstep`` variant, a stacked state (nav, bias and P with a
-    leading axis of N members) and a sample with (N, 3) rates advance as
-    one stack, each member equal to its single predict bit for bit.
+    Returns ``(FilterState, Phi_acc)``: the state after the leg and the
+    leg's transition matrices multiplied onto ``phi_acc``, step by step, so
+    the forward pass can accumulate them between updates for smoothing. A
+    leg of T steps equals T legs of one bit for bit. For a ``Variant.lockstep``
+    variant, a stacked state (nav, bias and P with a leading axis of N
+    members) and an IMU stream with (N, 3) rates advance as one stack, each
+    member equal to its single predict bit for bit.
+
+    Three passes: the nominal is stepped first, sample by sample; then the
+    linearizations at the pre-step nominals are built and discretized for
+    the whole leg, since a variant's F reads only the nominal and the
+    rates, never P; then P and Phi_acc are carried through the leg.
     """
-    gyro = imu.gyro - fs.bias.gyro
-    accel = imu.accel - fs.bias.accel
-    f, g = error_dynamics(
-        fs.variant, fs.nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a, g=run.g
-    )
-    gq = noise_cov(g, run.qc) if run.gq is None else run.gq
-    phi, qd = discretize(f, gq, run.dt)
-    sample = ImuSample(imu.t, gyro, accel)
-    # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-    nav = fs.variant.chart.step(fs.nav, sample, run.dt)
-    bias = BiasState(run.decay_g * fs.bias.gyro, run.decay_a * fs.bias.accel)
-    p = phi @ fs.p @ phi.swapaxes(-1, -2) + qd
-    p = 0.5 * (p + p.swapaxes(-1, -2))
-    return FilterState(fs.variant, nav, bias, p, fs.t + run.dt), phi
+    variant, dt = fs.variant, run.dt
+    step = variant.chart.step
+    nav, b_g, b_a, t = fs.nav, fs.bias.gyro, fs.bias.accel, fs.t
+    navs, rates = [], []
+    for t_k, (raw_g, raw_a) in zip(imu.times, imu.values):
+        gyro, accel = raw_g - b_g, raw_a - b_a
+        navs.append(nav)
+        rates.append((gyro, accel))
+        # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
+        nav = step(nav, ImuSample(t_k, gyro, accel), dt)
+        b_g, b_a = run.decay_g * b_g, run.decay_a * b_a
+        t = t + dt
+    phi, qd = discretize(*_linearize(variant, navs, rates, run), dt)
+    p = fs.p
+    for ph, q in zip(phi, qd):
+        p = ph @ p @ ph.swapaxes(-1, -2) + q
+        p = 0.5 * (p + p.swapaxes(-1, -2))
+        phi_acc = ph @ phi_acc
+    return FilterState(variant, nav, BiasState(b_g, b_a), p, t), phi_acc
+
+
+def _linearize(variant, navs, rates, run):
+    """(F, G Qc G') at each step's pre-step nominal and bias-corrected rates,
+    F as a (T, 15, 15) stack, or (T, N, 15, 15) for N members. The one place
+    that picks the form: a ``Variant.lockstep`` variant takes one stacked
+    ``error_dynamics`` call over the leg's T (or T x N) nominals, the other
+    variants, which have no stacked form, one call per step."""
+    if variant.lockstep:
+        gyro, accel = map(np.array, zip(*rates))
+        stacked, lead = stack_states(navs), gyro.ndim - 1
+        rows = [x.reshape((-1,) + x.shape[lead:]) for x in vars(stacked).values()]
+        f, _ = error_dynamics(
+            variant, type(stacked)(*rows), gyro.reshape(-1, 3), accel.reshape(-1, 3),
+            tau_g=run.tau_g, tau_a=run.tau_a, g=run.g,
+        )
+        return f.reshape(gyro.shape[:-1] + (15, 15)), run.gq
+    f_steps, gq_steps = [], []
+    for nav, (gyro, accel) in zip(navs, rates):
+        f, g = error_dynamics(
+            variant, nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a, g=run.g
+        )
+        f_steps.append(f)
+        if run.gq is None:
+            gq_steps.append(noise_cov(g, run.qc))
+    return np.array(f_steps), run.gq if run.gq is not None else np.array(gq_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +317,10 @@ def update(fs, fix, mode="se23"):
         h = measurement_se23(variant, fs.nav, fix.lever_arm_b)
     p = fs.p
     s = h @ p @ h.T + r_eff
-    nis = float(z @ np.linalg.solve(s, z))
-    k = np.linalg.solve(s, h @ p).T
+    nis = float(z @ _solve_vec(s, z))
+    if not math.isfinite(nis):
+        raise np.linalg.LinAlgError("singular or non-finite innovation covariance")
+    k = _solve(s, h @ p).T
     dx = k @ z
     nav, bias = apply_correction(variant, fs.nav, fs.bias, dx)
     ikh = _I15 - k @ h

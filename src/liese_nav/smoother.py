@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from liese_nav import filter as flt
-from liese_nav.errors import NonFiniteInput, SingularPredCov
+from liese_nav.errors import Divergence, NonFiniteInput, SingularPredCov
 from liese_nav.filter import _I15, apply_correction, error_state
 from liese_nav.mechanization import ImuSample, Rows
 from liese_nav.sensors import BiasState, ImuNoiseParams
@@ -55,20 +55,30 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     (or, with no fix, the last prediction) final, and one {"t", "value"} NIS
     entry per update.
 
+    The pass runs leg by leg: a leg ends at the step a fix is due, and is at
+    least one step long, so two fixes due at one step apply on consecutive
+    steps; the steps after the last fix form the final leg. Each leg goes
+    to ``filter.predict`` in chunks whose stacks hold at most ``BLOCK``
+    rows, and equals its step-by-step prediction bit for bit.
+
     Lists of member start states, streams and fix lists, all members' at
     the same times, give records and NIS as one list per member, each equal
     to the member's own run bit for bit. Two or more members (of a
     ``Variant.lockstep`` variant) run in lockstep: one stacked predict per
-    IMU epoch, and each member's update with its own fix.
+    leg chunk, and each member's update with its own fix.
 
     Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
-    position holds a NaN or an infinity.
+    position holds a NaN or an infinity, and Divergence, naming the variant
+    and the time of the last state the pass reached, if the filter's states
+    leave the finite numbers (a ``numpy.linalg.LinAlgError`` in a predict or
+    an update).
     """
     lockstep = isinstance(fs, list)
     if lockstep and len(fs) == 1:
-        # one member runs the scalar pass: per IMU step, a stacked predict of
-        # one member cost 1.43x a scalar one, and a Monte-Carlo run of one
-        # member took 1.38x as long end to end (BENCH_13.json)
+        # one member runs the scalar pass: with legs, a stacked forward pass
+        # of one NED/LeftEst member took 1.37x the scalar pass's time on
+        # ned-sparse-gnss's scenario and 1.40x on a monte-carlo member's
+        # (BENCH_16.json), since its stacked NED steps and SVDs cost more
         records, nis = run_forward(fs[0], imu[0], fixes[0], dt, noise, mode)
         return [records], [nis]
     if lockstep:
@@ -80,19 +90,19 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     _check_finite(imu, groups)
     run = flt.RunConstants(fs.variant, noise or ImuNoiseParams(), dt)
     lanes = len(fs.p) if lockstep else 1
+    chunk = max(1, BLOCK // lanes)  # steps per predict: stacks of <= BLOCK rows
     records, nis = [[] for _ in range(lanes)], [[] for _ in range(lanes)]
     pending = [None] * lanes  # last post-update states awaiting their leg
-    phi_acc = _I15
-    # the IMU step at which each group of fixes is due; fs.t sums dt
-    due = [math.ceil((group[0].t - fs.t - 1e-9) / dt) for group in groups]
-    applied = 0
-    for step, sample in enumerate(imu, 1):
-        fs, phi = flt.predict(fs, sample, run)
-        phi_acc = phi @ phi_acc
-        if applied < len(groups) and step >= due[applied]:
+    t0, start = fs.t, 0
+    try:
+        for group in groups:
+            # the IMU step at which the group is due; fs.t sums dt
+            stop = max(start + 1, math.ceil((group[0].t - t0 - 1e-9) / dt))
+            if stop > len(imu):
+                break
+            fs, phi_acc = _leg(fs, imu, start, stop, run, chunk)
             priors = fs.members() if lockstep else [fs]
             phis = phi_acc if lockstep else [phi_acc]
-            group = groups[applied]
             for k, (prior, leg, fix) in enumerate(zip(priors, phis, group)):
                 if pending[k] is not None:
                     last = pending[k]
@@ -107,13 +117,28 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
                 nis[k].append({"t": post.t, "value": float(report.nis)})
                 pending[k] = post.copy()
             fs = flt.FilterState.stack(pending) if lockstep else post
-            phi_acc = _I15
-            applied += 1
+            start = stop
+        fs, _ = _leg(fs, imu, start, len(imu), run, chunk)
+    except np.linalg.LinAlgError as exc:
+        raise Divergence(
+            f"{fs.variant.name} diverged at t={fs.t} or in the IMU leg after "
+            f"it: {exc}"
+        ) from exc
     finals = fs.members() if lockstep else [fs]
     for k, final in enumerate(finals):
         last = final.copy() if pending[k] is None else pending[k]
         records[k].append(ForwardRecord(last.t, last.nav, last.bias, last.p))
     return (records, nis) if lockstep else (records[0], nis[0])
+
+
+def _leg(fs, imu, start, stop, run, chunk):
+    """Predict ``fs`` over the IMU steps [start, stop), ``chunk`` steps per
+    ``filter.predict`` call; returns the state and the leg's accumulated
+    transition matrix (the identity for an empty leg)."""
+    phi_acc = _I15
+    for lo in range(start, stop, chunk):
+        fs, phi_acc = flt.predict(fs, imu[lo:min(stop, lo + chunk)], run, phi_acc)
+    return fs, phi_acc
 
 
 def _check_finite(imu, groups):

@@ -110,6 +110,12 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def one_row(sample):
+    """The IMU stream of one sample, as ``filter.predict`` takes a leg; (N, 3)
+    rates give a one-row stream of N members."""
+    return mech.Rows(ImuSample, np.array([[sample.gyro, sample.accel]]), [sample.t])
+
+
 def ned_to_ecef_state(state):
     """The ECEF form of a NED state."""
     lat, lon, h = state.geo

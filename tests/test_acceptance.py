@@ -267,8 +267,9 @@ def test_criterion_6_zero_noise_tracking():
         variant, CIRCLE.state_ned(0.0), BiasState(), np.eye(15) * 1e-6, 0.0
     )
     run = flt.RunConstants(variant, ImuNoiseParams(), dt)
-    for sample in CIRCLE.synthesize_imu(60.0, dt):
-        fs, _ = flt.predict(fs, sample, run)
+    imu = CIRCLE.synthesize_imu(60.0, dt)
+    for k in range(len(imu)):
+        fs, _ = flt.predict(fs, imu[k:k + 1], run)
     err = np.linalg.norm(
         earth.llh_to_ecef(*fs.nav.geo) - CIRCLE.state_ecef(60.0).r
     )
@@ -360,7 +361,7 @@ def test_criterion_9_large_misalignment_converges():
     fix = next(fix_iter, None)
     run = flt.RunConstants(variant, NOISE, dt)
     for k in range(n):
-        fs, _ = flt.predict(fs, imu[k], run)
+        fs, _ = flt.predict(fs, imu[k:k + 1], run)
         if fix is not None and fs.t >= fix.t - 1e-9:
             fs, _ = flt.update(fs, fix)
             fix = next(fix_iter, None)

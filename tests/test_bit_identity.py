@@ -16,6 +16,7 @@ byte-identical.
 """
 
 import copy
+import dataclasses
 import math
 import os
 import re
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from oracles import same_bits
+from oracles import one_row, same_bits
 from liese_nav import cli, earth, filter as flt, mechanization as mech, sensors
 from liese_nav import smoother as smo
 from liese_nav.errormodels import (
@@ -622,9 +623,13 @@ def test_stacked_predict_matches_member_predicts(path, monkeypatch):
             flips += 1
         gyro = rng.normal(scale=0.1, size=(len(members), 3))
         accel = rng.normal(scale=5.0, size=(len(members), 3))
-        stack, phi = flt.predict(stack, mech.ImuSample(step * DT, gyro, accel), run)
+        stack, phi = flt.predict(
+            stack, one_row(mech.ImuSample(step * DT, gyro, accel)), run
+        )
         for k, (fs, g, a) in enumerate(zip(members, gyro, accel)):
-            members[k], phi_k = flt.predict(fs, mech.ImuSample(step * DT, g, a), run)
+            members[k], phi_k = flt.predict(
+                fs, one_row(mech.ImuSample(step * DT, g, a)), run
+            )
             single, label = members[k], f"step {step} member {k}"
             assert same_bits(phi[k], phi_k), label
             assert same_bits(stack.p[k], single.p), label
@@ -636,6 +641,66 @@ def test_stacked_predict_matches_member_predicts(path, monkeypatch):
             assert same_bits(stack.bias.accel[k], single.bias.accel), label
             assert stack.t == single.t
     assert np.linalg.det(members[0].nav.c_bn) > 0 and flips == 4
+
+
+LEG_CASES = {
+    "NED/LeftEst": ("NED", "LeftEst", 1),
+    "NED/LeftEst-4-members": ("NED", "LeftEst", 4),
+    "ECEF/LeftEst": ("ECEF", "LeftEst", 1),
+    "NED/RightEst": ("NED", "RightEst", 1),
+}
+
+
+def _leg_start(frame, error_def, members, rng):
+    """A random start state of the variant, stacked for several members, and
+    a random IMU leg of smo.BLOCK + 11 steps with the members' rates."""
+    variant = Variant(frame, error_def)
+    states = []
+    for nom in _nominals()[:members]:
+        nav = _own_frame(variant, nom)
+        p = rng.normal(size=(15, 15))
+        bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+        states.append(flt.FilterState(variant, nav, bias, p @ p.T, 0.25))
+    fs = flt.FilterState.stack(states) if members > 1 else states[0]
+    steps = smo.BLOCK + 11
+    lanes = (members,) if members > 1 else ()
+    values = np.stack(
+        [
+            rng.normal(scale=0.1, size=(steps, *lanes, 3)),
+            rng.normal(scale=5.0, size=(steps, *lanes, 3)),
+        ],
+        axis=1,
+    )
+    imu = mech.Rows(mech.ImuSample, values, [0.25 + k * DT for k in range(steps)])
+    return variant, fs, imu
+
+
+@pytest.mark.parametrize("case", LEG_CASES)
+def test_leg_predict_matches_one_step_legs(case):
+    # one predict over a leg longer than smo.BLOCK equals the leg's one-step
+    # predicts chained through phi_acc, bit for bit in nav, bias, P, Phi_acc
+    # and t; a single member's leg also equals the per-step reference
+    # predict of the previous design, whose Phi is multiplied on outside
+    frame, error_def, members = LEG_CASES[case]
+    variant, fs, imu = _leg_start(frame, error_def, members, np.random.default_rng(43))
+    noise = ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, 400.0, 900.0)
+    run = flt.RunConstants(variant, noise, DT)
+    leg = flt.predict(fs, imu, run)
+    steps = (fs, flt._I15)
+    for k in range(len(imu)):
+        steps = flt.predict(steps[0], imu[k:k + 1], run, steps[1])
+    assert_same(leg, steps, f"{case} leg")
+    t = fs.t
+    for _ in range(len(imu)):
+        t += DT
+    # the time sums dt step by step, which t0 + k dt would not reproduce
+    assert leg[0].t == t != fs.t + len(imu) * DT
+    if members == 1:
+        ref, acc = fs, np.eye(15)
+        for sample in imu:
+            ref, phi = oracles.ref_predict(ref, sample, DT, noise)
+            acc = phi @ acc
+        assert_same(leg, (ref, acc), f"{case} reference")
 
 
 def _perturbed_ned(truth, rng):
@@ -755,7 +820,7 @@ def test_dispatch_matches_reference(variant):
         fs = flt.FilterState(variant, est, b_est, p @ p.T + np.diag(scale**2), 3.0)
         sample = mech.ImuSample(3.0, gyro, accel)
         assert_same(
-            flt.predict(fs, sample, flt.RunConstants(variant, noise, DT)),
+            flt.predict(fs, one_row(sample), flt.RunConstants(variant, noise, DT)),
             oracles.ref_predict(fs, sample, DT, noise),
             label,
         )
@@ -821,6 +886,27 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
     new = smo.run_forward(fs0[0], sim.imu, fixes, DT, sim.noise, mode)
     ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
     assert len(new[0]) == 10  # one record per fix, the last one final
+    assert_same(new, ref, "forward pass")
+
+
+@pytest.mark.parametrize(
+    "frame, error_def, mode",
+    [("NED", "LeftEst", "se23"), ("ECEF", "LeftEst", "invariant")],
+)
+def test_forward_legs_match_reference_on_irregular_fixes(frame, error_def, mode):
+    # a fix due before the first step applies after it, two fixes due at one
+    # step apply on consecutive steps, and a 3 s gap makes a leg of 150 steps
+    # (more than smo.BLOCK); records and NIS equal the step-by-step reference
+    cfg = _scenario(frame, error_def, mode)
+    sim = cli._simulate(cfg)
+    f = sim.fixes
+    fixes = [dataclasses.replace(f[0], t=-0.5), f[0], f[1], f[1], *f[4:]]
+    start = cli._initial_state(cfg, sim.variant, sim.gen, sim.rng)
+    fs0 = flt.FilterState(sim.variant, *start, 0.0)
+    new = smo.run_forward(fs0, sim.imu, fixes, DT, sim.noise, mode)
+    ref = oracles.ref_forward(fs0, sim.imu, fixes, DT, sim.noise, mode)
+    steps = [round(entry["t"] / DT) for entry in new[1]]
+    assert steps == [1, 50, 100, 101, 250, 300, 350, 400, 450, 500]
     assert_same(new, ref, "forward pass")
 
 

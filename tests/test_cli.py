@@ -302,6 +302,19 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_filter_exits_2_naming_time_and_variant(tmp_path):
+    # a valid config whose gyro noise (1e3 rad/s/sqrt(Hz)) drives the states
+    # out of the finite numbers: the forward pass's LinAlgError becomes the
+    # package's Divergence, with the variant and the time, and exit 2
+    noise = dict(BASE_CONFIG["noise"], sigma_g_rad_s_sqrt_hz=1e3)
+    cfg = write_config(tmp_path, {"noise": noise})
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert re.search(r"error: NED/LeftEst diverged at t=[0-9.]+", res.output)
+
+
 def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
     # member k gets seed + k and run_k; each member passes through
     # cli.run_scenario (the span a traced benchmark run times per member),

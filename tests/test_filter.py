@@ -11,6 +11,8 @@ from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
+from oracles import one_row
+
 GEN = TruthGenerator(
     TrajectorySpec(
         "circle", np.array([0.7, -1.2, 300.0]), speed=15.0, radius=250.0,
@@ -114,7 +116,7 @@ def test_predict_bias_block_matches_scalar_kf():
     noise = ImuNoiseParams(sigma_bg=2e-6, tau_g=100.0, tau_a=None)
     dt = 0.01
     gyro, accel = GEN.imu_instantaneous(fs.t)
-    imu = ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel)
+    imu = one_row(ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel))
     out, _ = flt.predict(fs, imu, flt.RunConstants(variant, noise, dt))
     a = -1.0 / 100.0
     phi_s = 1.0 + a * dt + 0.5 * (a * dt) ** 2
@@ -134,7 +136,7 @@ def test_predict_trace_grows_with_noise():
         tau_g=None, tau_a=None,
     )
     gyro, accel = GEN.imu_instantaneous(fs.t)
-    imu = ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel)
+    imu = one_row(ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel))
     trace = np.trace(fs.p)
     run = flt.RunConstants(variant, noise, 0.01)
     for _ in range(20):
@@ -152,7 +154,7 @@ def test_predict_tracks_mechanization_zero_noise():
     run = flt.RunConstants(variant, ImuNoiseParams(tau_g=None, tau_a=None), dt)
     for imu in GEN.synthesize_imu(2.0, dt):
         biased = ImuSample(imu.t, imu.gyro + BIAS0.gyro, imu.accel + BIAS0.accel)
-        fs, _ = flt.predict(fs, biased, run)
+        fs, _ = flt.predict(fs, one_row(biased), run)
     truth = GEN.state_ecef(2.0)
     pos = earth.llh_to_ecef(*fs.nav.geo)
     assert np.linalg.norm(pos - truth.r) <= 1e-4
@@ -211,6 +213,19 @@ def test_invariant_mode_requires_left_est():
         flt.update(fs, truth_fix(fs.t), mode="invariant")
     with pytest.raises(IncompatibleMode):
         flt.update(fs, truth_fix(fs.t), mode="bogus")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode", flt.MODES)
+def test_singular_innovation_covariance_raises(mode):
+    # [TRIVIAL: boundary] a zero P and an exact fix make S = 0: the update
+    # raises LinAlgError (which the forward pass reports as a divergence)
+    # instead of feeding NaN back into the nominal
+    fs = make_fs(Variant("ECEF", "LeftEst"))
+    fs.p = np.zeros((15, 15))
+    fix = truth_fix(fs.t, sigma=0.0, offset=np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        flt.update(fs, fix, mode=mode)
 
 
 def test_joseph_update_keeps_psd():

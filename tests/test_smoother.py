@@ -191,8 +191,8 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
     late = flt.GnssFix(1.0, GEN.state_ecef(1.0).r, np.eye(3), LEVER)
     expected = fs0
     run = flt.RunConstants(variant, ImuNoiseParams(), dt)
-    for sample in imu:
-        expected, _ = flt.predict(expected, sample, run)
+    for k in range(len(imu)):
+        expected, _ = flt.predict(expected, imu[k:k + 1], run)
     for fixes in ([], [late]):
         records, nis = smo.run_forward(fs0, imu, fixes, dt)
         assert nis == []
