@@ -14,23 +14,23 @@ parse -> serialize -> parse is idempotent and identical configs with
 identical seeds produce byte-identical outputs.
 """
 
+import functools
 import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated
 
 import click
 import numpy as np
 import yaml
-from pydantic import AfterValidator, BaseModel, ConfigDict, Field, ValidationError
 
 from liese_nav import earth, filter as flt, sensors, smoother as smo
 from liese_nav.errormodels import Variant
 from liese_nav.errors import (
-    ConfigError, IncompatibleMode, IoError, LieseNavError, NotPSD,
+    ConfigError, Divergence, IncompatibleMode, IoError, LieseNavError, NotPSD,
 )
 from liese_nav.liegroup import matvec, so3_log
 from liese_nav.mechanization import Rows, stack_states, state_at
@@ -58,29 +58,133 @@ _MIRROR = operator.itemgetter(*_upper_pos.ravel().tolist())
 # ---------------------------------------------------------------------------
 
 
-class _Strict(BaseModel):
-    # NaN and +-Inf would only fail deep inside the run, with the wrong code
-    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
+def _real(value, name):
+    """A finite float from an int, a float or a numeric string: PyYAML reads
+    a hand-written ``1e-4`` or ``5e2`` (no dot) as a string. A bool is no
+    number, and NaN or +-Inf would only fail deep inside the run, with the
+    wrong code."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+    return number
 
 
-Vector3 = Annotated[list[float], Field(min_length=3, max_length=3)]
-# a time constant or period of zero divides by zero, and a negative one or a
-# negative standard deviation would run on without a word
-Positive = Annotated[float, Field(gt=0)]
+def _positive(value, name):
+    # a time constant or period of zero divides by zero, and a negative one
+    # would run on without a word
+    number = _real(value, name)
+    if not number > 0:
+        raise ConfigError(f"{name}: must be greater than 0, got {value!r}")
+    return number
 
 
-def _finite_square(sigma):
-    # the run squares every sigma into a variance, and float ** raises
-    # OverflowError deep inside the run (exit 1) where the square is not finite
+def _sigma(value, name):
+    # a negative standard deviation would run on without a word; the run
+    # squares every sigma into a variance, and float ** raises OverflowError
+    # deep inside the run (exit 1) where the square is not finite
+    sigma = _real(value, name)
+    if not sigma >= 0:
+        raise ConfigError(f"{name}: must be greater than or equal to 0, got {value!r}")
     if not sigma * sigma < math.inf:
-        raise ValueError(f"{sigma} squares to a variance beyond the float range")
+        raise ConfigError(f"{name}: {sigma} squares to a variance beyond the float range")
     return sigma
 
 
-Sigma = Annotated[float, Field(ge=0), AfterValidator(_finite_square)]
+def _positive_or_none(value, name):
+    # a bias time constant of null selects a random-constant bias
+    return None if value is None else _positive(value, name)
 
 
-class TrajectoryConfig(_Strict):
+def _vector3(value, name):
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{name}: expected a list of 3 numbers, got {value!r}")
+    return [_real(x, f"{name}[{k}]") for k, x in enumerate(value)]
+
+
+def _seed(value, name):
+    # an integral float or an integer string is a seed too;
+    # np.random.default_rng raises on a negative seed, deep inside the run
+    if isinstance(value, bool) or not isinstance(value, int):
+        number = _real(value, name)
+        if not number.is_integer():
+            raise ConfigError(f"{name}: expected a whole number, got {value!r}")
+        value = int(number)
+    if value < 0:
+        raise ConfigError(f"{name}: must be greater than or equal to 0, got {value!r}")
+    return value
+
+
+def _typed(kind):
+    def check(value, name):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name}: expected a {kind.__name__}, got {value!r}")
+        return value
+
+    return check
+
+
+# A field's annotation names its check: a plain float, str or bool, one of
+# these, or a section (a config dataclass)
+_CHECKS = {float: _real, str: _typed(str), bool: _typed(bool)}
+Positive = Annotated[float, _positive]
+PositiveOrNone = Annotated[float | None, _positive_or_none]
+Sigma = Annotated[float, _sigma]
+Vector3 = Annotated[list, _vector3]
+
+
+def _section(cls, value, name=""):
+    """A validated ``cls`` from a mapping (or ``value`` itself if it already
+    is one); errors name the dotted field under ``name``."""
+    if isinstance(value, cls):
+        return value
+    at = f"{name}." if name else ""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name}: expected a mapping, got {value!r}")
+    known = {f.name: f for f in fields(cls)}
+    for key in value:
+        if key not in known:
+            raise ConfigError(f"{at}{key}: unknown field")
+    for key, f in known.items():
+        if key not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{at}{key}: field required")
+    try:
+        return cls(**value)
+    except ConfigError as exc:
+        raise ConfigError(f"{at}{exc}") from None
+
+
+@functools.cache
+def _checks(cls):
+    """(name, check) of every field of a config dataclass, from its
+    annotation: a section, ``Annotated[type, check]`` or a plain type."""
+    return [
+        (
+            f.name,
+            functools.partial(_section, f.type) if is_dataclass(f.type)
+            else f.type.__metadata__[0] if hasattr(f.type, "__metadata__")
+            else _CHECKS[f.type],
+        )
+        for f in fields(cls)
+    ]
+
+
+class _Config:
+    """Validates every field of a config dataclass on construction, in place:
+    each value is read through its check, and a nested mapping becomes its
+    section. Assignment afterwards is not checked."""
+
+    def __post_init__(self):
+        for name, check in _checks(type(self)):
+            setattr(self, name, check(getattr(self, name), name))
+
+
+@dataclass
+class TrajectoryConfig(_Config):
     kind: str
     origin_lat_rad: float
     origin_lon_rad: float
@@ -92,49 +196,57 @@ class TrajectoryConfig(_Strict):
     period_s: Positive = 60.0
 
 
-class GnssConfig(_Strict):
+@dataclass
+class GnssConfig(_Config):
     period_s: float = 1.0
     sigma_pos_m: Sigma = 1.0
-    lever_arm_b_m: Vector3 = [0.0, 0.0, 0.0]
+    lever_arm_b_m: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-class NoiseConfig(_Strict):
+@dataclass
+class NoiseConfig(_Config):
     sigma_g_rad_s_sqrt_hz: Sigma = 0.0
     sigma_a_m_s2_sqrt_hz: Sigma = 0.0
     sigma_bg_rad_s_sqrt_s: Sigma = 0.0
     sigma_ba_m_s2_sqrt_s: Sigma = 0.0
-    tau_g_s: Positive | None = 3600.0
-    tau_a_s: Positive | None = 3600.0
+    tau_g_s: PositiveOrNone = 3600.0
+    tau_a_s: PositiveOrNone = 3600.0
 
 
-class InitialConfig(_Strict):
+@dataclass
+class InitialConfig(_Config):
     attitude_sigma_rad: Sigma = 0.0
     velocity_sigma_m_s: Sigma = 0.0
     position_sigma_m: Sigma = 0.0
     bias_g_sigma_rad_s: Sigma = 0.0
     bias_a_sigma_m_s2: Sigma = 0.0
     yaw_error_rad: float = 0.0
-    true_bias_g_rad_s: Vector3 = [0.0, 0.0, 0.0]
-    true_bias_a_m_s2: Vector3 = [0.0, 0.0, 0.0]
+    true_bias_g_rad_s: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    true_bias_a_m_s2: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-class VariantConfig(_Strict):
+@dataclass
+class VariantConfig(_Config):
     frame: str = "NED"
     error_def: str = "LeftEst"
     mems_simplified: bool = False
 
 
-class ScenarioConfig(_Strict):
+@dataclass
+class ScenarioConfig(_Config):
+    """The scenario schema: strict keys at every level. ``ScenarioConfig(**m)``
+    validates the mapping ``m`` and builds its sections from nested mappings;
+    an invalid value raises ConfigError naming its dotted field."""
+
     trajectory: TrajectoryConfig
     duration_s: float = 60.0
     imu_dt_s: float = 0.01
-    gnss: GnssConfig = GnssConfig()
-    noise: NoiseConfig = NoiseConfig()
-    initial: InitialConfig = InitialConfig()
-    variant: VariantConfig = VariantConfig()
+    gnss: GnssConfig = field(default_factory=GnssConfig)
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
+    initial: InitialConfig = field(default_factory=InitialConfig)
+    variant: VariantConfig = field(default_factory=VariantConfig)
     mode: str = "se23"
-    # np.random.default_rng raises on a negative seed, deep inside the run
-    seed: int = Field(0, ge=0)
+    seed: Annotated[int, _seed] = 0
 
 
 def load_config(path):
@@ -149,8 +261,8 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping")
     try:
-        return ScenarioConfig(**raw)
-    except ValidationError as exc:
+        return _section(ScenarioConfig, raw)
+    except ConfigError as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
@@ -478,12 +590,17 @@ def _filter(members, truth):
     member in order, and drops a member's data once the next is asked for.
     """
     sims = [_simulate(sub, truth) for sub in members]
-    records, nis = smo.run_forward(
-        [_start(sub, sim) for sub, sim in zip(members, sims)],
-        [sim.imu for sim in sims],
-        [sim.fixes for sim in sims],
-        members[0].imu_dt_s, truth.noise, members[0].mode,
-    )
+    try:
+        records, nis = smo.run_forward(
+            [_start(sub, sim) for sub, sim in zip(members, sims)],
+            [sim.imu for sim in sims],
+            [sim.fixes for sim in sims],
+            members[0].imu_dt_s, truth.noise, members[0].mode,
+        )
+    except Divergence as exc:
+        seeds = ", ".join(str(sub.seed) for sub in members)
+        label = "seed" if len(members) == 1 else "seeds"
+        raise Divergence(f"{exc} ({label} {seeds})") from exc
     for k in range(len(members)):
         yield sims[k], records[k], nis[k]
         sims[k] = records[k] = nis[k] = None
@@ -592,10 +709,8 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     results = []
     for first in range(0, n_runs, size):
         block = range(first, min(n_runs, first + size))
-        members = [
-            cfg.model_copy(update={"seed": cfg.seed + idx}, deep=True)
-            for idx in block
-        ]
+        # the members share cfg's sections, which no run changes
+        members = [replace(cfg, seed=cfg.seed + idx) for idx in block]
         for idx, sub, forward in zip(block, members, _filter(members, truth)):
             results.append(run_scenario(sub, out / f"run_{idx:03d}", forward))
     final_nees = [m["final_nees"] for m in results]
@@ -699,7 +814,7 @@ def cmd_run(config_path, variant_name, mode, seed, out_dir, n_runs):
             run_monte_carlo(cfg, out_dir, n_runs)
         else:
             run_scenario(cfg, out_dir)
-    except (LieseNavError, ValidationError) as exc:
+    except LieseNavError as exc:
         _fail(exc)
 
 
@@ -710,7 +825,7 @@ def cmd_simulate(config_path, out_dir):
     """Write truth and sensor CSVs only."""
     try:
         simulate_only(load_config(config_path), out_dir)
-    except (LieseNavError, ValidationError) as exc:
+    except LieseNavError as exc:
         _fail(exc)
 
 
@@ -723,7 +838,7 @@ def cmd_compare(dir_a, dir_b, pos_tol, cov_tol):
     """Compare two run directories epoch by epoch."""
     try:
         report = compare_runs(dir_a, dir_b, pos_tol, cov_tol)
-    except (LieseNavError, ValidationError) as exc:
+    except LieseNavError as exc:
         _fail(exc)
         return
     click.echo(

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from liese_nav.errors import PoleSingularity
+from liese_nav.errors import Divergence, PoleSingularity
 from liese_nav.liegroup import matvec, skew
 
 WGS84_A = 6378137.0
@@ -40,6 +40,16 @@ _LAT_LIMIT = np.pi / 2 - POLE_MARGIN
 def check_latitude(lat):
     if not abs(lat) <= _LAT_LIMIT:  # true for a NaN latitude too
         raise PoleSingularity(f"latitude {lat} too close to a pole")
+
+
+def check_state_latitude(lat):
+    """:func:`check_latitude` for the latitude of a propagated state: one
+    that is no latitude at all (NaN, +-Inf or beyond +-pi/2) means the
+    state diverged, and raises Divergence instead."""
+    if not abs(lat) <= _LAT_LIMIT:
+        if not abs(lat) <= math.pi / 2:
+            raise Divergence(f"latitude {lat} is outside [-pi/2, pi/2]")
+        check_latitude(lat)
 
 
 def radii(lat):

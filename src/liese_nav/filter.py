@@ -250,6 +250,8 @@ def predict(fs, imu, run, phi_acc=_I15):
     linearizations at the pre-step nominals are built and discretized for
     the whole leg, since a variant's F reads only the nominal and the
     rates, never P; then P and Phi_acc are carried through the leg.
+    Raises ``numpy.linalg.LinAlgError`` if P holds a NaN or an infinity at
+    the end of the leg.
     """
     variant, dt = fs.variant, run.dt
     step = variant.chart.step
@@ -269,6 +271,9 @@ def predict(fs, imu, run, phi_acc=_I15):
         p = ph @ p @ ph.swapaxes(-1, -2) + q
         p = 0.5 * (p + p.swapaxes(-1, -2))
         phi_acc = ph @ phi_acc
+    # one sum per leg: a NaN or an infinity anywhere in P makes it non-finite
+    if not math.isfinite(p.sum()):
+        raise np.linalg.LinAlgError(f"covariance left the finite numbers by t={t}")
     return FilterState(variant, nav, BiasState(b_g, b_a), p, t), phi_acc
 
 

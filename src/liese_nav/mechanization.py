@@ -102,7 +102,7 @@ def _ned_point(rest, t):
     shared by the earth rate, transport rate, gravity and geodetic rates.
     """
     *v, lat, _, h = rest
-    earth.check_latitude(lat)
+    earth.check_state_latitude(lat)
     s, c = math.sin(lat), math.cos(lat)
     rm, rn = earth.radii(lat)
     (a0, a1, a2), (b0, b1, b2) = (

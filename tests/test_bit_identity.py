@@ -916,7 +916,7 @@ def _members(n):
     base = _scenario("NED", "LeftEst", "se23")
     draws = []
     for k in range(n):
-        cfg = base.model_copy(update={"seed": base.seed + k}, deep=True)
+        cfg = dataclasses.replace(base, seed=base.seed + k)
         sim = cli._simulate(cfg)
         draws.append((cli._start(cfg, sim), sim.imu, sim.fixes))
     return base, sim.noise, [list(x) for x in zip(*draws)]

@@ -1,11 +1,15 @@
 """Scenario-runner CLI: artifacts, determinism, exit codes, compare logic."""
 
+import importlib.metadata
 import json
 import math
 import os
 import re
+import site
 import subprocess
 import sys
+import sysconfig
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +319,39 @@ def test_diverging_filter_exits_2_naming_time_and_variant(tmp_path):
     assert re.search(r"error: NED/LeftEst diverged at t=[0-9.]+", res.output)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "runs, named", [(None, "(seed 3)"), ("3", "(seeds 3, 4, 5)")], ids=["single", "mc3"]
+)
+def test_divergence_names_the_leg_where_p_overflowed_and_the_seeds(tmp_path, runs, named):
+    # the gyro noise of 1e3 rad/s/sqrt(Hz) overflows P in the first leg,
+    # before the first fix at t=1: the error names the leg that starts at
+    # t=0.0 (not the update at t=1 that failed next), and the seed, or the
+    # seeds of the Monte-Carlo block
+    noise = dict(BASE_CONFIG["noise"], sigma_g_rad_s_sqrt_hz=1e3)
+    cfg = write_config(tmp_path, {"noise": noise})
+    extra = () if runs is None else ("--monte-carlo", runs)
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *extra)
+    assert res.exit_code == 2, res.output
+    assert "NED/LeftEst diverged at t=0.0 " in res.output
+    assert "covariance left the finite numbers" in res.output
+    assert res.output.rstrip().endswith(named)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_latitude_beyond_the_poles_mid_pass_is_divergence(tmp_path):
+    # an accel noise of 1e150 m/s^2/sqrt(Hz) throws the position off the
+    # earth within the first leg; a latitude beyond +-pi/2 is a diverged
+    # state, not a state near a pole
+    noise = dict(BASE_CONFIG["noise"], sigma_a_m_s2_sqrt_hz=1e150)
+    cfg = write_config(tmp_path, {"noise": noise})
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert "NED/LeftEst diverged at t=0.0 " in res.output
+    assert "is outside [-pi/2, pi/2]" in res.output
+    assert "too close to a pole" not in res.output
+
+
 def test_monte_carlo_members_run_in_index_order(tmp_path, monkeypatch):
     # member k gets seed + k and run_k; each member passes through
     # cli.run_scenario (the span a traced benchmark run times per member),
@@ -478,6 +515,61 @@ def test_null_bias_time_constants_still_accepted(tmp_path):
     noise = {**BASE_CONFIG["noise"], "tau_g_s": None, "tau_a_s": None}
     cfg = cli.load_config(write_config(tmp_path, {"noise": noise}))
     assert cfg.noise.tau_g_s is None and cfg.noise.tau_a_s is None
+
+
+def test_exponent_without_a_dot_reads_as_its_number(tmp_path):
+    # PyYAML reads a hand-written 1e-4 or 5e2 (no dot) as a string; the
+    # config reads it as the number it spells, in a scalar and a 3-vector
+    assert yaml.safe_load("x: 1e-4")["x"] == "1e-4"
+    noise = {**BASE_CONFIG["noise"], "sigma_g_rad_s_sqrt_hz": "1e-4"}
+    gnss = {**BASE_CONFIG["gnss"], "period_s": "5e2", "lever_arm_b_m": ["1e-3", 0, 2]}
+    cfg = cli.load_config(write_config(tmp_path, {"noise": noise, "gnss": gnss}))
+    assert cfg.noise.sigma_g_rad_s_sqrt_hz == 0.0001
+    assert cfg.gnss.period_s == 500.0
+    assert cfg.gnss.lever_arm_b_m == [0.001, 0.0, 2.0]
+    assert all(type(x) is float for x in cfg.gnss.lever_arm_b_m)
+
+
+def test_int_numbers_load_as_floats_and_a_whole_seed_as_an_int(tmp_path):
+    cfg = cli.load_config(
+        write_config(tmp_path, {"duration_s": 5, "imu_dt_s": 0.02, "seed": 3.0})
+    )
+    assert cfg.duration_s == 5.0 and type(cfg.duration_s) is float
+    assert cfg.seed == 3 and type(cfg.seed) is int
+    cfg = cli.load_config(write_config(tmp_path, {"seed": "4"}))
+    assert cfg.seed == 4 and type(cfg.seed) is int
+
+
+WRONG_TYPE = [
+    # (section, field, value): a bool where a number is expected read as
+    # 1.0 or 0.0, and any truthy value as mems_simplified: true (NED_Aux,
+    # whose simplified model exists)
+    (None, "duration_s", True),
+    (None, "seed", True),
+    ("noise", "sigma_g_rad_s_sqrt_hz", False),
+    ("gnss", "lever_arm_b_m", [True, 0.0, 0.0]),
+    ("variant", "mems_simplified", "yes"),
+    ("variant", "mems_simplified", 1),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize(
+    "section, field, value", WRONG_TYPE,
+    ids=[f"{field}={value!r}" for _, field, value in WRONG_TYPE],
+)
+def test_bool_number_or_non_bool_flag_exits_2(tmp_path, command, section, field, value):
+    if section is None:
+        overrides = {field: value}
+    elif section == "variant":
+        overrides = {section: {"frame": "NED_Aux", "error_def": "LeftEst", field: value}}
+    else:
+        overrides = {section: {**BASE_CONFIG[section], field: value}}
+    cfg = write_config(tmp_path, overrides)
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert field in res.output
+    assert not (tmp_path / "o").exists()
 
 
 OUT_OF_RANGE = [
@@ -722,18 +814,56 @@ def test_quaternion_roundtrip():
 
 
 def test_cli_imports_without_scipy():
-    # scipy is a test extra only: a plain install must import the runner
-    src = str(Path(liese_nav.__file__).resolve().parents[1])
+    # scipy is a test extra only: a plain install must import the runner.
+    # Every module the import adds whose top-level package is not the
+    # standard library's (by name, or by a file inside its directory) nor
+    # this package must come from a dependency pyproject.toml declares; a
+    # module with no file is one an extension made in memory (Cython's).
+    src = Path(liese_nav.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(src), env.get("PYTHONPATH")) if p
     )
-    code = "import sys; sys.modules['scipy'] = None; import liese_nav.cli"
+    code = (
+        "import json, sys; sys.modules['scipy'] = None; before = set(sys.modules)\n"
+        "import liese_nav.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(json.dumps({m: getattr(sys.modules[m], '__file__', None) for m in new}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    stdlib = Path(sysconfig.get_paths()["stdlib"]).resolve()
+    site_dirs = [Path(d).resolve() for d in site.getsitepackages()]
+
+    def in_stdlib(path):
+        path = Path(path).resolve()
+        return path.is_relative_to(stdlib) and not any(
+            path.is_relative_to(d) for d in site_dirs
+        )
+
+    third_party = {
+        name for name, path in loaded.items()
+        if name not in sys.stdlib_module_names and name != "liese_nav"
+        and path is not None and not in_stdlib(path)
+    }
+    project = tomllib.loads((src.parent / "pyproject.toml").read_text())["project"]
+    declared = {_dist_key(re.match(r"[A-Za-z0-9._-]+", d)[0]) for d in project["dependencies"]}
+    providers = importlib.metadata.packages_distributions()
+    undeclared = {
+        name: providers.get(name) for name in third_party
+        if not declared & {_dist_key(d) for d in providers.get(name, [])}
+    }
+    assert not undeclared, undeclared
+    assert "pydantic" not in loaded
+
+
+def _dist_key(name):
+    """A distribution name as PEP 503 normalizes it."""
+    return re.sub(r"[-_.]+", "-", name).lower()
 
 
 def test_every_package_error_is_exported():

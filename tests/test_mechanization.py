@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from liese_nav import earth, mechanization as mech
-from liese_nav.errors import PoleSingularity
+from liese_nav.errors import Divergence, PoleSingularity
 from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -106,6 +106,17 @@ def test_pole_guard():
     )
     imu = mech.ImuSample(0.0, np.zeros(3), np.zeros(3))
     with pytest.raises(PoleSingularity):
+        mech.ned_step(state, imu, 0.01)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.tan of an infinity
+@pytest.mark.parametrize("lat", [np.nan, np.inf, -np.inf, 2.0, -np.pi / 2 - 1e-9])
+def test_latitude_that_is_no_latitude_is_divergence(lat):
+    # a state whose latitude left [-pi/2, pi/2] (or the numbers) diverged;
+    # only a latitude within POLE_MARGIN of a pole is a pole singularity
+    state = mech.NavStateNED(np.eye(3), np.zeros(3), np.array([lat, 0.0, 0.0]))
+    imu = mech.ImuSample(0.0, np.zeros(3), np.zeros(3))
+    with pytest.raises(Divergence, match="outside"):
         mech.ned_step(state, imu, 0.01)
 
 
