@@ -92,11 +92,12 @@ class Variant:
 
     @property
     def lockstep(self):
-        """This variant has the stacked forms of ``error_dynamics`` and the
-        NED step: ``filter.predict`` builds a leg's F in one stacked call
-        over its steps (and its Monte-Carlo members), and members run in
-        lockstep as one stack."""
-        return self.frame == "NED" and self.error_def == "LeftEst"
+        """NED frame and a left error, whose F is the same for either state
+        inverted (only G's sign differs): this variant has the stacked forms
+        of ``error_dynamics`` and the NED step, ``filter.predict`` builds a
+        leg's F in one stacked call over its steps (and its Monte-Carlo
+        members), and members run in lockstep as one stack."""
+        return self.frame == "NED" and not self.is_right
 
     @property
     def chart(self):
@@ -156,28 +157,18 @@ class NedChart:
             v = v + cross(earth.earth_rate_n(nav.geo[0]), rho)
         return GroupElement(c.copy(), v, rho)
 
-    def embed_pair(self, true_nav, est_nav, aux):
-        """Embeddings of (true, estimate) for their error: the true position
-        is the estimate's plus the ECEF displacement in its NED axes."""
-        x_true, x_est = self.embed(true_nav, aux), self.embed(est_nav, aux)
-        lat, lon, _ = est_nav.geo
-        c_en = earth.dcm_ecef_to_ned(lat, lon)
-        d_e = earth.llh_to_ecef(*true_nav.geo) - earth.llh_to_ecef(*est_nav.geo)
-        return GroupElement(x_true.R, x_true.v, x_est.p + c_en @ d_e), x_est
-
     def embed_pairs(self, true_nav, est_nav, aux):
-        """:meth:`embed_pair` of stacked states, as two (R, v, p) triples of
-        stacks whose rows equal the single embeddings bit for bit."""
-        (r_t, v_t, _), (r_e, v_e, p_e) = (
-            self._embed_stack(nav, aux) for nav in (true_nav, est_nav)
-        )
+        """Embeddings of (true, estimate) for their error, of one state or of
+        stacked states alike: the true position is the estimate's plus the
+        ECEF displacement resolved in the estimate's NED axes."""
+        x_true, x_est = (self._embed_stack(nav, aux) for nav in (true_nav, est_nav))
         lat, lon, _ = est_nav.geo.T
         c_en = earth.dcm_ecef_to_ned_array(lat, lon)
         d_e = earth.llh_to_ecef_array(*true_nav.geo.T) - earth.llh_to_ecef_array(
             *est_nav.geo.T
         )
-        p_t = p_e + matvec(c_en, np.ascontiguousarray(d_e.T))
-        return (r_t, v_t, p_t), (r_e, v_e, p_e)
+        p_t = x_est.p + matvec(c_en, np.ascontiguousarray(d_e.T))
+        return GroupElement(x_true.R, x_true.v, p_t), x_est
 
     @staticmethod
     def _embed_stack(nav, aux):
@@ -186,7 +177,7 @@ class NedChart:
         v = nav.v_n
         if aux:
             v = v + cross(earth.earth_rate_n_array(lat), rho).T
-        return nav.c_bn, v, np.ascontiguousarray(rho.T)
+        return GroupElement(*map(np.ascontiguousarray, (nav.c_bn, v, rho.T)))
 
     def retract(self, nav, x_est, x_new, aux):
         """The state whose embedding is x_new, read through the chart."""
@@ -241,12 +232,9 @@ class EcefChart:
             v = v + cross(earth.earth_rate_e(), nav.r)
         return GroupElement(nav.c_be.copy(), v, nav.r.copy())
 
-    def embed_pair(self, true_nav, est_nav, aux):
-        return self.embed(true_nav, aux), self.embed(est_nav, aux)
-
     def embed_pairs(self, true_nav, est_nav, aux):
-        """:meth:`embed_pair` of stacked states, as two (R, v, p) triples of
-        stacks."""
+        """Embeddings of (true, estimate) for their error, of one state or of
+        stacked states alike."""
         return tuple(self._embed_stack(nav, aux) for nav in (true_nav, est_nav))
 
     @staticmethod
@@ -254,7 +242,7 @@ class EcefChart:
         v = nav.v
         if aux:
             v = v + cross(earth.earth_rate_e(), nav.r.T).T
-        return nav.c_be, v, nav.r
+        return GroupElement(*map(np.ascontiguousarray, (nav.c_be, v, nav.r)))
 
     def retract(self, nav, x_est, x_new, aux):
         c_new = mech.orthonormalize(x_new.R)
@@ -332,23 +320,29 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     leading axis of N points: the steps of a leg, its members, or both
     flattened) with (N, 3) rates gives F as an (N, 15, 15) stack, each row
     equal to its single call bit for bit; G, which no nominal enters for a
-    left error, stays one (15, 12) matrix.
+    left error, stays one (15, 12) matrix. A single nominal of such a
+    variant runs the stacked blocks as a stack of one.
 
     ``g`` is a left error's G built once for the run
     (``filter.RunConstants``); without it, G is built here.
     """
-    stacked = gyro.ndim == 2
-    if stacked and not variant.lockstep:
+    lead = gyro.shape[:-1]
+    if variant.lockstep:
+        blocks = _ned_left_stack
+        if not lead:  # a single nominal, as a stack of one
+            nominal, gyro, accel = mech.stack_states([nominal]), gyro[None], accel[None]
+    elif lead:
         raise UnsupportedVariant(f"{variant.name} has no stacked error dynamics")
+    else:
+        blocks = _BLOCKS[variant.frame]
     f = np.zeros(gyro.shape[:-1] + (15, 15))
     f[..., BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
     f[..., BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
-    blocks = _ned_left_stack if stacked else _BLOCKS[variant.frame]
     embedding = blocks(variant, nominal, gyro, accel, f)
     if g is None:
         g = noise_map(variant, embedding)
     f[..., :9, 9:] = g[:9, :6]
-    return f, g
+    return f.reshape(lead + (15, 15)), g
 
 
 def _point_floats(geo):
@@ -385,63 +379,46 @@ def _local_terms(nom):
 
 
 def _ned_blocks(variant, nom, gyro, accel, f):
-    c = nom.c_bn
+    """The world-frame (right-error) blocks; the left errors take
+    :func:`_ned_left_stack`."""
     h, v, s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(nom)
     sk_v = skew(v)
     sk_v_m2 = sk_v @ m2
-
-    if variant.is_right:
-        # world-frame errors
-        w_in = [a + b for a, b in zip(w_ie, w_en)]
-        grav = earth._gravity_n(s_lat**2, rm, rn, h)
-        k_g = np.zeros((3, 3))
-        k_g[2, 2] = earth._gravity_gradient_down(grav[2], rm, rn, h)
-        sk_r = skew(r_n)
-        sk_w_en = skew(w_en)
-        f[PHI, PHI] = -skew(w_in) + m2 @ sk_v + (m1 + m3) @ sk_r
-        f[PHI, RV] = -m2
-        f[PHI, RR] = -(m1 + m3)
-        f[RV, PHI] = (
-            -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
-        )
-        f[RV, RV] = -skew([2.0 * a + b for a, b in zip(w_ie, w_en)])
-        f[RV, RR] = sk_v @ m1 + k_g
-        # position row: exact Jacobian in the local-chart coordinates the
-        # filter corrects in (position error = estimate-frame-resolved ECEF
-        # displacement); m2 doubles as the displacement-to-frame-angle map
-        f[RR, PHI] = (
-            (sk_v_m2 + sk_w_en) @ sk_r
-            - skew(cross(w_en, r_n))
-            + sk_r @ f[PHI, PHI]
-        )
-        f[RR, RV] = _I3 - sk_r @ m2
-        f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
-        return c, sk_v, sk_r
-    else:
-        # body-frame errors; the five C' X C sandwiches as one stack
-        ct = c.T
-        sw_m2, sw_m13, sw_vm2, sw_vm13, sw_wv = ct @ np.array(
-            [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), skew(w_ie) - sk_v_m2]
-        ) @ c
-        sk_g = skew(gyro)
-        f[PHI, PHI] = -sk_g
-        f[PHI, RV] = -sw_m2
-        f[PHI, RR] = -sw_m13
-        f[RV, PHI] = -skew(accel)
-        f[RV, RV] = sw_vm2 - sk_g - skew(ct @ np.array(w_ie))
-        f[RV, RR] = sw_vm13
-        # position row: exact Jacobian in the local-chart coordinates (the
-        # body-resolved chart displacement integrates the velocity error
-        # one-for-one; no curvature coupling survives)
-        f[RR, RV] = _I3
-        f[RR, RR] = -sk_g + sw_wv
+    w_in = [a + b for a, b in zip(w_ie, w_en)]
+    grav = earth._gravity_n(s_lat**2, rm, rn, h)
+    k_g = np.zeros((3, 3))
+    k_g[2, 2] = earth._gravity_gradient_down(grav[2], rm, rn, h)
+    sk_r = skew(r_n)
+    sk_w_en = skew(w_en)
+    f[PHI, PHI] = -skew(w_in) + m2 @ sk_v + (m1 + m3) @ sk_r
+    f[PHI, RV] = -m2
+    f[PHI, RR] = -(m1 + m3)
+    f[RV, PHI] = (
+        -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
+    )
+    f[RV, RV] = -skew([2.0 * a + b for a, b in zip(w_ie, w_en)])
+    f[RV, RR] = sk_v @ m1 + k_g
+    # position row: exact Jacobian in the local-chart coordinates the
+    # filter corrects in (position error = estimate-frame-resolved ECEF
+    # displacement); m2 doubles as the displacement-to-frame-angle map
+    f[RR, PHI] = (
+        (sk_v_m2 + sk_w_en) @ sk_r
+        - skew(cross(w_en, r_n))
+        + sk_r @ f[PHI, PHI]
+    )
+    f[RR, RV] = _I3 - sk_r @ m2
+    f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
+    return nom.c_bn, sk_v, sk_r
 
 
 def _ned_left_stack(variant, nom, gyro, accel, f):
-    """The left-error branch of :func:`_ned_blocks` for a stacked nominal:
-    each member's earth terms are its own float evaluation, and the products
-    and sums are the same BLAS calls and IEEE operations on stacks, so each
-    member's blocks equal its single call bit for bit."""
+    """The body-frame (left-error) blocks of a stacked NED nominal, the same
+    for LeftEst and LeftTrue: each point's earth terms are its own float
+    evaluation, and the products and sums are the same BLAS calls and IEEE
+    operations for every point, so each point's blocks do not depend on the
+    stack they are in. The position row is the exact Jacobian in the
+    local-chart coordinates: the body-resolved chart displacement integrates
+    the velocity error one-for-one, and no curvature coupling survives."""
     rows = []
     for geo, v in zip(nom.geo.tolist(), nom.v_n.tolist()):
         h, s, c, t, rm, rn, drm, drn = _point_floats(geo)

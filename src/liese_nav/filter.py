@@ -31,9 +31,7 @@ from liese_nav.errormodels import (
     noise_map,
 )
 from liese_nav.errors import IncompatibleMode
-from liese_nav.liegroup import (
-    exp_se23, left_jacobian_inv, log_se23, matvec, so3_log,
-)
+from liese_nav.liegroup import exp_se23, log_se23
 from liese_nav.mechanization import ImuSample, stack_states, state_at
 from liese_nav.sensors import BiasState
 
@@ -126,49 +124,23 @@ def _true_from_error(variant, x_est, eta):
 
 
 def error_state(variant, true_nav, true_bias, est_nav, est_bias):
-    """15-vector error of (true, estimate) in the variant's coordinates.
+    """15-vector error of (true, estimate) in the variant's coordinates;
+    stacked states and biases (``mechanization.stack_states``) of N epochs
+    give an (N, 15) array whose rows equal their single calls bit for bit.
 
     For the NED frames the position slot is the estimate-frame-resolved ECEF
     displacement (the full-rank local chart); attitude and velocity compare
     each state's own resolved triples.
     """
-    x_true, x_est = variant.chart.embed_pair(true_nav, est_nav, variant.aux_velocity)
-    eta = _compose_error(variant, x_true, x_est)
-    db = np.concatenate(
-        [true_bias.gyro - est_bias.gyro, true_bias.accel - est_bias.accel]
-    )
-    return np.concatenate([log_se23(eta), db])
-
-
-def error_states(variant, true_nav, true_bias, est_nav, est_bias):
-    """:func:`error_state` of N epochs at once: stacked states and biases
-    (``mechanization.stack_states``) give an (N, 15) array.
-
-    Each row equals its single call bit for bit: every product is the BLAS
-    call the single group operations make (``matvec``, stacked ``@``, a
-    transpose as a swapped-axes view), and the logarithm's stacked forms
-    take each row's branch.
-    """
     x_true, x_est = variant.chart.embed_pairs(true_nav, est_nav, variant.aux_velocity)
-    a, b = (x_est, x_true) if variant.inverts_true else (x_true, x_est)
-    (ra, va, pa), (rb, vb, pb) = (map(np.ascontiguousarray, x) for x in (a, b))
-    rt = np.swapaxes(rb, -1, -2)
-    v_inv, p_inv = -matvec(rt, vb), -matvec(rt, pb)  # b^-1 = (R', -R'v, -R'p)
-    if variant.is_right:  # eta = a b^-1
-        rot, vel, pos = ra @ rt, matvec(ra, v_inv) + va, matvec(ra, p_inv) + pa
-    else:  # eta = b^-1 a
-        rot, vel, pos = rt @ ra, matvec(rt, va) + v_inv, matvec(rt, pa) + p_inv
-    phi = so3_log(rot)
-    jinv = left_jacobian_inv(phi)
+    eta = _compose_error(variant, x_true, x_est)
     return np.concatenate(
         [
-            phi,
-            matvec(jinv, vel),
-            matvec(jinv, pos),
+            log_se23(eta),
             true_bias.gyro - est_bias.gyro,
             true_bias.accel - est_bias.accel,
         ],
-        axis=1,
+        axis=-1,
     )
 
 

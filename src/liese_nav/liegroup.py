@@ -227,7 +227,12 @@ def hat(xi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GroupElement:
-    """Element of SE_2(3) stored as the triple ``(R, v, p)``."""
+    """Element of SE_2(3) stored as the triple ``(R, v, p)``; fields with a
+    leading axis of N elements make a stack, which ``compose``, ``inverse``
+    and :func:`log_se23` take as they take one element. Each stacked product
+    is the single element's BLAS call (``matvec``, stacked ``@``, a
+    transpose as the swapped-axes view), so rows equal single calls bit for
+    bit."""
 
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -247,13 +252,13 @@ class GroupElement:
     def compose(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
             self.R @ other.R,
-            self.R @ other.v + self.v,
-            self.R @ other.p + self.p,
+            matvec(self.R, other.v) + self.v,
+            matvec(self.R, other.p) + self.p,
         )
 
     def inverse(self) -> "GroupElement":
-        rt = self.R.T
-        return GroupElement(rt, -(rt @ self.v), -(rt @ self.p))
+        rt = np.swapaxes(self.R, -1, -2)
+        return GroupElement(rt, -matvec(rt, self.v), -matvec(rt, self.p))
 
     def adjoint(self) -> np.ndarray:
         """9x9 adjoint: X exp(hat(xi)) X^-1 = exp(hat(adjoint(X) @ xi))."""
@@ -283,7 +288,10 @@ def exp_se23(xi: np.ndarray) -> GroupElement:
 
 
 def log_se23(element: GroupElement) -> np.ndarray:
-    """Group logarithm, the inverse of :func:`exp_se23`."""
+    """Group logarithm, the inverse of :func:`exp_se23`; a stacked element
+    gives an (N, 9) array."""
     phi = so3_log(element.R)
     jinv = left_jacobian_inv(phi)
-    return np.concatenate([phi, jinv @ element.v, jinv @ element.p])
+    return np.concatenate(
+        [phi, matvec(jinv, element.v), matvec(jinv, element.p)], axis=-1
+    )

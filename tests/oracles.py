@@ -1424,11 +1424,11 @@ def ref_rts_smooth(variant, records):
             raise SingularPredCov(
                 f"predicted covariance numerically singular at t={rec.t}"
             )
-        dx_next = flt.error_state(
+        dx_next = ref_error_state(
             variant, nxt.nav, nxt.bias, rec.nav_pred, rec.bias_pred
         )
         dx = c @ dx_next
-        nav, bias = flt.apply_correction(variant, rec.nav, rec.bias, dx)
+        nav, bias = ref_apply_correction(variant, rec.nav, rec.bias, dx)
         p = rec.p_post + c @ (nxt.p - rec.p_pred) @ c.T
         p = 0.5 * (p + p.T)
         out.append(smo.SmoothedEpoch(rec.t, nav, bias, p))
@@ -1442,7 +1442,7 @@ def ref_nees(variant, truth, biases, dt, records):
     nees_log = []
     for k, rec in enumerate(records):
         idx = min(len(biases) - 1, max(0, int(round(rec.t / dt)) - 1))
-        dx = flt.error_state(variant, truth[k], biases[idx], rec.nav, rec.bias)
+        dx = ref_error_state(variant, truth[k], biases[idx], rec.nav, rec.bias)
         try:
             nees = float(dx @ np.linalg.solve(rec.p_post, dx))
         except np.linalg.LinAlgError:

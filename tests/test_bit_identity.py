@@ -910,10 +910,10 @@ def test_forward_legs_match_reference_on_irregular_fixes(frame, error_def, mode)
     assert_same(new, ref, "forward pass")
 
 
-def _members(n):
-    """Start states, IMU streams and fix lists of n members of one NED/LeftEst
+def _members(n, error_def="LeftEst"):
+    """Start states, IMU streams and fix lists of n members of one NED
     scenario (seeds 9, 10, ...), drawn as the Monte-Carlo runner draws them."""
-    base = _scenario("NED", "LeftEst", "se23")
+    base = _scenario("NED", error_def, "se23")
     draws = []
     for k in range(n):
         cfg = dataclasses.replace(base, seed=base.seed + k)
@@ -922,13 +922,25 @@ def _members(n):
     return base, sim.noise, [list(x) for x in zip(*draws)]
 
 
-@pytest.mark.parametrize("steps", [None, 40], ids=["whole", "before-first-fix"])
-@pytest.mark.parametrize("n", [2, 3])
-def test_lockstep_forward_matches_member_forwards(n, steps):
+@pytest.mark.parametrize(
+    "n,steps,error_def",
+    [
+        # NED/LeftEst keeps its ids of n and steps alone
+        pytest.param(
+            n, steps, error_def,
+            id=f"{n}-{label}" + ("" if error_def == "LeftEst" else f"-{error_def}"),
+        )
+        for error_def in ("LeftEst", "LeftTrue")
+        for n in (2, 3)
+        for steps, label in ((None, "whole"), (40, "before-first-fix"))
+    ],
+)
+def test_lockstep_forward_matches_member_forwards(n, steps, error_def):
     # one run_forward over member lists equals each member's own run_forward
-    # bit for bit; 40 steps (0.8 s) end before the first fix at 1 s, so each
-    # member's one record is its final prediction
-    cfg, noise, (starts, imus, fixes) = _members(n)
+    # bit for bit, for every lockstep variant; 40 steps (0.8 s) end before
+    # the first fix at 1 s, so each member's one record is its final
+    # prediction
+    cfg, noise, (starts, imus, fixes) = _members(n, error_def)
     if steps:
         imus = [imu[:steps] for imu in imus]
     singles = [
@@ -1163,7 +1175,7 @@ def test_error_states_match_reference(variant):
     # the metrics' stacked error, against the verbatim per-epoch error
     rng = np.random.default_rng(47)
     truth, est, b_true, b_est = _error_epochs(variant, rng, 120)
-    new = flt.error_states(
+    new = flt.error_state(
         variant, truth, mech.stack_states(b_true), mech.stack_states(est),
         mech.stack_states(b_est),
     )

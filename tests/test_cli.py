@@ -236,8 +236,9 @@ def test_invariant_matches_se23(tmp_path):
 def test_monte_carlo_fanout(tmp_path, monkeypatch):
     # [TRIVIAL] per-run directories plus a merged metrics file; every file of
     # member k equals a standalone run with seed + k, byte for byte: for one
-    # lockstep block, for a lockstep block followed by a block of one, which
-    # runs the scalar pass, and for ECEF members, which run in blocks of one.
+    # lockstep block of either NED left error, for a lockstep block followed
+    # by a block of one, which runs the scalar pass, and for ECEF members,
+    # which run in blocks of one.
     # run_forward never receives more than LOCKSTEP_BLOCK members.
     run_forward, sizes = smo.run_forward, []
 
@@ -247,15 +248,17 @@ def test_monte_carlo_fanout(tmp_path, monkeypatch):
         return run_forward(fs, *args)
 
     monkeypatch.setattr(smo, "run_forward", recording)
-    # frame, members, LOCKSTEP_BLOCK, members per run_forward call
+    # frame, error definition, members, LOCKSTEP_BLOCK, members per
+    # run_forward call
     cases = [
-        ("NED", 2, cli.LOCKSTEP_BLOCK, [2]),
-        ("NED", 3, 2, [2, 1]),
-        ("ECEF", 2, cli.LOCKSTEP_BLOCK, [1, 1]),
+        ("NED", "LeftEst", 2, cli.LOCKSTEP_BLOCK, [2]),
+        ("NED", "LeftEst", 3, 2, [2, 1]),
+        ("NED", "LeftTrue", 3, cli.LOCKSTEP_BLOCK, [3]),
+        ("ECEF", "LeftEst", 2, cli.LOCKSTEP_BLOCK, [1, 1]),
     ]
-    for case, (frame, runs, block, blocks) in enumerate(cases):
+    for case, (frame, error_def, runs, block, blocks) in enumerate(cases):
         monkeypatch.setattr(cli, "LOCKSTEP_BLOCK", block)
-        variant = {"variant": {"frame": frame, "error_def": "LeftEst"}}
+        variant = {"variant": {"frame": frame, "error_def": error_def}}
         cfg = write_config(tmp_path, variant, name=f"scen_{case}.yaml")
         out = tmp_path / f"mc_{case}"
         sizes.clear()
@@ -485,6 +488,29 @@ def test_duration_below_one_imu_step_exits_2(tmp_path, command):
     res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert res.exit_code == 2
     assert "duration_s" in res.output
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("field, value", [("duration_s", 0), ("imu_dt_s", -0.01)])
+def test_non_positive_duration_or_step_exits_2(tmp_path, command, field, value):
+    # [TRIVIAL: validation] a zero or negative duration or IMU step is
+    # rejected when the config is read, naming its field
+    cfg = write_config(tmp_path, {field: value})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert f"{field}: must be greater than 0" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+def test_malformed_yaml_exits_2(tmp_path, command):
+    # [TRIVIAL: validation] a config that is no YAML at all is a config error
+    cfg = tmp_path / "scen.yaml"
+    cfg.write_text("trajectory: {kind: circle\nseed: [1, 2\n")
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert "invalid YAML" in res.output
+    assert not (tmp_path / "o").exists()
 
 
 NON_FINITE = [
