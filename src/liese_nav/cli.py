@@ -83,16 +83,21 @@ def _positive(value, name):
     return number
 
 
+def _squarable(value, name):
+    # the run squares the number into a variance, and float ** raises
+    # OverflowError deep inside the run (exit 1) where the square is not finite
+    number = _real(value, name)
+    if not number * number < math.inf:
+        raise ConfigError(f"{name}: {number} squares to a variance beyond the float range")
+    return number
+
+
 def _sigma(value, name):
-    # a negative standard deviation would run on without a word; the run
-    # squares every sigma into a variance, and float ** raises OverflowError
-    # deep inside the run (exit 1) where the square is not finite
+    # a negative standard deviation would run on without a word
     sigma = _real(value, name)
     if not sigma >= 0:
         raise ConfigError(f"{name}: must be greater than or equal to 0, got {value!r}")
-    if not sigma * sigma < math.inf:
-        raise ConfigError(f"{name}: {sigma} squares to a variance beyond the float range")
-    return sigma
+    return _squarable(sigma, name)
 
 
 def _positive_or_none(value, name):
@@ -220,7 +225,7 @@ class InitialConfig(_Config):
     position_sigma_m: Sigma = 0.0
     bias_g_sigma_rad_s: Sigma = 0.0
     bias_a_sigma_m_s2: Sigma = 0.0
-    yaw_error_rad: float = 0.0
+    yaw_error_rad: Annotated[float, _squarable] = 0.0
     true_bias_g_rad_s: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
     true_bias_a_m_s2: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
@@ -299,7 +304,7 @@ def build_scenario(cfg):
     variant = Variant(
         cfg.variant.frame, cfg.variant.error_def, cfg.variant.mems_simplified
     )
-    if cfg.mode == "invariant" and variant.error_def != "LeftEst":
+    if cfg.mode == "invariant" and not variant.invariant_update:
         raise IncompatibleMode(
             f"invariant mode requires the LeftEst error definition, got {variant.name}"
         )
@@ -610,8 +615,8 @@ def _epoch_errors(truth, ned):
     """NED-axis position/velocity errors and attitude rotation vectors of a
     stacked NED track against the stacked truth at the same epochs."""
     lat, lon, h = truth.geo.T
-    c_en = earth.dcm_ecef_to_ned_array(lat, lon)
-    dp = earth.llh_to_ecef_array(*ned.geo.T) - earth.llh_to_ecef_array(lat, lon, h)
+    c_en = earth.dcm_ecef_to_ned(lat, lon)
+    dp = earth.llh_to_ecef(*ned.geo.T) - earth.llh_to_ecef(lat, lon, h)
     pos = matvec(c_en, np.ascontiguousarray(dp.T))
     vel = ned.v_n - truth.v_n
     att = so3_log(np.swapaxes(truth.c_bn, -1, -2) @ ned.c_bn)

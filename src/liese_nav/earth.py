@@ -1,19 +1,22 @@
 """WGS-84 earth model: radii, gravity, transport rates, frame conversions.
 
-Scalar forms run in every propagation step. ``radii``, the private
-formula helpers, ``gravity_e`` and the scalar ``ecef_to_llh`` loop work on
-Python floats (``math.sin``, ``math.cos``, ``math.sqrt`` and float ``**``,
-which round as np.float64 scalars do) and the helpers return plain float
-triples; the public forms wrap them in arrays.
+Vectors of N points are component first, (3, N), as ``np.array([x, y, z])``
+builds them; matrices of N points are (N, 3, 3) stacks.
 
-Array forms, for the simulator and the metrics, which evaluate a whole time
-grid at once: ``ecef_to_llh`` takes a (3, N) array of positions itself.
-``radii``, ``gravity_n``, ``position_vector_n``, ``earth_rate_n``,
-``llh_to_ecef``, ``dcm_ecef_to_ned`` and ``gravity_e`` each have an
-``_array`` twin at the end of this module, equal to the scalar form bit for
-bit (tests/test_bit_identity.py). Array vectors are component first,
-(3, N), as ``np.array([x, y, z])`` builds them; array matrices are
-(N, 3, 3) stacks.
+``position_vector_n``, ``earth_rate_n``, ``gravity_n``, ``llh_to_ecef`` and
+``dcm_ecef_to_ned`` have one numpy body each, which takes a float or arrays
+of N points; the embeddings, retractions, metrics and the simulator call
+them outside the propagation step. Equal inputs give equal bits either way
+(tests/test_bit_identity.py).
+
+The forms that run in every RK4 stage keep a Python-float body beside
+their array one (``math.sin``, ``math.cos``, ``math.sqrt`` and float
+``**``, which round as np.float64 scalars do), because a numpy call on one
+point costs more than the float arithmetic it wraps, about 5 ``radii``
+calls per NED step and 4 ``gravity_e`` plus 24 ``radii`` calls per ECEF
+step: ``radii`` and ``radii_array``, ``gravity_e`` and ``gravity_e_array``,
+the two loops of ``ecef_to_llh``, and the private formula helpers below,
+which the mechanization and the error models' F blocks call.
 """
 
 import itertools
@@ -65,11 +68,11 @@ def radii(lat):
 # trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
 # caller that needs several of them at one point evaluates those once. The
 # vector helpers return float triples; a 3x3 term is an array. The public
-# functions are the same formulas evaluated at (lat, h), as arrays; the
-# curvature and gradient terms that only the NED error models and the
-# mechanization read (_radii_derivatives, _gravity_gradient_down,
-# _position_vector_gradient_n, _n_rv_diagonal, _m1/_m2/_m3_matrix) have no
-# public form.
+# functions are the same formulas as numpy bodies of a float or arrays of
+# points (see the module docstring); the curvature and gradient terms that
+# only the NED error models and the mechanization read (_radii_derivatives,
+# _gravity_gradient_down, _position_vector_gradient_n, _n_rv_diagonal,
+# _m1/_m2/_m3_matrix) have no public form.
 
 
 def _radii_derivatives(s, c):
@@ -93,8 +96,13 @@ def gravity_n(lat, h):
     (R/(R+h))^2 where R is the Gaussian mean curvature radius, so that
     dg/dh = -2 g / (R + h) exactly.
     """
-    rm, rn = radii(lat)
-    return np.array(_gravity_n(math.sin(lat) ** 2, rm, rn, h))
+    rm, rn = radii_array(lat)
+    s2 = _pow(np.sin(lat), 2)
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
+    rbar = np.sqrt(rm * rn)
+    g_down = g0 * _pow(rbar / (rbar + h), 2)
+    zero = np.zeros(g_down.shape)
+    return np.array([zero, zero, g_down])
 
 
 def _gravity_gradient_down(g_down, rm, rn, h):
@@ -108,8 +116,15 @@ def _position_vector_n(s, c, rn, h):
 
 def position_vector_n(lat, h):
     """Earth-center to body vector resolved in the local NED frame."""
-    _, rn = radii(lat)
-    return np.array(_position_vector_n(math.sin(lat), math.cos(lat), rn, h))
+    s, c = np.sin(lat), np.cos(lat)
+    _, rn = radii_array(lat)
+    return np.array(
+        [
+            -WGS84_E2 * rn * s * c,
+            np.zeros(s.shape),
+            -(rn * (1.0 - WGS84_E2 * _pow(s, 2)) + h),
+        ]
+    )
 
 
 def _position_vector_gradient_n(s, c, rm, rn, drn, h):
@@ -147,7 +162,8 @@ def _earth_rate_n(s, c):
 
 
 def earth_rate_n(lat):
-    return np.array(_earth_rate_n(math.sin(lat), math.cos(lat)))
+    s, c = np.sin(lat), np.cos(lat)
+    return np.array([EARTH_RATE * c, np.zeros(s.shape), -EARTH_RATE * s])
 
 
 def _transport_rate_n(t, rm, rn, h, vn):
@@ -221,8 +237,9 @@ def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
 
 
 def llh_to_ecef(lat, lon, h):
+    """ECEF position; (3,), or (3, N) for arrays of N points."""
     s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii(lat)
+    _, rn = radii_array(lat)
     return np.array(
         [
             (rn + h) * c * np.cos(lon),
@@ -264,16 +281,12 @@ def ecef_to_llh(r):
 
 
 def dcm_ecef_to_ned(lat, lon):
-    """C_e^n."""
+    """C_e^n; (3, 3), or (N, 3, 3) for arrays of N points."""
     s, c = np.sin(lat), np.cos(lat)
     sl, cl = np.sin(lon), np.cos(lon)
-    return np.array(
-        [
-            [-s * cl, -s * sl, c],
-            [-sl, cl, 0.0],
-            [-c * cl, -c * sl, -s],
-        ]
-    )
+    rows = [-s * cl, -s * sl, c, -sl, cl, np.zeros(s.shape), -c * cl, -c * sl, -s]
+    # entries first, points last; matmul needs the stack C-ordered
+    return np.array(rows).T.copy().reshape(s.shape + (3, 3))
 
 
 def earth_rate_e():
@@ -301,20 +314,23 @@ def gravitation_e(r):
 
 
 # ---------------------------------------------------------------------------
-# array twins of the scalar forms above, for N points at once
+# libm power and the array twins of the float forms above, for N points
 # ---------------------------------------------------------------------------
 
 
 def _pow(x, k):
     """``x ** k`` elementwise through libm ``pow``, as a np.float64 scalar
-    computes it; numpy's array power loop rounds some results differently."""
+    computes it; numpy's array power loop rounds some results differently.
+    A single point (a float or a np.float64) goes to ``math.pow`` directly."""
+    if isinstance(x, float):
+        return math.pow(x, k)
     x = np.asarray(x, dtype=float)
     out = map(math.pow, x.ravel().tolist(), itertools.repeat(k))
     return np.fromiter(out, float, x.size).reshape(x.shape)
 
 
 def radii_array(lat):
-    """:func:`radii` for an array of latitudes."""
+    """:func:`radii` for an array of latitudes, or one as a numpy scalar."""
     s2 = _pow(np.sin(lat), 2)
     w = np.sqrt(1.0 - WGS84_E2 * s2)
     rn = WGS84_A / w
@@ -322,69 +338,11 @@ def radii_array(lat):
     return rm, rn
 
 
-def gravity_n_array(lat, h):
-    """:func:`gravity_n` for arrays of points; (3, N)."""
-    rm, rn = radii_array(lat)
-    s2 = _pow(np.sin(lat), 2)
-    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
-    rbar = np.sqrt(rm * rn)
-    g_down = g0 * _pow(rbar / (rbar + h), 2)
-    zero = np.zeros_like(g_down)
-    return np.array([zero, zero, g_down])
-
-
-def position_vector_n_array(lat, h):
-    """:func:`position_vector_n` for arrays of points; (3, N)."""
-    s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii_array(lat)
-    return np.array(
-        [
-            -WGS84_E2 * rn * s * c,
-            np.zeros_like(s),
-            -(rn * (1.0 - WGS84_E2 * _pow(s, 2)) + h),
-        ]
-    )
-
-
-def earth_rate_n_array(lat):
-    """:func:`earth_rate_n` for an array of latitudes; (3, N)."""
-    s, c = np.sin(lat), np.cos(lat)
-    return np.array([EARTH_RATE * c, np.zeros_like(s), -EARTH_RATE * s])
-
-
-def llh_to_ecef_array(lat, lon, h):
-    """:func:`llh_to_ecef` for arrays of points; (3, N)."""
-    s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii_array(lat)
-    return np.array(
-        [
-            (rn + h) * c * np.cos(lon),
-            (rn + h) * c * np.sin(lon),
-            (rn * (1.0 - WGS84_E2) + h) * s,
-        ]
-    )
-
-
-def dcm_ecef_to_ned_array(lat, lon):
-    """:func:`dcm_ecef_to_ned` for arrays of points; (N, 3, 3)."""
-    s, c = np.sin(lat), np.cos(lat)
-    sl, cl = np.sin(lon), np.cos(lon)
-    zero = np.zeros_like(s)
-    rows = np.array(
-        [
-            [-s * cl, -s * sl, c],
-            [-sl, cl, zero],
-            [-c * cl, -c * sl, -s],
-        ]
-    )
-    return np.ascontiguousarray(np.moveaxis(rows, (0, 1), (-2, -1)))
-
-
 def gravity_e_array(r):
     """:func:`gravity_e` for a (3, N) array of positions; (3, N)."""
     lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
-    c_ne = np.swapaxes(dcm_ecef_to_ned_array(lat, lon), -1, -2)
-    return matvec(c_ne, gravity_n_array(lat, h).T).T
+    c_ne = np.swapaxes(dcm_ecef_to_ned(lat, lon), -1, -2)
+    return matvec(c_ne, gravity_n(lat, h).T).T
 
 
 def _ecef_to_llh_array(x, y, z):

@@ -100,6 +100,12 @@ class Variant:
         return self.frame == "NED" and not self.is_right
 
     @property
+    def invariant_update(self):
+        """The body-frame (left-invariant) GNSS update is defined for the
+        LeftEst error only."""
+        return self.error_def == "LeftEst"
+
+    @property
     def chart(self):
         """The frame family's chart: NED_CHART or ECEF_CHART."""
         return NED_CHART if self.frame in ("NED", "NED_Aux") else ECEF_CHART
@@ -151,33 +157,29 @@ class NedChart:
         return v, earth.position_vector_n(lat, h), w_ie, w_in, grav
 
     def embed(self, nav, aux):
-        c, rho = self.attitude_position(nav)
-        v = nav.v_n.copy()
+        """The group embedding of one state or of stacked states."""
+        lat, _, h = nav.geo.T
+        rho = earth.position_vector_n(lat, h)
+        v = nav.v_n
         if aux:
-            v = v + cross(earth.earth_rate_n(nav.geo[0]), rho)
-        return GroupElement(c.copy(), v, rho)
+            v = v + cross(earth.earth_rate_n(lat), rho).T
+        return GroupElement(*map(np.ascontiguousarray, (nav.c_bn, v, rho.T)))
 
     def embed_pairs(self, true_nav, est_nav, aux):
         """Embeddings of (true, estimate) for their error, of one state or of
         stacked states alike: the true position is the estimate's plus the
-        ECEF displacement resolved in the estimate's NED axes."""
-        x_true, x_est = (self._embed_stack(nav, aux) for nav in (true_nav, est_nav))
-        lat, lon, _ = est_nav.geo.T
-        c_en = earth.dcm_ecef_to_ned_array(lat, lon)
-        d_e = earth.llh_to_ecef_array(*true_nav.geo.T) - earth.llh_to_ecef_array(
-            *est_nav.geo.T
-        )
+        ECEF displacement resolved in the estimate's NED axes, so the true
+        position vector only enters an auxiliary velocity."""
+        x_est = self.embed(est_nav, aux)
+        v_true = self.embed(true_nav, aux).v if aux else true_nav.v_n
+        lat, lon, h = est_nav.geo.T
+        c_en = earth.dcm_ecef_to_ned(lat, lon)
+        d_e = earth.llh_to_ecef(*true_nav.geo.T) - earth.llh_to_ecef(lat, lon, h)
         p_t = x_est.p + matvec(c_en, np.ascontiguousarray(d_e.T))
-        return GroupElement(x_true.R, x_true.v, p_t), x_est
-
-    @staticmethod
-    def _embed_stack(nav, aux):
-        lat, _, h = nav.geo.T
-        rho = earth.position_vector_n_array(lat, h)
-        v = nav.v_n
-        if aux:
-            v = v + cross(earth.earth_rate_n_array(lat), rho).T
-        return GroupElement(*map(np.ascontiguousarray, (nav.c_bn, v, rho.T)))
+        x_true = GroupElement(
+            np.ascontiguousarray(true_nav.c_bn), np.ascontiguousarray(v_true), p_t
+        )
+        return x_true, x_est
 
     def retract(self, nav, x_est, x_new, aux):
         """The state whose embedding is x_new, read through the chart."""
@@ -227,22 +229,16 @@ class EcefChart:
         return nav.v, nav.r, w_ie, w_ie, grav
 
     def embed(self, nav, aux):
-        v = nav.v.copy()
-        if aux:
-            v = v + cross(earth.earth_rate_e(), nav.r)
-        return GroupElement(nav.c_be.copy(), v, nav.r.copy())
-
-    def embed_pairs(self, true_nav, est_nav, aux):
-        """Embeddings of (true, estimate) for their error, of one state or of
-        stacked states alike."""
-        return tuple(self._embed_stack(nav, aux) for nav in (true_nav, est_nav))
-
-    @staticmethod
-    def _embed_stack(nav, aux):
+        """The group embedding of one state or of stacked states."""
         v = nav.v
         if aux:
             v = v + cross(earth.earth_rate_e(), nav.r.T).T
         return GroupElement(*map(np.ascontiguousarray, (nav.c_be, v, nav.r)))
+
+    def embed_pairs(self, true_nav, est_nav, aux):
+        """Embeddings of (true, estimate) for their error, of one state or of
+        stacked states alike."""
+        return self.embed(true_nav, aux), self.embed(est_nav, aux)
 
     def retract(self, nav, x_est, x_new, aux):
         c_new = mech.orthonormalize(x_new.R)
@@ -594,7 +590,7 @@ def measurement_left_invariant(variant, nominal, lever_arm):
     Returns (H, M) with innovation z_b = C^T z_nav and R_body = M R M^T.
     Only defined for the LeftEst error definition.
     """
-    if variant.error_def != "LeftEst":
+    if not variant.invariant_update:
         raise IncompatibleMode(
             "left-invariant measurement requires the LeftEst error definition"
         )

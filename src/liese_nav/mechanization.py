@@ -259,8 +259,7 @@ def ecef_to_ned_state(state):
     """The NED form of an ECEF state; a stacked state, whose fields carry a
     leading axis of N points, converts to a stacked NED state."""
     lat, lon, h = earth.ecef_to_llh(state.r.T)
-    stacked = state.r.ndim == 2
-    c_en = (earth.dcm_ecef_to_ned_array if stacked else earth.dcm_ecef_to_ned)(lat, lon)
+    c_en = earth.dcm_ecef_to_ned(lat, lon)
     return NavStateNED(
         c_en @ state.c_be, matvec(c_en, state.v), np.stack([lat, lon, h], axis=-1)
     )

@@ -71,7 +71,8 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     position holds a NaN or an infinity, and Divergence, naming the variant
     and the time of the last state the pass reached, if the filter's states
     leave the finite numbers (a ``numpy.linalg.LinAlgError`` in a predict or
-    an update, or a latitude that is no latitude).
+    an update, an ``OverflowError`` from a float power in the earth terms,
+    or a latitude that is no latitude).
     """
     lockstep = isinstance(fs, list)
     if lockstep and len(fs) == 1:
@@ -119,7 +120,7 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
             fs = flt.FilterState.stack(pending) if lockstep else post
             start = stop
         fs, _ = _leg(fs, imu, start, len(imu), run, chunk)
-    except (np.linalg.LinAlgError, Divergence) as exc:
+    except (np.linalg.LinAlgError, OverflowError, Divergence) as exc:
         raise Divergence(
             f"{fs.variant.name} diverged at t={fs.t} or in the IMU leg after "
             f"it: {exc}"

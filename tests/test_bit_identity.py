@@ -278,7 +278,7 @@ def test_gravity_e_and_ecef_to_llh_match_reference():
     lat = rng.uniform(-POLE, POLE, 3000)
     lon = rng.uniform(-np.pi, np.pi, lat.size)
     h = rng.uniform(-500.0, 1e5, lat.size)
-    points = list(earth.llh_to_ecef_array(lat, lon, h).T) + _ecef_edges()
+    points = list(earth.llh_to_ecef(lat, lon, h).T) + _ecef_edges()
     for k, r in enumerate(points):
         assert same_bits(earth.ecef_to_llh(r), oracles.ref_ecef_to_llh(r)), k
         assert same_bits(earth.gravity_e(r), oracles.ref_gravity_e(r)), k
@@ -479,6 +479,9 @@ def test_ecef_to_llh_array_matches_scalar(points):
 
 
 def test_earth_array_twins_match_scalar():
+    # radii and gravity_e keep a float body beside their array twin; the
+    # other forms have one numpy body, whose call on arrays must equal its
+    # calls on the points' Python floats
     rng = np.random.default_rng(12)
     lat = np.concatenate(
         [[-POLE, -1.3, -0.35, 0.0, 0.7, 1.2999, 1.3, 1.45, POLE],
@@ -487,20 +490,21 @@ def test_earth_array_twins_match_scalar():
     lon = rng.uniform(-np.pi, np.pi, lat.size)
     h = rng.uniform(-500.0, 1e5, lat.size)
     rm, rn = earth.radii_array(lat)
-    r = earth.llh_to_ecef_array(lat, lon, h)
-    dcm = earth.dcm_ecef_to_ned_array(lat, lon)
-    g_n = earth.gravity_n_array(lat, h)
+    r = earth.llh_to_ecef(lat, lon, h)
     g_e = earth.gravity_e_array(r)
-    rho = earth.position_vector_n_array(lat, h)
-    w_ie = earth.earth_rate_n_array(lat)
+    merged = {
+        "position_vector_n": (earth.position_vector_n(lat, h).T, (lat, h)),
+        "earth_rate_n": (earth.earth_rate_n(lat).T, (lat,)),
+        "gravity_n": (earth.gravity_n(lat, h).T, (lat, h)),
+        "llh_to_ecef": (r.T, (lat, lon, h)),
+        "dcm_ecef_to_ned": (earth.dcm_ecef_to_ned(lat, lon), (lat, lon)),
+    }
     for k in range(lat.size):
         assert same_bits([rm[k], rn[k]], earth.radii(lat[k])), k
-        assert same_bits(rho[:, k], earth.position_vector_n(lat[k], h[k])), k
-        assert same_bits(w_ie[:, k], earth.earth_rate_n(lat[k])), k
-        assert same_bits(r[:, k], earth.llh_to_ecef(lat[k], lon[k], h[k])), k
-        assert same_bits(dcm[k], earth.dcm_ecef_to_ned(lat[k], lon[k])), k
-        assert same_bits(g_n[:, k], earth.gravity_n(lat[k], h[k])), k
         assert same_bits(g_e[:, k], earth.gravity_e(r[:, k])), k
+        for name, (stacked, args) in merged.items():
+            point = [float(a[k]) for a in args]
+            assert same_bits(stacked[k], getattr(earth, name)(*point)), (name, k)
 
 
 @pytest.mark.parametrize("tau", [(400.0, 900.0), (None, None)], ids=["gm", "rc"])
@@ -764,6 +768,20 @@ def _modes(variant):
 
 def _own_frame(variant, nav):
     return oracles.ned_to_ecef_state(nav) if variant.frame.startswith("ECEF") else nav
+
+
+@pytest.mark.parametrize("aux", [False, True], ids=["plain", "aux"])
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+def test_chart_embed_of_a_stack_equals_its_single_embeds(variant, aux):
+    # one embedding per chart: stacked states embed row by row as each
+    # state does alone, with or without the auxiliary velocity
+    navs = [_own_frame(variant, nav) for nav in _nominals()]
+    stacked = variant.chart.embed(mech.stack_states(navs), aux)
+    for k, nav in enumerate(navs):
+        single = variant.chart.embed(nav, aux)
+        for name in ("R", "v", "p"):
+            a, b = getattr(stacked, name)[k], getattr(single, name)
+            assert same_bits(a, b), (variant.name, k, name)
 
 
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)

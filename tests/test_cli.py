@@ -653,6 +653,41 @@ def test_sigma_whose_square_overflows_exits_2(tmp_path, command, section, field)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("yaw", [1e200, -1e200])
+def test_yaw_error_whose_square_overflows_exits_2(tmp_path, command, yaw):
+    # the yaw error is squared into P0's attitude variance: 1e200 raised
+    # OverflowError from ini.yaw_error_rad**2 (exit 1 with a traceback)
+    values = {**BASE_CONFIG["initial"], "yaw_error_rad": yaw}
+    cfg = write_config(tmp_path, {"initial": values})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert "initial.yaw_error_rad" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_yaw_error_is_accepted(tmp_path):
+    values = {**BASE_CONFIG["initial"], "yaw_error_rad": -0.3}
+    cfg = cli.load_config(write_config(tmp_path, {"initial": values}))
+    assert cfg.initial.yaw_error_rad == -0.3
+
+
+@pytest.mark.parametrize("error_def", ["LeftEst", "RightEst"])
+def test_float_overflow_in_the_first_predict_is_divergence(tmp_path, error_def):
+    # an origin height of 1e155 m overflows a float ** in the NED F blocks'
+    # earth terms during the first predict: the OverflowError (exit 1 with
+    # a traceback) becomes Divergence, naming the variant, the time and the
+    # seed, exit 2
+    traj = {**BASE_CONFIG["trajectory"], "origin_h_m": 1e155}
+    variant = {"frame": "NED", "error_def": error_def}
+    cfg = write_config(tmp_path, {"trajectory": traj, "variant": variant})
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"NED/{error_def} diverged at t=0.0 " in res.output
+    assert res.output.rstrip().endswith("(seed 3)")
+
+
 def test_largest_sigma_with_a_finite_square_is_accepted(tmp_path):
     largest = math.sqrt(sys.float_info.max)
     values = {**BASE_CONFIG["gnss"], "sigma_pos_m": largest}

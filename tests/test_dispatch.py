@@ -1,22 +1,25 @@
 """Frame and error-definition decisions are made in one place: ``Variant``.
 
 Everything else asks the variant's flags (``is_right``, ``inverts_true``,
-``aux_velocity``) or its chart (``variant.chart``), so a new decision cannot
-grow another string chain. The package source is parsed, not imported.
+``aux_velocity``, ``invariant_update``) or its chart (``variant.chart``), so
+a new decision cannot grow another string chain. The package source is
+parsed, not imported.
 """
 
 import ast
 from pathlib import Path
 
-from liese_nav.errormodels import ERROR_DEFS, FRAMES
+import numpy as np
+import pytest
+
+from liese_nav import cli
+from liese_nav.errormodels import (
+    ERROR_DEFS, FRAMES, measurement_left_invariant, supported_variants,
+)
+from liese_nav.errors import IncompatibleMode
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liese_nav"
 
-# the invariant update is defined for LeftEst only; these input checks say so
-ALLOWED = {
-    ("cli.py", "build_scenario"),
-    ("errormodels.py", "measurement_left_invariant"),
-}
 
 
 def _literals(node):
@@ -58,7 +61,40 @@ def dispatch_sites():
 
 
 def test_no_frame_or_error_def_comparison_outside_variant():
+    # none at all: even the invariant update's LeftEst rule is a Variant
+    # property (``invariant_update``)
     sites = dispatch_sites()
-    stray = [s for s in sites if s[:2] not in ALLOWED]
-    assert stray == [], f"dispatch outside Variant: {stray}"
-    assert {s[:2] for s in sites} == ALLOWED
+    assert sites == [], f"dispatch outside Variant: {sites}"
+
+
+def test_invariant_update_rule_keeps_both_callers_messages():
+    # the CLI's mode check and the body-frame measurement read one property
+    # and raise their own messages for every variant without a LeftEst error
+    trajectory = {
+        "kind": "circle", "origin_lat_rad": 0.7, "origin_lon_rad": 0.2,
+        "origin_h_m": 100.0, "speed_m_s": 15.0,
+    }
+    for variant in supported_variants():
+        cfg = cli.ScenarioConfig(
+            trajectory=trajectory,
+            mode="invariant",
+            variant={
+                "frame": variant.frame,
+                "error_def": variant.error_def,
+                "mems_simplified": variant.mems_simplified,
+            },
+        )
+        if variant.error_def == "LeftEst":
+            assert cli.build_scenario(cfg)[1] == variant
+            continue
+        with pytest.raises(IncompatibleMode) as exc:
+            cli.build_scenario(cfg)
+        assert str(exc.value) == (
+            "invariant mode requires the LeftEst error definition, got "
+            f"{variant.name}"
+        )
+        with pytest.raises(IncompatibleMode) as exc:
+            measurement_left_invariant(variant, None, np.zeros(3))
+        assert str(exc.value) == (
+            "left-invariant measurement requires the LeftEst error definition"
+        )
