@@ -330,7 +330,7 @@ def _pow(x, k):
 
 
 def radii_array(lat):
-    """:func:`radii` for an array of latitudes, or one as a numpy scalar."""
+    """:func:`radii` for an array of latitudes, or for one, in numpy calls."""
     s2 = _pow(np.sin(lat), 2)
     w = np.sqrt(1.0 - WGS84_E2 * s2)
     rn = WGS84_A / w

@@ -2,8 +2,8 @@
 
 Everything else asks the variant's flags (``is_right``, ``inverts_true``,
 ``aux_velocity``, ``invariant_update``) or its chart (``variant.chart``), so
-a new decision cannot grow another string chain. The package source is
-parsed, not imported.
+a new decision cannot grow another string chain. The dispatch scan parses
+the package source; it does not import it.
 """
 
 import ast
@@ -19,7 +19,6 @@ from liese_nav.errormodels import (
 from liese_nav.errors import IncompatibleMode
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liese_nav"
-
 
 
 def _literals(node):
