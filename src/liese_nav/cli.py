@@ -92,6 +92,15 @@ def _squarable(value, name):
     return number
 
 
+def _height(value, name):
+    # beyond +-1000 km, R + h nears zero in the earth terms (-6.4e6 m) or the
+    # fix noise falls below one ulp of the position (1e155 m), and runs exit 0
+    number = _real(value, name)
+    if not abs(number) <= 1e6:
+        raise ConfigError(f"{name}: must be within +-1e6 m, got {value!r}")
+    return number
+
+
 def _sigma(value, name):
     # a negative standard deviation would run on without a word
     sigma = _real(value, name)
@@ -193,7 +202,7 @@ class TrajectoryConfig(_Config):
     kind: str
     origin_lat_rad: float
     origin_lon_rad: float
-    origin_h_m: float
+    origin_h_m: Annotated[float, _height]
     speed_m_s: float = 0.0
     radius_m: float = 200.0
     heading0_rad: float = 0.0
@@ -590,9 +599,9 @@ def _start(cfg, sim):
 
 def _filter(members, truth):
     """Simulate each member config on the shared ``truth`` and filter all of
-    them in one ``smoother.run_forward`` call, which alone decides between
-    the scalar and the stacked pass. Yields (sim, records, nis_log) per
-    member in order, and drops a member's data once the next is asked for.
+    them in one lockstep ``smoother.run_forward`` call. Yields (sim,
+    records, nis_log) per member in order, and drops a member's data once
+    the next is asked for.
     """
     sims = [_simulate(sub, truth) for sub in members]
     try:
@@ -691,10 +700,10 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
     }
 
 
-# Members per forward pass of a Variant.lockstep variant's Monte-Carlo run,
-# which bounds the records held at once; criterion 7 filters its 200 seeds
-# in blocks of this size. A 200-member run in blocks of 50 took no longer
-# than in one block, and in blocks of 16 it took longer.
+# Members per forward pass of a Monte-Carlo run, which bounds the records
+# held at once; criterion 7 filters its 200 seeds in blocks of this size. A
+# 200-member run in blocks of 50 took no longer than in one block, and in
+# blocks of 16 it took longer.
 LOCKSTEP_BLOCK = 50
 
 
@@ -703,17 +712,15 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     merge their metrics by run index.
 
     The seed-independent truth is built once. The members run in blocks of
-    ``LOCKSTEP_BLOCK`` for a ``Variant.lockstep`` variant, one forward pass
-    per block (one stacked predict per leg chunk), and in blocks of one
-    otherwise; each member's files equal a standalone run with its seed,
+    ``LOCKSTEP_BLOCK``, one forward pass per block (one stacked predict per
+    leg chunk); each member's files equal a standalone run with its seed,
     byte for byte.
     """
     out = _make_dir(out_dir)
     truth = _truth(cfg)
-    size = LOCKSTEP_BLOCK if truth.variant.lockstep else 1
     results = []
-    for first in range(0, n_runs, size):
-        block = range(first, min(n_runs, first + size))
+    for first in range(0, n_runs, LOCKSTEP_BLOCK):
+        block = range(first, min(n_runs, first + LOCKSTEP_BLOCK))
         # the members share cfg's sections, which no run changes
         members = [replace(cfg, seed=cfg.seed + idx) for idx in block]
         for idx, sub, forward in zip(block, members, _filter(members, truth)):

@@ -14,9 +14,9 @@ their array one (``math.sin``, ``math.cos``, ``math.sqrt`` and float
 ``**``, which round as np.float64 scalars do), because a numpy call on one
 point costs more than the float arithmetic it wraps, about 5 ``radii``
 calls per NED step and 4 ``gravity_e`` plus 24 ``radii`` calls per ECEF
-step: ``radii`` and ``radii_array``, ``gravity_e`` and ``gravity_e_array``,
-the two loops of ``ecef_to_llh``, and the private formula helpers below,
-which the mechanization and the error models' F blocks call.
+step: ``radii`` and ``radii_array`` (of the sine), ``gravity_e`` and
+``gravity_e_array``, the two loops of ``ecef_to_llh``, and the private
+formula helpers below, which the mechanization and the F blocks call.
 """
 
 import itertools
@@ -96,8 +96,9 @@ def gravity_n(lat, h):
     (R/(R+h))^2 where R is the Gaussian mean curvature radius, so that
     dg/dh = -2 g / (R + h) exactly.
     """
-    rm, rn = radii_array(lat)
-    s2 = _pow(np.sin(lat), 2)
+    s = np.sin(lat)
+    rm, rn = radii_array(s)
+    s2 = _pow(s, 2)
     g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / np.sqrt(1.0 - WGS84_E2 * s2)
     rbar = np.sqrt(rm * rn)
     g_down = g0 * _pow(rbar / (rbar + h), 2)
@@ -117,7 +118,7 @@ def _position_vector_n(s, c, rn, h):
 def position_vector_n(lat, h):
     """Earth-center to body vector resolved in the local NED frame."""
     s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii_array(lat)
+    _, rn = radii_array(s)
     return np.array(
         [
             -WGS84_E2 * rn * s * c,
@@ -239,7 +240,7 @@ def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
 def llh_to_ecef(lat, lon, h):
     """ECEF position; (3,), or (3, N) for arrays of N points."""
     s, c = np.sin(lat), np.cos(lat)
-    _, rn = radii_array(lat)
+    _, rn = radii_array(s)
     return np.array(
         [
             (rn + h) * c * np.cos(lon),
@@ -329,9 +330,9 @@ def _pow(x, k):
     return np.fromiter(out, float, x.size).reshape(x.shape)
 
 
-def radii_array(lat):
-    """:func:`radii` for an array of latitudes, or for one, in numpy calls."""
-    s2 = _pow(np.sin(lat), 2)
+def radii_array(s):
+    """:func:`radii` in numpy calls, of the sines of latitudes ``s``."""
+    s2 = _pow(s, 2)
     w = np.sqrt(1.0 - WGS84_E2 * s2)
     rn = WGS84_A / w
     rm = WGS84_A * (1.0 - WGS84_E2) / _pow(w, 3)
@@ -358,8 +359,9 @@ def _ecef_to_llh_array(x, y, z):
     todo = np.arange(lat.size)  # points whose scalar loop has not broken
     for _ in range(12):
         old, pt, zt = lat[todo], p[todo], z[todo]
-        _, rn = radii_array(old)
-        new = np.arctan2(zt + WGS84_E2 * rn * np.sin(old), pt)
+        s = np.sin(old)
+        _, rn = radii_array(s)
+        new = np.arctan2(zt + WGS84_E2 * rn * s, pt)
         converged = np.abs(new - old) < 1e-15
         low = np.abs(new) < 1.3
         high = ~low

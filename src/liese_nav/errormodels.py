@@ -17,6 +17,7 @@ Error definitions (X true, Xt estimate):
   LeftTrue   eta = X^-1 Xt        LeftEst   eta = Xt^-1 X
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,15 +90,6 @@ class Variant:
     def aux_velocity(self):
         """The group velocity carries the earth-rate offset w_ie x r."""
         return self.frame in ("NED_Aux", "ECEF_Inertial", "ECEF_Aux")
-
-    @property
-    def lockstep(self):
-        """NED frame and a left error, whose F is the same for either state
-        inverted (only G's sign differs): this variant has the stacked forms
-        of ``error_dynamics`` and the NED step, ``filter.predict`` builds a
-        leg's F in one stacked call over its steps (and its Monte-Carlo
-        members), and members run in lockstep as one stack."""
-        return self.frame == "NED" and not self.is_right
 
     @property
     def invariant_update(self):
@@ -306,39 +298,42 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     earth-relative velocity for the ECEF frames. ``gyro`` and
     ``accel`` are the bias-corrected IMU rates the filter mechanizes with.
 
-    The frame's block function writes the 9x9 state blocks; for a right
-    error it returns the estimate's group embedding as (R, skew(v),
-    skew(p)), from the terms it already holds, for the input map. A bias
-    error drifts the mechanized rates as the IMU noise does, so F's bias
-    columns are a copy of G's gyro and accel noise columns.
+    A stacked nominal (fields with a leading axis of N points: the steps of
+    a leg, its members, or both flattened) with (N, 3) rates gives F as an
+    (N, 15, 15) stack, and a right error's G as an (N, 15, 12) stack, each
+    point's equal to its single call bit for bit; a single nominal runs as
+    a stack of one.
 
-    For a ``Variant.lockstep`` variant, a stacked nominal (fields with a
-    leading axis of N points: the steps of a leg, its members, or both
-    flattened) with (N, 3) rates gives F as an (N, 15, 15) stack, each row
-    equal to its single call bit for bit; G, which no nominal enters for a
-    left error, stays one (15, 12) matrix. A single nominal of such a
-    variant runs the stacked blocks as a stack of one.
+    The frame's block function writes the 9x9 state blocks (the NED left
+    errors' as one stack, the others point by point); for a right error it
+    returns each point's group embedding as (R, skew(v), skew(p)), from the
+    terms it already holds, for the input map. A bias error drifts the
+    mechanized rates as the IMU noise does, so F's bias columns are a copy
+    of G's gyro and accel noise columns.
 
-    ``g`` is a left error's G built once for the run
-    (``filter.RunConstants``); without it, G is built here.
+    ``g`` is a left error's G, one matrix, which no nominal enters, built
+    once for the run (``filter.RunConstants``); without it, G is built here.
     """
     lead = gyro.shape[:-1]
-    if variant.lockstep:
-        blocks = _ned_left_stack
-        if not lead:  # a single nominal, as a stack of one
-            nominal, gyro, accel = mech.stack_states([nominal]), gyro[None], accel[None]
-    elif lead:
-        raise UnsupportedVariant(f"{variant.name} has no stacked error dynamics")
-    else:
-        blocks = _BLOCKS[variant.frame]
-    f = np.zeros(gyro.shape[:-1] + (15, 15))
-    f[..., BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
-    f[..., BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
-    embedding = blocks(variant, nominal, gyro, accel, f)
-    if g is None:
-        g = noise_map(variant, embedding)
-    f[..., :9, 9:] = g[:9, :6]
+    if not lead:  # a single nominal, as a stack of one
+        nominal, gyro, accel = mech.stack_states([nominal]), gyro[None], accel[None]
+    f = np.zeros((len(gyro), 15, 15))
+    f[:, BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
+    f[:, BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
+    embeddings = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
+    if g is None and not variant.is_right:
+        g = noise_map(variant)
+    elif g is None:  # one G per point
+        g = np.reshape([noise_map(variant, e) for e in embeddings], lead + (15, 12))
+    f[:, :9, 9:] = g[..., :9, :6]
     return f.reshape(lead + (15, 15)), g
+
+
+def _each_point(blocks, variant, nom, gyro, accel, f):
+    """The single-point block function ``blocks`` run on each point of a
+    stack, each writing its own F; returns what each point's call returns."""
+    points = map(type(nom), *vars(nom).values())
+    return [blocks(variant, *point) for point in zip(points, gyro, accel, f)]
 
 
 def _point_floats(geo):
@@ -375,8 +370,14 @@ def _local_terms(nom):
 
 
 def _ned_blocks(variant, nom, gyro, accel, f):
-    """The world-frame (right-error) blocks; the left errors take
-    :func:`_ned_left_stack`."""
+    """The NED blocks: the left errors' as one stack, a right error's by point."""
+    if variant.is_right:
+        return _each_point(_ned_right_blocks, variant, nom, gyro, accel, f)
+    _ned_left_stack(variant, nom, gyro, accel, f)
+
+
+def _ned_right_blocks(variant, nom, gyro, accel, f):
+    """The world-frame (right-error) blocks at one point."""
     h, v, s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(nom)
     sk_v = skew(v)
     sk_v_m2 = sk_v @ m2
@@ -554,10 +555,10 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
 
 _BLOCKS = {
     "NED": _ned_blocks,
-    "NED_Aux": _ned_aux_blocks,
-    "ECEF": _ecef_blocks,
-    "ECEF_Inertial": _ecef_inertial_blocks,
-    "ECEF_Aux": _ecef_inertial_blocks,
+    "NED_Aux": functools.partial(_each_point, _ned_aux_blocks),
+    "ECEF": functools.partial(_each_point, _ecef_blocks),
+    "ECEF_Inertial": functools.partial(_each_point, _ecef_inertial_blocks),
+    "ECEF_Aux": functools.partial(_each_point, _ecef_inertial_blocks),
 }
 
 

@@ -69,8 +69,11 @@ class FilterState:
     @staticmethod
     def stack(states):
         """One stacked state of members at one time: nav, bias and P gain a
-        leading axis of len(states) members."""
+        leading axis of len(states) members. One member stays unstacked: its
+        stacked forward pass took 1.37x the time (BENCH_16.json)."""
         first = states[0]
+        if len(states) == 1:
+            return first
         return FilterState(
             first.variant,
             stack_states([fs.nav for fs in states]),
@@ -80,7 +83,10 @@ class FilterState:
         )
 
     def members(self):
-        """The members of a stacked state, as views of their own."""
+        """The members of a stacked state, as views of their own; an
+        unstacked state is its own one member."""
+        if self.p.ndim == 2:
+            return [self]
         return [
             FilterState(
                 self.variant, state_at(self.nav, k), state_at(self.bias, k), p, self.t
@@ -167,8 +173,8 @@ def apply_correction(variant, nav, bias, dx):
 def noise_cov(g, qc):
     """G Qc G', ``qc`` the 12-vector of PSD diagonals
     (``ImuNoiseParams.q_diag()``); scaling the columns of G equals
-    G @ diag(qc) entry for entry."""
-    return (g * qc) @ g.T
+    G @ diag(qc) entry for entry. A stack of G gives a stack."""
+    return (g * qc) @ g.swapaxes(-1, -2)
 
 
 class RunConstants:
@@ -213,10 +219,10 @@ def predict(fs, imu, run, phi_acc=_I15):
     Returns ``(FilterState, Phi_acc)``: the state after the leg and the
     leg's transition matrices multiplied onto ``phi_acc``, step by step, so
     the forward pass can accumulate them between updates for smoothing. A
-    leg of T steps equals T legs of one bit for bit. For a ``Variant.lockstep``
-    variant, a stacked state (nav, bias and P with a leading axis of N
-    members) and an IMU stream with (N, 3) rates advance as one stack, each
-    member equal to its single predict bit for bit.
+    leg of T steps equals T legs of one bit for bit. A stacked state (nav,
+    bias and P with a leading axis of N members) and an IMU stream with
+    (N, 3) rates advance as one stack, each member equal to its single
+    predict bit for bit.
 
     Three passes: the nominal is stepped first, sample by sample; then the
     linearizations at the pre-step nominals are built and discretized for
@@ -251,28 +257,19 @@ def predict(fs, imu, run, phi_acc=_I15):
 
 def _linearize(variant, navs, rates, run):
     """(F, G Qc G') at each step's pre-step nominal and bias-corrected rates,
-    F as a (T, 15, 15) stack, or (T, N, 15, 15) for N members. The one place
-    that picks the form: a ``Variant.lockstep`` variant takes one stacked
-    ``error_dynamics`` call over the leg's T (or T x N) nominals, the other
-    variants, which have no stacked form, one call per step."""
-    if variant.lockstep:
-        gyro, accel = map(np.array, zip(*rates))
-        stacked, lead = stack_states(navs), gyro.ndim - 1
-        rows = [x.reshape((-1,) + x.shape[lead:]) for x in vars(stacked).values()]
-        f, _ = error_dynamics(
-            variant, type(stacked)(*rows), gyro.reshape(-1, 3), accel.reshape(-1, 3),
-            tau_g=run.tau_g, tau_a=run.tau_a, g=run.g,
-        )
-        return f.reshape(gyro.shape[:-1] + (15, 15)), run.gq
-    f_steps, gq_steps = [], []
-    for nav, (gyro, accel) in zip(navs, rates):
-        f, g = error_dynamics(
-            variant, nav, gyro, accel, tau_g=run.tau_g, tau_a=run.tau_a, g=run.g
-        )
-        f_steps.append(f)
-        if run.gq is None:
-            gq_steps.append(noise_cov(g, run.qc))
-    return np.array(f_steps), run.gq if run.gq is not None else np.array(gq_steps)
+    as (T, 15, 15) stacks, or (T, N, 15, 15) for N members, from one stacked
+    ``error_dynamics`` call over the leg's T (or T x N) nominals; a left
+    error's G Qc G' is the run's one matrix."""
+    gyro, accel = map(np.array, zip(*rates))
+    stacked, lead = stack_states(navs), gyro.ndim - 1
+    rows = [x.reshape((-1,) + x.shape[lead:]) for x in vars(stacked).values()]
+    f, g = error_dynamics(
+        variant, type(stacked)(*rows), gyro.reshape(-1, 3), accel.reshape(-1, 3),
+        tau_g=run.tau_g, tau_a=run.tau_a, g=run.g,
+    )
+    shape = gyro.shape[:-1] + (15, 15)
+    gq = run.gq if run.gq is not None else noise_cov(g, run.qc).reshape(shape)
+    return f.reshape(shape), gq
 
 
 # ---------------------------------------------------------------------------

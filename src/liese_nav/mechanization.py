@@ -191,6 +191,14 @@ def ned_step(state, imu, dt):
 
 
 def ecef_step(state, imu, dt):
+    """The ECEF state one RK4 step later; a stacked state (fields with a
+    leading axis of N members) with (N, 3) rates steps member by member."""
+    if state.c_be.ndim == 3:
+        members = []
+        for k, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
+            rates = functools.partial(_ecef_rates, sk_gyro=skew(gyro), accel=accel)
+            members.append(_rk4(state_at(state, k), dt, rates))
+        return stack_states(members)
     sk_gyro, accel = skew(imu.gyro), imu.accel
     return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 

@@ -46,26 +46,23 @@ class SmoothedEpoch:
     p: np.ndarray
 
 
-def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
-    """Filter the IMU stream ``imu`` (a ``mechanization.Rows``) from
-    FilterState ``fs``, updating with each GNSS fix after the first IMU step
-    k at which ``fs.t + k * dt`` reaches its time (the states' own times sum
-    ``dt`` step by step, and drift from that on a long run or a large start
-    time). Returns (records, nis): a ForwardRecord per update, the last one
-    (or, with no fix, the last prediction) final, and one {"t", "value"} NIS
-    entry per update.
+def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
+    """Filter N members in lockstep from their start FilterStates
+    ``starts``, IMU streams ``imus`` (``mechanization.Rows``) and GNSS fix
+    lists ``fix_lists``, all at the same times, updating each member with
+    its fix after the first IMU step k at which ``t0 + k * dt`` reaches the
+    fix's time (the states' own times sum ``dt`` step by step, and drift
+    from that on a long run or a large start time). Returns (records, nis),
+    one list per member, each equal to the member's own run bit for bit: a
+    ForwardRecord per update, the last one (or, with no fix, the last
+    prediction) final, and one {"t", "value"} NIS entry per update.
 
     The pass runs leg by leg: a leg ends at the step a fix is due, and is at
     least one step long, so two fixes due at one step apply on consecutive
-    steps; the steps after the last fix form the final leg. Each leg goes
-    to ``filter.predict`` in chunks whose stacks hold at most ``BLOCK``
-    rows, and equals its step-by-step prediction bit for bit.
-
-    Lists of member start states, streams and fix lists, all members' at
-    the same times, give records and NIS as one list per member, each equal
-    to the member's own run bit for bit. Two or more members (of a
-    ``Variant.lockstep`` variant) run in lockstep: one stacked predict per
-    leg chunk, and each member's update with its own fix.
+    steps; the steps after the last fix form the final leg. The members
+    advance as one stacked state (one member stays unstacked), one
+    ``filter.predict`` per chunk of at most ``BLOCK`` rows, and each leg
+    equals its step-by-step prediction bit for bit.
 
     Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
     position holds a NaN or an infinity, and Divergence, naming the variant
@@ -74,23 +71,12 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
     an update, an ``OverflowError`` from a float power in the earth terms,
     or a latitude that is no latitude).
     """
-    lockstep = isinstance(fs, list)
-    if lockstep and len(fs) == 1:
-        # one member runs the scalar pass: with legs, a stacked forward pass
-        # of one NED/LeftEst member took 1.37x the scalar pass's time on
-        # ned-sparse-gnss's scenario and 1.40x on a monte-carlo member's
-        # (BENCH_16.json), since its stacked NED steps and SVDs cost more
-        records, nis = run_forward(fs[0], imu[0], fixes[0], dt, noise, mode)
-        return [records], [nis]
-    if lockstep:
-        fs = flt.FilterState.stack(fs)
-        imu = Rows(ImuSample, np.stack([s.values for s in imu], axis=2), imu[0].times)
-        groups = list(zip(*fixes))
-    else:
-        groups = [(fix,) for fix in fixes]
+    fs, lanes = flt.FilterState.stack(starts), len(starts)
+    values = np.stack([s.values for s in imus], axis=2)  # (n, 2, N, 3)
+    imu = Rows(ImuSample, values[:, :, 0] if lanes == 1 else values, imus[0].times)
+    groups = list(zip(*fix_lists))
     _check_finite(imu, groups)
     run = flt.RunConstants(fs.variant, noise or ImuNoiseParams(), dt)
-    lanes = len(fs.p) if lockstep else 1
     chunk = max(1, BLOCK // lanes)  # steps per predict: stacks of <= BLOCK rows
     records, nis = [[] for _ in range(lanes)], [[] for _ in range(lanes)]
     pending = [None] * lanes  # last post-update states awaiting their leg
@@ -102,11 +88,9 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
             if stop > len(imu):
                 break
             fs, phi_acc = _leg(fs, imu, start, stop, run, chunk)
-            priors = fs.members() if lockstep else [fs]
-            phis = phi_acc if lockstep else [phi_acc]
-            for k, (prior, leg, fix) in enumerate(zip(priors, phis, group)):
-                if pending[k] is not None:
-                    last = pending[k]
+            phis = phi_acc.reshape(-1, 15, 15)
+            for k, (prior, leg, fix) in enumerate(zip(fs.members(), phis, group)):
+                if (last := pending[k]) is not None:
                     records[k].append(
                         ForwardRecord(
                             last.t, last.nav, last.bias, last.p,
@@ -117,7 +101,7 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
                 post, report = flt.update(prior, fix, mode=mode)
                 nis[k].append({"t": post.t, "value": float(report.nis)})
                 pending[k] = post.copy()
-            fs = flt.FilterState.stack(pending) if lockstep else post
+            fs = flt.FilterState.stack(pending)
             start = stop
         fs, _ = _leg(fs, imu, start, len(imu), run, chunk)
     except (np.linalg.LinAlgError, OverflowError, Divergence) as exc:
@@ -125,11 +109,10 @@ def run_forward(fs, imu, fixes, dt, noise=None, mode="se23"):
             f"{fs.variant.name} diverged at t={fs.t} or in the IMU leg after "
             f"it: {exc}"
         ) from exc
-    finals = fs.members() if lockstep else [fs]
-    for k, final in enumerate(finals):
+    for k, final in enumerate(fs.members()):
         last = final.copy() if pending[k] is None else pending[k]
         records[k].append(ForwardRecord(last.t, last.nav, last.bias, last.p))
-    return (records, nis) if lockstep else (records[0], nis[0])
+    return records, nis
 
 
 def _leg(fs, imu, start, stop, run, chunk):

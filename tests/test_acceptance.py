@@ -241,7 +241,7 @@ def _forward(variant, mode, duration, dt, seed):
     """One filter pass; returns its records."""
     clean = CIRCLE.synthesize_imu(duration, dt)
     fs, imu, _, fixes = _draws(variant, duration, dt, seed, clean)
-    return smo.run_forward(fs, imu, fixes, dt, NOISE, mode)[0]
+    return smo.run_forward([fs], [imu], [fixes], dt, NOISE, mode)[0][0]
 
 
 def test_criterion_5_invariant_matches_se23():

@@ -160,6 +160,30 @@ def test_ecef_step_matches_reference(circle, dt):
         ref.c_be = mech.orthonormalize(ref.c_be)
 
 
+@pytest.mark.parametrize("run_g", [False, True], ids=["own-g", "run-g"])
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+def test_error_dynamics_of_a_stack_equals_its_single_calls(variant, run_g):
+    # one call over a stack of N nominals gives each point's F, and a right
+    # error's G, of its single call bit for bit, with G built in the call or
+    # handed over as the run's (``g=``); a left error's own G is one matrix
+    rng = np.random.default_rng(17)
+    navs = [_own_frame(variant, nom) for nom in _nominals() + _nominals()[::-1]]
+    gyro = rng.normal(scale=0.1, size=(len(navs), 3))
+    accel = rng.normal(scale=5.0, size=(len(navs), 3))
+    g = rng.normal(size=(15, 12)) if run_g else None
+    for tau in [(None, None), (400.0, 900.0)]:
+        f, g_out = error_dynamics(
+            variant, mech.stack_states(navs), gyro, accel, *tau, g=g
+        )
+        assert f.shape == (len(navs), 15, 15)
+        stacked_g = variant.is_right and not run_g
+        assert g_out.shape == ((len(navs),) if stacked_g else ()) + (15, 12)
+        for k, nav in enumerate(navs):
+            f_k, g_k = error_dynamics(variant, nav, gyro[k], accel[k], *tau, g=g)
+            assert same_bits(f[k], f_k), (k, tau)
+            assert same_bits(g_out[k] if stacked_g else g_out, g_k), (k, tau)
+
+
 def _nominals():
     rng = np.random.default_rng(11)
     out = []
@@ -489,7 +513,7 @@ def test_earth_array_twins_match_scalar():
     )
     lon = rng.uniform(-np.pi, np.pi, lat.size)
     h = rng.uniform(-500.0, 1e5, lat.size)
-    rm, rn = earth.radii_array(lat)
+    rm, rn = earth.radii_array(np.sin(lat))
     r = earth.llh_to_ecef(lat, lon, h)
     g_e = earth.gravity_e_array(r)
     merged = {
@@ -596,14 +620,12 @@ except np.linalg.LinAlgError:
     assert out.stdout.strip() == "raised", out.stderr[-2000:]
 
 
-@pytest.mark.parametrize("path", SVD_PATHS)
-def test_stacked_predict_matches_member_predicts(path, monkeypatch):
-    # one stacked predict of N members equals the N single predicts bit for
-    # bit, field by field, over 200 steps from random nominals; member 0 is
-    # turned into a reflection every 50 steps, so its SVD takes the
-    # determinant flip
+def _stacked_predicts(variant, monkeypatch, path):
+    """One stacked predict of N members against the N single predicts, bit
+    for bit, field by field, over 200 steps from random nominals; member 0
+    is turned into a reflection every 50 steps, so its SVD takes the
+    determinant flip."""
     monkeypatch.setattr(mech, "_svd", SVD_PATHS[path])
-    variant = Variant("NED", "LeftEst")
     run = flt.RunConstants(
         variant, ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, 400.0, 900.0), DT
     )
@@ -617,13 +639,17 @@ def test_stacked_predict_matches_member_predicts(path, monkeypatch):
         )
         p = rng.normal(size=(15, 15))
         bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
-        members.append(flt.FilterState(variant, nav, bias, p @ p.T, 0.0))
+        members.append(
+            flt.FilterState(variant, _own_frame(variant, nav), bias, p @ p.T, 0.0)
+        )
     stack = flt.FilterState.stack(members)
+    rot = next(iter(vars(stack.nav)))  # c_bn or c_be
     flips = 0
     for step in range(200):
         if step % 50 == 0:
             for fs in (members[0], stack.members()[0]):
-                fs.nav.c_bn[:] = fs.nav.c_bn @ np.diag([1.0, 1.0, -1.0])
+                c = getattr(fs.nav, rot)
+                c[:] = c @ np.diag([1.0, 1.0, -1.0])
             flips += 1
         gyro = rng.normal(scale=0.1, size=(len(members), 3))
         accel = rng.normal(scale=5.0, size=(len(members), 3))
@@ -637,14 +663,25 @@ def test_stacked_predict_matches_member_predicts(path, monkeypatch):
             single, label = members[k], f"step {step} member {k}"
             assert same_bits(phi[k], phi_k), label
             assert same_bits(stack.p[k], single.p), label
-            for name in ("c_bn", "v_n", "geo"):
-                assert same_bits(
-                    getattr(stack.nav, name)[k], getattr(single.nav, name)
-                ), (label, name)
+            for name, x in vars(stack.nav).items():
+                assert same_bits(x[k], getattr(single.nav, name)), (label, name)
             assert same_bits(stack.bias.gyro[k], single.bias.gyro), label
             assert same_bits(stack.bias.accel[k], single.bias.accel), label
             assert stack.t == single.t
-    assert np.linalg.det(members[0].nav.c_bn) > 0 and flips == 4
+    assert np.linalg.det(getattr(members[0].nav, rot)) > 0 and flips == 4
+
+
+@pytest.mark.parametrize("path", SVD_PATHS)
+def test_stacked_predict_matches_member_predicts(path, monkeypatch):
+    # the stacked NED step and left-error F
+    _stacked_predicts(Variant("NED", "LeftEst"), monkeypatch, path)
+
+
+@pytest.mark.parametrize("path", SVD_PATHS)
+def test_stacked_ecef_predict_matches_member_predicts(path, monkeypatch):
+    # ecef_step's member-by-member stack, and F and G Qc G' built point by
+    # point for a right error
+    _stacked_predicts(Variant("ECEF", "RightEst"), monkeypatch, path)
 
 
 LEG_CASES = {
@@ -665,7 +702,7 @@ def _leg_start(frame, error_def, members, rng):
         p = rng.normal(size=(15, 15))
         bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
         states.append(flt.FilterState(variant, nav, bias, p @ p.T, 0.25))
-    fs = flt.FilterState.stack(states) if members > 1 else states[0]
+    fs = flt.FilterState.stack(states)  # one member stays unstacked
     steps = smo.BLOCK + 11
     lanes = (members,) if members > 1 else ()
     values = np.stack(
@@ -901,7 +938,10 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
     ]
     assert_same(starts[0], starts[1], "initial state")
     fs0 = [flt.FilterState(sim.variant, *start, 0.0) for start in starts]
-    new = smo.run_forward(fs0[0], sim.imu, fixes, DT, sim.noise, mode)
+    (records,), (nis,) = smo.run_forward(
+        [fs0[0]], [sim.imu], [fixes], DT, sim.noise, mode
+    )
+    new = records, nis
     ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
     assert len(new[0]) == 10  # one record per fix, the last one final
     assert_same(new, ref, "forward pass")
@@ -921,7 +961,10 @@ def test_forward_legs_match_reference_on_irregular_fixes(frame, error_def, mode)
     fixes = [dataclasses.replace(f[0], t=-0.5), f[0], f[1], f[1], *f[4:]]
     start = cli._initial_state(cfg, sim.variant, sim.gen, sim.rng)
     fs0 = flt.FilterState(sim.variant, *start, 0.0)
-    new = smo.run_forward(fs0, sim.imu, fixes, DT, sim.noise, mode)
+    (records,), (nis,) = smo.run_forward(
+        [fs0], [sim.imu], [fixes], DT, sim.noise, mode
+    )
+    new = records, nis
     ref = oracles.ref_forward(fs0, sim.imu, fixes, DT, sim.noise, mode)
     steps = [round(entry["t"] / DT) for entry in new[1]]
     assert steps == [1, 50, 100, 101, 250, 300, 350, 400, 450, 500]
@@ -954,19 +997,19 @@ def _members(n, error_def="LeftEst"):
     ],
 )
 def test_lockstep_forward_matches_member_forwards(n, steps, error_def):
-    # one run_forward over member lists equals each member's own run_forward
-    # bit for bit, for every lockstep variant; 40 steps (0.8 s) end before
-    # the first fix at 1 s, so each member's one record is its final
-    # prediction
+    # one run_forward over n members equals each member's own run_forward,
+    # a block of one, which runs unstacked, bit for bit; 40 steps (0.8 s)
+    # end before the first fix at 1 s, so each member's one record is its
+    # final prediction
     cfg, noise, (starts, imus, fixes) = _members(n, error_def)
     if steps:
         imus = [imu[:steps] for imu in imus]
     singles = [
-        smo.run_forward(fs.copy(), imu, member_fixes, DT, noise, cfg.mode)
+        smo.run_forward([fs.copy()], [imu], [member_fixes], DT, noise, cfg.mode)
         for fs, imu, member_fixes in zip(starts, imus, fixes)
     ]
     lockstep = smo.run_forward(starts, imus, fixes, DT, noise, cfg.mode)
-    expected = tuple(list(x) for x in zip(*singles))
+    expected = tuple([x[0] for x in side] for side in zip(*singles))
     assert_same(lockstep, expected, "lockstep forward pass")
     assert [len(records) for records in lockstep[0]] == [1 if steps else 10] * n
 
@@ -1039,8 +1082,8 @@ def _forward(frame, error_def, mode):
     fs = flt.FilterState(
         sim.variant, *cli._initial_state(cfg, sim.variant, sim.gen, sim.rng), 0.0
     )
-    records, nis = smo.run_forward(
-        fs, sim.imu, sim.fixes, DT, sim.noise, mode
+    (records,), (nis,) = smo.run_forward(
+        [fs], [sim.imu], [sim.fixes], DT, sim.noise, mode
     )
     return cfg, sim, records, nis
 

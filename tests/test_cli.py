@@ -19,6 +19,7 @@ from click.testing import CliRunner
 
 import liese_nav
 from liese_nav import cli, errors, filter as flt, smoother as smo
+from liese_nav.errormodels import supported_variants
 from liese_nav.errors import ConfigError, IoError, NotPSD
 from liese_nav.liegroup import so3_exp
 
@@ -237,15 +238,14 @@ def test_monte_carlo_fanout(tmp_path, monkeypatch):
     # [TRIVIAL] per-run directories plus a merged metrics file; every file of
     # member k equals a standalone run with seed + k, byte for byte: for one
     # lockstep block of either NED left error, for a lockstep block followed
-    # by a block of one, which runs the scalar pass, and for ECEF members,
-    # which run in blocks of one.
+    # by a block of one, which runs the scalar pass, and for one lockstep
+    # block of ECEF members.
     # run_forward never receives more than LOCKSTEP_BLOCK members.
     run_forward, sizes = smo.run_forward, []
 
-    def recording(fs, *args):
-        if isinstance(fs, list):
-            sizes.append(len(fs))
-        return run_forward(fs, *args)
+    def recording(starts, *args):
+        sizes.append(len(starts))
+        return run_forward(starts, *args)
 
     monkeypatch.setattr(smo, "run_forward", recording)
     # frame, error definition, members, LOCKSTEP_BLOCK, members per
@@ -254,7 +254,7 @@ def test_monte_carlo_fanout(tmp_path, monkeypatch):
         ("NED", "LeftEst", 2, cli.LOCKSTEP_BLOCK, [2]),
         ("NED", "LeftEst", 3, 2, [2, 1]),
         ("NED", "LeftTrue", 3, cli.LOCKSTEP_BLOCK, [3]),
-        ("ECEF", "LeftEst", 2, cli.LOCKSTEP_BLOCK, [1, 1]),
+        ("ECEF", "LeftEst", 2, cli.LOCKSTEP_BLOCK, [2]),
     ]
     for case, (frame, error_def, runs, block, blocks) in enumerate(cases):
         monkeypatch.setattr(cli, "LOCKSTEP_BLOCK", block)
@@ -282,6 +282,52 @@ def test_monte_carlo_fanout(tmp_path, monkeypatch):
                 assert (out / f"run_{k:03d}" / name).read_bytes() == (
                     solo / name
                 ).read_bytes(), (case, k, name)
+
+
+@pytest.mark.parametrize(
+    "variant, mode",
+    [
+        pytest.param(v, mode, id=f"{v.name}-{mode}")
+        for v in supported_variants()
+        for mode in flt.MODES
+        if mode == "se23" or v.invariant_update
+    ],
+)
+def test_monte_carlo_members_equal_standalone_runs(tmp_path, variant, mode):
+    # [TRIVIAL: determinism contract] every variant's members run as one
+    # lockstep block, and each member's files equal its standalone run with
+    # seed + k, byte for byte; a 2 s run with a lever arm, a yaw error and
+    # fixes every 0.5 s
+    cfg = write_config(
+        tmp_path,
+        {
+            "duration_s": 2.0,
+            "imu_dt_s": 0.05,
+            "gnss": {**BASE_CONFIG["gnss"], "period_s": 0.5},
+            "initial": {**BASE_CONFIG["initial"], "yaw_error_rad": 0.05},
+            "variant": {
+                "frame": variant.frame,
+                "error_def": variant.error_def,
+                "mems_simplified": variant.mems_simplified,
+            },
+            "mode": mode,
+        },
+    )
+    out = tmp_path / "mc"
+    res = invoke(
+        "run", "--config", str(cfg), "--out", str(out), "--monte-carlo", "2"
+    )
+    assert res.exit_code == 0, res.output
+    for k in range(2):
+        solo = tmp_path / f"solo_{k}"
+        res = invoke(
+            "run", "--config", str(cfg), "--seed", str(BASE_CONFIG["seed"] + k),
+            "--out", str(solo),
+        )
+        assert res.exit_code == 0, res.output
+        for name in ARTIFACTS:
+            member = (out / f"run_{k:03d}" / name).read_bytes()
+            assert member == (solo / name).read_bytes(), (k, name)
 
 
 @pytest.mark.parametrize("stream", ["gyro", "accel", "fix"])
@@ -677,15 +723,36 @@ def test_float_overflow_in_the_first_predict_is_divergence(tmp_path, error_def):
     # an origin height of 1e155 m overflows a float ** in the NED F blocks'
     # earth terms during the first predict: the OverflowError (exit 1 with
     # a traceback) becomes Divergence, naming the variant, the time and the
-    # seed, exit 2
-    traj = {**BASE_CONFIG["trajectory"], "origin_h_m": 1e155}
+    # seed. The config check rejects such a height, so it is set after
+    # loading, where assignment is not checked.
     variant = {"frame": "NED", "error_def": error_def}
-    cfg = write_config(tmp_path, {"trajectory": traj, "variant": variant})
-    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    cfg = cli.load_config(write_config(tmp_path, {"variant": variant}))
+    cfg.trajectory.origin_h_m = 1e155
+    with pytest.raises(errors.Divergence) as exc:
+        cli.run_scenario(cfg, tmp_path / "o")
+    assert f"NED/{error_def} diverged at t=0.0 " in str(exc.value)
+    assert str(exc.value).endswith("(seed 3)")
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("height", [-6.4e6, 1e155, -1.5e6, 1.0000001e6])
+def test_origin_height_beyond_1000_km_exits_2(tmp_path, command, height):
+    # near -6.4e6 m R + h nears zero in the earth terms (NED/LeftEst exited 0
+    # with a final NEES of 1e7), and at 1e155 m an ECEF run exited 0 with a
+    # NIS of 0.0 at every fix; the config check stops both before any file
+    traj = {**BASE_CONFIG["trajectory"], "origin_h_m": height}
+    cfg = write_config(tmp_path, {"trajectory": traj})
+    res = invoke(command, "--config", str(cfg), "--out", str(tmp_path / "o"))
     assert res.exit_code == 2, res.output
-    assert isinstance(res.exception, SystemExit)
-    assert f"NED/{error_def} diverged at t=0.0 " in res.output
-    assert res.output.rstrip().endswith("(seed 3)")
+    assert "trajectory.origin_h_m" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("height", [-1e6, 1e6])
+def test_origin_height_of_1000_km_is_accepted(tmp_path, height):
+    traj = {**BASE_CONFIG["trajectory"], "origin_h_m": height}
+    cfg = cli.load_config(write_config(tmp_path, {"trajectory": traj}))
+    assert cfg.trajectory.origin_h_m == height
 
 
 def test_largest_sigma_with_a_finite_square_is_accepted(tmp_path):

@@ -77,12 +77,6 @@ def test_supported_variant_table():
     }
 
 
-def test_lockstep_variants_are_the_ned_left_errors():
-    # the variants whose F, NED step and Monte-Carlo members run as stacks
-    lockstep = [v.name for v in supported_variants() if v.lockstep]
-    assert lockstep == ["NED/LeftEst", "NED/LeftTrue"]
-
-
 @pytest.mark.parametrize(
     "frame,error_def,mems",
     [

@@ -177,8 +177,8 @@ def run_forward(variant, duration=20.0, dt=0.02, gnss_period=1.0, seed=5):
     else:
         nav0 = GEN.state_ecef(0.0)
     fs = flt.FilterState(variant, nav0, BiasState(), p0, 0.0)
-    records, _ = smo.run_forward(fs, imu, fixes, dt, noise)
-    return records
+    records, _ = smo.run_forward([fs], [imu], [fixes], dt, noise)
+    return records[0]
 
 
 def test_run_forward_without_a_fix_keeps_the_last_prediction():
@@ -194,7 +194,7 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
     for k in range(len(imu)):
         expected, _ = flt.predict(expected, imu[k:k + 1], run)
     for fixes in ([], [late]):
-        records, nis = smo.run_forward(fs0, imu, fixes, dt)
+        (records,), (nis,) = smo.run_forward([fs0], [imu], [fixes], dt)
         assert nis == []
         assert len(records) == 1
         rec = records[0]
@@ -219,7 +219,7 @@ def test_fixes_apply_at_their_imu_step_far_from_time_zero():
     fs = flt.FilterState(
         Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), t0
     )
-    records, nis = smo.run_forward(fs, imu, fixes, dt)
+    (records,), (nis,) = smo.run_forward([fs], [imu], [fixes], dt)
     assert len(nis) == len(records) == len(fixes)
     for entry, rec, fix in zip(nis, records, fixes):
         assert abs(entry["t"] - fix.t) < 0.5 * dt
@@ -244,7 +244,7 @@ def test_non_finite_input_raises_naming_the_sample_time(case):
         Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), 0.0
     )
     with pytest.raises(errors.NonFiniteInput, match=re.escape(f"t={bad_t}")):
-        smo.run_forward(fs, imu, fixes, dt)
+        smo.run_forward([fs], [imu], [fixes], dt)
 
 
 def _pos_errors(navs, times):
