@@ -10,7 +10,6 @@ from liese_nav.errors import (
     NonFiniteInput,
     NonMonotoneTime,
     NotPSD,
-    PatternViolation,
     PoleSingularity,
     SingularPredCov,
     UnsupportedVariant,
@@ -26,7 +25,6 @@ __all__ = [
     "NonFiniteInput",
     "NonMonotoneTime",
     "NotPSD",
-    "PatternViolation",
     "PoleSingularity",
     "SingularPredCov",
     "UnsupportedVariant",

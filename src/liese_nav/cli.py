@@ -555,6 +555,19 @@ def _write_streams(out, sim):
     )
 
 
+def _check_fix_sigma(cfg):
+    """Reject a GNSS sigma whose variance the filter cannot use: it inverts
+    R = sigma^2 I, and with a sigma of 0, or one whose square underflows
+    below the smallest normal double, the run would write NEES values of
+    -1.7e12 and exit 0. ``simulate`` takes 0, for noise-free fixes."""
+    sigma = cfg.gnss.sigma_pos_m
+    if not sigma * sigma >= sys.float_info.min:
+        raise ConfigError(
+            f"gnss.sigma_pos_m: the filter needs sigma**2 >= "
+            f"{sys.float_info.min!r}, got sigma {sigma!r}"
+        )
+
+
 def run_scenario(cfg, out_dir, forward=None):
     """Simulate, filter, and smooth one scenario; write artifacts to out_dir.
 
@@ -565,6 +578,7 @@ def run_scenario(cfg, out_dir, forward=None):
     files; a standalone run is a block of one member.
     """
     if forward is None:
+        _check_fix_sigma(cfg)
         forward = next(_filter([cfg], _truth(cfg)))
     sim, records, nis_log = forward
     variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
@@ -716,6 +730,7 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     leg chunk); each member's files equal a standalone run with its seed,
     byte for byte.
     """
+    _check_fix_sigma(cfg)
     out = _make_dir(out_dir)
     truth = _truth(cfg)
     results = []

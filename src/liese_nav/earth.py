@@ -148,14 +148,8 @@ def _position_vector_gradient_n(s, c, rm, rn, drn, h):
 
 
 def _gravitation_n(w_ie, g_n, r_n):
-    return np.add(g_n, skew(w_ie) @ skew(w_ie) @ np.array(r_n))
-
-
-def gravitation_n(lat, h):
     """Gravitational acceleration (gravity plus centrifugal term) in NED."""
-    return _gravitation_n(
-        earth_rate_n(lat), gravity_n(lat, h), position_vector_n(lat, h)
-    )
+    return np.add(g_n, skew(w_ie) @ skew(w_ie) @ np.array(r_n))
 
 
 def _earth_rate_n(s, c):
@@ -168,13 +162,8 @@ def earth_rate_n(lat):
 
 
 def _transport_rate_n(t, rm, rn, h, vn):
+    """omega_en^n for ground velocity vn = (vN, vE, vD); t is tan(lat)."""
     return vn[1] / (rn + h), -vn[0] / (rm + h), -vn[1] * t / (rn + h)
-
-
-def transport_rate_n(lat, h, vn):
-    """omega_en^n for ground velocity vn = (vN, vE, vD)."""
-    rm, rn = radii(lat)
-    return np.array(_transport_rate_n(np.tan(lat), rm, rn, h, vn))
 
 
 def _n_rv_diagonal(c, rm, rn, h):

@@ -139,15 +139,6 @@ class NedChart:
         lat, _, h = nav.geo
         return nav.c_bn, earth.position_vector_n(lat, h)
 
-    def affine_terms(self, nav, aux):
-        """(v, r, w_ie, w_in, gravitation if aux else gravity)."""
-        lat, _, h = nav.geo
-        v = nav.v_n
-        w_ie = earth.earth_rate_n(lat)
-        w_in = w_ie + earth.transport_rate_n(lat, h, v)
-        grav = (earth.gravitation_n if aux else earth.gravity_n)(lat, h)
-        return v, earth.position_vector_n(lat, h), w_ie, w_in, grav
-
     def embed(self, nav, aux):
         """The group embedding of one state or of stacked states."""
         lat, _, h = nav.geo.T
@@ -215,11 +206,6 @@ class EcefChart:
     def attitude_position(self, nav):
         return nav.c_be, nav.r
 
-    def affine_terms(self, nav, aux):
-        w_ie = earth.earth_rate_e()
-        grav = (earth.gravitation_e if aux else earth.gravity_e)(nav.r)
-        return nav.v, nav.r, w_ie, w_ie, grav
-
     def embed(self, nav, aux):
         """The group embedding of one state or of stacked states."""
         v = nav.v
@@ -282,8 +268,9 @@ def _input_map(variant, embedding, g):
         g[RV, WA] = eye
         return
     r, sk_v, sk_p = embedding
-    # scaled before each product: sign * x.adjoint() would flip the sign of
-    # its exact zeros, and covariance.csv writes signed zeros
+    # scaled before each product: scaling the assembled adjoint by sign
+    # would flip the sign of its exact zeros, and covariance.csv writes
+    # signed zeros
     rot = sign * r
     g[PHI, WG] = rot
     g[RV, WG] = (sign * sk_v) @ r
@@ -600,26 +587,3 @@ def measurement_left_invariant(variant, nominal, lever_arm):
     h[:, PHI] = -skew(lever_arm)
     h[:, RR] = _I3
     return h, c.T
-
-
-# ---------------------------------------------------------------------------
-# group-affine form of the deterministic dynamics
-# ---------------------------------------------------------------------------
-
-
-def group_affine_dynamics(variant, nominal, gyro, accel):
-    """Return (W1, W2) with d/dt X = X W1 + W2 X at the nominal.
-
-    State-dependent entries of W2 are frozen at the nominal, which is what
-    makes the flow group-affine.
-    """
-    w1 = np.zeros((5, 5))
-    w1[:3, :3] = skew(gyro)
-    w1[:3, 3] = accel
-    v, r, w_ie, w_in, grav = variant.chart.affine_terms(nominal, variant.aux_velocity)
-    w2 = np.zeros((5, 5))
-    w2[:3, :3] = -skew(w_in)
-    # an auxiliary velocity absorbs the Coriolis term into gravitation
-    w2[:3, 3] = grav if variant.aux_velocity else grav - cross(w_ie, v)
-    w2[:3, 4] = v + cross(w_ie, r)
-    return w1, w2

@@ -5,10 +5,6 @@ class LieseNavError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PatternViolation(LieseNavError):
-    """A matrix does not have the structural pattern required by an operation."""
-
-
 class NearPiRotation(LieseNavError):
     """Rotation angle too close to pi for a well-conditioned logarithm."""
 

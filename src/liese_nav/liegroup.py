@@ -7,8 +7,7 @@ A group element is the triple ``(R, v, p)`` embedded in a 5x5 matrix as::
     | 0  0  1 |
 
 Tangent vectors are ordered ``(phi, rho_v, rho_p)`` in R^9. The storage
-format is the triple; the dense 5x5 embedding is only materialized on
-demand (``as_matrix``), mainly for tests.
+format is the triple; the library never forms the dense 5x5 matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from liese_nav.errors import NearPiRotation, PatternViolation
+from liese_nav.errors import NearPiRotation
 
 # Below this angle the closed-form Rodrigues coefficients switch to their
 # truncated Taylor series (4 terms), which is exact to double precision there.
@@ -104,13 +103,6 @@ def _norm(phi: np.ndarray) -> float:
     return math.sqrt(np.dot(phi, phi))
 
 
-def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Exponential map of SO(3) (Rodrigues formula)."""
-    a, b, _ = _exp_coeffs(_norm(phi))
-    px = skew(phi)
-    return _I3 + a * px + b * (px @ px)
-
-
 def so3_log(rot: np.ndarray) -> np.ndarray:
     """Logarithm map of SO(3); an (N, 3, 3) stack gives (N, 3).
 
@@ -163,13 +155,6 @@ def _so3_log_stack(rot):
     return factor[:, None] * axis_vec
 
 
-def left_jacobian(phi: np.ndarray) -> np.ndarray:
-    """Left Jacobian of SO(3), J(phi) = sum_n (phi x)^n / (n+1)!."""
-    _, b, c = _exp_coeffs(_norm(phi))
-    px = skew(phi)
-    return _I3 + b * px + c * (px @ px)
-
-
 def left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     """Inverse of the left Jacobian of SO(3); an (N, 3) stack gives
     (N, 3, 3), each entry equal to its single call bit for bit."""
@@ -213,18 +198,6 @@ def _left_jacobian_inv_stack(phi):
     return _I3 - 0.5 * px + c[:, None, None] * (px @ px)
 
 
-def hat(xi: np.ndarray) -> np.ndarray:
-    """Map a 9-vector (phi, rho_v, rho_p) to its 5x5 Lie-algebra matrix."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (9,):
-        raise PatternViolation(f"expected 9-vector, got shape {xi.shape}")
-    out = np.zeros((5, 5))
-    out[:3, :3] = skew(xi[:3])
-    out[:3, 3] = xi[3:6]
-    out[:3, 4] = xi[6:9]
-    return out
-
-
 @dataclass
 class GroupElement:
     """Element of SE_2(3) stored as the triple ``(R, v, p)``; fields with a
@@ -238,17 +211,6 @@ class GroupElement:
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
     p: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    @staticmethod
-    def identity() -> "GroupElement":
-        return GroupElement()
-
-    def as_matrix(self) -> np.ndarray:
-        out = np.eye(5)
-        out[:3, :3] = self.R
-        out[:3, 3] = self.v
-        out[:3, 4] = self.p
-        return out
-
     def compose(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
             self.R @ other.R,
@@ -260,23 +222,14 @@ class GroupElement:
         rt = np.swapaxes(self.R, -1, -2)
         return GroupElement(rt, -matvec(rt, self.v), -matvec(rt, self.p))
 
-    def adjoint(self) -> np.ndarray:
-        """9x9 adjoint: X exp(hat(xi)) X^-1 = exp(hat(adjoint(X) @ xi))."""
-        out = np.zeros((9, 9))
-        out[:3, :3] = self.R
-        out[3:6, :3] = skew(self.v) @ self.R
-        out[3:6, 3:6] = self.R
-        out[6:9, :3] = skew(self.p) @ self.R
-        out[6:9, 6:9] = self.R
-        return out
-
 
 def exp_se23(xi: np.ndarray) -> GroupElement:
     """Group exponential: closed form via the SO(3) left Jacobian.
 
     The angle, skew(phi) and its square are computed once and shared by the
-    rotation and the Jacobian; each product rounds as in ``so3_exp`` and
-    ``left_jacobian``.
+    rotation and the Jacobian; each product rounds as in the separate SO(3)
+    exponential and left Jacobian, which ``tests/oracles.py`` keeps and
+    ``tests/test_bit_identity.py`` pins this function to.
     """
     xi = np.asarray(xi, dtype=float)
     phi = xi[:3]

@@ -138,9 +138,6 @@ class TruthGenerator:
     def state_ecef(self, t) -> NavStateECEF:
         return state_at(self.states_ecef([t]), 0)
 
-    def state_ned(self, t) -> NavStateNED:
-        return state_at(self.states_ned([t]), 0)
-
     def imu_at(self, times):
         """Exact (gyro, accel), (N, 3) each, at the times by inverse
         mechanization."""
@@ -151,11 +148,6 @@ class TruthGenerator:
         g_e = earth.gravity_e_array(state.r.T).T
         accel = matvec(c_eb, a_e + 2.0 * np.cross(w_ie, state.v) - g_e)
         return gyro, accel
-
-    def imu_instantaneous(self, t):
-        """Exact (gyro, accel) at time t by inverse mechanization."""
-        gyro, accel = self.imu_at([t])
-        return gyro[0], accel[0]
 
     # -- sensor streams ----------------------------------------------------
 

@@ -45,9 +45,10 @@ from liese_nav.earth import (
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
 from liese_nav.errors import IncompatibleMode, NearPiRotation, SingularPredCov
 from liese_nav.liegroup import (
-    NEAR_PI_MARGIN, SMALL_ANGLE, GroupElement, cross, exp_se23, log_se23, skew,
+    NEAR_PI_MARGIN, SMALL_ANGLE, GroupElement, _exp_coeffs, _norm, cross, exp_se23,
+    log_se23, skew,
 )
-from liese_nav.mechanization import ImuSample, NavStateECEF
+from liese_nav.mechanization import ImuSample, NavStateECEF, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams, discretize_bias
 
 TAU = 0.1  # half-width of the central time difference, seconds
@@ -116,6 +117,71 @@ def one_row(sample):
     return mech.Rows(ImuSample, np.array([[sample.gyro, sample.accel]]), [sample.t])
 
 
+# ---------------------------------------------------------------------------
+# Lie and truth helpers that only the tests use: the library keeps the
+# triple form and the stacked truth (``states_ned``, ``imu_at``)
+# ---------------------------------------------------------------------------
+
+
+def so3_exp(phi):
+    """Exponential map of SO(3) (Rodrigues formula), from the coefficients
+    ``exp_se23`` uses; its rotation equals this bit for bit."""
+    a, b, _ = _exp_coeffs(_norm(phi))
+    px = skew(phi)
+    return np.eye(3) + a * px + b * (px @ px)
+
+
+def left_jacobian(phi):
+    """Left Jacobian of SO(3), J(phi) = sum_n (phi x)^n / (n+1)!, from the
+    coefficients ``exp_se23`` uses."""
+    _, b, c = _exp_coeffs(_norm(phi))
+    px = skew(phi)
+    return np.eye(3) + b * px + c * (px @ px)
+
+
+def hat(xi):
+    """The 5x5 Lie-algebra matrix of a 9-vector (phi, rho_v, rho_p)."""
+    out = np.zeros((5, 5))
+    out[:3, :3] = skew(xi[:3])
+    out[:3, 3] = xi[3:6]
+    out[:3, 4] = xi[6:9]
+    return out
+
+
+def as_matrix(x):
+    """The 5x5 matrix of a group element."""
+    out = np.eye(5)
+    out[:3, :3] = x.R
+    out[:3, 3] = x.v
+    out[:3, 4] = x.p
+    return out
+
+
+def adjoint(x):
+    """9x9 adjoint: X exp(hat(xi)) X^-1 = exp(hat(adjoint(X) @ xi)). Left
+    and right errors of one pair are related by it (Barrau & Bonnabel,
+    IEEE TAC 62(4), 2017)."""
+    out = np.zeros((9, 9))
+    out[:3, :3] = x.R
+    out[3:6, :3] = skew(x.v) @ x.R
+    out[3:6, 3:6] = x.R
+    out[6:9, :3] = skew(x.p) @ x.R
+    out[6:9, 6:9] = x.R
+    return out
+
+
+def state_ned(gen, t):
+    """NED truth of a TruthGenerator at one time."""
+    return state_at(gen.states_ned([t]), 0)
+
+
+def imu_instantaneous(gen, t):
+    """Exact (gyro, accel) of a TruthGenerator at time t by inverse
+    mechanization."""
+    gyro, accel = gen.imu_at([t])
+    return gyro[0], accel[0]
+
+
 def ned_to_ecef_state(state):
     """The ECEF form of a NED state."""
     lat, lon, h = state.geo
@@ -181,9 +247,9 @@ class FOracle:
                 self.kind = "mems"
                 self.est0 = embed_ned(nominal, aux=True)
                 w_ie = earth.earth_rate_n(lat0)
-                w_en = earth.transport_rate_n(lat0, h0, nominal.v_n)
+                w_en = ref_transport_rate_n(lat0, h0, nominal.v_n)
                 self._w_in0 = w_ie + w_en
-                self._big_g0 = earth.gravitation_n(lat0, h0)
+                self._big_g0 = ref_gravitation_n(lat0, h0)
             else:
                 self.kind = "ned"
                 rho0 = earth.position_vector_n(lat0, h0)
@@ -202,7 +268,7 @@ class FOracle:
                         self._gfn = lambda lat, h: g0
                 else:
                     # auxiliary velocity uses gravitation, frozen at nominal
-                    big_g0 = earth.gravitation_n(lat0, h0)
+                    big_g0 = ref_gravitation_n(lat0, h0)
                     self._gfn = lambda lat, h: big_g0
         else:
             self.kind = "ecef"
@@ -301,7 +367,7 @@ class FOracle:
             v = s.vel - np.cross(w_ie, rho)
         else:
             v = s.vel
-        w_en = earth.transport_rate_n(lat, h, v)
+        w_en = ref_transport_rate_n(lat, h, v)
         w_in = w_ie + w_en
         c_dot = s.c_bn @ skew(gyro) - skew(w_in) @ s.c_bn
         if self.aux:
@@ -1223,6 +1289,11 @@ def ref_measurement_left_invariant(variant, nominal, lever_arm):
 
 
 def ref_group_affine_dynamics(variant, nominal, gyro, accel):
+    """Return (W1, W2) with d/dt X = X W1 + W2 X at the nominal.
+
+    State-dependent entries of W2 are frozen at the nominal, which is what
+    makes the flow group-affine.
+    """
     w1 = np.zeros((5, 5))
     w1[:3, :3] = skew(gyro)
     w1[:3, 3] = accel
@@ -1232,13 +1303,13 @@ def ref_group_affine_dynamics(variant, nominal, gyro, accel):
         v = nominal.v_n
         r_n = earth.position_vector_n(lat, h)
         w_ie = earth.earth_rate_n(lat)
-        w_in = w_ie + earth.transport_rate_n(lat, h, v)
+        w_in = w_ie + ref_transport_rate_n(lat, h, v)
         w2[:3, :3] = -skew(w_in)
         if variant.frame == "NED":
             w2[:3, 3] = earth.gravity_n(lat, h) - cross(w_ie, v)
             w2[:3, 4] = v + cross(w_ie, r_n)
         else:
-            w2[:3, 3] = earth.gravitation_n(lat, h)
+            w2[:3, 3] = ref_gravitation_n(lat, h)
             w2[:3, 4] = v + cross(w_ie, r_n)
     else:
         v = nominal.v
@@ -1257,7 +1328,7 @@ def ref_group_affine_dynamics(variant, nominal, gyro, accel):
 def ref_initial_state(cfg, variant, gen, rng):
     ini = cfg.initial
     if variant.frame in ("NED", "NED_Aux"):
-        nav = gen.state_ned(0.0)
+        nav = state_ned(gen, 0.0)
     else:
         nav = gen.state_ecef(0.0)
     sigmas = np.concatenate(

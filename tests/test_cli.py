@@ -18,10 +18,11 @@ import yaml
 from click.testing import CliRunner
 
 import liese_nav
-from liese_nav import cli, errors, filter as flt, smoother as smo
+from liese_nav import cli, earth, errors, filter as flt, smoother as smo
 from liese_nav.errormodels import supported_variants
 from liese_nav.errors import ConfigError, IoError, NotPSD
-from liese_nav.liegroup import so3_exp
+
+from oracles import so3_exp
 
 BASE_CONFIG = {
     "trajectory": {
@@ -232,6 +233,36 @@ def test_invariant_matches_se23(tmp_path):
     )
     report = cli.compare_runs(a, b, 1e-9, 1e-10)
     assert report["passed"], report
+
+
+def _ecef_track(run_dir, name):
+    rows = cli.read_csv(run_dir / name, cli.TRAJ_HEADER)
+    return earth.llh_to_ecef(*rows[:, 1:4].T)
+
+
+def test_left_error_is_the_same_in_every_frame(tmp_path):
+    # [DERIVED: the paper's left-EKF equivalence in both frames] the left
+    # error Xt^-1 X is one body-frame quantity whichever frame carries the
+    # state, so on the same seeds every LeftEst frame follows NED/LeftEst.
+    # They part only where an auxiliary or inertial velocity adds
+    # w_ie x dr to the velocity error. Measured over seeds 0-2 of this
+    # circle at 10, 20 and 60 s: at most 2.7e-4 m in filtered and smoothed
+    # ECEF position and 4.9e-5 in covariance.csv; the bounds leave 3.7x
+    # and 4x of margin.
+    base = {"duration_s": 10.0, "seed": 0}
+    frames = ["NED", "NED_Aux", "ECEF", "ECEF_Inertial"]
+    for frame in frames:
+        variant = {"variant": {"frame": frame, "error_def": "LeftEst"}}
+        cfg = cli.load_config(write_config(tmp_path, {**base, **variant}))
+        cli.run_monte_carlo(cfg, tmp_path / frame, 3)
+    for frame in frames[1:]:
+        for k in range(3):
+            ref, run = (tmp_path / f / f"run_{k:03d}" for f in ("NED", frame))
+            for name in ("filtered.csv", "smoothed.csv"):
+                delta = np.max(np.abs(_ecef_track(run, name) - _ecef_track(ref, name)))
+                assert delta <= 1e-3, (frame, k, name, delta)
+            ca, cb = (cli.read_csv(r / "covariance.csv", cli.COV_HEADER) for r in (ref, run))
+            assert np.max(np.abs(ca - cb)) <= 2e-4, (frame, k)
 
 
 def test_monte_carlo_fanout(tmp_path, monkeypatch):
@@ -760,6 +791,36 @@ def test_largest_sigma_with_a_finite_square_is_accepted(tmp_path):
     values = {**BASE_CONFIG["gnss"], "sigma_pos_m": largest}
     cfg = cli.load_config(write_config(tmp_path, {"gnss": values}))
     assert cfg.gnss.sigma_pos_m == largest
+
+
+@pytest.mark.parametrize("runs", [[], ["--monte-carlo", "2"]], ids=["single", "mc"])
+@pytest.mark.parametrize("sigma", [0.0, 1e-300, 1e-160])
+def test_gnss_sigma_the_filter_cannot_use_exits_2(tmp_path, sigma, runs):
+    # the filter inverts R = sigma^2 I: a sigma of 0, or one whose square
+    # underflows (1e-160 squares to a subnormal), ran to exit 0 with NEES
+    # values of -1.7e12 in metrics.json; the run rejects it before any file
+    values = {**BASE_CONFIG["gnss"], "sigma_pos_m": sigma}
+    cfg = write_config(tmp_path, {"gnss": values})
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *runs)
+    assert res.exit_code == 2, res.output
+    assert "gnss.sigma_pos_m" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_gnss_sigma_whose_square_is_a_normal_double_passes_the_run_check(tmp_path):
+    cfg = cli.load_config(write_config(tmp_path))
+    cfg.gnss.sigma_pos_m = math.sqrt(sys.float_info.min)
+    cli._check_fix_sigma(cfg)
+
+
+def test_simulate_takes_a_gnss_sigma_of_0(tmp_path):
+    # a sigma of 0 means noise-free fixes, which only the filter cannot use
+    values = {**BASE_CONFIG["gnss"], "sigma_pos_m": 0.0}
+    cfg = write_config(tmp_path, {"gnss": values})
+    out = tmp_path / "sim"
+    assert invoke("simulate", "--config", str(cfg), "--out", str(out)).exit_code == 0
+    fixes = cli.read_csv(out / "gnss.csv", cli.GNSS_HEADER)
+    assert len(fixes) and np.all(fixes[:, 4:] == 0.0)
 
 
 THREE_VECTORS = [

@@ -3,7 +3,9 @@
 Everything else asks the variant's flags (``is_right``, ``inverts_true``,
 ``aux_velocity``, ``invariant_update``) or its chart (``variant.chart``), so
 a new decision cannot grow another string chain. The dispatch scan parses
-the package source; it does not import it.
+the package source; it does not import it. So does the public-surface scan:
+every public function, class and method has a caller in the library, and
+helpers only the tests need live in ``tests/oracles.py``.
 """
 
 import ast
@@ -97,3 +99,72 @@ def test_invariant_update_rule_keeps_both_callers_messages():
         assert str(exc.value) == (
             "left-invariant measurement requires the LeftEst error definition"
         )
+
+
+# public names with no caller in the library, each with its reason
+UNCALLED_PUBLIC = {
+    "cli.cmd_run": "the `liese-nav run` command, dispatched by click",
+    "cli.cmd_simulate": "the `liese-nav simulate` command, dispatched by click",
+    "cli.cmd_compare": "the `liese-nav compare` command, dispatched by click",
+    "errormodels.supported_variants": "the list of runnable variants, the "
+    "package's public catalogue (README)",
+    "simulator.TruthGenerator.state_ecef": "perfbench/tracing.py counts truth "
+    "state calls through it, looked up by getattr",
+}
+
+
+def public_definitions(tree):
+    """(qualified name, node) of every public module-level function and class
+    and every public method of such a class."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{sub.name}", sub)
+                for sub in node.body
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+            ]
+    return out
+
+
+def _mention(node):
+    """The name a Name, an Attribute or an imported alias refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def uncalled_public_names():
+    """Public definitions whose name the package source mentions nowhere
+    outside their own body."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    mentions = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = _mention(node)
+            if name is not None:
+                mentions.setdefault(name, []).append((module, node.lineno))
+    uncalled = []
+    for module, tree in trees.items():
+        for qualname, node in public_definitions(tree):
+            outside = [
+                (m, line) for m, line in mentions.get(node.name, [])
+                if not (m == module and node.lineno <= line <= node.end_lineno)
+            ]
+            if not outside:
+                uncalled.append(f"{module}.{qualname}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_in_the_library():
+    # a helper only the tests call belongs in tests/oracles.py; a listed
+    # name that gains a caller leaves the list
+    assert sorted(uncalled_public_names()) == sorted(UNCALLED_PUBLIC)

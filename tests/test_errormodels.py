@@ -8,18 +8,20 @@ from liese_nav.errormodels import (
     ECEF_CHART,
     Variant,
     error_dynamics,
-    group_affine_dynamics,
     measurement_left_invariant,
     measurement_se23,
     supported_variants,
 )
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import exp_se23, so3_exp
+from liese_nav.liegroup import exp_se23
 from liese_nav.mechanization import NavStateNED
 from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
-from oracles import FOracle, SCALES, assert_f_matches, ned_to_ecef_state, same_bits
+from oracles import (
+    FOracle, SCALES, adjoint, as_matrix, assert_f_matches, imu_instantaneous,
+    ned_to_ecef_state, ref_group_affine_dynamics, same_bits, so3_exp, state_ned,
+)
 
 GEN = TruthGenerator(
     TrajectorySpec(
@@ -43,10 +45,10 @@ ORACLE_VARIANTS = [
 
 def nominal_for(variant, t):
     if variant.frame in ("NED", "NED_Aux"):
-        nav = GEN.state_ned(t)
+        nav = state_ned(GEN, t)
     else:
         nav = GEN.state_ecef(t)
-    gyro, accel = GEN.imu_instantaneous(t)
+    gyro, accel = imu_instantaneous(GEN, t)
     return nav, gyro, accel
 
 
@@ -166,7 +168,7 @@ def test_noise_columns_match_bias_columns(variant):
         if not variant.is_right:
             assert np.array_equal(g[:9, :6], sign * np.eye(9)[:, :6])
             continue
-        ad = sign * variant.chart.embed(nav, variant.aux_velocity).adjoint()[:, :6]
+        ad = sign * adjoint(variant.chart.embed(nav, variant.aux_velocity))[:, :6]
         assert np.linalg.norm(g[:9, :6] - ad) <= 1e-12 * np.linalg.norm(ad)
         # a right error is autonomous: F does not depend on the IMU input
         f2, _ = error_dynamics(
@@ -231,13 +233,13 @@ def test_dynamics_are_group_affine(frame):
     )[0]
     variant = Variant(frame, error_def)
     nav, gyro, accel = nominal_for(variant, 13.0)
-    w1, w2 = group_affine_dynamics(variant, nav, gyro, accel)
+    w1, w2 = ref_group_affine_dynamics(variant, nav, gyro, accel)
     flow = lambda x: x @ w1 + w2 @ x
     rng = np.random.default_rng(4)
     eye = np.eye(5)
     for _ in range(100):
-        a = exp_se23(rng.normal(scale=0.5, size=9)).as_matrix()
-        b = exp_se23(rng.normal(scale=0.5, size=9)).as_matrix()
+        a = as_matrix(exp_se23(rng.normal(scale=0.5, size=9)))
+        b = as_matrix(exp_se23(rng.normal(scale=0.5, size=9)))
         resid = flow(a @ b) - (flow(a) @ b + a @ flow(b) - a @ flow(eye) @ b)
         scale = max(1.0, np.linalg.norm(flow(a @ b)))
         assert np.linalg.norm(resid) <= 1e-9 * scale
@@ -250,8 +252,8 @@ def test_group_affine_matches_mechanization_ned():
 
     variant = Variant("NED", "LeftEst")
     nav, gyro, accel = nominal_for(variant, 17.0)
-    w1, w2 = group_affine_dynamics(variant, nav, gyro, accel)
-    x = embed_ned(nav).as_matrix()
+    w1, w2 = ref_group_affine_dynamics(variant, nav, gyro, accel)
+    x = as_matrix(embed_ned(nav))
     x_dot = x @ w1 + w2 @ x
     c_dot, v_dot, _ = ref_ned_derivative(nav, gyro, accel)
     assert np.allclose(x_dot[:3, :3], c_dot, atol=1e-12)

@@ -11,7 +11,7 @@ from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
-from oracles import one_row
+from oracles import imu_instantaneous, one_row, state_ned
 
 GEN = TruthGenerator(
     TrajectorySpec(
@@ -36,7 +36,7 @@ P0 = np.diag(
 
 def make_fs(variant, t=5.0):
     if variant.frame in ("NED", "NED_Aux"):
-        nav = GEN.state_ned(t)
+        nav = state_ned(GEN, t)
     else:
         nav = GEN.state_ecef(t)
     return flt.FilterState(variant, nav, BIAS0.copy(), P0.copy(), t)
@@ -115,7 +115,7 @@ def test_predict_bias_block_matches_scalar_kf():
     fs = make_fs(variant)
     noise = ImuNoiseParams(sigma_bg=2e-6, tau_g=100.0, tau_a=None)
     dt = 0.01
-    gyro, accel = GEN.imu_instantaneous(fs.t)
+    gyro, accel = imu_instantaneous(GEN, fs.t)
     imu = one_row(ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel))
     out, _ = flt.predict(fs, imu, flt.RunConstants(variant, noise, dt))
     a = -1.0 / 100.0
@@ -135,7 +135,7 @@ def test_predict_trace_grows_with_noise():
         sigma_g=1e-4, sigma_a=1e-3, sigma_bg=1e-6, sigma_ba=1e-5,
         tau_g=None, tau_a=None,
     )
-    gyro, accel = GEN.imu_instantaneous(fs.t)
+    gyro, accel = imu_instantaneous(GEN, fs.t)
     imu = one_row(ImuSample(fs.t, gyro + fs.bias.gyro, accel + fs.bias.accel))
     trace = np.trace(fs.p)
     run = flt.RunConstants(variant, noise, 0.01)

@@ -12,6 +12,8 @@ from liese_nav.mechanization import NavStateECEF
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
+from oracles import state_ned
+
 GEN = TruthGenerator(
     TrajectorySpec(
         "circle", np.array([0.7, -1.2, 300.0]), speed=15.0, radius=250.0,
@@ -173,7 +175,7 @@ def run_forward(variant, duration=20.0, dt=0.02, gnss_period=1.0, seed=5):
         )
     )
     if variant.frame in ("NED", "NED_Aux"):
-        nav0 = GEN.state_ned(0.0)
+        nav0 = state_ned(GEN, 0.0)
     else:
         nav0 = GEN.state_ecef(0.0)
     fs = flt.FilterState(variant, nav0, BiasState(), p0, 0.0)
@@ -187,7 +189,7 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
     variant = Variant("NED", "LeftEst")
     dt = 0.02
     imu = GEN.synthesize_imu(0.5, dt)
-    fs0 = flt.FilterState(variant, GEN.state_ned(0.0), BiasState(), np.eye(15), 0.0)
+    fs0 = flt.FilterState(variant, state_ned(GEN, 0.0), BiasState(), np.eye(15), 0.0)
     late = flt.GnssFix(1.0, GEN.state_ecef(1.0).r, np.eye(3), LEVER)
     expected = fs0
     run = flt.RunConstants(variant, ImuNoiseParams(), dt)
@@ -217,7 +219,7 @@ def test_fixes_apply_at_their_imu_step_far_from_time_zero():
         for k in range(1, 11)
     ]
     fs = flt.FilterState(
-        Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), t0
+        Variant("NED", "LeftEst"), state_ned(GEN, 0.0), BiasState(), np.eye(15), t0
     )
     (records,), (nis,) = smo.run_forward([fs], [imu], [fixes], dt)
     assert len(nis) == len(records) == len(fixes)
@@ -241,7 +243,7 @@ def test_non_finite_input_raises_naming_the_sample_time(case):
     else:
         fixes[2].pos[0], bad_t = np.nan, fixes[2].t
     fs = flt.FilterState(
-        Variant("NED", "LeftEst"), GEN.state_ned(0.0), BiasState(), np.eye(15), 0.0
+        Variant("NED", "LeftEst"), state_ned(GEN, 0.0), BiasState(), np.eye(15), 0.0
     )
     with pytest.raises(errors.NonFiniteInput, match=re.escape(f"t={bad_t}")):
         smo.run_forward([fs], [imu], [fixes], dt)
