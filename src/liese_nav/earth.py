@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from liese_nav.errors import Divergence, PoleSingularity
-from liese_nav.liegroup import matvec, skew
+from liese_nav.liegroup import matvec, skew, skew_stack
 
 WGS84_A = 6378137.0
 WGS84_E2 = 6.69437999014e-3
@@ -67,12 +67,14 @@ def radii(lat):
 # Each formula below lives in one private helper that takes the latitude's
 # trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
 # caller that needs several of them at one point evaluates those once. The
-# vector helpers return float triples; a 3x3 term is an array. The public
-# functions are the same formulas as numpy bodies of a float or arrays of
-# points (see the module docstring); the curvature and gradient terms that
-# only the NED error models and the mechanization read (_radii_derivatives,
-# _gravity_gradient_down, _position_vector_gradient_n, _n_rv_diagonal,
-# _m1/_m2/_m3_matrix) have no public form.
+# vector helpers return float triples and the 3x3 terms their entries (see
+# below); the F blocks gather a stack of points' floats into one array
+# (``errormodels._ned_terms``), and _gravitation_n takes such stacks. The
+# public functions are the same formulas as numpy bodies of a float or
+# arrays of points (see the module docstring); the curvature and gradient
+# terms that only the NED error models and the mechanization read
+# (_radii_derivatives, _gravity_gradient_down, _n_rv_diagonal and the
+# entries helpers) have no public form.
 
 
 def _radii_derivatives(s, c):
@@ -128,28 +130,11 @@ def position_vector_n(lat, h):
     )
 
 
-def _position_vector_gradient_n(s, c, rm, rn, drn, h):
-    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
-
-    The earth-center vector depends on latitude and height only, with
-    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
-    """
-    drho_dlat = np.array(
-        [
-            -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)),
-            0.0,
-            -drn * (1.0 - WGS84_E2 * s**2) + 2.0 * WGS84_E2 * rn * s * c,
-        ]
-    )
-    out = np.zeros((3, 3))
-    out[:, 0] = drho_dlat / (rm + h)
-    out[2, 2] = 1.0
-    return out
-
-
 def _gravitation_n(w_ie, g_n, r_n):
-    """Gravitational acceleration (gravity plus centrifugal term) in NED."""
-    return np.add(g_n, skew(w_ie) @ skew(w_ie) @ np.array(r_n))
+    """Gravitational acceleration (gravity plus centrifugal term) in NED, of
+    points given as (N, 3) rows, as the F blocks hold them."""
+    sk_w = skew_stack(w_ie)
+    return g_n + matvec(sk_w @ sk_w, r_n)
 
 
 def _earth_rate_n(s, c):
@@ -172,9 +157,8 @@ def _n_rv_diagonal(c, rm, rn, h):
     return 1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0
 
 
-# The curvature matrices' entries row by row, as floats: a stack of
-# matrices is one array of many points' entries; one matrix is its entries
-# built flat and reshaped, as liegroup.skew builds its matrix.
+# The 3x3 terms' entries row by row, as floats: the F blocks stack many
+# points' entries as one array and read it as an (N, 3, 3) stack.
 
 
 def _m1_entries(s, c, rm, h):
@@ -214,16 +198,19 @@ def _m3_entries(t, c, rm, rn, drm, drn, h, vn):
     ]
 
 
-def _m1_matrix(s, c, rm, h):
-    return np.array(_m1_entries(s, c, rm, h)).reshape(3, 3)
+def _position_vector_gradient_entries(s, c, rm, rn, drn, h):
+    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
 
-
-def _m2_matrix(t, rm, rn, h):
-    return np.array(_m2_entries(t, rm, rn, h)).reshape(3, 3)
-
-
-def _m3_matrix(t, c, rm, rn, drm, drn, h, vn):
-    return np.array(_m3_entries(t, c, rm, rn, drm, drn, h, vn)).reshape(3, 3)
+    The earth-center vector depends on latitude and height only, with
+    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
+    """
+    return [
+        -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)) / (rm + h), 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        (-drn * (1.0 - WGS84_E2 * s**2) + 2.0 * WGS84_E2 * rn * s * c) / (rm + h),
+        0.0,
+        1.0,
+    ]
 
 
 def llh_to_ecef(lat, lon, h):

@@ -17,7 +17,6 @@ Error definitions (X true, Xt estimate):
   LeftTrue   eta = X^-1 Xt        LeftEst   eta = Xt^-1 X
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -247,11 +246,13 @@ ECEF_CHART = EcefChart()
 def noise_map(variant, embedding=None):
     """G, the (15, 12) map of the noise (w_g, w_a, w_bg, w_ba) into the error
     state. ``embedding`` is the estimate's (R, skew(v), skew(p)) that a right
-    error's input map reads; no nominal enters a left error's G, so a run
-    builds it once (``filter.RunConstants``)."""
-    g = np.zeros((15, 12))
-    g[BG, WBG] = _I3
-    g[BA, WBA] = _I3
+    error's input map reads; a stacked embedding (fields with a leading axis
+    of N points) gives an (N, 15, 12) stack. No nominal enters a left
+    error's G, so a run builds it once (``filter.RunConstants``)."""
+    lead = () if embedding is None else embedding[0].shape[:-2]
+    g = np.zeros(lead + (15, 12))
+    g[..., BG, WBG] = _I3
+    g[..., BA, WBA] = _I3
     _input_map(variant, embedding, g)
     return g
 
@@ -264,18 +265,18 @@ def _input_map(variant, embedding, g):
     sign = 1.0 if variant.inverts_true else -1.0
     if not variant.is_right:
         eye = sign * _I3
-        g[PHI, WG] = eye
-        g[RV, WA] = eye
+        g[..., PHI, WG] = eye
+        g[..., RV, WA] = eye
         return
     r, sk_v, sk_p = embedding
     # scaled before each product: scaling the assembled adjoint by sign
     # would flip the sign of its exact zeros, and covariance.csv writes
     # signed zeros
     rot = sign * r
-    g[PHI, WG] = rot
-    g[RV, WG] = (sign * sk_v) @ r
-    g[RV, WA] = rot
-    g[RR, WG] = (sign * sk_p) @ r
+    g[..., PHI, WG] = rot
+    g[..., RV, WG] = (sign * sk_v) @ r
+    g[..., RV, WA] = rot
+    g[..., RR, WG] = (sign * sk_p) @ r
 
 
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None):
@@ -291,12 +292,15 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     point's equal to its single call bit for bit; a single nominal runs as
     a stack of one.
 
-    The frame's block function writes the 9x9 state blocks (the NED left
-    errors' as one stack, the others point by point); for a right error it
-    returns each point's group embedding as (R, skew(v), skew(p)), from the
-    terms it already holds, for the input map. A bias error drifts the
-    mechanized rates as the IMU noise does, so F's bias columns are a copy
-    of G's gyro and accel noise columns.
+    The frame's block function writes the 9x9 state blocks of the whole
+    stack in one call: each point's earth terms are its own float
+    evaluation, and the products and sums are the same BLAS calls and IEEE
+    operations for every point, so a point's blocks do not depend on the
+    stack they are in. For a right error it returns the stacked group
+    embedding as (R, skew(v), skew(p)), from the terms it already holds,
+    for the input map. A bias error drifts the mechanized rates as the IMU
+    noise does, so F's bias columns are a copy of G's gyro and accel noise
+    columns.
 
     ``g`` is a left error's G, one matrix, which no nominal enters, built
     once for the run (``filter.RunConstants``); without it, G is built here.
@@ -307,20 +311,13 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     f = np.zeros((len(gyro), 15, 15))
     f[:, BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
     f[:, BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
-    embeddings = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
-    if g is None and not variant.is_right:
-        g = noise_map(variant)
-    elif g is None:  # one G per point
-        g = np.reshape([noise_map(variant, e) for e in embeddings], lead + (15, 12))
+    embedding = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
+    if g is None:
+        g = noise_map(variant, embedding)
+        if variant.is_right:  # one G per point
+            g = g.reshape(lead + (15, 12))
     f[:, :9, 9:] = g[..., :9, :6]
     return f.reshape(lead + (15, 15)), g
-
-
-def _each_point(blocks, variant, nom, gyro, accel, f):
-    """The single-point block function ``blocks`` run on each point of a
-    stack, each writing its own F; returns what each point's call returns."""
-    points = map(type(nom), *vars(nom).values())
-    return [blocks(variant, *point) for point in zip(points, gyro, accel, f)]
 
 
 def _point_floats(geo):
@@ -333,219 +330,197 @@ def _point_floats(geo):
     return (h, s, c, t, rm, rn, *earth._radii_derivatives(s, c))
 
 
-def _local_terms(nom):
-    """Earth terms at a NED nominal from one evaluation of the trig terms and
-    curvature radii, in Python floats: (h, v, sin, cos, r_n, w_ie, w_en, m1,
-    m2, m3, rm, rn, drn), with the vectors as float triples."""
-    h, s, c, t, rm, rn, drm, drn = _point_floats(nom.geo.tolist())
-    v = nom.v_n.tolist()
-    return (
-        h,
-        v,
-        s,
-        c,
-        earth._position_vector_n(s, c, rn, h),
-        earth._earth_rate_n(s, c),
-        earth._transport_rate_n(t, rm, rn, h, v),
-        earth._m1_matrix(s, c, rm, h),
-        earth._m2_matrix(t, rm, rn, h),
-        earth._m3_matrix(t, c, rm, rn, drm, drn, h, v),
-        rm,
-        rn,
-        drn,
-    )
-
-
-def _ned_blocks(variant, nom, gyro, accel, f):
-    """The NED blocks: the left errors' as one stack, a right error's by point."""
-    if variant.is_right:
-        return _each_point(_ned_right_blocks, variant, nom, gyro, accel, f)
-    _ned_left_stack(variant, nom, gyro, accel, f)
-
-
-def _ned_right_blocks(variant, nom, gyro, accel, f):
-    """The world-frame (right-error) blocks at one point."""
-    h, v, s_lat, _, r_n, w_ie, w_en, m1, m2, m3, rm, rn, _ = _local_terms(nom)
-    sk_v = skew(v)
-    sk_v_m2 = sk_v @ m2
-    w_in = [a + b for a, b in zip(w_ie, w_en)]
-    grav = earth._gravity_n(s_lat**2, rm, rn, h)
-    k_g = np.zeros((3, 3))
-    k_g[2, 2] = earth._gravity_gradient_down(grav[2], rm, rn, h)
-    sk_r = skew(r_n)
-    sk_w_en = skew(w_en)
-    f[PHI, PHI] = -skew(w_in) + m2 @ sk_v + (m1 + m3) @ sk_r
-    f[PHI, RV] = -m2
-    f[PHI, RR] = -(m1 + m3)
-    f[RV, PHI] = (
-        -sk_v @ m1 @ sk_r + sk_v @ skew(w_ie) + skew(grav) - k_g @ sk_r
-    )
-    f[RV, RV] = -skew([2.0 * a + b for a, b in zip(w_ie, w_en)])
-    f[RV, RR] = sk_v @ m1 + k_g
-    # position row: exact Jacobian in the local-chart coordinates the
-    # filter corrects in (position error = estimate-frame-resolved ECEF
-    # displacement); m2 doubles as the displacement-to-frame-angle map
-    f[RR, PHI] = (
-        (sk_v_m2 + sk_w_en) @ sk_r
-        - skew(cross(w_en, r_n))
-        + sk_r @ f[PHI, PHI]
-    )
-    f[RR, RV] = _I3 - sk_r @ m2
-    f[RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[PHI, RR]
-    return nom.c_bn, sk_v, sk_r
-
-
-def _ned_left_stack(variant, nom, gyro, accel, f):
-    """The body-frame (left-error) blocks of a stacked NED nominal, the same
-    for LeftEst and LeftTrue: each point's earth terms are its own float
-    evaluation, and the products and sums are the same BLAS calls and IEEE
-    operations for every point, so each point's blocks do not depend on the
-    stack they are in. The position row is the exact Jacobian in the
-    local-chart coordinates: the body-resolved chart displacement integrates
-    the velocity error one-for-one, and no curvature coupling survives."""
+def _ned_terms(nom, full):
+    """The earth terms at each point of a stacked NED nominal, as stacks:
+    the matrices (m1, m2, m3) and the earth rate w_ie; with ``full`` the
+    matrices (m1, m2, m3, k_g, dr) and the vectors (w_ie, r_n, w_en, g_n),
+    where k_g is the gravity gradient (only k_g[2, 2] is nonzero) and dr
+    the position vector's gradient. Each point's terms come from one float
+    evaluation of its trig terms and curvature radii, as one row of floats,
+    so they do not depend on the stack they are in."""
     rows = []
     for geo, v in zip(nom.geo.tolist(), nom.v_n.tolist()):
         h, s, c, t, rm, rn, drm, drn = _point_floats(geo)
-        rows.append(
+        row = (
             earth._m1_entries(s, c, rm, h)
             + earth._m2_entries(t, rm, rn, h)
             + earth._m3_entries(t, c, rm, rn, drm, drn, h, v)
-            + list(earth._earth_rate_n(s, c))
         )
+        vectors = earth._earth_rate_n(s, c)
+        if full:
+            grav = earth._gravity_n(s**2, rm, rn, h)
+            row += [0.0] * 8 + [earth._gravity_gradient_down(grav[2], rm, rn, h)]
+            row += earth._position_vector_gradient_entries(s, c, rm, rn, drn, h)
+            vectors += (
+                earth._position_vector_n(s, c, rn, h)
+                + earth._transport_rate_n(t, rm, rn, h, v)
+                + grav
+            )
+        rows.append(row + list(vectors))
     rows = np.array(rows)
-    m1, m2, m3 = rows[:, :27].reshape(-1, 3, 3, 3).transpose(1, 0, 2, 3)
-    w_ie = rows[:, 27:]
-    sk_v, sk_w_ie = skew_stack(nom.v_n), skew_stack(w_ie)
-    c = nom.c_bn
-    sk_v_m2 = sk_v @ m2
-    ct = c.swapaxes(-1, -2)
-    sw = ct[:, None] @ np.stack(
-        [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), sk_w_ie - sk_v_m2], axis=1
-    ) @ c[:, None]
-    sk_g = skew_stack(gyro)
-    f[:, PHI, PHI] = -sk_g
-    f[:, PHI, RV] = -sw[:, 0]
-    f[:, PHI, RR] = -sw[:, 1]
-    f[:, RV, PHI] = -skew_stack(accel)
-    f[:, RV, RV] = sw[:, 2] - sk_g - skew_stack(matvec(ct, w_ie))
-    f[:, RV, RR] = sw[:, 3]
+    n, k = len(rows), 5 if full else 3
+    mats = rows[:, : 9 * k].reshape(n, k, 3, 3).swapaxes(0, 1)
+    return (*mats, *rows[:, 9 * k :].reshape(n, -1, 3).swapaxes(0, 1))
+
+
+def _skews(*vectors):
+    """``skew_stack`` of each of several (N, 3) stacks, from one call."""
+    n = len(vectors[0])
+    return skew_stack(np.concatenate(vectors)).reshape(len(vectors), n, 3, 3)
+
+
+def _affine_blocks(f, neg_sk_w, rv_phi):
+    """The blocks of an error whose rows carry no earth-curvature term:
+    ``neg_sk_w`` (-skew of the gyro rate for a left error, of the frame rate
+    for a right one) on the diagonal, ``rv_phi`` in the velocity row's
+    attitude column and the identity in the position row's velocity column."""
+    f[:, PHI, PHI] = f[:, RV, RV] = f[:, RR, RR] = neg_sk_w
+    f[:, RV, PHI] = rv_phi
     f[:, RR, RV] = _I3
-    f[:, RR, RR] = -sk_g + sw[:, 4]
+
+
+def _ned_blocks(variant, nom, gyro, accel, f):
+    """The NED blocks. The body-frame (left-error) blocks are the same for
+    LeftEst and LeftTrue, and their position row is the exact Jacobian in
+    the local-chart coordinates: the body-resolved chart displacement
+    integrates the velocity error one-for-one, and no curvature coupling
+    survives."""
+    if not variant.is_right:
+        m1, m2, m3, w_ie = _ned_terms(nom, full=False)
+        c = nom.c_bn
+        ct = c.swapaxes(-1, -2)
+        sk_v, sk_w_ie, sk_g, sk_a, sk_w_b = _skews(
+            nom.v_n, w_ie, gyro, accel, matvec(ct, w_ie)
+        )
+        sk_v_m2 = sk_v @ m2
+        # the five C' X C sandwiches as one stack
+        sw = ct @ np.array(
+            [m2, m1 + m3, sk_v_m2, sk_v @ (2.0 * m1 + m3), sk_w_ie - sk_v_m2]
+        ) @ c
+        f[:, PHI, PHI] = -sk_g
+        f[:, PHI, RV] = -sw[0]
+        f[:, PHI, RR] = -sw[1]
+        f[:, RV, PHI] = -sk_a
+        f[:, RV, RV] = sw[2] - sk_g - sk_w_b
+        f[:, RV, RR] = sw[3]
+        f[:, RR, RV] = _I3
+        f[:, RR, RR] = -sk_g + sw[4]
+        return None
+    m1, m2, m3, k_g, _, w_ie, r_n, w_en, grav = _ned_terms(nom, full=True)
+    sk_v, sk_r, sk_w_ie, sk_w_en, sk_w_in, sk_2w_ie_en, sk_grav, sk_w_en_r = _skews(
+        nom.v_n, r_n, w_ie, w_en, w_ie + w_en, 2.0 * w_ie + w_en, grav,
+        cross(w_en.T, r_n.T).T,
+    )
+    sk_v_m2 = sk_v @ m2
+    m13 = m1 + m3
+    f[:, PHI, PHI] = -sk_w_in + m2 @ sk_v + m13 @ sk_r
+    f[:, PHI, RV] = -m2
+    f[:, PHI, RR] = -m13
+    f[:, RV, PHI] = -sk_v @ m1 @ sk_r + sk_v @ sk_w_ie + sk_grav - k_g @ sk_r
+    f[:, RV, RV] = -sk_2w_ie_en
+    f[:, RV, RR] = sk_v @ m1 + k_g
+    # position row: exact Jacobian in the local-chart coordinates the
+    # filter corrects in (position error = estimate-frame-resolved ECEF
+    # displacement); m2 doubles as the displacement-to-frame-angle map
+    f[:, RR, PHI] = (sk_v_m2 + sk_w_en) @ sk_r - sk_w_en_r + sk_r @ f[:, PHI, PHI]
+    f[:, RR, RV] = _I3 - sk_r @ m2
+    f[:, RR, RR] = -sk_v_m2 - sk_w_en + sk_r @ f[:, PHI, RR]
+    return nom.c_bn, sk_v, sk_r
 
 
 def _ned_aux_blocks(variant, nom, gyro, accel, f):
+    m1, m2, m3, _, dr, w_ie, r_n, w_en, grav = _ned_terms(nom, full=True)
     c = nom.c_bn
-    h, v, s_lat, c_lat, r_n, w_ie, w_en, m1, m2, m3, rm, rn, drn = _local_terms(nom)
-    w_in = [a + b for a, b in zip(w_ie, w_en)]
-    sk_r = skew(r_n)
-    sk_w_ie = skew(w_ie)
-    sk_vbar = skew(np.add(v, cross(w_ie, r_n)))
+    sk_v, sk_r, sk_w_ie, sk_vbar = _skews(
+        nom.v_n, r_n, w_ie, nom.v_n + cross(w_ie.T, r_n.T).T
+    )
     if not variant.mems_simplified:
         # b = d(w_ie x r_eb^n)/d(dr) in local-chart coordinates; the ground
         # velocity recovered from the auxiliary one inherits it, so the
         # transport-rate sensitivity k1 carries -m2 @ b
-        b = -sk_r @ m1 + sk_w_ie @ earth._position_vector_gradient_n(
-            s_lat, c_lat, rm, rn, drn, h
-        )
+        b = -sk_r @ m1 + sk_w_ie @ dr
         k1 = m1 + m3 - m2 @ b
         k2 = m2
 
     if not variant.is_right:  # LeftEst
-        neg_sk_g = -skew(gyro)
-        f[PHI, PHI] = neg_sk_g
-        f[RV, PHI] = -skew(accel)
-        f[RV, RV] = neg_sk_g
-        f[RR, RV] = _I3
-        f[RR, RR] = neg_sk_g
+        _affine_blocks(f, *-_skews(gyro, accel))
         if not variant.mems_simplified:
             # the five C' X C sandwiches as one stack
-            sw_k2, sw_k1, sw_vk2, sw_vk1, sw_wbv = c.T @ np.array(
-                [k2, k1, sk_vbar @ k2, sk_vbar @ k1, sk_w_ie - b - skew(v) @ m2]
+            sw = c.swapaxes(-1, -2) @ np.array(
+                [k2, k1, sk_vbar @ k2, sk_vbar @ k1, sk_w_ie - b - sk_v @ m2]
             ) @ c
-            f[PHI, RV] += -sw_k2
-            f[PHI, RR] += -sw_k1
-            f[RV, RV] += sw_vk2
-            f[RV, RR] += sw_vk1
+            f[:, PHI, RV] += -sw[0]
+            f[:, PHI, RR] += -sw[1]
+            f[:, RV, RV] += sw[2]
+            f[:, RV, RR] += sw[3]
             # chart-coordinate position row: velocity error integrates
             # one-for-one (see the plain-frame left block)
-            f[RR, RR] += sw_wbv
-    else:  # RightTrue
-        grav = earth._gravity_n(s_lat**2, rm, rn, h)
-        big_g = earth._gravitation_n(w_ie, grav, r_n)
-        sk_w_in = skew(w_in)
-        f[PHI, PHI] = -sk_w_in
-        f[RV, PHI] = skew(big_g)
-        f[RV, RV] = -sk_w_in
-        f[RR, RV] = _I3
-        f[RR, RR] = -sk_w_in
-        if not variant.mems_simplified:
-            # transport-rate errors couple into the attitude row only
-            q1 = k1 @ sk_r + k2 @ sk_vbar
-            f[PHI, PHI] += q1
-            f[PHI, RV] += -k2
-            f[PHI, RR] += -k1
-            # chart-coordinate position row: the frame-angle and
-            # earth-rate-velocity sensitivities of the chart displacement
-            # add earth-radius lever couplings (zero under the simplified
-            # model by the Jacobi identity)
-            bracket = b + skew(v) @ m2 + skew(w_en)
-            f[RR, PHI] = (
-                bracket @ sk_r
-                - skew(cross(w_in, r_n))
-                + sk_r @ f[PHI, PHI]
-            )
-            f[RR, RV] = _I3 + sk_r @ f[PHI, RV]
-            f[RR, RR] = -bracket + sk_r @ f[PHI, RR]
-        return c, sk_vbar, sk_r
+            f[:, RR, RR] += sw[4]
+        return None
+    # RightTrue
+    w_in = w_ie + w_en
+    sk_w_in, sk_big_g, sk_w_en, sk_w_in_r = _skews(
+        w_in, earth._gravitation_n(w_ie, grav, r_n), w_en, cross(w_in.T, r_n.T).T
+    )
+    _affine_blocks(f, -sk_w_in, sk_big_g)
+    if not variant.mems_simplified:
+        # transport-rate errors couple into the attitude row only
+        q1 = k1 @ sk_r + k2 @ sk_vbar
+        f[:, PHI, PHI] += q1
+        f[:, PHI, RV] += -k2
+        f[:, PHI, RR] += -k1
+        # chart-coordinate position row: the frame-angle and
+        # earth-rate-velocity sensitivities of the chart displacement
+        # add earth-radius lever couplings (zero under the simplified
+        # model by the Jacobi identity)
+        bracket = b + sk_v @ m2 + sk_w_en
+        f[:, RR, PHI] = bracket @ sk_r - sk_w_in_r + sk_r @ f[:, PHI, PHI]
+        f[:, RR, RV] = _I3 + sk_r @ f[:, PHI, RV]
+        f[:, RR, RR] = -bracket + sk_r @ f[:, PHI, RR]
+    return c, sk_vbar, sk_r
 
 
 def _ecef_blocks(variant, nom, gyro, accel, f):
-    w_ie = earth.earth_rate_e()
     if not variant.is_right:
-        sk_g, sk_w = skew(gyro), skew(nom.c_be.T @ w_ie)
-        f[PHI, PHI] = -sk_g
-        f[RV, PHI] = -skew(accel)
-        f[RV, RV] = -sk_w - sk_g
-        f[RR, RV] = _I3
-        f[RR, RR] = sk_w - sk_g
-    else:
-        grav = earth.gravity_e(nom.r)
-        sk_w, sk_v, sk_r = skew(w_ie), skew(nom.v), skew(nom.r)
-        f[PHI, PHI] = -sk_w
-        f[RV, PHI] = sk_v @ sk_w + skew(grav)
-        f[RV, RV] = -2.0 * sk_w
-        f[RR, PHI] = -sk_r @ sk_w
-        f[RR, RV] = _I3
-        return nom.c_be, sk_v, sk_r
+        w_b = matvec(nom.c_be.swapaxes(-1, -2), mech._W_IE_E)
+        sk_g, sk_a, sk_w = _skews(gyro, accel, w_b)
+        f[:, PHI, PHI] = -sk_g
+        f[:, RV, PHI] = -sk_a
+        f[:, RV, RV] = -sk_w - sk_g
+        f[:, RR, RV] = _I3
+        f[:, RR, RR] = sk_w - sk_g
+        return None
+    # each point's gravity in its own float code, as the mechanization has it
+    grav = np.array(list(map(earth.gravity_e, nom.r)))
+    sk_w = mech._SK_W_IE_E
+    sk_v, sk_r, sk_grav = _skews(nom.v, nom.r, grav)
+    f[:, PHI, PHI] = -sk_w
+    f[:, RV, PHI] = sk_v @ sk_w + sk_grav
+    f[:, RV, RV] = -2.0 * sk_w
+    f[:, RR, PHI] = -sk_r @ sk_w
+    f[:, RR, RV] = _I3
+    return nom.c_be, sk_v, sk_r
 
 
 def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
     if not variant.is_right:
-        neg_sk_g = -skew(gyro)
-        f[PHI, PHI] = neg_sk_g
-        f[RV, PHI] = -skew(accel)
-        f[RV, RV] = neg_sk_g
-        f[RR, RV] = _I3
-        f[RR, RR] = neg_sk_g
-    else:
-        # RightEst (ECEF_Inertial) and RightTrue (ECEF_Aux) share these
-        # blocks; only the input map's sign tells them apart
-        w_ie = earth.earth_rate_e()
-        neg_sk_w = -skew(w_ie)
-        f[PHI, PHI] = neg_sk_w
-        f[RV, PHI] = skew(earth.gravitation_e(nom.r))
-        f[RV, RV] = neg_sk_w
-        f[RR, RV] = _I3
-        f[RR, RR] = neg_sk_w
-        return nom.c_be, skew(nom.v + cross(w_ie, nom.r)), skew(nom.r)
+        _affine_blocks(f, *-_skews(gyro, accel))
+        return None
+    # RightEst (ECEF_Inertial) and RightTrue (ECEF_Aux) share these
+    # blocks; only the input map's sign tells them apart
+    big_g = np.array(list(map(earth.gravitation_e, nom.r)))
+    v_i = nom.v + cross(mech._W_IE_E, nom.r.T).T
+    sk_big_g, sk_v_i, sk_r = _skews(big_g, v_i, nom.r)
+    _affine_blocks(f, -mech._SK_W_IE_E, sk_big_g)
+    return nom.c_be, sk_v_i, sk_r
 
 
 _BLOCKS = {
     "NED": _ned_blocks,
-    "NED_Aux": functools.partial(_each_point, _ned_aux_blocks),
-    "ECEF": functools.partial(_each_point, _ecef_blocks),
-    "ECEF_Inertial": functools.partial(_each_point, _ecef_inertial_blocks),
-    "ECEF_Aux": functools.partial(_each_point, _ecef_inertial_blocks),
+    "NED_Aux": _ned_aux_blocks,
+    "ECEF": _ecef_blocks,
+    "ECEF_Inertial": _ecef_inertial_blocks,
+    "ECEF_Aux": _ecef_inertial_blocks,
 }
 
 

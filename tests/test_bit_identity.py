@@ -77,9 +77,14 @@ def test_cross_matches_numpy():
 
 
 def _gravitation_n(lat, h):
-    """The library's private gravitation term at (lat, h)."""
+    """The library's private gravitation term at (lat, h), as a stack of one."""
     w_ie, r_n = earth.earth_rate_n(lat), earth.position_vector_n(lat, h)
-    return earth._gravitation_n(w_ie, earth.gravity_n(lat, h), r_n)
+    return earth._gravitation_n(w_ie[None], earth.gravity_n(lat, h)[None], r_n[None])[0]
+
+
+def _matrix(entries):
+    """A 3x3 term from its entries row by row, as the F blocks read them."""
+    return np.array(entries).reshape(3, 3)
 
 
 def _transport_rate_n(lat, h, v):
@@ -106,17 +111,17 @@ def test_earth_formulas_match_reference(lat, h):
         ),
         (earth.position_vector_n(lat, h), oracles.ref_position_vector_n(lat, h)),
         (
-            earth._position_vector_gradient_n(s, c, rm, rn, drn, h),
+            _matrix(earth._position_vector_gradient_entries(s, c, rm, rn, drn, h)),
             oracles.ref_position_vector_gradient_n(lat, h),
         ),
         (_gravitation_n(lat, h), oracles.ref_gravitation_n(lat, h)),
         (earth.earth_rate_n(lat), oracles.ref_earth_rate_n(lat)),
         (_transport_rate_n(lat, h, v), oracles.ref_transport_rate_n(lat, h, v)),
         (np.diag(earth._n_rv_diagonal(c, rm, rn, h)), oracles.ref_n_rv(lat, h)),
-        (earth._m1_matrix(s, c, rm, h), oracles.ref_m1_matrix(lat, h)),
-        (earth._m2_matrix(t, rm, rn, h), oracles.ref_m2_matrix(lat, h)),
+        (_matrix(earth._m1_entries(s, c, rm, h)), oracles.ref_m1_matrix(lat, h)),
+        (_matrix(earth._m2_entries(t, rm, rn, h)), oracles.ref_m2_matrix(lat, h)),
         (
-            earth._m3_matrix(t, c, rm, rn, drm, drn, h, v),
+            _matrix(earth._m3_entries(t, c, rm, rn, drm, drn, h, v)),
             oracles.ref_m3_matrix(lat, h, v),
         ),
     ]
@@ -355,6 +360,28 @@ def test_error_dynamics_matches_reference_on_random_nominals(variant, case, bias
     f0, g0 = oracles.ref_error_dynamics(variant, nav, gyro, accel, *tau)
     assert np.array_equal(f, f0)
     assert np.array_equal(g, g0)
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+@settings(max_examples=30, deadline=None)
+@given(cases=st.lists(ned_nominals(), min_size=2, max_size=6), biases=st.booleans())
+def test_error_dynamics_of_a_stack_matches_reference_on_random_nominals(
+    variant, cases, biases
+):
+    # one call over a stack of random nominals gives each point's reference
+    # F and G, by value as above: the stacked block functions compute every
+    # point's terms in the stack, not one point at a time
+    navs, gyro, accel = zip(*cases)
+    if variant.frame.startswith("ECEF"):
+        navs = [oracles.ned_to_ecef_state(nav) for nav in navs]
+    tau = (400.0, 900.0) if biases else (None, None)
+    f, g = error_dynamics(
+        variant, mech.stack_states(navs), np.array(gyro), np.array(accel), *tau
+    )
+    for k, nav in enumerate(navs):
+        f0, g0 = oracles.ref_error_dynamics(variant, nav, gyro[k], accel[k], *tau)
+        assert np.array_equal(f[k], f0), k
+        assert np.array_equal(g[k] if variant.is_right else g, g0), k
 
 
 def test_hot_path_keeps_numpy_tan_where_libm_tan_rounds_differently():

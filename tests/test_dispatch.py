@@ -3,9 +3,10 @@
 Everything else asks the variant's flags (``is_right``, ``inverts_true``,
 ``aux_velocity``, ``invariant_update``) or its chart (``variant.chart``), so
 a new decision cannot grow another string chain. The dispatch scan parses
-the package source; it does not import it. So does the public-surface scan:
-every public function, class and method has a caller in the library, and
-helpers only the tests need live in ``tests/oracles.py``.
+the package source; it does not import it. So do the caller scans: every
+public function, class and method and every private module-level function
+has a caller in the library, and helpers only the tests need live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -142,9 +143,18 @@ def _mention(node):
     return None
 
 
-def uncalled_public_names():
-    """Public definitions whose name the package source mentions nowhere
-    outside their own body."""
+def private_functions(tree):
+    """(name, node) of every private module-level function."""
+    return [
+        (node.name, node)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+
+
+def uncalled_names(definitions):
+    """The definitions (``public_definitions`` or ``private_functions``)
+    whose name the package source mentions nowhere outside their own body."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     mentions = {}
     for module, tree in trees.items():
@@ -154,7 +164,7 @@ def uncalled_public_names():
                 mentions.setdefault(name, []).append((module, node.lineno))
     uncalled = []
     for module, tree in trees.items():
-        for qualname, node in public_definitions(tree):
+        for qualname, node in definitions(tree):
             outside = [
                 (m, line) for m, line in mentions.get(node.name, [])
                 if not (m == module and node.lineno <= line <= node.end_lineno)
@@ -167,4 +177,10 @@ def uncalled_public_names():
 def test_every_public_name_has_a_caller_in_the_library():
     # a helper only the tests call belongs in tests/oracles.py; a listed
     # name that gains a caller leaves the list
-    assert sorted(uncalled_public_names()) == sorted(UNCALLED_PUBLIC)
+    assert sorted(uncalled_names(public_definitions)) == sorted(UNCALLED_PUBLIC)
+
+
+def test_every_private_function_has_a_caller_in_the_library():
+    # a private helper that only the tests call (say, a formula's matrix
+    # form kept beside the entries the library reads) belongs in the tests
+    assert uncalled_names(private_functions) == []

@@ -9,6 +9,11 @@ from liese_nav.errors import PoleSingularity
 from oracles import ref_gravitation_n, ref_transport_rate_n
 
 
+def _matrix(entries):
+    """A 3x3 term from its entries row by row, as the F blocks read them."""
+    return np.array(entries).reshape(3, 3)
+
+
 def test_earth_rate_magnitude():
     # [TRIVIAL] exact rate constant
     assert earth.EARTH_RATE == 7.2921151467e-5
@@ -62,7 +67,7 @@ def test_m1_fd():
     # [DERIVED] M1 vs finite differences of omega_ie^n through latitude
     lat, h = 0.8, 200.0
     rm, _ = earth.radii(lat)
-    m1 = earth._m1_matrix(np.sin(lat), np.cos(lat), rm, h)
+    m1 = _matrix(earth._m1_entries(np.sin(lat), np.cos(lat), rm, h))
     step_rn = 10.0  # meters north
     dlat = step_rn / (rm + h)
     fd = (earth.earth_rate_n(lat + dlat) - earth.earth_rate_n(lat - dlat)) / (
@@ -76,7 +81,7 @@ def test_m2_fd():
     lat, h = 0.8, 200.0
     vn = np.array([25.0, -40.0, 3.0])
     rm, rn = earth.radii(lat)
-    m2 = earth._m2_matrix(np.tan(lat), rm, rn, h)
+    m2 = _matrix(earth._m2_entries(np.tan(lat), rm, rn, h))
     for j in range(3):
         dv = np.zeros(3)
         dv[j] = 1e-3
@@ -93,7 +98,9 @@ def test_m3_fd():
     vn = np.array([25.0, -40.0, 3.0])
     rm, rn = earth.radii(lat)
     drm, drn = earth._radii_derivatives(np.sin(lat), np.cos(lat))
-    m3 = earth._m3_matrix(np.tan(lat), np.cos(lat), rm, rn, drm, drn, h, vn)
+    m3 = _matrix(
+        earth._m3_entries(np.tan(lat), np.cos(lat), rm, rn, drm, drn, h, vn)
+    )
 
     def omega_en(dr):
         # dr = NED position displacement
