@@ -508,7 +508,14 @@ def _truth(cfg):
     dt = cfg.imu_dt_s
     clean = gen.synthesize_imu(cfg.duration_s, dt)
     grid = np.arange(len(clean) + 1) * dt
-    return Truth(variant, noise, gen, clean, _traj_rows(grid, gen.states_ned(grid)))
+    ned = gen.states_ned(grid)
+    # kinematics that overflow (a circle of radius 1e-310 m) give NaN truth
+    bad = ~np.isfinite(np.column_stack([ned.c_bn.reshape(-1, 9), ned.v_n, ned.geo]))
+    bad[:-1, :6] |= ~np.isfinite(clean.values.reshape(-1, 6))
+    if bad.any():
+        t = float(grid[bad.any(axis=1).argmax()])
+        raise ConfigError(f"trajectory: the truth is not finite at t={t}")
+    return Truth(variant, noise, gen, clean, _traj_rows(grid, ned))
 
 
 @dataclass
@@ -731,8 +738,8 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     byte for byte.
     """
     _check_fix_sigma(cfg)
-    out = _make_dir(out_dir)
     truth = _truth(cfg)
+    out = _make_dir(out_dir)
     results = []
     for first in range(0, n_runs, LOCKSTEP_BLOCK):
         block = range(first, min(n_runs, first + LOCKSTEP_BLOCK))

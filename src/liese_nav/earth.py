@@ -14,7 +14,8 @@ their array one (``math.sin``, ``math.cos``, ``math.sqrt`` and float
 ``**``, which round as np.float64 scalars do), because a numpy call on one
 point costs more than the float arithmetic it wraps, about 5 ``radii``
 calls per NED step and 4 ``gravity_e`` plus 24 ``radii`` calls per ECEF
-step: ``radii`` and ``radii_array`` (of the sine), ``gravity_e`` and
+state and step (a stack's, one point at a time: ``_gravity_e_rows``):
+``radii`` and ``radii_array`` (of the sine), ``gravity_e`` and
 ``gravity_e_array``, the two loops of ``ecef_to_llh``, and the private
 formula helpers below, which the mechanization and the F blocks call.
 """
@@ -31,6 +32,11 @@ WGS84_A = 6378137.0
 WGS84_E2 = 6.69437999014e-3
 EARTH_RATE = 7.2921151467e-5
 WGS84_MU = 3.986004418e14
+
+# the earth rate in ECEF and its cross-product matrix, read-only
+W_IE_E = np.array([0.0, 0.0, EARTH_RATE])
+SK_W_IE_E = skew(W_IE_E)
+W_IE_E.flags.writeable = SK_W_IE_E.flags.writeable = False
 
 # Somigliana coefficients (normal gravity on the ellipsoid surface)
 GRAV_EQUATOR = 9.7803253359
@@ -69,7 +75,7 @@ def radii(lat):
 # caller that needs several of them at one point evaluates those once. The
 # vector helpers return float triples and the 3x3 terms their entries (see
 # below); the F blocks gather a stack of points' floats into one array
-# (``errormodels._ned_terms``), and _gravitation_n takes such stacks. The
+# (``errormodels._ned_terms``), and _gravitation takes such stacks. The
 # public functions are the same formulas as numpy bodies of a float or
 # arrays of points (see the module docstring); the curvature and gradient
 # terms that only the NED error models and the mechanization read
@@ -130,11 +136,11 @@ def position_vector_n(lat, h):
     )
 
 
-def _gravitation_n(w_ie, g_n, r_n):
-    """Gravitational acceleration (gravity plus centrifugal term) in NED, of
+def _gravitation(w_ie, g, r):
+    """Gravitational acceleration g + (w_ie x)(w_ie x) r, in NED or ECEF, of
     points given as (N, 3) rows, as the F blocks hold them."""
     sk_w = skew_stack(w_ie)
-    return g_n + matvec(sk_w @ sk_w, r_n)
+    return g + matvec(sk_w @ sk_w, r)
 
 
 def _earth_rate_n(s, c):
@@ -266,10 +272,6 @@ def dcm_ecef_to_ned(lat, lon):
     return np.array(rows).T.copy().reshape(s.shape + (3, 3))
 
 
-def earth_rate_e():
-    return np.array([0.0, 0.0, EARTH_RATE])
-
-
 def gravity_e(r):
     """Plumb-line gravity vector in ECEF, consistent with gravity_n.
 
@@ -284,10 +286,9 @@ def gravity_e(r):
     return dcm.reshape(3, 3).T @ np.array(_gravity_n(s**2, rm, rn, h))
 
 
-def gravitation_e(r):
-    """Gravitational acceleration in ECEF: g + (omega x)(omega x) r."""
-    omega = earth_rate_e()
-    return gravity_e(r) + skew(omega) @ skew(omega) @ np.asarray(r, dtype=float)
+def _gravity_e_rows(r):
+    """:func:`gravity_e` of one position, or of each row of an (N, 3) stack."""
+    return gravity_e(r) if r.ndim == 1 else np.array(list(map(gravity_e, r)))
 
 
 # ---------------------------------------------------------------------------

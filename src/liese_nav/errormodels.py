@@ -209,7 +209,7 @@ class EcefChart:
         """The group embedding of one state or of stacked states."""
         v = nav.v
         if aux:
-            v = v + cross(earth.earth_rate_e(), nav.r.T).T
+            v = v + cross(earth.W_IE_E, nav.r.T).T
         return GroupElement(*map(np.ascontiguousarray, (nav.c_be, v, nav.r)))
 
     def embed_pairs(self, true_nav, est_nav, aux):
@@ -221,7 +221,7 @@ class EcefChart:
         c_new = mech.orthonormalize(x_new.R)
         v = x_new.v
         if aux:
-            v = v - cross(earth.earth_rate_e(), x_new.p)
+            v = v - cross(earth.W_IE_E, x_new.p)
         return NavStateECEF(c_new, v.copy(), x_new.p.copy())
 
     def step(self, nav, sample, dt):
@@ -460,7 +460,7 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f):
     # RightTrue
     w_in = w_ie + w_en
     sk_w_in, sk_big_g, sk_w_en, sk_w_in_r = _skews(
-        w_in, earth._gravitation_n(w_ie, grav, r_n), w_en, cross(w_in.T, r_n.T).T
+        w_in, earth._gravitation(w_ie, grav, r_n), w_en, cross(w_in.T, r_n.T).T
     )
     _affine_blocks(f, -sk_w_in, sk_big_g)
     if not variant.mems_simplified:
@@ -482,7 +482,7 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f):
 
 def _ecef_blocks(variant, nom, gyro, accel, f):
     if not variant.is_right:
-        w_b = matvec(nom.c_be.swapaxes(-1, -2), mech._W_IE_E)
+        w_b = matvec(nom.c_be.swapaxes(-1, -2), earth.W_IE_E)
         sk_g, sk_a, sk_w = _skews(gyro, accel, w_b)
         f[:, PHI, PHI] = -sk_g
         f[:, RV, PHI] = -sk_a
@@ -491,8 +491,8 @@ def _ecef_blocks(variant, nom, gyro, accel, f):
         f[:, RR, RR] = sk_w - sk_g
         return None
     # each point's gravity in its own float code, as the mechanization has it
-    grav = np.array(list(map(earth.gravity_e, nom.r)))
-    sk_w = mech._SK_W_IE_E
+    grav = earth._gravity_e_rows(nom.r)
+    sk_w = earth.SK_W_IE_E
     sk_v, sk_r, sk_grav = _skews(nom.v, nom.r, grav)
     f[:, PHI, PHI] = -sk_w
     f[:, RV, PHI] = sk_v @ sk_w + sk_grav
@@ -508,10 +508,11 @@ def _ecef_inertial_blocks(variant, nom, gyro, accel, f):
         return None
     # RightEst (ECEF_Inertial) and RightTrue (ECEF_Aux) share these
     # blocks; only the input map's sign tells them apart
-    big_g = np.array(list(map(earth.gravitation_e, nom.r)))
-    v_i = nom.v + cross(mech._W_IE_E, nom.r.T).T
+    w_ie = np.broadcast_to(earth.W_IE_E, nom.r.shape)
+    big_g = earth._gravitation(w_ie, earth._gravity_e_rows(nom.r), nom.r)
+    v_i = nom.v + cross(earth.W_IE_E, nom.r.T).T
     sk_big_g, sk_v_i, sk_r = _skews(big_g, v_i, nom.r)
-    _affine_blocks(f, -mech._SK_W_IE_E, sk_big_g)
+    _affine_blocks(f, -earth.SK_W_IE_E, sk_big_g)
     return nom.c_be, sk_v_i, sk_r
 
 

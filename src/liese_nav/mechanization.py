@@ -151,20 +151,16 @@ def _ned_rates_stack(x, sk_gyro, accel):
     return out
 
 
-# the earth rate in ECEF and its cross-product matrix, read-only
-_W_IE_E = earth.earth_rate_e()
-_SK_W_IE_E = skew(_W_IE_E)
-_W_IE_E.flags.writeable = _SK_W_IE_E.flags.writeable = False
-
-
 def _ecef_rates(x, sk_gyro, accel):
-    """The derivative of a packed ECEF state, packed alike."""
+    """The derivative of a packed ECEF state, packed alike, or, as
+    :func:`_ned_rates_stack` has it, of an (N, 15) stack of them."""
     c_be, v, r = _fields(x)
-    out = np.empty(15)
-    np.subtract(c_be @ sk_gyro, _SK_W_IE_E @ c_be, out=out[:9].reshape(3, 3))
-    g = earth.gravity_e(r)
-    out[9:12] = c_be @ accel - 2.0 * cross(_W_IE_E, v) + g
-    out[12:] = v
+    out = np.empty(x.shape)
+    rot = out[..., :9].reshape(c_be.shape)
+    np.subtract(c_be @ sk_gyro, earth.SK_W_IE_E @ c_be, out=rot)
+    g = earth._gravity_e_rows(r)
+    out[..., 9:12] = matvec(c_be, accel) - 2.0 * cross(earth.W_IE_E, v.T).T + g
+    out[..., 12:] = v
     return out
 
 
@@ -191,15 +187,9 @@ def ned_step(state, imu, dt):
 
 
 def ecef_step(state, imu, dt):
-    """The ECEF state one RK4 step later; a stacked state (fields with a
-    leading axis of N members) with (N, 3) rates steps member by member."""
-    if state.c_be.ndim == 3:
-        members = []
-        for k, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
-            rates = functools.partial(_ecef_rates, sk_gyro=skew(gyro), accel=accel)
-            members.append(_rk4(state_at(state, k), dt, rates))
-        return stack_states(members)
-    sk_gyro, accel = skew(imu.gyro), imu.accel
+    """The ECEF state one RK4 step later, of one state or a stack, as
+    :func:`ned_step` steps them, through one :func:`_ecef_rates`."""
+    sk_gyro, accel = (skew_stack if state.c_be.ndim == 3 else skew)(imu.gyro), imu.accel
     return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 
 

@@ -143,7 +143,7 @@ class TruthGenerator:
         mechanization."""
         state, a_e, psi_dot = self._kinematics(times)
         c_eb = np.swapaxes(state.c_be, -1, -2)
-        w_ie = earth.earth_rate_e()
+        w_ie = earth.W_IE_E
         gyro = np.array([0.0, 0.0, psi_dot]) + matvec(c_eb, w_ie)
         g_e = earth.gravity_e_array(state.r.T).T
         accel = matvec(c_eb, a_e + 2.0 * np.cross(w_ie, state.v) - g_e)

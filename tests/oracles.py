@@ -37,9 +37,9 @@ from liese_nav.earth import (
     SOMIGLIANA_K,
     WGS84_A,
     WGS84_E2,
+    W_IE_E,
     check_latitude,
     dcm_ecef_to_ned,
-    earth_rate_e,
     ecef_to_llh,
 )
 from liese_nav.errormodels import BA, BG, PHI, RR, RV, WA, WBA, WBG, WG, error_dynamics
@@ -276,9 +276,9 @@ class FOracle:
             self.est0 = nominal.copy()
             if self.inertial:
                 self.est0.v = nominal.v + np.cross(
-                    earth.earth_rate_e(), nominal.r
+                    earth.W_IE_E, nominal.r
                 )
-                big_g0 = earth.gravitation_e(nominal.r)
+                big_g0 = ref_gravitation_e(nominal.r)
                 self._gfn = lambda r: big_g0
             else:
                 g0 = earth.gravity_e(nominal.r)
@@ -623,7 +623,7 @@ def ref_gravity_e(r):
 
 
 def ref_gravitation_e(r):
-    omega = earth_rate_e()
+    omega = W_IE_E
     return ref_gravity_e(r) + skew(omega) @ skew(omega) @ np.asarray(r, dtype=float)
 
 
@@ -641,7 +641,7 @@ def ref_ned_derivative(state, gyro, accel, gravity_fn=None):
 
 
 def ref_ecef_derivative(state, gyro, accel, convention="earth", gravity_fn=None):
-    w_ie = earth.earth_rate_e()
+    w_ie = earth.W_IE_E
     c_dot = state.c_be @ skew(gyro) - skew(w_ie) @ state.c_be
     if convention == "earth":
         g = (gravity_fn or ref_gravity_e)(state.r)
@@ -841,7 +841,7 @@ def ref_ecef_blocks(variant, nom, gyro, accel, f, g):
     c = nom.c_be
     v = nom.v
     r = nom.r
-    w_ie = earth.earth_rate_e()
+    w_ie = earth.W_IE_E
     if variant.error_def in ("LeftTrue", "LeftEst"):
         sign = 1.0 if variant.error_def == "LeftTrue" else -1.0
         w_ie_b = c.T @ w_ie
@@ -874,7 +874,7 @@ def ref_ecef_blocks(variant, nom, gyro, accel, f, g):
 
 def ref_ecef_inertial_blocks(variant, nom, gyro, accel, f, g):
     c = nom.c_be
-    w_ie = earth.earth_rate_e()
+    w_ie = earth.W_IE_E
     r = nom.r
     v_i = nom.v + np.cross(w_ie, r)
     if variant.error_def in ("LeftTrue", "LeftEst"):
@@ -999,7 +999,7 @@ class RefTruthGenerator:
         r_e = self.r0_e + self.c_n0_e @ p
         v_e = self.c_n0_e @ u
         a_e = self.c_n0_e @ a
-        w_ie = earth_rate_e()
+        w_ie = W_IE_E
         gyro = np.array([0.0, 0.0, psi_dot]) + c_be.T @ w_ie
         accel = c_be.T @ (a_e + 2.0 * cross(w_ie, v_e) - earth.gravity_e(r_e))
         return gyro, accel
@@ -1131,7 +1131,7 @@ def ref_embed(variant, nav):
         return GroupElement(nav.c_bn.copy(), v, rho)
     v = nav.v.copy()
     if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v + cross(earth.earth_rate_e(), nav.r)
+        v = v + cross(earth.W_IE_E, nav.r)
     return GroupElement(nav.c_be.copy(), v, nav.r.copy())
 
 
@@ -1189,7 +1189,7 @@ def ref_apply_correction(variant, nav, bias, dx):
         return mech.NavStateNED(c_new, v.copy(), geo), new_bias
     v = x_new.v
     if variant.frame in ("ECEF_Inertial", "ECEF_Aux"):
-        v = v - cross(earth.earth_rate_e(), x_new.p)
+        v = v - cross(earth.W_IE_E, x_new.p)
     return NavStateECEF(c_new, v.copy(), x_new.p.copy()), new_bias
 
 
@@ -1314,13 +1314,13 @@ def ref_group_affine_dynamics(variant, nominal, gyro, accel):
     else:
         v = nominal.v
         r = nominal.r
-        w_ie = earth.earth_rate_e()
+        w_ie = earth.W_IE_E
         w2[:3, :3] = -skew(w_ie)
         if variant.frame == "ECEF":
             w2[:3, 3] = earth.gravity_e(r) - cross(w_ie, v)
             w2[:3, 4] = v + cross(w_ie, r)
         else:
-            w2[:3, 3] = earth.gravitation_e(r)
+            w2[:3, 3] = ref_gravitation_e(r)
             w2[:3, 4] = v + cross(w_ie, r)
     return w1, w2
 

@@ -119,7 +119,7 @@ def _nav_of(oracle, state):
     if oracle.kind == "ecef":
         v = state.v.copy()
         if oracle.inertial:
-            v = v - np.cross(earth.earth_rate_e(), state.r)
+            v = v - np.cross(earth.W_IE_E, state.r)
         return NavStateECEF(state.c_be, v, state.r)
     lat, _, h = state.geo
     v = state.vel.copy()

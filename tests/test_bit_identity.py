@@ -79,7 +79,14 @@ def test_cross_matches_numpy():
 def _gravitation_n(lat, h):
     """The library's private gravitation term at (lat, h), as a stack of one."""
     w_ie, r_n = earth.earth_rate_n(lat), earth.position_vector_n(lat, h)
-    return earth._gravitation_n(w_ie[None], earth.gravity_n(lat, h)[None], r_n[None])[0]
+    return earth._gravitation(w_ie[None], earth.gravity_n(lat, h)[None], r_n[None])[0]
+
+
+def _gravitation_e(r):
+    """The library's private gravitation term at an ECEF position, as the
+    ECEF_Inertial blocks build it, as a stack of one."""
+    r = r[None]
+    return earth._gravitation(earth.W_IE_E[None], earth._gravity_e_rows(r), r)[0]
 
 
 def _matrix(entries):
@@ -128,7 +135,7 @@ def test_earth_formulas_match_reference(lat, h):
     r = earth.llh_to_ecef(lat, 0.3, h)
     pairs += [
         (earth.gravity_e(r), oracles.ref_gravity_e(r)),
-        (earth.gravitation_e(r), oracles.ref_gravitation_e(r)),
+        (_gravitation_e(r), oracles.ref_gravitation_e(r)),
     ]
     for k, (new, ref) in enumerate(pairs):
         assert np.array_equal(new, ref), f"formula {k}"
@@ -346,6 +353,32 @@ def test_ecef_step_matches_reference_on_random_nominals(case):
     new = mech.ecef_step(state, imu, DT)
     ref = oracles.ref_ecef_step(state, imu, DT)
     assert_equal_fields(vars(new).values(), vars(ref).values(), "step")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cases=st.lists(ned_nominals(), min_size=2, max_size=6),
+    dt=st.sampled_from([0.005, 0.01, 0.02]),
+    data=st.data(),
+)
+def test_stacked_steps_equal_single_steps_on_random_nominals(cases, dt, data):
+    # each member of one stacked ned_step or ecef_step equals its single
+    # step in every bit, signed zeros included; the ECEF members take some
+    # positions from the geodetic conversion's sign and branch edges
+    navs, gyro, accel = zip(*cases)
+    ecef = [oracles.ned_to_ecef_state(nav) for nav in navs]
+    positions = st.none() | st.sampled_from(_ecef_edges())
+    for nav in ecef:
+        edge = data.draw(positions)
+        if edge is not None:
+            nav.r = edge.copy()
+    imu = mech.ImuSample(0.0, np.array(gyro), np.array(accel))
+    for step, members in ((mech.ned_step, navs), (mech.ecef_step, ecef)):
+        stacked = step(mech.stack_states(members), imu, dt)
+        for k, nav in enumerate(members):
+            single = step(nav, mech.ImuSample(0.0, gyro[k], accel[k]), dt)
+            for name, x in vars(single).items():
+                assert same_bits(getattr(stacked, name)[k], x), (step, k, name)
 
 
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
@@ -714,8 +747,8 @@ def test_stacked_predict_matches_member_predicts(path, monkeypatch):
 
 @pytest.mark.parametrize("path", SVD_PATHS)
 def test_stacked_ecef_predict_matches_member_predicts(path, monkeypatch):
-    # ecef_step's member-by-member stack, and F and G Qc G' built point by
-    # point for a right error
+    # the stacked ECEF step, and a right error's F and G Qc G' on the
+    # stack, each point's gravity from its own gravity_e call
     _stacked_predicts(Variant("ECEF", "RightEst"), monkeypatch, path)
 
 

@@ -538,6 +538,34 @@ def test_simulate_matches_run_sensor_files(tmp_path):
         assert (sim / name).read_bytes() == (run / name).read_bytes(), name
 
 
+NON_FINITE_TRUTH = {
+    # speed / radius overflows the yaw rate
+    "circle": dict(BASE_CONFIG["trajectory"], radius_m=1.0e-310),
+    # 2 pi / period overflows the figure-eight's angular rate
+    "figure-eight": {
+        "kind": "figure_eight", "origin_lat_rad": 0.7, "origin_lon_rad": -1.2,
+        "origin_h_m": 300.0, "period_s": 1.0e-310,
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("trajectory", sorted(NON_FINITE_TRUTH))
+@pytest.mark.parametrize(
+    "args", [["run"], ["run", "--monte-carlo", "2"], ["simulate"]], ids=" ".join
+)
+def test_trajectory_whose_truth_is_not_finite_exits_2(tmp_path, trajectory, args):
+    # valid numbers whose kinematics overflow: simulate wrote streams of NaN
+    # with exit 0, and run blamed the sensor stream (or stopped with exit
+    # 1); both now reject the trajectory, naming the time, and write nothing
+    cfg = write_config(tmp_path, {"trajectory": NON_FINITE_TRUTH[trajectory]})
+    out = tmp_path / "o"
+    res = invoke(args[0], "--config", str(cfg), "--out", str(out), *args[1:])
+    assert res.exit_code == 2, res.output
+    assert "error: trajectory: the truth is not finite at t=0.0" in res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "simulate"])
 def test_gnss_period_off_imu_grid_exits_2(tmp_path, command):
     # [TRIVIAL: validation] a fix between two IMU epochs cannot be applied

@@ -153,7 +153,9 @@ def test_gravitation_relation():
     # [DERIVED] G = g + (omega x)^2 r in both frames
     lat, lon, h = 0.3, 0.4, 10.0
     r_e = earth.llh_to_ecef(lat, lon, h)
-    big_g_e = earth.gravitation_e(r_e)
+    big_g_e = earth._gravitation(
+        earth.W_IE_E[None], earth.gravity_e(r_e)[None], r_e[None]
+    )[0]
     big_g_n = ref_gravitation_n(lat, h)
     assert np.allclose(
         earth.dcm_ecef_to_ned(lat, lon) @ big_g_e, big_g_n, atol=1e-10

@@ -84,7 +84,7 @@ def test_cross_convention_consistency():
     samples = gen.synthesize_imu(10.0, dt)
     s0 = gen.state_ecef(0.0)
     out_earth = propagate_ecef(s0.copy(), samples, dt)
-    w_ie = earth.earth_rate_e()
+    w_ie = earth.W_IE_E
     s0_in = mech.NavStateECEF(s0.c_be.copy(), s0.v + np.cross(w_ie, s0.r), s0.r.copy())
     inertial = lambda s, imu, dt: oracles.ref_ecef_step(s, imu, dt, convention="inertial")
     out_in = propagate_ecef(s0_in, samples, dt, step=inertial)

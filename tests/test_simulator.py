@@ -52,7 +52,7 @@ def test_stationary_imu_is_earth_rate_and_reaction():
     gen = TruthGenerator(TrajectorySpec("stationary", ORIGIN, heading0=0.9))
     gyro, accel = imu_instantaneous(gen, 5.0)
     s = gen.state_ecef(5.0)
-    assert np.max(np.abs(gyro - s.c_be.T @ earth.earth_rate_e())) <= 1e-15
+    assert np.max(np.abs(gyro - s.c_be.T @ earth.W_IE_E)) <= 1e-15
     assert np.max(np.abs(accel + s.c_be.T @ earth.gravity_e(s.r))) <= 1e-12
 
 
