@@ -33,7 +33,7 @@ from liese_nav.errors import (
     ConfigError, Divergence, IncompatibleMode, IoError, LieseNavError, NotPSD,
 )
 from liese_nav.liegroup import matvec, so3_log
-from liese_nav.mechanization import Rows, stack_states, state_at
+from liese_nav.mechanization import stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
@@ -385,7 +385,7 @@ def _traj_row(row):
 def _traj_rows(times, ned):
     """CSV rows of a stacked NED trajectory; one batched quaternion pass.
 
-    Rows convert to Python floats one at a time, so that the whole table
+    The table's rows convert to Python floats one at a time, so that it
     never exists as Python objects at once.
     """
     q = dcm_to_quaternion(ned.c_bn)
@@ -498,7 +498,7 @@ class Truth:
     variant: Variant
     noise: ImuNoiseParams
     gen: TruthGenerator
-    clean: Rows  # noise-free IMU stream
+    clean: np.ndarray  # noise-free IMU stream, (n, 2, 3) (gyro, accel)
     truth_rows: list  # truth.csv rows at every IMU epoch and the end
 
 
@@ -506,12 +506,14 @@ def _truth(cfg):
     spec, variant, noise = build_scenario(cfg)
     gen = TruthGenerator(spec)
     dt = cfg.imu_dt_s
-    clean = gen.synthesize_imu(cfg.duration_s, dt)
-    grid = np.arange(len(clean) + 1) * dt
-    ned = gen.states_ned(grid)
-    # kinematics that overflow (a circle of radius 1e-310 m) give NaN truth
+    # kinematics that overflow (a circle of radius 1e-310 m) give NaN truth;
+    # the check below rejects every value numpy would warn about on the way
+    with np.errstate(all="ignore"):
+        clean = gen.synthesize_imu(cfg.duration_s, dt)
+        grid = np.arange(len(clean) + 1) * dt
+        ned = gen.states_ned(grid)
     bad = ~np.isfinite(np.column_stack([ned.c_bn.reshape(-1, 9), ned.v_n, ned.geo]))
-    bad[:-1, :6] |= ~np.isfinite(clean.values.reshape(-1, 6))
+    bad[:-1, :6] |= ~np.isfinite(clean.reshape(-1, 6))
     if bad.any():
         t = float(grid[bad.any(axis=1).argmax()])
         raise ConfigError(f"trajectory: the truth is not finite at t={t}")
@@ -523,8 +525,8 @@ class Simulation(Truth):
     """Truth and sensor streams of one scenario."""
 
     rng: "np.random.Generator"  # positioned after the sensor draws
-    biases: Rows  # true bias at each IMU epoch
-    imu: Rows  # corrupted IMU stream
+    biases: np.ndarray  # true (gyro, accel) bias at each IMU epoch, (n, 2, 3)
+    imu: np.ndarray  # corrupted IMU stream, (n, 2, 3)
     fixes: list  # filter.GnssFix of the antenna positions
 
 
@@ -551,9 +553,11 @@ def _simulate(cfg, truth=None):
     return Simulation(**vars(truth), rng=rng, biases=biases, imu=imu, fixes=fixes)
 
 
-def _write_streams(out, sim):
+def _write_streams(out, sim, dt):
+    """truth.csv, imu.csv (sample k at k * dt) and gnss.csv of a simulation."""
     write_csv(out / "truth.csv", TRAJ_HEADER, sim.truth_rows)
-    imu = np.column_stack([sim.imu.times, sim.imu.values.reshape(len(sim.imu), 6)])
+    n = len(sim.imu)
+    imu = np.column_stack([np.arange(n) * dt, sim.imu.reshape(n, 6)])
     write_csv(out / "imu.csv", IMU_HEADER, [_fmt(row.tolist()) for row in imu])
     write_csv(
         out / "gnss.csv",
@@ -592,7 +596,7 @@ def run_scenario(cfg, out_dir, forward=None):
     smoothed = smo.rts_smooth(variant, records)
 
     out = _make_dir(out_dir)
-    _write_streams(out, sim)
+    _write_streams(out, sim, dt)
 
     # each track converts to NED once, for its CSV and for the metrics
     filtered_ned = variant.chart.as_ned(stack_states([r.nav for r in records]))
@@ -691,7 +695,7 @@ def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log
     truth_n = variant.chart.as_ned(truth)
     # the true bias of the IMU interval that ends at each epoch
     steps = np.rint(np.array(times) / dt).astype(int) - 1
-    true_bias = biases.values[np.clip(steps, 0, len(biases) - 1)]
+    true_bias = biases[np.clip(steps, 0, len(biases) - 1)]
     dx = np.empty((len(records), 15))
     # one stacked error per block of epochs, which bounds the stacks' memory
     for start in range(0, len(records), smo.BLOCK):
@@ -764,7 +768,7 @@ def run_monte_carlo(cfg, out_dir, n_runs):
 def simulate_only(cfg, out_dir):
     """Write truth and sensor streams without running the filter."""
     sim = _simulate(cfg)
-    _write_streams(_make_dir(out_dir), sim)
+    _write_streams(_make_dir(out_dir), sim, cfg.imu_dt_s)
 
 
 def _read_pair(dir_a, dir_b, name, header):

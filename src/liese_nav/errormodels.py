@@ -176,8 +176,8 @@ class NedChart:
             v = v - cross(earth.earth_rate_n(geo[0]), rho)
         return NavStateNED(c_new, v.copy(), geo)
 
-    def step(self, nav, sample, dt):
-        nav = mech.ned_step(nav, sample, dt)
+    def step(self, nav, gyro, accel, dt):
+        nav = mech.ned_step(nav, gyro, accel, dt)
         nav.c_bn = mech.orthonormalize(nav.c_bn)
         return nav
 
@@ -224,8 +224,8 @@ class EcefChart:
             v = v - cross(earth.W_IE_E, x_new.p)
         return NavStateECEF(c_new, v.copy(), x_new.p.copy())
 
-    def step(self, nav, sample, dt):
-        nav = mech.ecef_step(nav, sample, dt)
+    def step(self, nav, gyro, accel, dt):
+        nav = mech.ecef_step(nav, gyro, accel, dt)
         nav.c_be = mech.orthonormalize(nav.c_be)
         return nav
 

@@ -32,7 +32,7 @@ from liese_nav.errormodels import (
 )
 from liese_nav.errors import IncompatibleMode
 from liese_nav.liegroup import exp_se23, log_se23
-from liese_nav.mechanization import ImuSample, stack_states, state_at
+from liese_nav.mechanization import stack_states, state_at
 from liese_nav.sensors import BiasState
 
 MODES = ("se23", "invariant")
@@ -212,17 +212,17 @@ def discretize(f, gq, dt):
 
 
 def predict(fs, imu, run, phi_acc=_I15):
-    """Advance nominal and covariance over a leg: ``imu`` is a
-    ``mechanization.Rows`` of one or more IMU epochs, and ``run`` holds the
-    run's constants (:class:`RunConstants`).
+    """Advance nominal and covariance over a leg: ``imu`` holds the raw
+    (gyro, accel) rates of one or more IMU epochs as a (T, 2, 3) array, and
+    ``run`` holds the run's constants (:class:`RunConstants`).
 
     Returns ``(FilterState, Phi_acc)``: the state after the leg and the
     leg's transition matrices multiplied onto ``phi_acc``, step by step, so
     the forward pass can accumulate them between updates for smoothing. A
     leg of T steps equals T legs of one bit for bit. A stacked state (nav,
-    bias and P with a leading axis of N members) and an IMU stream with
-    (N, 3) rates advance as one stack, each member equal to its single
-    predict bit for bit.
+    bias and P with a leading axis of N members) and a (T, 2, N, 3) leg
+    advance as one stack, each member equal to its single predict bit for
+    bit.
 
     Three passes: the nominal is stepped first, sample by sample; then the
     linearizations at the pre-step nominals are built and discretized for
@@ -235,12 +235,12 @@ def predict(fs, imu, run, phi_acc=_I15):
     step = variant.chart.step
     nav, b_g, b_a, t = fs.nav, fs.bias.gyro, fs.bias.accel, fs.t
     navs, rates = [], []
-    for t_k, (raw_g, raw_a) in zip(imu.times, imu.values):
+    for raw_g, raw_a in imu:
         gyro, accel = raw_g - b_g, raw_a - b_a
         navs.append(nav)
         rates.append((gyro, accel))
         # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-        nav = step(nav, ImuSample(t_k, gyro, accel), dt)
+        nav = step(nav, gyro, accel, dt)
         b_g, b_a = run.decay_g * b_g, run.decay_a * b_a
         t = t + dt
     phi, qd = discretize(*_linearize(variant, navs, rates, run), dt)

@@ -187,9 +187,7 @@ def _jinv_closed(a, sin_a, cos_a):
 def _left_jacobian_inv_stack(phi):
     # (N,1,3) @ (N,3,1) is the dot product a single call's norm takes
     angle = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
-    x, y, z = phi.T
-    zero = np.zeros_like(x)
-    px = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(-1, 3, 3)
+    px = skew_stack(phi)
     small = angle < SMALL_ANGLE
     c = np.empty_like(angle)
     c[small] = _jinv_series(angle[small] * angle[small])

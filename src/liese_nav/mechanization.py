@@ -19,35 +19,6 @@ from liese_nav.liegroup import cross, matvec, skew, skew_stack
 
 
 @dataclass
-class ImuSample:
-    t: float
-    gyro: np.ndarray  # omega_ib^b, rad/s
-    accel: np.ndarray  # f_ib^b, m/s^2
-
-
-class Rows:
-    """A stream of ``kind`` objects over one array whose first axis is the
-    index: item k is ``kind(times[k], *values[k])``, or ``kind(*values[k])``
-    without times. An IMU stream holds (n, 2, 3) rates (gyro, accel), or
-    (n, 2, N, 3) for N members, and Python-float times; a bias track holds
-    (n, 2, 3). Items are built on demand and their fields are views, so a
-    write to one reaches the array; a slice is the stream of its rows."""
-
-    def __init__(self, kind, values, times=None):
-        self.kind, self.values, self.times = kind, values, times
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            times = None if self.times is None else self.times[k]
-            return Rows(self.kind, self.values[k], times)
-        head = () if self.times is None else (self.times[k],)
-        return self.kind(*head, *self.values[k])
-
-
-@dataclass
 class NavStateNED:
     c_bn: np.ndarray  # body-to-NED rotation
     v_n: np.ndarray  # v_eb^n
@@ -175,21 +146,22 @@ def _rk4(state, dt, deriv):
     return type(state)(*_fields(x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)))
 
 
-def ned_step(state, imu, dt):
-    """The NED state one RK4 step later. A stacked state (fields with a
-    leading axis of N members) with (N, 3) IMU rates steps as one stack,
-    each member equal to its single step bit for bit."""
+def ned_step(state, gyro, accel, dt):
+    """The NED state one RK4 step later under the rates ``gyro`` (omega_ib^b,
+    rad/s) and ``accel`` (f_ib^b, m/s^2). A stacked state (fields with a
+    leading axis of N members) with (N, 3) rates steps as one stack, each
+    member equal to its single step bit for bit."""
     if state.c_bn.ndim == 3:
-        sk_gyro, accel = skew_stack(imu.gyro), imu.accel
+        sk_gyro = skew_stack(gyro)
         return _rk4(state, dt, lambda x: _ned_rates_stack(x, sk_gyro, accel))
-    sk_gyro, accel = skew(imu.gyro), imu.accel
+    sk_gyro = skew(gyro)
     return _rk4(state, dt, lambda x: _ned_rates(x, sk_gyro, accel))
 
 
-def ecef_step(state, imu, dt):
+def ecef_step(state, gyro, accel, dt):
     """The ECEF state one RK4 step later, of one state or a stack, as
     :func:`ned_step` steps them, through one :func:`_ecef_rates`."""
-    sk_gyro, accel = (skew_stack if state.c_be.ndim == 3 else skew)(imu.gyro), imu.accel
+    sk_gyro = (skew_stack if state.c_be.ndim == 3 else skew)(gyro)
     return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from liese_nav.mechanization import ImuSample, Rows
-
 
 @dataclass
 class ImuNoiseParams:
@@ -57,7 +55,7 @@ def discretize_bias(tau, sigma_b, dt):
 
 def simulate_biases(params, n_steps, dt, rng, initial=None):
     """Sample a bias trajectory with the exact discrete transition; returns
-    a ``Rows`` of ``BiasState`` over one (n_steps, 2, 3) array.
+    one (n_steps, 2, 3) array of the (gyro, accel) bias at each step.
 
     The driving noise of all steps is drawn in one call, in the order of
     one gyro and one accel triple per step; the recursion runs step by step.
@@ -74,12 +72,12 @@ def simulate_biases(params, n_steps, dt, rng, initial=None):
     for k in range(n_steps):
         out[k] = b
         b = phi * b + drive[k]
-    return Rows(BiasState, out)
+    return out
 
 
 def corrupt(samples, biases, params, dt, rng):
-    """Apply bias and white noise to a clean IMU stream; ``samples`` and
-    ``biases`` are ``Rows`` over (n, 2, 3) arrays, and so is the result."""
+    """Apply bias and white noise to a clean IMU stream: ``samples``,
+    ``biases`` and the result are (n, 2, 3) arrays of (gyro, accel)."""
     scale = np.array([[params.sigma_g], [params.sigma_a]]) / np.sqrt(dt)
     noise = scale * rng.standard_normal((len(samples), 2, 3))
-    return Rows(ImuSample, samples.values + biases.values + noise, samples.times)
+    return samples + biases + noise

@@ -16,10 +16,8 @@ from liese_nav.errors import ConfigError, NonMonotoneTime
 from liese_nav.filter import GnssFix
 from liese_nav.liegroup import matvec
 from liese_nav.mechanization import (
-    ImuSample,
     NavStateECEF,
     NavStateNED,
-    Rows,
     ecef_to_ned_state,
     state_at,
 )
@@ -152,15 +150,14 @@ class TruthGenerator:
     # -- sensor streams ----------------------------------------------------
 
     def synthesize_imu(self, duration, dt):
-        """Noise-free IMU stream, a ``Rows`` of ``ImuSample`` over one
-        (n, 2, 3) array; sample k is valid over [k*dt, (k+1)*dt).
+        """Noise-free IMU stream, one (n, 2, 3) array of (gyro, accel);
+        sample k is valid over [k*dt, (k+1)*dt).
 
         Rates are evaluated at the interval midpoint, which keeps the
         piecewise-constant representation second-order accurate.
         """
         t = np.arange(int(round(duration / dt))) * dt
-        rates = np.stack(self.imu_at(t + 0.5 * dt), axis=1)
-        return Rows(ImuSample, rates, t.tolist())
+        return np.stack(self.imu_at(t + 0.5 * dt), axis=1)
 
     def sample_gnss(self, times, lever_arm_b, sigma_pos, rng):
         """GnssFix of each antenna position in ECEF with isotropic white noise."""

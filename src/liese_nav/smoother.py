@@ -14,7 +14,6 @@ import numpy as np
 from liese_nav import filter as flt
 from liese_nav.errors import Divergence, NonFiniteInput, SingularPredCov
 from liese_nav.filter import _I15, apply_correction, error_state
-from liese_nav.mechanization import ImuSample, Rows
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
 
@@ -38,21 +37,14 @@ class ForwardRecord:
     bias_pred: BiasState = None
 
 
-@dataclass
-class SmoothedEpoch:
-    t: float
-    nav: object
-    bias: BiasState
-    p: np.ndarray
-
-
 def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
     """Filter N members in lockstep from their start FilterStates
-    ``starts``, IMU streams ``imus`` (``mechanization.Rows``) and GNSS fix
-    lists ``fix_lists``, all at the same times, updating each member with
-    its fix after the first IMU step k at which ``t0 + k * dt`` reaches the
-    fix's time (the states' own times sum ``dt`` step by step, and drift
-    from that on a long run or a large start time). Returns (records, nis),
+    ``starts``, IMU streams ``imus`` ((n, 2, 3) arrays of (gyro, accel),
+    sample k at ``t0 + k * dt``, t0 the start time) and GNSS fix lists
+    ``fix_lists``, all at the same times, updating each member with its fix
+    after the first IMU step k at which ``t0 + k * dt`` reaches the fix's
+    time (the states' own times sum ``dt`` step by step, and drift from
+    that on a long run or a large start time). Returns (records, nis),
     one list per member, each equal to the member's own run bit for bit: a
     ForwardRecord per update, the last one (or, with no fix, the last
     prediction) final, and one {"t", "value"} NIS entry per update.
@@ -64,23 +56,23 @@ def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
     ``filter.predict`` per chunk of at most ``BLOCK`` rows, and each leg
     equals its step-by-step prediction bit for bit.
 
-    Raises NonFiniteInput, naming the sample time, if any IMU sample or fix
-    position holds a NaN or an infinity, and Divergence, naming the variant
-    and the time of the last state the pass reached, if the filter's states
-    leave the finite numbers (a ``numpy.linalg.LinAlgError`` in a predict or
-    an update, an ``OverflowError`` from a float power in the earth terms,
-    or a latitude that is no latitude).
+    Raises NonFiniteInput, naming the sample time (``t0 + k * dt`` for IMU
+    sample k), if any IMU sample or fix position holds a NaN or an
+    infinity, and Divergence, naming the variant and the time of the last
+    state the pass reached, if the filter's states leave the finite numbers
+    (a ``numpy.linalg.LinAlgError`` in a predict or an update, an
+    ``OverflowError`` from a float power in the earth terms, or a latitude
+    that is no latitude).
     """
     fs, lanes = flt.FilterState.stack(starts), len(starts)
-    values = np.stack([s.values for s in imus], axis=2)  # (n, 2, N, 3)
-    imu = Rows(ImuSample, values[:, :, 0] if lanes == 1 else values, imus[0].times)
+    imu = imus[0] if lanes == 1 else np.stack(imus, axis=2)  # (n, 2, N, 3)
     groups = list(zip(*fix_lists))
-    _check_finite(imu, groups)
+    t0, start = fs.t, 0
+    _check_finite(imu, groups, t0, dt)
     run = flt.RunConstants(fs.variant, noise or ImuNoiseParams(), dt)
     chunk = max(1, BLOCK // lanes)  # steps per predict: stacks of <= BLOCK rows
     records, nis = [[] for _ in range(lanes)], [[] for _ in range(lanes)]
     pending = [None] * lanes  # last post-update states awaiting their leg
-    t0, start = fs.t, 0
     try:
         for group in groups:
             # the IMU step at which the group is due; fs.t sums dt
@@ -125,12 +117,14 @@ def _leg(fs, imu, start, stop, run, chunk):
     return fs, phi_acc
 
 
-def _check_finite(imu, groups):
+def _check_finite(imu, groups, t0, dt):
     """Raise NonFiniteInput at the first IMU sample, then at the first fix
-    position, that holds a NaN or an infinity; one isfinite per stream."""
-    bad = np.argwhere(~np.isfinite(imu.values))
+    position, that holds a NaN or an infinity; one isfinite per stream.
+    Sample k is named by its time t0 + k * dt."""
+    bad = np.argwhere(~np.isfinite(imu))
     if bad.size:
-        raise NonFiniteInput(f"non-finite IMU sample at t={imu.times[bad[0, 0]]}")
+        t = t0 + int(bad[0, 0]) * dt
+        raise NonFiniteInput(f"non-finite IMU sample at t={t}")
     pos = np.array([[fix.pos for fix in group] for group in groups], float)
     bad = np.argwhere(~np.isfinite(pos))
     if bad.size:
@@ -180,11 +174,16 @@ def _gains(records):
 
 
 def rts_smooth(variant, records):
-    """Backward RTS pass; returns a list of SmoothedEpoch, oldest first."""
+    """Backward RTS pass; returns a list of smoothed ``filter.FilterState``,
+    oldest first."""
     if not records:
         return []
     last = records[-1]
-    out = [SmoothedEpoch(last.t, last.nav.copy(), last.bias.copy(), last.p_post.copy())]
+    out = [
+        flt.FilterState(
+            variant, last.nav.copy(), last.bias.copy(), last.p_post.copy(), last.t
+        )
+    ]
     for rec, c in zip(reversed(records[:-1]), _gains(records)):
         nxt = out[-1]
         dx_next = error_state(
@@ -194,6 +193,6 @@ def rts_smooth(variant, records):
         nav, bias = apply_correction(variant, rec.nav, rec.bias, dx)
         p = rec.p_post + c @ (nxt.p - rec.p_pred) @ c.T
         p = 0.5 * (p + p.T)
-        out.append(SmoothedEpoch(rec.t, nav, bias, p))
+        out.append(flt.FilterState(variant, nav, bias, p, rec.t))
     out.reverse()
     return out

@@ -48,7 +48,7 @@ from liese_nav.liegroup import (
     NEAR_PI_MARGIN, SMALL_ANGLE, GroupElement, _exp_coeffs, _norm, cross, exp_se23,
     log_se23, skew,
 )
-from liese_nav.mechanization import ImuSample, NavStateECEF, state_at
+from liese_nav.mechanization import NavStateECEF, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams, discretize_bias
 
 TAU = 0.1  # half-width of the central time difference, seconds
@@ -111,10 +111,31 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+@dataclass
+class ImuSample:
+    """One IMU sample, as the reference copies below take it; the library
+    takes the rates as arrays."""
+
+    t: float
+    gyro: np.ndarray  # omega_ib^b, rad/s
+    accel: np.ndarray  # f_ib^b, m/s^2
+
+
+def imu_samples(rates, dt, t0=0.0):
+    """The ImuSamples of an (n, 2, 3) IMU stream, sample k at t0 + k * dt;
+    their rates are views of the array."""
+    return [ImuSample(t0 + k * dt, g, a) for k, (g, a) in enumerate(rates)]
+
+
+def bias_states(track):
+    """The BiasStates of an (n, 2, 3) bias track, as views of the array."""
+    return [BiasState(g, a) for g, a in track]
+
+
 def one_row(sample):
     """The IMU stream of one sample, as ``filter.predict`` takes a leg; (N, 3)
     rates give a one-row stream of N members."""
-    return mech.Rows(ImuSample, np.array([[sample.gyro, sample.accel]]), [sample.t])
+    return np.array([[sample.gyro, sample.accel]])
 
 
 # ---------------------------------------------------------------------------
@@ -1201,12 +1222,11 @@ def ref_predict(fs, imu, dt, noise=None):
         fs.variant, fs.nav, gyro, accel, tau_g=noise.tau_g, tau_a=noise.tau_a
     )
     phi, qd = ref_discretize(f, g, ref_q_diag(noise), dt)
-    sample = ImuSample(imu.t, gyro, accel)
     if fs.variant.frame in ("NED", "NED_Aux"):
-        nav = mech.ned_step(fs.nav, sample, dt)
+        nav = mech.ned_step(fs.nav, gyro, accel, dt)
         nav.c_bn = mech.orthonormalize(nav.c_bn)
     else:
-        nav = mech.ecef_step(fs.nav, sample, dt)
+        nav = mech.ecef_step(fs.nav, gyro, accel, dt)
         nav.c_be = mech.orthonormalize(nav.c_be)
     phi_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
     phi_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
@@ -1481,7 +1501,11 @@ def ref_rts_smooth(variant, records):
     if not records:
         return []
     last = records[-1]
-    out = [smo.SmoothedEpoch(last.t, last.nav.copy(), last.bias.copy(), last.p_post.copy())]
+    out = [
+        flt.FilterState(
+            variant, last.nav.copy(), last.bias.copy(), last.p_post.copy(), last.t
+        )
+    ]
     for rec in reversed(records[:-1]):
         nxt = out[-1]
         p_pred = rec.p_pred + 1e-12 * np.eye(15)
@@ -1502,7 +1526,7 @@ def ref_rts_smooth(variant, records):
         nav, bias = ref_apply_correction(variant, rec.nav, rec.bias, dx)
         p = rec.p_post + c @ (nxt.p - rec.p_pred) @ c.T
         p = 0.5 * (p + p.T)
-        out.append(smo.SmoothedEpoch(rec.t, nav, bias, p))
+        out.append(flt.FilterState(variant, nav, bias, p, rec.t))
     out.reverse()
     return out
 

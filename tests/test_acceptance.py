@@ -314,7 +314,8 @@ def test_criterion_7_and_8_monte_carlo_consistency_and_smoother_dominance():
                 # criterion 7: NEES of the full error state against the truth
                 idx = min(n - 1, max(0, int(round(rec.t / dt)) - 1))
                 dx = flt.error_state(
-                    variant, truth_ned[rec.t], biases[idx], rec.nav, rec.bias,
+                    variant, truth_ned[rec.t], BiasState(*biases[idx]), rec.nav,
+                    rec.bias,
                 )
                 if rec.t >= duration - 30.0:
                     tail_nees.append(float(dx @ np.linalg.solve(rec.p_post, dx)))

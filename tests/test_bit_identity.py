@@ -65,7 +65,7 @@ def assert_states_equal(a, b, label):
 def circle():
     spec = TrajectorySpec("circle", ORIGIN, speed=15.0, radius=250.0, heading0=0.4)
     gen = TruthGenerator(spec)
-    return gen, gen.synthesize_imu(DURATION, DT)
+    return gen, oracles.imu_samples(gen.synthesize_imu(DURATION, DT), DT)
 
 
 def test_cross_matches_numpy():
@@ -160,7 +160,7 @@ def test_ned_step_matches_reference(circle, dt):
         d = lib_derivative(mech._ned_rates, new, s.gyro, s.accel)
         d0 = oracles.ref_ned_derivative(ref, s.gyro, s.accel)
         assert all(map(np.array_equal, d, d0)), f"derivative {k}"
-        new = mech.ned_step(new, s, dt)
+        new = mech.ned_step(new, s.gyro, s.accel, dt)
         ref = oracles.ref_ned_step(ref, s, dt)
         assert_states_equal(new, ref, f"step {k}")
         new.c_bn = mech.orthonormalize(new.c_bn)
@@ -176,7 +176,7 @@ def test_ecef_step_matches_reference(circle, dt):
         d = lib_derivative(mech._ecef_rates, new, s.gyro, s.accel)
         d0 = oracles.ref_ecef_derivative(ref, s.gyro, s.accel)
         assert all(map(np.array_equal, d, d0)), f"derivative {k}"
-        new = mech.ecef_step(new, s, dt)
+        new = mech.ecef_step(new, s.gyro, s.accel, dt)
         ref = oracles.ref_ecef_step(ref, s, dt)
         assert_states_equal(new, ref, f"step {k}")
         new.c_be = mech.orthonormalize(new.c_be)
@@ -335,9 +335,8 @@ def test_ned_step_matches_reference_on_random_nominals(case, dt):
     d = lib_derivative(mech._ned_rates, nav, gyro, accel)
     d0 = oracles.ref_ned_derivative(nav, gyro, accel)
     assert_equal_fields(d, d0, "derivative")
-    imu = mech.ImuSample(0.0, gyro, accel)
-    new = mech.ned_step(nav, imu, dt)
-    ref = oracles.ref_ned_step(nav, imu, dt)
+    new = mech.ned_step(nav, gyro, accel, dt)
+    ref = oracles.ref_ned_step(nav, oracles.ImuSample(0.0, gyro, accel), dt)
     assert_equal_fields(vars(new).values(), vars(ref).values(), "step")
 
 
@@ -349,9 +348,8 @@ def test_ecef_step_matches_reference_on_random_nominals(case):
     d = lib_derivative(mech._ecef_rates, state, gyro, accel)
     d0 = oracles.ref_ecef_derivative(state, gyro, accel)
     assert_equal_fields(d, d0, "derivative")
-    imu = mech.ImuSample(0.0, gyro, accel)
-    new = mech.ecef_step(state, imu, DT)
-    ref = oracles.ref_ecef_step(state, imu, DT)
+    new = mech.ecef_step(state, gyro, accel, DT)
+    ref = oracles.ref_ecef_step(state, oracles.ImuSample(0.0, gyro, accel), DT)
     assert_equal_fields(vars(new).values(), vars(ref).values(), "step")
 
 
@@ -372,11 +370,10 @@ def test_stacked_steps_equal_single_steps_on_random_nominals(cases, dt, data):
         edge = data.draw(positions)
         if edge is not None:
             nav.r = edge.copy()
-    imu = mech.ImuSample(0.0, np.array(gyro), np.array(accel))
     for step, members in ((mech.ned_step, navs), (mech.ecef_step, ecef)):
-        stacked = step(mech.stack_states(members), imu, dt)
+        stacked = step(mech.stack_states(members), np.array(gyro), np.array(accel), dt)
         for k, nav in enumerate(members):
-            single = step(nav, mech.ImuSample(0.0, gyro[k], accel[k]), dt)
+            single = step(nav, gyro[k], accel[k], dt)
             for name, x in vars(single).items():
                 assert same_bits(getattr(stacked, name)[k], x), (step, k, name)
 
@@ -440,8 +437,8 @@ def test_hot_path_keeps_numpy_tan_where_libm_tan_rounds_differently():
         d = lib_derivative(mech._ned_rates, nav, gyro, accel)
         d0 = oracles.ref_ned_derivative(nav, gyro, accel)
         assert_equal_fields(d, d0, f"derivative at {lat!r}")
-        imu = mech.ImuSample(0.0, gyro, accel)
-        new, ref = mech.ned_step(nav, imu, DT), oracles.ref_ned_step(nav, imu, DT)
+        new = mech.ned_step(nav, gyro, accel, DT)
+        ref = oracles.ref_ned_step(nav, oracles.ImuSample(0.0, gyro, accel), DT)
         assert_equal_fields(
             vars(new).values(), vars(ref).values(), f"step at {lat!r}"
         )
@@ -496,7 +493,8 @@ def test_truth_states_match_reference(kind, origin):
 @pytest.mark.parametrize("kind", KINDS)
 def test_imu_samples_match_reference(kind, origin):
     gen, ref = generators(kind, origin)
-    new, old = gen.synthesize_imu(20.0, 0.02), ref.synthesize_imu(20.0, 0.02)
+    new = oracles.imu_samples(gen.synthesize_imu(20.0, 0.02), 0.02)
+    old = ref.synthesize_imu(20.0, 0.02)
     assert len(new) == len(old)
     for a, b in zip(new, old):
         assert a.t == b.t
@@ -611,10 +609,12 @@ def test_bias_and_noise_draws_match_reference(tau):
     biases = sensors.simulate_biases(params, len(clean), 0.02, rng, initial)
     biases0 = oracles.ref_simulate_biases(params, len(clean), 0.02, rng0, initial)
     imu = sensors.corrupt(clean, biases, params, 0.02, rng)
-    imu0 = oracles.ref_corrupt(clean, biases0, params, 0.02, rng0)
-    for b, b0 in zip(biases, biases0, strict=True):
+    imu0 = oracles.ref_corrupt(
+        oracles.imu_samples(clean, 0.02), biases0, params, 0.02, rng0
+    )
+    for b, b0 in zip(oracles.bias_states(biases), biases0, strict=True):
         assert same_bits(b.gyro, b0.gyro) and same_bits(b.accel, b0.accel)
-    for s, s0 in zip(imu, imu0, strict=True):
+    for s, s0 in zip(oracles.imu_samples(imu, 0.02), imu0, strict=True):
         assert s.t == s0.t
         assert same_bits(s.gyro, s0.gyro) and same_bits(s.accel, s0.accel)
     # both streams leave the generator at the same place
@@ -722,11 +722,11 @@ def _stacked_predicts(variant, monkeypatch, path):
         gyro = rng.normal(scale=0.1, size=(len(members), 3))
         accel = rng.normal(scale=5.0, size=(len(members), 3))
         stack, phi = flt.predict(
-            stack, one_row(mech.ImuSample(step * DT, gyro, accel)), run
+            stack, one_row(oracles.ImuSample(step * DT, gyro, accel)), run
         )
         for k, (fs, g, a) in enumerate(zip(members, gyro, accel)):
             members[k], phi_k = flt.predict(
-                fs, one_row(mech.ImuSample(step * DT, g, a)), run
+                fs, one_row(oracles.ImuSample(step * DT, g, a)), run
             )
             single, label = members[k], f"step {step} member {k}"
             assert same_bits(phi[k], phi_k), label
@@ -773,14 +773,13 @@ def _leg_start(frame, error_def, members, rng):
     fs = flt.FilterState.stack(states)  # one member stays unstacked
     steps = smo.BLOCK + 11
     lanes = (members,) if members > 1 else ()
-    values = np.stack(
+    imu = np.stack(
         [
             rng.normal(scale=0.1, size=(steps, *lanes, 3)),
             rng.normal(scale=5.0, size=(steps, *lanes, 3)),
         ],
         axis=1,
     )
-    imu = mech.Rows(mech.ImuSample, values, [0.25 + k * DT for k in range(steps)])
     return variant, fs, imu
 
 
@@ -806,7 +805,7 @@ def test_leg_predict_matches_one_step_legs(case):
     assert leg[0].t == t != fs.t + len(imu) * DT
     if members == 1:
         ref, acc = fs, np.eye(15)
-        for sample in imu:
+        for sample in oracles.imu_samples(imu, DT, fs.t):
             ref, phi = oracles.ref_predict(ref, sample, DT, noise)
             acc = phi @ acc
         assert_same(leg, (ref, acc), f"{case} reference")
@@ -936,7 +935,7 @@ def test_dispatch_matches_reference(variant):
 
         p = rng.normal(size=(15, 15)) * scale
         fs = flt.FilterState(variant, est, b_est, p @ p.T + np.diag(scale**2), 3.0)
-        sample = mech.ImuSample(3.0, gyro, accel)
+        sample = oracles.ImuSample(3.0, gyro, accel)
         assert_same(
             flt.predict(fs, one_row(sample), flt.RunConstants(variant, noise, DT)),
             oracles.ref_predict(fs, sample, DT, noise),
@@ -1005,7 +1004,9 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
         [fs0[0]], [sim.imu], [fixes], DT, sim.noise, mode
     )
     new = records, nis
-    ref = oracles.ref_forward(fs0[1], sim.imu, fixes, DT, sim.noise, mode)
+    ref = oracles.ref_forward(
+        fs0[1], oracles.imu_samples(sim.imu, DT), fixes, DT, sim.noise, mode
+    )
     assert len(new[0]) == 10  # one record per fix, the last one final
     assert_same(new, ref, "forward pass")
 
@@ -1028,7 +1029,9 @@ def test_forward_legs_match_reference_on_irregular_fixes(frame, error_def, mode)
         [fs0], [sim.imu], [fixes], DT, sim.noise, mode
     )
     new = records, nis
-    ref = oracles.ref_forward(fs0, sim.imu, fixes, DT, sim.noise, mode)
+    ref = oracles.ref_forward(
+        fs0, oracles.imu_samples(sim.imu, DT), fixes, DT, sim.noise, mode
+    )
     steps = [round(entry["t"] / DT) for entry in new[1]]
     assert steps == [1, 50, 100, 101, 250, 300, 350, 400, 450, 500]
     assert_same(new, ref, "forward pass")
@@ -1084,8 +1087,7 @@ def test_lockstep_forward_names_a_members_non_finite_input(bad, stream):
     # before its loop, naming the sample's time
     cfg, noise, (starts, imus, fixes) = _members(3)
     if stream == "imu":
-        sample = imus[bad][150]
-        sample.accel[1], t = np.nan, sample.t
+        imus[bad][150, 1, 1], t = np.nan, 150 * DT
     else:
         fixes[bad][4].pos[2], t = np.nan, fixes[bad][4].t
     with pytest.raises(NonFiniteInput, match=re.escape(f"t={t}")):
@@ -1181,7 +1183,7 @@ def test_back_end_matches_reference(frame, error_def, mode, block, monkeypatch):
     truth = variant.chart.states(sim.gen, [r.t for r in records])
     ref_nees = oracles.ref_nees(
         variant, [mech.state_at(truth, k) for k in range(len(records))],
-        sim.biases, DT, records,
+        oracles.bias_states(sim.biases), DT, records,
     )
     metrics = _metrics(cfg, sim, records, smoothed, nis)
     assert_same(metrics["nees"], ref_nees, "nees")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import sysconfig
 import tomllib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,9 +374,9 @@ def test_non_finite_sensor_input_exits_2(tmp_path, monkeypatch, stream):
             fix = sim.fixes[2]
             fix.pos[0], bad["t"] = np.nan, fix.t
         else:
-            sample = sim.imu[150]
-            getattr(sample, stream)[1] = np.nan if stream == "gyro" else np.inf
-            bad["t"] = sample.t
+            rates = 0 if stream == "gyro" else 1  # (gyro, accel) of sample 150
+            sim.imu[150, rates, 1] = np.nan if stream == "gyro" else np.inf
+            bad["t"] = 150 * cfg.imu_dt_s
         return sim
 
     monkeypatch.setattr(cli, "_simulate", corrupted)
@@ -476,8 +477,7 @@ def test_monte_carlo_non_finite_member_input_exits_2(tmp_path, monkeypatch):
     def corrupted(cfg, truth=None):
         sim = simulate(cfg, truth)
         if cfg.seed == BASE_CONFIG["seed"] + 1:
-            sample = sim.imu[150]
-            sample.gyro[2], bad["t"] = np.nan, sample.t
+            sim.imu[150, 0, 2], bad["t"] = np.nan, 150 * cfg.imu_dt_s
         return sim
 
     monkeypatch.setattr(cli, "_simulate", corrupted)
@@ -549,7 +549,6 @@ NON_FINITE_TRUTH = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("trajectory", sorted(NON_FINITE_TRUTH))
 @pytest.mark.parametrize(
     "args", [["run"], ["run", "--monte-carlo", "2"], ["simulate"]], ids=" ".join
@@ -557,13 +556,19 @@ NON_FINITE_TRUTH = {
 def test_trajectory_whose_truth_is_not_finite_exits_2(tmp_path, trajectory, args):
     # valid numbers whose kinematics overflow: simulate wrote streams of NaN
     # with exit 0, and run blamed the sensor stream (or stopped with exit
-    # 1); both now reject the trajectory, naming the time, and write nothing
+    # 1); both now reject the trajectory, naming the time, and write nothing.
+    # numpy printed "RuntimeWarning: invalid value encountered in sin" (and
+    # more) before the error line; the check rejects every value it warned
+    # about, so the error line is all the run prints
     cfg = write_config(tmp_path, {"trajectory": NON_FINITE_TRUTH[trajectory]})
     out = tmp_path / "o"
-    res = invoke(args[0], "--config", str(cfg), "--out", str(out), *args[1:])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = invoke(args[0], "--config", str(cfg), "--out", str(out), *args[1:])
     assert res.exit_code == 2, res.output
     assert "error: trajectory: the truth is not finite at t=0.0" in res.output
     assert not out.exists()
+    assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
 
 @pytest.mark.parametrize("command", ["run", "simulate"])

@@ -7,11 +7,10 @@ from scipy.linalg import expm
 from liese_nav import earth, filter as flt
 from liese_nav.errormodels import Variant, supported_variants
 from liese_nav.errors import IncompatibleMode
-from liese_nav.mechanization import ImuSample
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
-from oracles import imu_instantaneous, one_row, state_ned
+from oracles import ImuSample, imu_instantaneous, one_row, state_ned
 
 GEN = TruthGenerator(
     TrajectorySpec(
@@ -152,9 +151,8 @@ def test_predict_tracks_mechanization_zero_noise():
     fs = make_fs(variant, t=0.0)
     dt = 0.01
     run = flt.RunConstants(variant, ImuNoiseParams(tau_g=None, tau_a=None), dt)
-    for imu in GEN.synthesize_imu(2.0, dt):
-        biased = ImuSample(imu.t, imu.gyro + BIAS0.gyro, imu.accel + BIAS0.accel)
-        fs, _ = flt.predict(fs, one_row(biased), run)
+    for biased in GEN.synthesize_imu(2.0, dt) + [BIAS0.gyro, BIAS0.accel]:
+        fs, _ = flt.predict(fs, biased[None], run)
     truth = GEN.state_ecef(2.0)
     pos = earth.llh_to_ecef(*fs.nav.geo)
     assert np.linalg.norm(pos - truth.r) <= 1e-4

@@ -6,22 +6,21 @@ import pytest
 import oracles
 from liese_nav import earth, mechanization as mech
 from liese_nav.errors import Divergence, PoleSingularity
-from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 ORIGIN = np.array([0.7, 0.2, 120.0])
 
 
 def propagate_ned(state, samples, dt):
-    for s in samples:
-        state = mech.ned_step(state, s, dt)
+    for gyro, accel in samples:
+        state = mech.ned_step(state, gyro, accel, dt)
         state.c_bn = mech.orthonormalize(state.c_bn)
     return state
 
 
 def propagate_ecef(state, samples, dt, step=mech.ecef_step):
-    for s in samples:
-        state = step(state, s, dt)
+    for gyro, accel in samples:
+        state = step(state, gyro, accel, dt)
         state.c_be = mech.orthonormalize(state.c_be)
     return state
 
@@ -86,7 +85,9 @@ def test_cross_convention_consistency():
     out_earth = propagate_ecef(s0.copy(), samples, dt)
     w_ie = earth.W_IE_E
     s0_in = mech.NavStateECEF(s0.c_be.copy(), s0.v + np.cross(w_ie, s0.r), s0.r.copy())
-    inertial = lambda s, imu, dt: oracles.ref_ecef_step(s, imu, dt, convention="inertial")
+    inertial = lambda s, gyro, accel, dt: oracles.ref_ecef_step(
+        s, oracles.ImuSample(0.0, gyro, accel), dt, convention="inertial"
+    )
     out_in = propagate_ecef(s0_in, samples, dt, step=inertial)
     assert np.linalg.norm(out_earth.r - out_in.r) < 1e-6
     v_back = out_in.v - np.cross(w_ie, out_in.r)
@@ -104,9 +105,8 @@ def test_pole_guard():
     state = mech.NavStateNED(
         np.eye(3), np.zeros(3), np.array([np.pi / 2 - 1e-9, 0.0, 0.0])
     )
-    imu = mech.ImuSample(0.0, np.zeros(3), np.zeros(3))
     with pytest.raises(PoleSingularity):
-        mech.ned_step(state, imu, 0.01)
+        mech.ned_step(state, np.zeros(3), np.zeros(3), 0.01)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.tan of an infinity
@@ -115,9 +115,8 @@ def test_latitude_that_is_no_latitude_is_divergence(lat):
     # a state whose latitude left [-pi/2, pi/2] (or the numbers) diverged;
     # only a latitude within POLE_MARGIN of a pole is a pole singularity
     state = mech.NavStateNED(np.eye(3), np.zeros(3), np.array([lat, 0.0, 0.0]))
-    imu = mech.ImuSample(0.0, np.zeros(3), np.zeros(3))
     with pytest.raises(Divergence, match="outside"):
-        mech.ned_step(state, imu, 0.01)
+        mech.ned_step(state, np.zeros(3), np.zeros(3), 0.01)
 
 
 def test_straight_line_latitude_shift():
@@ -130,36 +129,3 @@ def test_straight_line_latitude_shift():
     rm, _ = earth.radii(0.0)
     expected = 100.0 / (rm + 50.0)
     assert truth.geo[0] == pytest.approx(expected, rel=1e-9)
-
-
-def test_rows_is_a_stream_over_one_array():
-    # [TRIVIAL] len, iteration to its end, a negative index, fields that
-    # are views (a write reaches the array), and slices that are streams
-    values = np.arange(24.0).reshape(4, 2, 3)
-    rows = mech.Rows(mech.ImuSample, values, [0.0, 0.5, 1.0, 1.5])
-    assert len(rows) == 4
-    items = iter(rows)
-    assert [next(items).t for _ in range(4)] == [0.0, 0.5, 1.0, 1.5]
-    with pytest.raises(StopIteration):
-        next(items)
-    with pytest.raises(IndexError):
-        rows[4]
-    last = rows[-1]
-    assert last.t == 1.5
-    assert np.array_equal(last.gyro, values[3, 0])
-    assert np.array_equal(last.accel, values[3, 1])
-    rows[1].gyro[2] = -1.0
-    list(rows)[2].accel[0] = -2.0
-    assert values[1, 0, 2] == -1.0 and values[2, 1, 0] == -2.0
-    middle = rows[1:3]
-    assert isinstance(middle, mech.Rows) and len(middle) == 2
-    assert [s.t for s in middle] == [0.5, 1.0]
-    middle[-1].gyro[0] = -3.0
-    assert values[2, 0, 0] == -3.0
-    # a stream without times; N members stack on the third axis
-    biases = mech.Rows(BiasState, values)
-    assert len(biases) == 4 and len(list(biases)) == 4
-    assert np.array_equal(biases[-1].accel, values[3, 1])
-    assert [b.gyro[0] for b in biases[::2]] == [values[0, 0, 0], values[2, 0, 0]]
-    members = mech.Rows(mech.ImuSample, np.zeros((4, 2, 5, 3)), [0.0] * 4)
-    assert members[0].gyro.shape == members[3].accel.shape == (5, 3)

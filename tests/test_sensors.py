@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from liese_nav import sensors
-from liese_nav.mechanization import ImuSample, Rows
 
 
 def test_gm_discretization_values():
@@ -26,7 +25,7 @@ def test_gm_stationary_variance():
     rng = np.random.default_rng(0)
     dt = 0.1
     traj = sensors.simulate_biases(params, 200000, dt, rng)
-    values = np.array([b.gyro for b in traj[5000:]])
+    values = traj[5000:, 0]
     target = params.sigma_bg**2 * params.tau_g / 2
     assert np.var(values) == pytest.approx(target, rel=0.05)
 
@@ -36,25 +35,25 @@ def test_random_constant_stays_fixed():
     rng = np.random.default_rng(1)
     init = sensors.BiasState(np.array([1e-4, -2e-4, 3e-4]), np.zeros(3))
     traj = sensors.simulate_biases(params, 100, 0.01, rng, initial=init)
-    assert np.allclose(traj[-1].gyro, init.gyro)
+    assert np.allclose(traj[-1, 0], init.gyro)
 
 
 def test_corrupt_white_noise_scaling():
     # [DERIVED] per-sample sigma = density / sqrt(dt)
     params = sensors.ImuNoiseParams(sigma_g=1e-3, sigma_a=2e-3)
     dt = 0.01
-    clean = Rows(ImuSample, np.zeros((20000, 2, 3)), [k * dt for k in range(20000)])
-    biases = Rows(sensors.BiasState, np.zeros((20000, 2, 3)))
+    clean = np.zeros((20000, 2, 3))
+    biases = np.zeros((20000, 2, 3))
     rng = np.random.default_rng(2)
     noisy = sensors.corrupt(clean, biases, params, dt, rng)
-    gyros = np.array([s.gyro for s in noisy])
+    gyros = noisy[:, 0]
     assert np.std(gyros) == pytest.approx(1e-3 / np.sqrt(dt), rel=0.02)
 
 
 def test_corrupt_adds_bias():
     params = sensors.ImuNoiseParams()
-    clean = Rows(ImuSample, np.array([[np.ones(3), np.zeros(3)]]), [0.0])
-    biases = Rows(sensors.BiasState, np.array([[[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]]))
+    clean = np.array([[np.ones(3), np.zeros(3)]])
+    biases = np.array([[[0.1, 0.0, 0.0], [0.0, 0.2, 0.0]]])
     out = sensors.corrupt(clean, biases, params, 0.01, np.random.default_rng(0))
-    assert out[0].gyro[0] == pytest.approx(1.1)
-    assert out[0].accel[1] == pytest.approx(0.2)
+    assert out[0, 0, 0] == pytest.approx(1.1)
+    assert out[0, 1, 1] == pytest.approx(0.2)

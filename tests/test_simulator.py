@@ -64,8 +64,8 @@ def test_imu_integrates_back_to_truth():
     )
     dt, duration = 0.005, 20.0
     state = gen.state_ecef(0.0)
-    for imu in gen.synthesize_imu(duration, dt):
-        state = mech.ecef_step(state, imu, dt)
+    for gyro, accel in gen.synthesize_imu(duration, dt):
+        state = mech.ecef_step(state, gyro, accel, dt)
     truth = gen.state_ecef(duration)
     assert np.linalg.norm(state.r - truth.r) <= 5e-4
     assert np.linalg.norm(state.v - truth.v) <= 5e-4

@@ -237,9 +237,9 @@ def test_non_finite_input_raises_naming_the_sample_time(case):
     times = np.arange(1.0, 4.0 + 1e-9, 1.0)
     fixes = GEN.sample_gnss(times, LEVER, 1.5, np.random.default_rng(0))
     if case == "nan-gyro":
-        imu[150].gyro[1], bad_t = np.nan, imu[150].t
+        imu[150, 0, 1], bad_t = np.nan, 150 * dt
     elif case == "inf-accel":
-        imu[150].accel[2], bad_t = -np.inf, imu[150].t
+        imu[150, 1, 2], bad_t = -np.inf, 150 * dt
     else:
         fixes[2].pos[0], bad_t = np.nan, fixes[2].t
     fs = flt.FilterState(
@@ -247,6 +247,20 @@ def test_non_finite_input_raises_naming_the_sample_time(case):
     )
     with pytest.raises(errors.NonFiniteInput, match=re.escape(f"t={bad_t}")):
         smo.run_forward([fs], [imu], [fixes], dt)
+
+
+def test_non_finite_imu_sample_is_named_by_its_time_from_the_start():
+    # [ROBUSTNESS] a stream carries no times: sample k of a pass that starts
+    # at t0 is named by t0 + k * dt, not by its index times dt
+    dt, t0, k = 0.02, 0.25, 37
+    imu = GEN.synthesize_imu(2.0, dt)
+    imu[k, 1, 0] = np.nan
+    fs = flt.FilterState(
+        Variant("NED", "LeftEst"), state_ned(GEN, 0.0), BiasState(), np.eye(15), t0
+    )
+    message = re.escape(f"non-finite IMU sample at t={t0 + k * dt}") + "$"
+    with pytest.raises(errors.NonFiniteInput, match=message):
+        smo.run_forward([fs], [imu], [[]], dt)
 
 
 def _pos_errors(navs, times):
