@@ -125,7 +125,8 @@ def supported_variants(include_mems=True):
 class NedChart:
     """Geodetic NED states (C_b^n, v_eb^n, lat/lon/h), embedded with the
     position vector r_eb^n. The error's position slot is the ECEF
-    displacement resolved in the estimate's NED axes (a full-rank chart)."""
+    displacement resolved in the estimate's NED axes (a full-rank chart).
+    A leg (:meth:`leg`) steps one member as a row of Python floats."""
 
     def states(self, gen, times):
         """Stacked truth at the times."""
@@ -176,10 +177,11 @@ class NedChart:
             v = v - cross(earth.earth_rate_n(geo[0]), rho)
         return NavStateNED(c_new, v.copy(), geo)
 
-    def step(self, nav, gyro, accel, dt):
-        nav = mech.ned_step(nav, gyro, accel, dt)
-        nav.c_bn = mech.orthonormalize(nav.c_bn)
-        return nav
+    def leg(self, nav, gyros, accels, dt):
+        """The stacked pre-step nominals of a leg and its end state, one
+        ``mechanization.ned_step`` per sample (``mechanization.leg``): one
+        member steps as a row of floats, a stack as an array."""
+        return mech.leg(nav, mech.ned_step, gyros, accels, dt)
 
     def innovation(self, nav, fix):
         """Measured minus predicted antenna position and its covariance."""
@@ -194,7 +196,8 @@ class NedChart:
 
 
 class EcefChart:
-    """ECEF states (C_b^e, v_eb^e, r_eb^e); the group position is r_eb^e."""
+    """ECEF states (C_b^e, v_eb^e, r_eb^e); the group position is r_eb^e. A
+    leg (:meth:`leg`) steps one state or a stack as a packed array."""
 
     def states(self, gen, times):
         return gen.states_ecef(times)
@@ -224,10 +227,10 @@ class EcefChart:
             v = v - cross(earth.W_IE_E, x_new.p)
         return NavStateECEF(c_new, v.copy(), x_new.p.copy())
 
-    def step(self, nav, gyro, accel, dt):
-        nav = mech.ecef_step(nav, gyro, accel, dt)
-        nav.c_be = mech.orthonormalize(nav.c_be)
-        return nav
+    def leg(self, nav, gyros, accels, dt):
+        """As :meth:`NedChart.leg`, one ``mechanization.ecef_step`` per
+        sample."""
+        return mech.leg(nav, mech.ecef_step, gyros, accels, dt)
 
     def innovation(self, nav, fix):
         pred = nav.r + nav.c_be @ fix.lever_arm_b

@@ -180,17 +180,17 @@ def noise_cov(g, qc):
 class RunConstants:
     """What ``predict`` needs besides the state and the sample, fixed for a
     run and built once: the step, the bias time constants, the PSD diagonals
-    ``noise.q_diag()``, the bias decays exp(-dt / tau) over one step and,
-    for a left error, whose G no nominal enters, G (read-only) and G Qc G'
-    (both None for a right error, whose G follows the estimate). Each
-    equals its per-step value bit for bit."""
+    ``noise.q_diag()``, the (gyro, accel) bias decays exp(-dt / tau) over
+    one step as one array and, for a left error, whose G no nominal enters,
+    G (read-only) and G Qc G' (both None for a right error, whose G follows
+    the estimate). Each equals its per-step value bit for bit."""
 
     def __init__(self, variant, noise, dt):
         self.dt = dt
         self.tau_g, self.tau_a = noise.tau_g, noise.tau_a
         self.qc = noise.q_diag()
-        self.decay_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
-        self.decay_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
+        taus = (noise.tau_g, noise.tau_a)
+        self.decay = np.array([1.0 if t is None else np.exp(-dt / t) for t in taus])
         self.g = self.gq = None
         if not variant.is_right:
             self.g = noise_map(variant)
@@ -224,47 +224,52 @@ def predict(fs, imu, run, phi_acc=_I15):
     advance as one stack, each member equal to its single predict bit for
     bit.
 
-    Three passes: the nominal is stepped first, sample by sample; then the
-    linearizations at the pre-step nominals are built and discretized for
-    the whole leg, since a variant's F reads only the nominal and the
-    rates, never P; then P and Phi_acc are carried through the leg.
+    Three passes: the variant's chart steps the nominal through the whole
+    leg (``leg``) on the bias-corrected rates, formed in one subtraction,
+    and hands back the stacked pre-step nominals; the linearizations at
+    those nominals are built and discretized for the whole leg, since a
+    variant's F reads only the nominal and the rates, never P; then P and
+    Phi_acc are carried through the leg.
     Raises ``numpy.linalg.LinAlgError`` if P holds a NaN or an infinity at
     the end of the leg.
     """
     variant, dt = fs.variant, run.dt
-    step = variant.chart.step
-    nav, b_g, b_a, t = fs.nav, fs.bias.gyro, fs.bias.accel, fs.t
-    navs, rates = [], []
-    for raw_g, raw_a in imu:
-        gyro, accel = raw_g - b_g, raw_a - b_a
-        navs.append(nav)
-        rates.append((gyro, accel))
-        # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-        nav = step(nav, gyro, accel, dt)
-        b_g, b_a = run.decay_g * b_g, run.decay_a * b_a
-        t = t + dt
-    phi, qd = discretize(*_linearize(variant, navs, rates, run), dt)
-    p = fs.p
+    biases = _bias_track(fs.bias, len(imu), run)
+    rates = imu - biases[:-1]
+    nominals, nav = variant.chart.leg(fs.nav, rates[:, 0], rates[:, 1], dt)
+    phi, qd = discretize(*_linearize(variant, nominals, rates, run), dt)
+    p, t = fs.p, fs.t
     for ph, q in zip(phi, qd):
         p = ph @ p @ ph.swapaxes(-1, -2) + q
         p = 0.5 * (p + p.swapaxes(-1, -2))
         phi_acc = ph @ phi_acc
+        t = t + dt
     # one sum per leg: a NaN or an infinity anywhere in P makes it non-finite
     if not math.isfinite(p.sum()):
         raise np.linalg.LinAlgError(f"covariance left the finite numbers by t={t}")
-    return FilterState(variant, nav, BiasState(b_g, b_a), p, t), phi_acc
+    return FilterState(variant, nav, BiasState(*biases[-1]), p, t), phi_acc
 
 
-def _linearize(variant, navs, rates, run):
-    """(F, G Qc G') at each step's pre-step nominal and bias-corrected rates,
-    as (T, 15, 15) stacks, or (T, N, 15, 15) for N members, from one stacked
+def _bias_track(bias, steps, run):
+    """The (gyro, accel) bias estimate at each step of a leg and after it,
+    as a (steps + 1, 2, 3) array, or (steps + 1, 2, N, 3) for N members:
+    each step's is the step before's times the run's decay over one step,
+    one multiplication per step, as the filter's Gauss-Markov mean decays."""
+    track = np.empty((steps + 1, 2) + bias.gyro.shape)
+    track[0] = bias.gyro, bias.accel
+    track[1:] = run.decay.reshape((2,) + (1,) * bias.gyro.ndim)
+    return np.multiply.accumulate(track, out=track)
+
+
+def _linearize(variant, nominals, rates, run):
+    """(F, G Qc G') at each step's pre-step nominal and bias-corrected rates
+    (``rates``, the leg's (T, 2, 3) or (T, 2, N, 3) array), as (T, 15, 15)
+    stacks, or (T, N, 15, 15) for N members, from one stacked
     ``error_dynamics`` call over the leg's T (or T x N) nominals; a left
     error's G Qc G' is the run's one matrix."""
-    gyro, accel = map(np.array, zip(*rates))
-    stacked, lead = stack_states(navs), gyro.ndim - 1
-    rows = [x.reshape((-1,) + x.shape[lead:]) for x in vars(stacked).values()]
+    gyro, accel = rates[:, 0], rates[:, 1]
     f, g = error_dynamics(
-        variant, type(stacked)(*rows), gyro.reshape(-1, 3), accel.reshape(-1, 3),
+        variant, nominals, gyro.reshape(-1, 3), accel.reshape(-1, 3),
         tau_g=run.tau_g, tau_a=run.tau_a, g=run.g,
     )
     shape = gyro.shape[:-1] + (15, 15)
@@ -290,11 +295,12 @@ def update(fs, fix, mode="se23"):
     else:
         h = measurement_se23(variant, fs.nav, fix.lever_arm_b)
     p = fs.p
-    s = h @ p @ h.T + r_eff
+    hp = h @ p
+    s = hp @ h.T + r_eff
     nis = float(z @ _solve_vec(s, z))
     if not math.isfinite(nis):
         raise np.linalg.LinAlgError("singular or non-finite innovation covariance")
-    k = _solve(s, h @ p).T
+    k = _solve(s, hp).T
     dx = k @ z
     nav, bias = apply_correction(variant, fs.nav, fs.bias, dx)
     ikh = _I15 - k @ h

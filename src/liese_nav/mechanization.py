@@ -2,15 +2,20 @@
 
 Continuous-time derivative functions plus RK4 stepping with
 piecewise-constant IMU inputs. A step integrates the state packed into one
-15-vector (rotation row by row, velocity, position), so every RK4 stage is
-one vector expression for both frames. Both frames carry the earth-relative
-velocity v_eb; the inertial and auxiliary velocities of the ECEF variants
-are embedded from it by the variant's chart (``errormodels.EcefChart``).
+15-vector (rotation row by row, velocity, position): a stack of members and
+a single ECEF state as arrays, so every RK4 stage is one array expression,
+and a single NED member as a row, the list of its 15 Python floats, whose
+stages are float sums around one batched matrix product. A leg (:func:`leg`)
+keeps the packed form from step to step. Both frames carry the
+earth-relative velocity v_eb; the inertial and auxiliary velocities of the
+ECEF variants are embedded from it by the variant's chart
+(``errormodels.EcefChart``).
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
@@ -65,9 +70,10 @@ def _fields(x):
 
 def _ned_point(rest, t):
     """The earth terms of a NED derivative at one point, in Python floats:
-    w_in^n, the Coriolis term, gravity and the geodetic rates, as one list
-    of 12. ``rest`` is the packed state's tail (v_n, lat, lon, h) as floats,
-    and ``t`` is tan(lat) as ``np.tan`` rounds it.
+    the entries of skew(w_in^n) row by row, the Coriolis term, gravity and
+    the geodetic rates, as one list of 18. ``rest`` is the packed state's
+    tail (v_n, lat, lon, h) as floats, and ``t`` is tan(lat) as ``np.tan``
+    rounds it.
 
     The latitude's trig terms and curvature radii are evaluated once, and
     shared by the earth rate, transport rate, gravity and geodetic rates.
@@ -79,46 +85,67 @@ def _ned_point(rest, t):
     (a0, a1, a2), (b0, b1, b2) = (
         earth._earth_rate_n(s, c), earth._transport_rate_n(t, rm, rn, h, v)
     )
+    w0, w1, w2 = a0 + b0, a1 + b1, a2 + b2
     # the products and differences of liegroup.cross(2 w_ie + w_en, v)
     r0, r1, r2 = 2.0 * a0 + b0, 2.0 * a1 + b1, 2.0 * a2 + b2
     n0, n1, n2 = earth._n_rv_diagonal(c, rm, rn, h)
     return [
-        a0 + b0, a1 + b1, a2 + b2,
+        0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0,
         r1 * v[2] - r2 * v[1], r2 * v[0] - r0 * v[2], r0 * v[1] - r1 * v[0],
         *earth._gravity_n(s**2, rm, rn, h),
         n0 * v[0], n1 * v[1], n2 * v[2],
     ]
 
 
-def _ned_rates(x, sk_gyro, accel):
-    """The derivative of a packed NED state, packed alike; ``sk_gyro`` is
-    skew(gyro), which a step builds once."""
-    c_bn = x[:9].reshape(3, 3)
-    rest = x[9:].tolist()
-    t = _ned_point(rest, float(np.tan(rest[3])))
-    f_n = (c_bn @ accel).tolist()
-    out = np.empty(15)
-    np.subtract(c_bn @ sk_gyro, skew(t[:3]) @ c_bn, out=out[:9].reshape(3, 3))
-    out[9:12] = [a - b + gk for a, b, gk in zip(f_n, t[3:6], t[6:9])]
-    out[12:] = t[9:]
-    return out
+def _ned_row_rates(gyro, accel):
+    """The derivative of a NED member packed as a row of 15 Python floats,
+    as a function of the row, under the rates ``gyro`` and ``accel``; the
+    derivative is a row alike.
+
+    The row's rotation C and skew(w_in^n) go into one buffer beside
+    skew(gyro), so C [gyro x] and [w_in x] C are one batched matmul, each
+    matrix its own gemm as in :func:`_ned_rates_stack`, and C f stays its
+    own gemv: folded into the gemm, it rounds differently.
+    """
+    buf = np.empty((3, 3, 3))  # skew(gyro), C, skew(w_in)
+    flat = buf.reshape(27)
+    g0, g1, g2 = gyro.tolist()
+    flat[:9] = 0.0, -g2, g1, g2, 0.0, -g0, -g1, g0, 0.0
+    lhs, rhs, c_bn = buf[1:], buf[:2], buf[1]
+    out = np.empty(18)  # C [gyro x], [w_in x] C
+    prod = out.reshape(2, 3, 3)
+
+    def rates(x):
+        t = _ned_point(x[9:], float(np.tan(x[12])))
+        flat[9:] = x[:9] + t[:9]
+        np.matmul(lhs, rhs, out=prod)
+        p = out.tolist()
+        f_n = c_bn.dot(accel).tolist()
+        return [
+            *map(sub, p[:9], p[9:]),
+            *map(add, map(sub, f_n, t[9:12]), t[12:15]),
+            *t[15:],
+        ]
+
+    return rates
 
 
 def _ned_rates_stack(x, sk_gyro, accel):
-    """:func:`_ned_rates` of an (N, 15) stack of packed states, with (N, 3, 3)
-    ``sk_gyro`` and (N, 3) ``accel``: each member's earth terms are its own
-    float evaluation, and the products and sums are the same BLAS calls and
-    IEEE operations on stacks, so each row equals its single call bit for
-    bit."""
+    """The derivative of an (N, 15) stack of packed NED states, packed alike,
+    with (N, 3, 3) ``sk_gyro`` and (N, 3) ``accel``: each member's earth
+    terms are its own float evaluation, and the products and sums are the
+    same BLAS calls and IEEE operations as a row's (:func:`_ned_row_rates`),
+    so each member equals its row bit for bit."""
     n = len(x)
     c_bn = x[:, :9].reshape(n, 3, 3)
     t = np.array(list(map(_ned_point, x[:, 9:].tolist(), np.tan(x[:, 12]).tolist())))
     out = np.empty((n, 15))
     np.subtract(
-        c_bn @ sk_gyro, skew_stack(t[:, :3]) @ c_bn, out=out[:, :9].reshape(n, 3, 3)
+        c_bn @ sk_gyro, t[:, :9].reshape(n, 3, 3) @ c_bn,
+        out=out[:, :9].reshape(n, 3, 3),
     )
-    out[:, 9:12] = matvec(c_bn, accel) - t[:, 3:6] + t[:, 6:9]
-    out[:, 12:] = t[:, 9:]
+    out[:, 9:12] = matvec(c_bn, accel) - t[:, 9:12] + t[:, 12:15]
+    out[:, 12:] = t[:, 15:]
     return out
 
 
@@ -135,34 +162,92 @@ def _ecef_rates(x, sk_gyro, accel):
     return out
 
 
-def _rk4(state, dt, deriv):
-    """The state one classical RK4 step later; deriv maps a packed state to
-    its packed derivative."""
-    x = _pack(state)
+def _rk4(x, dt, deriv):
+    """The packed state x one classical RK4 step later; deriv maps a packed
+    state to its packed derivative."""
     k1 = deriv(x)
     k2 = deriv(x + (0.5 * dt) * k1)
     k3 = deriv(x + (0.5 * dt) * k2)
     k4 = deriv(x + dt * k3)
-    return type(state)(*_fields(x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)))
+    return x + dt * ((k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0)
+
+
+def _row_rk4(x, dt, deriv):
+    """:func:`_rk4` of a row of Python floats: the same IEEE operations in
+    the same order, entry by entry."""
+    h = 0.5 * dt
+    k1 = deriv(x)
+    k2 = deriv([a + h * b for a, b in zip(x, k1)])
+    k3 = deriv([a + h * b for a, b in zip(x, k2)])
+    k4 = deriv([a + dt * b for a, b in zip(x, k3)])
+    return [
+        a + dt * ((b1 + 2.0 * b2 + 2.0 * b3 + b4) / 6.0)
+        for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)
+    ]
 
 
 def ned_step(state, gyro, accel, dt):
     """The NED state one RK4 step later under the rates ``gyro`` (omega_ib^b,
-    rad/s) and ``accel`` (f_ib^b, m/s^2). A stacked state (fields with a
-    leading axis of N members) with (N, 3) rates steps as one stack, each
-    member equal to its single step bit for bit."""
-    if state.c_bn.ndim == 3:
-        sk_gyro = skew_stack(gyro)
-        return _rk4(state, dt, lambda x: _ned_rates_stack(x, sk_gyro, accel))
-    sk_gyro = skew(gyro)
-    return _rk4(state, dt, lambda x: _ned_rates(x, sk_gyro, accel))
+    rad/s) and ``accel`` (f_ib^b, m/s^2).
+
+    ``state`` is a NavStateNED or its packed form, and steps to the same
+    form: one member packs to a row (a list of 15 Python floats) and steps
+    in floats; a stacked state (fields with a leading axis of N members)
+    packs to an (N, 15) array and steps, with (N, 3) rates, as one stack,
+    each member equal to its row's step bit for bit.
+    """
+    if not isinstance(state, NavStateNED):
+        return _ned_packed_step(state, gyro, accel, dt)
+    x = _pack(state)
+    x = _ned_packed_step(x.tolist() if x.ndim == 1 else x, gyro, accel, dt)
+    return NavStateNED(*_fields(np.asarray(x)))
+
+
+def _ned_packed_step(x, gyro, accel, dt):
+    """:func:`ned_step` of a row or of an (N, 15) stack."""
+    if isinstance(x, list):
+        return _row_rk4(x, dt, _ned_row_rates(gyro, accel))
+    sk_gyro = skew_stack(gyro)
+    return _rk4(x, dt, lambda x: _ned_rates_stack(x, sk_gyro, accel))
 
 
 def ecef_step(state, gyro, accel, dt):
     """The ECEF state one RK4 step later, of one state or a stack, as
-    :func:`ned_step` steps them, through one :func:`_ecef_rates`."""
-    sk_gyro = (skew_stack if state.c_be.ndim == 3 else skew)(gyro)
-    return _rk4(state, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
+    :func:`ned_step` steps them, through one :func:`_ecef_rates`; ``state``
+    is a NavStateECEF or its packed (15,) or (N, 15) array, and steps to the
+    same form."""
+    packed = isinstance(state, np.ndarray)
+    x = state if packed else _pack(state)
+    sk_gyro = (skew_stack if x.ndim == 2 else skew)(gyro)
+    x = _rk4(x, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
+    return x if packed else NavStateECEF(*_fields(x))
+
+
+def leg(state, step, gyros, accels, dt):
+    """The pre-step states of a leg, stacked, and the state after it.
+
+    ``step`` (:func:`ned_step` or :func:`ecef_step`) advances the packed
+    state by each sample's rates, ``gyros`` and ``accels`` ((T, 3), or
+    (T, N, 3) for N members), and :func:`orthonormalize` projects each
+    step's rotation back onto SO(3). The state stays packed from step to
+    step, a single NED member as a row of floats. The pre-step states come
+    as one stacked state of T points, or of T x N, step by step.
+    """
+    x = _pack(state)
+    if x.ndim == 1 and isinstance(state, NavStateNED):
+        x = x.tolist()
+    xs = []
+    for gyro, accel in zip(gyros, accels):
+        xs.append(x)
+        x = step(x, gyro, accel, dt)
+        # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
+        if isinstance(x, list):
+            x[:9] = orthonormalize(np.array(x[:9]).reshape(3, 3)).ravel().tolist()
+        else:
+            rot = x[..., :9].reshape(x.shape[:-1] + (3, 3))
+            rot[...] = orthonormalize(rot)
+    kind = type(state)
+    return kind(*_fields(np.array(xs).reshape(-1, 15))), kind(*_fields(np.asarray(x)))
 
 
 try:

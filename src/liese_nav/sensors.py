@@ -58,21 +58,26 @@ def simulate_biases(params, n_steps, dt, rng, initial=None):
     one (n_steps, 2, 3) array of the (gyro, accel) bias at each step.
 
     The driving noise of all steps is drawn in one call, in the order of
-    one gyro and one accel triple per step; the recursion runs step by step.
+    one gyro and one accel triple per step; the recursion runs step by step,
+    one component at a time in Python floats: b = phi * b + w, the same IEEE
+    operations as on arrays, without an array call per step.
     """
     state = initial if initial is not None else BiasState()
     phi_g, q_g = discretize_bias(params.tau_g, params.sigma_bg, dt)
     phi_a, q_a = discretize_bias(params.tau_a, params.sigma_ba, dt)
-    phi = np.array([[phi_g], [phi_a]])
+    phi = [float(phi_g)] * 3 + [float(phi_a)] * 3
     drive = np.array([[np.sqrt(q_g)], [np.sqrt(q_a)]]) * rng.standard_normal(
         (n_steps, 2, 3)
     )
-    out = np.empty((n_steps, 2, 3))
-    b = np.array([state.gyro, state.accel], dtype=float)
-    for k in range(n_steps):
-        out[k] = b
-        b = phi * b + drive[k]
-    return out
+    start = np.array([state.gyro, state.accel], dtype=float).reshape(6).tolist()
+    drive, out = drive.reshape(n_steps, 6), np.empty((n_steps, 6))
+    for j, (p, b) in enumerate(zip(phi, start)):
+        track = []
+        for w in drive[:, j].tolist():
+            track.append(b)
+            b = p * b + w
+        out[:, j] = track
+    return out.reshape(n_steps, 2, 3)
 
 
 def corrupt(samples, biases, params, dt, rng):

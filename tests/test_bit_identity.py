@@ -39,7 +39,7 @@ from liese_nav.errormodels import (
     measurement_se23,
     supported_variants,
 )
-from liese_nav.errors import NearPiRotation, NonFiniteInput
+from liese_nav.errors import LieseNavError, NearPiRotation, NonFiniteInput
 from liese_nav.liegroup import (
     NEAR_PI_MARGIN, SMALL_ANGLE, cross, exp_se23, left_jacobian_inv, log_se23,
     skew, so3_log,
@@ -143,9 +143,16 @@ def test_earth_formulas_match_reference(lat, h):
 
 def lib_derivative(rates, state, gyro, accel):
     """The library's derivative of a state as (rotation, velocity, position);
-    ``rates`` is ``mech._ned_rates`` or ``mech._ecef_rates``, which map a
+    ``rates`` is :func:`ned_row_rates` or ``mech._ecef_rates``, which map a
     packed state to its packed derivative."""
     return mech._fields(rates(mech._pack(state), skew(gyro), accel))
+
+
+def ned_row_rates(x, sk_gyro, accel):
+    """``mech._ned_row_rates`` as :func:`lib_derivative` calls the rates: a
+    packed array and skew(gyro) in, a packed array out."""
+    gyro = sk_gyro[(2, 0, 1), (1, 2, 0)]
+    return np.array(mech._ned_row_rates(gyro, accel)(x.tolist()))
 
 
 # one case each; the ids keep the test names: RK4 with the library's own
@@ -157,7 +164,7 @@ def test_ned_step_matches_reference(circle, dt):
     ref = new.copy()
     for k, s in enumerate(samples):
         # the derivative itself, whose last bits a step can round away
-        d = lib_derivative(mech._ned_rates, new, s.gyro, s.accel)
+        d = lib_derivative(ned_row_rates, new, s.gyro, s.accel)
         d0 = oracles.ref_ned_derivative(ref, s.gyro, s.accel)
         assert all(map(np.array_equal, d, d0)), f"derivative {k}"
         new = mech.ned_step(new, s.gyro, s.accel, dt)
@@ -332,7 +339,7 @@ def test_gravity_e_and_ecef_to_llh_match_reference():
 @given(case=ned_nominals(), dt=st.sampled_from([0.005, 0.01, 0.02]))
 def test_ned_step_matches_reference_on_random_nominals(case, dt):
     nav, gyro, accel = case
-    d = lib_derivative(mech._ned_rates, nav, gyro, accel)
+    d = lib_derivative(ned_row_rates, nav, gyro, accel)
     d0 = oracles.ref_ned_derivative(nav, gyro, accel)
     assert_equal_fields(d, d0, "derivative")
     new = mech.ned_step(nav, gyro, accel, dt)
@@ -376,6 +383,70 @@ def test_stacked_steps_equal_single_steps_on_random_nominals(cases, dt, data):
             single = step(nav, gyro[k], accel[k], dt)
             for name, x in vars(single).items():
                 assert same_bits(getattr(stacked, name)[k], x), (step, k, name)
+
+
+# latitudes within 1e-3 of the pole limit, two thirds of them within 1e-5
+# or 1e-8, where legs of smo.BLOCK + 11 steps, or of one or two, at up to
+# 300 m/s often cross it
+NEAR_POLE = st.one_of(
+    st.floats(0.0, 1e-3), st.floats(0.0, 1e-5), st.floats(0.0, 1e-8)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=ned_nominals(),
+    steps=st.sampled_from([1, 2, smo.BLOCK + 11]),
+    tau=st.sampled_from([(400.0, 900.0), (None, None)]),
+    dt=st.sampled_from([0.005, 0.01, 0.02]),
+    pole=st.none() | st.tuples(st.sampled_from([1.0, -1.0]), NEAR_POLE),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ned_leg_equals_its_steps_on_random_nominals(case, steps, tau, dt, pole, seed):
+    # one NED member's predict steps its leg as a row of floats; its end
+    # state and bias, and the chart's pre-step nominals, equal the leg's
+    # ned_step and orthonormalize calls on state objects with the biases
+    # decayed step by step, field by field and bit for bit; a leg that
+    # crosses the pole limit raises what the per-step path raises
+    nav, gyro, accel = case
+    if pole is not None:
+        sign, offset = pole
+        nav.geo[0] = sign * (np.pi / 2 - earth.POLE_MARGIN - offset)
+    rng = np.random.default_rng(seed)
+    imu = np.stack([gyro, accel])
+    imu = imu + rng.normal(scale=[[0.01], [0.5]], size=(steps, 2, 3))
+    bias = BiasState(*rng.normal(scale=[[1e-3], [1e-2]], size=(2, 3)))
+    variant = Variant("NED", "LeftEst")
+    run = flt.RunConstants(variant, ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, *tau), dt)
+    decay = [1.0 if t is None else np.exp(-dt / t) for t in tau]
+    ref, b_g, b_a, befores, rates, error = nav, bias.gyro, bias.accel, [], [], None
+    try:
+        for raw_g, raw_a in imu:
+            rates.append((raw_g - b_g, raw_a - b_a))
+            befores.append(ref)
+            ref = mech.ned_step(ref, *rates[-1], dt)
+            ref.c_bn = mech.orthonormalize(ref.c_bn)
+            b_g, b_a = decay[0] * b_g, decay[1] * b_a
+    except LieseNavError as exc:
+        error = exc
+    fs = flt.FilterState(variant, nav, bias, np.eye(15), 0.0)
+    if error is not None:
+        with pytest.raises(LieseNavError) as exc:
+            flt.predict(fs, imu, run)
+        assert type(exc.value) is type(error)
+        assert str(exc.value) == str(error)
+        return
+    out, _ = flt.predict(fs, imu, run)
+    for name, x in vars(ref).items():
+        assert same_bits(getattr(out.nav, name), x), name
+    assert same_bits(out.bias.gyro, b_g) and same_bits(out.bias.accel, b_a)
+    gyros, accels = map(np.array, zip(*rates))
+    nominals, end = variant.chart.leg(nav, gyros, accels, dt)
+    for k, before in enumerate(befores):
+        for name, x in vars(before).items():
+            assert same_bits(getattr(nominals, name)[k], x), (k, name)
+    for name, x in vars(ref).items():
+        assert same_bits(getattr(end, name), x), name
 
 
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
@@ -434,7 +505,7 @@ def test_hot_path_keeps_numpy_tan_where_libm_tan_rounds_differently():
         )
         gyro = rng.normal(scale=0.1, size=3)
         accel = rng.normal(scale=5.0, size=3)
-        d = lib_derivative(mech._ned_rates, nav, gyro, accel)
+        d = lib_derivative(ned_row_rates, nav, gyro, accel)
         d0 = oracles.ref_ned_derivative(nav, gyro, accel)
         assert_equal_fields(d, d0, f"derivative at {lat!r}")
         new = mech.ned_step(nav, gyro, accel, DT)

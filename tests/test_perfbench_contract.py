@@ -94,3 +94,25 @@ def test_traced_monte_carlo_run_completes():
         m["name"] for m in declared if result["metrics"][m["name"]]["value"] is None
     ]
     assert not missing, missing
+
+
+def test_traced_single_member_ned_run_counts_every_step():
+    # about 10 s. One NED member steps its legs as rows of floats, and each
+    # IMU step still calls the traced mechanization.ned_step: the traced run
+    # divides the earth.radii count by the step count, and the workload's
+    # 30 s at 100 Hz are 3000 steps
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ned-sparse-gnss",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["metrics"]["mechanization.step_calls"]["value"] == 3000
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [
+        m["name"] for m in declared if result["metrics"][m["name"]]["value"] is None
+    ]
+    assert not missing, missing
