@@ -109,6 +109,16 @@ def _sigma(value, name):
     return _squarable(sigma, name)
 
 
+def _position_sigma(value, name):
+    # a start error beyond 1000 km, as trajectory.origin_h_m is bounded: at
+    # 1e150 m the run drew its start 1e150 m off, kept P finite and wrote
+    # NEES values up to 5.5e83 with exit 0
+    sigma = _sigma(value, name)
+    if not sigma <= 1e6:
+        raise ConfigError(f"{name}: must be at most 1e6 m, got {value!r}")
+    return sigma
+
+
 def _positive_or_none(value, name):
     # a bias time constant of null selects a random-constant bias
     return None if value is None else _positive(value, name)
@@ -231,7 +241,7 @@ class NoiseConfig(_Config):
 class InitialConfig(_Config):
     attitude_sigma_rad: Sigma = 0.0
     velocity_sigma_m_s: Sigma = 0.0
-    position_sigma_m: Sigma = 0.0
+    position_sigma_m: Annotated[float, _position_sigma] = 0.0
     bias_g_sigma_rad_s: Sigma = 0.0
     bias_a_sigma_m_s2: Sigma = 0.0
     yaw_error_rad: Annotated[float, _squarable] = 0.0
@@ -334,15 +344,13 @@ def build_scenario(cfg):
 
 
 def dcm_to_quaternion(c):
-    """Unit quaternion (scalar first) from a rotation matrix, q0 >= 0; an
-    (N, 3, 3) stack gives (N, 4).
+    """Unit quaternions (scalar first, q0 >= 0) of an (N, 3, 3) stack of
+    rotation matrices, as an (N, 4) array.
 
     Shepperd's method: pivot on the largest of the four squared components
     for numerical stability at every attitude.
     """
     c = np.asarray(c, dtype=float)
-    if c.ndim == 2:
-        return dcm_to_quaternion(c[None])[0]
     tr = np.trace(c, axis1=1, axis2=2)
     diag = np.diagonal(c, axis1=1, axis2=2)
     cand = np.column_stack([1.0 + tr, 1.0 + 2.0 * diag - tr[:, None]])
@@ -374,7 +382,9 @@ def dcm_to_quaternion(c):
 
 
 def _fmt(values):
-    return ",".join(repr(float(v)) for v in values)
+    """One CSV row of Python floats (numpy 2 writes an np.float64's repr as
+    ``np.float64(...)``)."""
+    return ",".join(map(repr, values))
 
 
 def _traj_row(row):
@@ -562,7 +572,10 @@ def _write_streams(out, sim, dt):
     write_csv(
         out / "gnss.csv",
         GNSS_HEADER,
-        [_fmt([fix.t, *fix.pos, *fix.r.diagonal()]) for fix in sim.fixes],
+        [
+            _fmt([float(fix.t), *fix.pos.tolist(), *fix.r.diagonal().tolist()])
+            for fix in sim.fixes
+        ],
     )
 
 

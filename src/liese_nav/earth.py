@@ -13,8 +13,9 @@ The forms that run in every RK4 stage keep a Python-float body beside
 their array one (``math.sin``, ``math.cos``, ``math.sqrt`` and float
 ``**``, which round as np.float64 scalars do), because a numpy call on one
 point costs more than the float arithmetic it wraps, about 5 ``radii``
-calls per NED step and 4 ``gravity_e`` plus 24 ``radii`` calls per ECEF
-state and step (a stack's, one point at a time: ``_gravity_e_rows``):
+calls per NED step and 4 ``gravity_e`` calls, each with about 6 iterations
+of the geodetic loop, per ECEF state and step (a stack's, one point at a
+time: ``_gravity_e_rows``):
 ``radii`` and ``radii_array`` (of the sine), ``gravity_e`` and
 ``gravity_e_array``, the two loops of ``ecef_to_llh``, and the private
 formula helpers below, which the mechanization and the F blocks call.
@@ -236,9 +237,10 @@ def ecef_to_llh(r):
     """Iterative ECEF to geodetic conversion (converges to <1e-9 m).
 
     For a (3, N) array of positions, returns arrays of N latitudes,
-    longitudes and heights. A single position iterates in Python floats;
-    ``np.arctan2`` and ``np.hypot`` stay, because their libm forms round
-    differently.
+    longitudes and heights. A single position (a 3-vector or three Python
+    floats) iterates in Python floats and takes the height once, after the
+    loop; ``np.arctan2`` and ``np.hypot`` stay, because their libm forms
+    round differently.
     """
     x, y, z = r
     if isinstance(x, np.ndarray):
@@ -247,20 +249,19 @@ def ecef_to_llh(r):
     lon = np.arctan2(y, x)
     p = float(np.hypot(x, y))
     lat = float(np.arctan2(z, p * (1.0 - WGS84_E2)))
-    h = 0.0
     for _ in range(12):
-        _, rn = radii(lat)
-        new_lat = float(np.arctan2(z + WGS84_E2 * rn * math.sin(lat), p))
+        # radii(lat)'s prime-vertical radius, from the sine the update reads
+        s = math.sin(lat)
+        rn = WGS84_A / math.sqrt(1.0 - WGS84_E2 * s**2)
+        new_lat = float(np.arctan2(z + WGS84_E2 * rn * s, p))
         converged = abs(new_lat - lat) < 1e-15
         lat = new_lat
-        h = (
-            p / math.cos(lat) - rn
-            if abs(lat) < 1.3
-            else z / math.sin(lat) - rn * (1.0 - WGS84_E2)
-        )
         if converged:
             break
-    return lat, lon, h
+    # the height of the last iteration's latitude and radius
+    if abs(lat) < 1.3:
+        return lat, lon, p / math.cos(lat) - rn
+    return lat, lon, z / math.sin(lat) - rn * (1.0 - WGS84_E2)
 
 
 def dcm_ecef_to_ned(lat, lon):
@@ -273,12 +274,14 @@ def dcm_ecef_to_ned(lat, lon):
 
 
 def gravity_e(r):
-    """Plumb-line gravity vector in ECEF, consistent with gravity_n.
+    """Plumb-line gravity vector in ECEF, consistent with gravity_n, at one
+    position ``r``: a 3-vector or, as a row step hands it over, three
+    Python floats, which go to :func:`ecef_to_llh` as they are.
 
     The terms are Python floats; the rotation to ECEF stays the BLAS
     product, since a hand-expanded C' (0, 0, g) flips signed zeros.
     """
-    lat, lon, h = ecef_to_llh(np.asarray(r, dtype=float))
+    lat, lon, h = ecef_to_llh(r)
     s, c = math.sin(lat), math.cos(lat)
     sl, cl = math.sin(lon), math.cos(lon)
     rm, rn = radii(lat)
@@ -287,8 +290,8 @@ def gravity_e(r):
 
 
 def _gravity_e_rows(r):
-    """:func:`gravity_e` of one position, or of each row of an (N, 3) stack."""
-    return gravity_e(r) if r.ndim == 1 else np.array(list(map(gravity_e, r)))
+    """:func:`gravity_e` of each row of an (N, 3) stack, as its floats."""
+    return np.array(list(map(gravity_e, r.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Error definitions (X true, Xt estimate):
   LeftTrue   eta = X^-1 Xt        LeftEst   eta = Xt^-1 X
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,12 @@ def supported_variants(include_mems=True):
 # ---------------------------------------------------------------------------
 
 
+def _project(rot):
+    """``mechanization.orthonormalize`` of one rotation matrix, through its
+    row form."""
+    return np.array(mech.orthonormalize(rot.ravel().tolist())).reshape(3, 3)
+
+
 class NedChart:
     """Geodetic NED states (C_b^n, v_eb^n, lat/lon/h), embedded with the
     position vector r_eb^n. The error's position slot is the ECEF
@@ -166,7 +173,7 @@ class NedChart:
 
     def retract(self, nav, x_est, x_new, aux):
         """The state whose embedding is x_new, read through the chart."""
-        c_new = mech.orthonormalize(x_new.R)
+        c_new = _project(x_new.R)
         lat, lon, _ = nav.geo
         c_ne = earth.dcm_ecef_to_ned(lat, lon).T
         r_e = earth.llh_to_ecef(*nav.geo) + c_ne @ (x_new.p - x_est.p)
@@ -197,7 +204,7 @@ class NedChart:
 
 class EcefChart:
     """ECEF states (C_b^e, v_eb^e, r_eb^e); the group position is r_eb^e. A
-    leg (:meth:`leg`) steps one state or a stack as a packed array."""
+    leg (:meth:`leg`) steps one member as a row of Python floats."""
 
     def states(self, gen, times):
         return gen.states_ecef(times)
@@ -221,7 +228,7 @@ class EcefChart:
         return self.embed(true_nav, aux), self.embed(est_nav, aux)
 
     def retract(self, nav, x_est, x_new, aux):
-        c_new = mech.orthonormalize(x_new.R)
+        c_new = _project(x_new.R)
         v = x_new.v
         if aux:
             v = v - cross(earth.W_IE_E, x_new.p)
@@ -229,7 +236,7 @@ class EcefChart:
 
     def leg(self, nav, gyros, accels, dt):
         """As :meth:`NedChart.leg`, one ``mechanization.ecef_step`` per
-        sample."""
+        sample: one member steps as a row of floats, a stack as an array."""
         return mech.leg(nav, mech.ecef_step, gyros, accels, dt)
 
     def innovation(self, nav, fix):
@@ -283,17 +290,15 @@ def _input_map(variant, embedding, g):
 
 
 def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None):
-    """Continuous-time (F, G) for the given variant at a nominal state.
+    """Continuous-time (F, G) for the given variant at N nominal states.
 
-    ``nominal`` is a NavStateNED for the NED frames and a NavStateECEF with
-    earth-relative velocity for the ECEF frames. ``gyro`` and
-    ``accel`` are the bias-corrected IMU rates the filter mechanizes with.
-
-    A stacked nominal (fields with a leading axis of N points: the steps of
-    a leg, its members, or both flattened) with (N, 3) rates gives F as an
-    (N, 15, 15) stack, and a right error's G as an (N, 15, 12) stack, each
-    point's equal to its single call bit for bit; a single nominal runs as
-    a stack of one.
+    ``nominal`` is a stacked NavStateNED for the NED frames and a stacked
+    NavStateECEF with earth-relative velocity for the ECEF frames: fields
+    with a leading axis of N points, the steps of a leg, its members, or
+    both flattened. ``gyro`` and ``accel`` are the (N, 3) bias-corrected IMU
+    rates the filter mechanizes with. F comes as an (N, 15, 15) stack, and
+    a right error's G as an (N, 15, 12) stack, each point's equal to its
+    call as a stack of one bit for bit.
 
     The frame's block function writes the 9x9 state blocks of the whole
     stack in one call: each point's earth terms are its own float
@@ -308,19 +313,23 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     ``g`` is a left error's G, one matrix, which no nominal enters, built
     once for the run (``filter.RunConstants``); without it, G is built here.
     """
-    lead = gyro.shape[:-1]
-    if not lead:  # a single nominal, as a stack of one
-        nominal, gyro, accel = mech.stack_states([nominal]), gyro[None], accel[None]
     f = np.zeros((len(gyro), 15, 15))
-    f[:, BG, BG] = (0.0 if tau_g is None else -1.0 / tau_g) * _I3
-    f[:, BA, BA] = (0.0 if tau_a is None else -1.0 / tau_a) * _I3
+    f[:, BG, BG] = _bias_drift(tau_g)
+    f[:, BA, BA] = _bias_drift(tau_a)
     embedding = _BLOCKS[variant.frame](variant, nominal, gyro, accel, f)
     if g is None:
         g = noise_map(variant, embedding)
-        if variant.is_right:  # one G per point
-            g = g.reshape(lead + (15, 12))
     f[:, :9, 9:] = g[..., :9, :6]
-    return f.reshape(lead + (15, 15)), g
+    return f, g
+
+
+@functools.cache
+def _bias_drift(tau):
+    """F's Gauss-Markov bias block -I / tau, or zero for a random-constant
+    bias (tau None), built once per time constant (read-only)."""
+    block = (0.0 if tau is None else -1.0 / tau) * _I3
+    block.flags.writeable = False
+    return block
 
 
 def _point_floats(geo):

@@ -157,7 +157,7 @@ def apply_correction(variant, nav, bias, dx):
     correction, the represented error is zero.
     """
     new_bias = BiasState(bias.gyro + dx[9:12], bias.accel + dx[12:15])
-    if not np.any(dx[:9]):
+    if not dx[:9].any():
         return nav.copy(), new_bias
     chart, aux = variant.chart, variant.aux_velocity
     x_est = chart.embed(nav, aux)

@@ -27,9 +27,11 @@ SMALL_ANGLE = 1e-6
 # extraction from the skew part is ill-conditioned in that neighbourhood.
 NEAR_PI_MARGIN = 1e-5
 
-# one shared identity, read-only so that no caller can modify it
+# one shared identity, read-only so that no caller can modify it, and its
+# entries row by row as Python floats
 _I3 = np.eye(3)
 _I3.flags.writeable = False
+_I3_ROW = _I3.ravel().tolist()
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -161,14 +163,25 @@ def left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     if np.ndim(phi) == 2:
         return _left_jacobian_inv_stack(phi)
     angle = _norm(phi)
-    px = skew(phi)
+    px, px2 = _skew_and_square(phi)
     if angle < SMALL_ANGLE:
         c = _jinv_series(angle * angle)
     elif angle < math.inf:
         c = _jinv_closed(angle, math.sin(angle), math.cos(angle))
     else:  # an infinite or NaN angle: the NaN np.sin and np.cos return
         c = angle - angle
-    return _I3 - 0.5 * px + c * (px @ px)
+    # I - 0.5 px + c px^2 entry by entry, in numpy's order
+    jinv = [i - 0.5 * p + c * q for i, p, q in zip(_I3_ROW, px, px2)]
+    return np.array(jinv).reshape(3, 3)
+
+
+def _skew_and_square(phi):
+    """skew(phi) and skew(phi) @ skew(phi), the square one BLAS product,
+    both as their 9 entries row by row in Python floats."""
+    x, y, z = phi.tolist()
+    px = [0.0, -z, y, z, 0.0, -x, -y, x, 0.0]
+    sk = np.array(px).reshape(3, 3)
+    return px, (sk @ sk).ravel().tolist()
 
 
 # the px @ px coefficient of the inverse left Jacobian, for Python floats
@@ -227,15 +240,21 @@ def exp_se23(xi: np.ndarray) -> GroupElement:
     The angle, skew(phi) and its square are computed once and shared by the
     rotation and the Jacobian; each product rounds as in the separate SO(3)
     exponential and left Jacobian, which ``tests/oracles.py`` keeps and
-    ``tests/test_bit_identity.py`` pins this function to.
+    ``tests/test_bit_identity.py`` pins this function to. The square and
+    the Jacobian's products stay BLAS calls; the sums are Python floats,
+    the same IEEE operations as numpy's on one element.
     """
     xi = np.asarray(xi, dtype=float)
     phi = xi[:3]
     a, b, c = _exp_coeffs(_norm(phi))
-    px = skew(phi)
-    px2 = px @ px
-    jac = _I3 + b * px + c * px2
-    return GroupElement(_I3 + a * px + b * px2, jac @ xi[3:6], jac @ xi[6:9])
+    px, px2 = _skew_and_square(phi)
+    # I + a px + b px^2 and I + b px + c px^2 entry by entry, in numpy's order
+    rot, jac = np.array(
+        [i + a * p + b * q for i, p, q in zip(_I3_ROW, px, px2)]
+        + [i + b * p + c * q for i, p, q in zip(_I3_ROW, px, px2)]
+    ).reshape(2, 3, 3)
+    v, p = matvec(jac, xi[3:9].reshape(2, 3))
+    return GroupElement(rot, v, p)
 
 
 def log_se23(element: GroupElement) -> np.ndarray:

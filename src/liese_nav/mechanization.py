@@ -2,14 +2,14 @@
 
 Continuous-time derivative functions plus RK4 stepping with
 piecewise-constant IMU inputs. A step integrates the state packed into one
-15-vector (rotation row by row, velocity, position): a stack of members and
-a single ECEF state as arrays, so every RK4 stage is one array expression,
-and a single NED member as a row, the list of its 15 Python floats, whose
-stages are float sums around one batched matrix product. A leg (:func:`leg`)
-keeps the packed form from step to step. Both frames carry the
-earth-relative velocity v_eb; the inertial and auxiliary velocities of the
-ECEF variants are embedded from it by the variant's chart
-(``errormodels.EcefChart``).
+15-vector (rotation row by row, velocity, position): a stack of members as
+an (N, 15) array, so every RK4 stage is one array expression, and a single
+member as a row, the list of its 15 Python floats, whose stages are float
+sums around one batched matrix product. A leg (:func:`leg`) packs the
+state, keeps the packed form from step to step and unpacks the result.
+Both frames carry the earth-relative velocity v_eb; the inertial and
+auxiliary velocities of the ECEF variants are embedded from it by the
+variant's chart (``errormodels.EcefChart``).
 """
 
 import functools
@@ -20,7 +20,7 @@ from operator import add, sub
 import numpy as np
 
 from liese_nav import earth
-from liese_nav.liegroup import cross, matvec, skew, skew_stack
+from liese_nav.liegroup import cross, matvec, skew_stack
 
 
 @dataclass
@@ -97,35 +97,45 @@ def _ned_point(rest, t):
     ]
 
 
-def _ned_row_rates(gyro, accel):
-    """The derivative of a NED member packed as a row of 15 Python floats,
-    as a function of the row, under the rates ``gyro`` and ``accel``; the
-    derivative is a row alike.
+def _row_products(gyro, accel):
+    """The matrix products of a row's derivative under the rates ``gyro``
+    and ``accel``, as a function of the row's rotation C and a frame rate's
+    skew(w), given as their 18 Python floats row by row: the floats of
+    C [gyro x] - [w x] C and of C f.
 
-    The row's rotation C and skew(w_in^n) go into one buffer beside
-    skew(gyro), so C [gyro x] and [w_in x] C are one batched matmul, each
-    matrix its own gemm as in :func:`_ned_rates_stack`, and C f stays its
-    own gemv: folded into the gemm, it rounds differently.
+    C and skew(w) go into one buffer beside skew(gyro), so C [gyro x] and
+    [w x] C are one batched matmul, each matrix its own gemm as in the
+    stacked derivatives, and C f stays its own gemv: folded into the gemm,
+    it rounds differently.
     """
-    buf = np.empty((3, 3, 3))  # skew(gyro), C, skew(w_in)
+    buf = np.empty((3, 3, 3))  # skew(gyro), C, skew(w)
     flat = buf.reshape(27)
     g0, g1, g2 = gyro.tolist()
     flat[:9] = 0.0, -g2, g1, g2, 0.0, -g0, -g1, g0, 0.0
-    lhs, rhs, c_bn = buf[1:], buf[:2], buf[1]
-    out = np.empty(18)  # C [gyro x], [w_in x] C
+    lhs, rhs, c = buf[1:], buf[:2], buf[1]
+    out = np.empty(18)  # C [gyro x], [w x] C
     prod = out.reshape(2, 3, 3)
+
+    def products(c_and_sk_w):
+        flat[9:] = c_and_sk_w
+        np.matmul(lhs, rhs, out=prod)
+        p = out.tolist()
+        return [*map(sub, p[:9], p[9:])], c.dot(accel).tolist()
+
+    return products
+
+
+def _ned_row_rates(gyro, accel):
+    """The derivative of a NED member packed as a row of 15 Python floats,
+    as a function of the row, under the rates ``gyro`` and ``accel``; the
+    derivative is a row alike, its products :func:`_row_products`' with
+    w = w_in^n."""
+    products = _row_products(gyro, accel)
 
     def rates(x):
         t = _ned_point(x[9:], float(np.tan(x[12])))
-        flat[9:] = x[:9] + t[:9]
-        np.matmul(lhs, rhs, out=prod)
-        p = out.tolist()
-        f_n = c_bn.dot(accel).tolist()
-        return [
-            *map(sub, p[:9], p[9:]),
-            *map(add, map(sub, f_n, t[9:12]), t[12:15]),
-            *t[15:],
-        ]
+        rot, f_n = products(x[:9] + t[:9])
+        return [*rot, *map(add, map(sub, f_n, t[9:12]), t[12:15]), *t[15:]]
 
     return rates
 
@@ -149,22 +159,51 @@ def _ned_rates_stack(x, sk_gyro, accel):
     return out
 
 
+_SK_W_IE_ROW = earth.SK_W_IE_E.ravel().tolist()
+
+
+def _ecef_row_rates(gyro, accel):
+    """The derivative of an ECEF member packed as a row of 15 Python floats,
+    as :func:`_ned_row_rates` has it, its products :func:`_row_products`'
+    with w = w_ie. Gravity is ``earth.gravity_e`` of the row's three
+    position floats, and the Coriolis term ``liegroup.cross`` of the earth
+    rate (0, 0, w) and the velocity, the same IEEE products and differences
+    in floats."""
+    products = _row_products(gyro, accel)
+    w = earth.EARTH_RATE
+
+    def rates(x):
+        rot, (f0, f1, f2) = products(x[:9] + _SK_W_IE_ROW)
+        a0, a1, a2 = earth.gravity_e(x[12:]).tolist()
+        v0, v1, v2 = x[9:12]
+        return [
+            *rot,
+            f0 - 2.0 * (0.0 * v2 - w * v1) + a0,
+            f1 - 2.0 * (w * v0 - 0.0 * v2) + a1,
+            f2 - 2.0 * (0.0 * v1 - 0.0 * v0) + a2,
+            v0, v1, v2,
+        ]
+
+    return rates
+
+
 def _ecef_rates(x, sk_gyro, accel):
-    """The derivative of a packed ECEF state, packed alike, or, as
-    :func:`_ned_rates_stack` has it, of an (N, 15) stack of them."""
+    """The derivative of an (N, 15) stack of packed ECEF states, packed
+    alike, as :func:`_ned_rates_stack` has it: each member equals its row
+    (:func:`_ecef_row_rates`) bit for bit."""
     c_be, v, r = _fields(x)
     out = np.empty(x.shape)
-    rot = out[..., :9].reshape(c_be.shape)
+    rot = out[:, :9].reshape(c_be.shape)
     np.subtract(c_be @ sk_gyro, earth.SK_W_IE_E @ c_be, out=rot)
     g = earth._gravity_e_rows(r)
-    out[..., 9:12] = matvec(c_be, accel) - 2.0 * cross(earth.W_IE_E, v.T).T + g
-    out[..., 12:] = v
+    out[:, 9:12] = matvec(c_be, accel) - 2.0 * cross(earth.W_IE_E, v.T).T + g
+    out[:, 12:] = v
     return out
 
 
 def _rk4(x, dt, deriv):
-    """The packed state x one classical RK4 step later; deriv maps a packed
-    state to its packed derivative."""
+    """The packed (N, 15) stack x one classical RK4 step later; deriv maps a
+    packed stack to its packed derivative."""
     k1 = deriv(x)
     k2 = deriv(x + (0.5 * dt) * k1)
     k3 = deriv(x + (0.5 * dt) * k2)
@@ -186,41 +225,29 @@ def _row_rk4(x, dt, deriv):
     ]
 
 
-def ned_step(state, gyro, accel, dt):
-    """The NED state one RK4 step later under the rates ``gyro`` (omega_ib^b,
-    rad/s) and ``accel`` (f_ib^b, m/s^2).
+def ned_step(x, gyro, accel, dt):
+    """The packed NED state ``x`` one RK4 step later under the rates
+    ``gyro`` (omega_ib^b, rad/s) and ``accel`` (f_ib^b, m/s^2).
 
-    ``state`` is a NavStateNED or its packed form, and steps to the same
-    form: one member packs to a row (a list of 15 Python floats) and steps
-    in floats; a stacked state (fields with a leading axis of N members)
-    packs to an (N, 15) array and steps, with (N, 3) rates, as one stack,
+    ``x`` is one member as a row (a list of 15 Python floats: the rotation
+    row by row, v_n, lat, lon, h), which steps in floats to a row, or an
+    (N, 15) stack of members with (N, 3) rates, which steps as one array,
     each member equal to its row's step bit for bit.
     """
-    if not isinstance(state, NavStateNED):
-        return _ned_packed_step(state, gyro, accel, dt)
-    x = _pack(state)
-    x = _ned_packed_step(x.tolist() if x.ndim == 1 else x, gyro, accel, dt)
-    return NavStateNED(*_fields(np.asarray(x)))
-
-
-def _ned_packed_step(x, gyro, accel, dt):
-    """:func:`ned_step` of a row or of an (N, 15) stack."""
     if isinstance(x, list):
         return _row_rk4(x, dt, _ned_row_rates(gyro, accel))
     sk_gyro = skew_stack(gyro)
     return _rk4(x, dt, lambda x: _ned_rates_stack(x, sk_gyro, accel))
 
 
-def ecef_step(state, gyro, accel, dt):
-    """The ECEF state one RK4 step later, of one state or a stack, as
-    :func:`ned_step` steps them, through one :func:`_ecef_rates`; ``state``
-    is a NavStateECEF or its packed (15,) or (N, 15) array, and steps to the
-    same form."""
-    packed = isinstance(state, np.ndarray)
-    x = state if packed else _pack(state)
-    sk_gyro = (skew_stack if x.ndim == 2 else skew)(gyro)
-    x = _rk4(x, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
-    return x if packed else NavStateECEF(*_fields(x))
+def ecef_step(x, gyro, accel, dt):
+    """The packed ECEF state ``x`` (the rotation row by row, v_eb^e,
+    r_eb^e) one RK4 step later, a row or an (N, 15) stack, as
+    :func:`ned_step` steps them."""
+    if isinstance(x, list):
+        return _row_rk4(x, dt, _ecef_row_rates(gyro, accel))
+    sk_gyro = skew_stack(gyro)
+    return _rk4(x, dt, lambda x: _ecef_rates(x, sk_gyro, accel))
 
 
 def leg(state, step, gyros, accels, dt):
@@ -230,24 +257,28 @@ def leg(state, step, gyros, accels, dt):
     state by each sample's rates, ``gyros`` and ``accels`` ((T, 3), or
     (T, N, 3) for N members), and :func:`orthonormalize` projects each
     step's rotation back onto SO(3). The state stays packed from step to
-    step, a single NED member as a row of floats. The pre-step states come
-    as one stacked state of T points, or of T x N, step by step.
+    step: a single member as a row of 15 Python floats, N members as an
+    (N, 15) stack. The pre-step states come as one stacked state of T
+    points, or of T x N, step by step.
     """
     x = _pack(state)
-    if x.ndim == 1 and isinstance(state, NavStateNED):
+    row = x.ndim == 1
+    if row:
         x = x.tolist()
     xs = []
     for gyro, accel in zip(gyros, accels):
         xs.append(x)
         x = step(x, gyro, accel, dt)
         # per-step SVD: projecting only on drift moved golden outputs by 2e-8 m
-        if isinstance(x, list):
-            x[:9] = orthonormalize(np.array(x[:9]).reshape(3, 3)).ravel().tolist()
+        if row:
+            x[:9] = orthonormalize(x[:9])
         else:
-            rot = x[..., :9].reshape(x.shape[:-1] + (3, 3))
+            rot = x[:, :9].reshape(-1, 3, 3)
             rot[...] = orthonormalize(rot)
+    xs.append(x)
+    track = np.array(xs)  # the T pre-step states and the end state
     kind = type(state)
-    return kind(*_fields(np.array(xs).reshape(-1, 15))), kind(*_fields(np.asarray(x)))
+    return kind(*_fields(track[:-1].reshape(-1, 15))), kind(*_fields(track[-1]))
 
 
 try:
@@ -265,8 +296,9 @@ _FLIP.flags.writeable = False
 
 
 def orthonormalize(c):
-    """Project onto SO(3) (polar decomposition via SVD); an (N, 3, 3) stack
-    projects each matrix, bit for bit as its single call.
+    """Project a rotation onto SO(3) (polar decomposition via SVD): one
+    matrix as a row of its 9 Python floats, row by row, projects to a row
+    alike; an (N, 3, 3) stack projects each matrix, bit for bit as its row.
 
     Raises
     ------
@@ -275,32 +307,36 @@ def orthonormalize(c):
         infinite entry), or if the SVD does not converge: the gufunc returns
         NaN factors there, where np.linalg.svd raises.
     """
-    # one reduction is finite unless an entry is not finite or the finite
-    # entries overflow the sum; only then are the entries checked one by one
-    if not math.isfinite(c.sum()) and not np.isfinite(c).all():
+    if not isinstance(c, list):
+        return _orthonormalize_stack(c)
+    # the sum is finite unless an entry is not finite or the finite entries
+    # overflow it; only then are the entries checked one by one
+    if not math.isfinite(sum(c)) and not all(map(math.isfinite, c)):
         raise np.linalg.LinAlgError("non-finite entry in the matrix to project")
-    u, _, vt = _svd(c)
-    out = u @ vt
-    if out.ndim == 3:
-        return _signed_stack(u, vt, out)
+    u, _, vt = _svd(np.array(c).reshape(3, 3))
+    out = (u @ vt).ravel().tolist()
     # det(out) = out[0] . (out[1] x out[2]) is +-1 here, so the triple
     # product in plain floats gives its sign at a sixth of np.linalg.det's cost
-    x, y, z = out.tolist()
+    x0, x1, x2, y0, y1, y2, z0, z1, z2 = out
     triple = (
-        x[0] * (y[1] * z[2] - y[2] * z[1])
-        + x[1] * (y[2] * z[0] - y[0] * z[2])
-        + x[2] * (y[0] * z[1] - y[1] * z[0])
+        x0 * (y1 * z2 - y2 * z1)
+        + x1 * (y2 * z0 - y0 * z2)
+        + x2 * (y0 * z1 - y1 * z0)
     )
     if not abs(triple) > 0.5:  # true for NaN too
         raise np.linalg.LinAlgError("SVD did not converge")
     if triple < 0:
-        out = u @ _FLIP @ vt
+        out = (u @ _FLIP @ vt).ravel().tolist()
     return out
 
 
-def _signed_stack(u, vt, out):
-    """The stacked tail of :func:`orthonormalize`: each det(out) is +-1, so
-    any determinant gives its sign."""
+def _orthonormalize_stack(c):
+    """:func:`orthonormalize` of an (N, 3, 3) stack: each det(out) is +-1,
+    so any determinant gives its sign."""
+    if not math.isfinite(c.sum()) and not np.isfinite(c).all():
+        raise np.linalg.LinAlgError("non-finite entry in the matrix to project")
+    u, _, vt = _svd(c)
+    out = u @ vt
     det = np.linalg.det(out)
     if not (np.abs(det) > 0.5).all():  # true for NaN too
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -92,7 +92,8 @@ def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
                     )
                 post, report = flt.update(prior, fix, mode=mode)
                 nis[k].append({"t": post.t, "value": float(report.nis)})
-                pending[k] = post.copy()
+                # update returns fresh arrays, and no later step writes to them
+                pending[k] = post
             fs = flt.FilterState.stack(pending)
             start = stop
         fs, _ = _leg(fs, imu, start, len(imu), run, chunk)

@@ -138,6 +138,30 @@ def one_row(sample):
     return np.array([[sample.gyro, sample.accel]])
 
 
+def step_state(step, state, gyro, accel, dt):
+    """``step`` (``mech.ned_step`` or ``mech.ecef_step``) of a state object:
+    one state packs to its row of 15 floats, stacked states to their
+    (N, 15) stack, and the stepped form unpacks to the state's type."""
+    x = mech._pack(state)
+    x = step(x.tolist() if x.ndim == 1 else x, gyro, accel, dt)
+    return type(state)(*mech._fields(np.asarray(x)))
+
+
+def project(c):
+    """``mech.orthonormalize`` of one (3, 3) matrix, through its row."""
+    return np.array(mech.orthonormalize(c.ravel().tolist())).reshape(3, 3)
+
+
+def dynamics_at(variant, nominal, gyro, accel, *args, **kwargs):
+    """``error_dynamics`` at one nominal, called on a stack of one: (F, G)
+    of the point, G one matrix either way."""
+    f, g = error_dynamics(
+        variant, mech.stack_states([nominal]), gyro[None], accel[None],
+        *args, **kwargs,
+    )
+    return f[0], g[0] if g.ndim == 3 else g
+
+
 # ---------------------------------------------------------------------------
 # Lie and truth helpers that only the tests use: the library keeps the
 # triple form and the stacked truth (``states_ned``, ``imu_at``)
@@ -1197,7 +1221,7 @@ def ref_apply_correction(variant, nav, bias, dx):
         return nav.copy(), new_bias
     x_est = ref_embed(variant, nav)
     x_new = ref_true_from_error(variant.error_def, x_est, ref_exp_se23(dx[:9]))
-    c_new = mech.orthonormalize(x_new.R)
+    c_new = project(x_new.R)
     if variant.frame in ("NED", "NED_Aux"):
         lat, lon, _ = nav.geo
         c_ne = earth.dcm_ecef_to_ned(lat, lon).T
@@ -1218,16 +1242,16 @@ def ref_predict(fs, imu, dt, noise=None):
     noise = noise or ImuNoiseParams()
     gyro = imu.gyro - fs.bias.gyro
     accel = imu.accel - fs.bias.accel
-    f, g = error_dynamics(
+    f, g = dynamics_at(
         fs.variant, fs.nav, gyro, accel, tau_g=noise.tau_g, tau_a=noise.tau_a
     )
     phi, qd = ref_discretize(f, g, ref_q_diag(noise), dt)
     if fs.variant.frame in ("NED", "NED_Aux"):
-        nav = mech.ned_step(fs.nav, gyro, accel, dt)
-        nav.c_bn = mech.orthonormalize(nav.c_bn)
+        nav = step_state(mech.ned_step, fs.nav, gyro, accel, dt)
+        nav.c_bn = project(nav.c_bn)
     else:
-        nav = mech.ecef_step(fs.nav, gyro, accel, dt)
-        nav.c_be = mech.orthonormalize(nav.c_be)
+        nav = step_state(mech.ecef_step, fs.nav, gyro, accel, dt)
+        nav.c_be = project(nav.c_be)
     phi_g = 1.0 if noise.tau_g is None else np.exp(-dt / noise.tau_g)
     phi_a = 1.0 if noise.tau_a is None else np.exp(-dt / noise.tau_a)
     bias = BiasState(phi_g * fs.bias.gyro, phi_a * fs.bias.accel)

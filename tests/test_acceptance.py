@@ -18,7 +18,6 @@ from liese_nav import cli, earth, filter as flt, sensors
 from liese_nav import smoother as smo
 from liese_nav.errormodels import (
     Variant,
-    error_dynamics,
     measurement_left_invariant,
     measurement_se23,
     supported_variants,
@@ -29,8 +28,8 @@ from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 from oracles import (
-    FOracle, adjoint, as_matrix, assert_f_matches, hat, imu_instantaneous,
-    ref_group_affine_dynamics, so3_exp, state_ned,
+    FOracle, adjoint, as_matrix, assert_f_matches, dynamics_at, hat,
+    imu_instantaneous, ref_group_affine_dynamics, so3_exp, state_ned,
 )
 
 CIRCLE = TruthGenerator(
@@ -150,7 +149,7 @@ def _loglin_mismatch(variant, scale, rng, horizon=1.0, steps=50):
     for _ in range(steps):
         g_t = oracle.meas_gyro - BIAS_HAT.gyro * np.exp(-t / TAU_G)
         a_t = oracle.meas_accel - BIAS_HAT.accel * np.exp(-t / TAU_A)
-        f, _ = error_dynamics(
+        f, _ = dynamics_at(
             variant, _nav_of(oracle, est), g_t, a_t, tau_g=TAU_G, tau_a=TAU_A
         )
         phi = (np.eye(15) + f * dt + f @ f * (dt * dt / 2.0)) @ phi
@@ -193,7 +192,7 @@ def test_criterion_3_f_matches_fd_at_random_nominals():
             gyro, accel = imu_instantaneous(CIRCLE, t)
             oracle = FOracle(variant, nav, gyro, accel, BIAS_HAT,
                              tau_g=TAU_G, tau_a=TAU_A)
-            f, _ = error_dynamics(
+            f, _ = dynamics_at(
                 variant, nav, gyro, accel, tau_g=TAU_G, tau_a=TAU_A
             )
             assert_f_matches(f, oracle.fd_matrix(),

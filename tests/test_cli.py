@@ -118,7 +118,7 @@ def test_csv_roundtrip_idempotent(tmp_path):
     ):
         rows = cli.read_csv(out / name, header)
         rewritten = tmp_path / ("rt_" + name)
-        cli.write_csv(rewritten, header, [cli._fmt(r) for r in rows])
+        cli.write_csv(rewritten, header, [cli._fmt(r.tolist()) for r in rows])
         again = cli.read_csv(rewritten, header)
         assert np.array_equal(rows, again)
 
@@ -819,6 +819,26 @@ def test_origin_height_of_1000_km_is_accepted(tmp_path, height):
     assert cfg.trajectory.origin_h_m == height
 
 
+@pytest.mark.parametrize("runs", [[], ["--monte-carlo", "2"]], ids=["single", "mc"])
+@pytest.mark.parametrize("sigma", [1e150, 1.0000001e6])
+def test_position_sigma_beyond_1000_km_exits_2(tmp_path, runs, sigma):
+    # at 1e150 m the run drew its start 1e150 m from the truth, kept P
+    # finite and exited 0 with NEES values up to 5.5e83; the config check
+    # stops it before any file, as it stops such an origin height
+    values = {**BASE_CONFIG["initial"], "position_sigma_m": sigma}
+    cfg = write_config(tmp_path, {"initial": values})
+    res = invoke("run", "--config", str(cfg), "--out", str(tmp_path / "o"), *runs)
+    assert res.exit_code == 2, res.output
+    assert "initial.position_sigma_m" in res.output
+    assert not (tmp_path / "o").exists()
+
+
+def test_position_sigma_of_1000_km_is_accepted(tmp_path):
+    values = {**BASE_CONFIG["initial"], "position_sigma_m": 1e6}
+    cfg = cli.load_config(write_config(tmp_path, {"initial": values}))
+    assert cfg.initial.position_sigma_m == 1e6
+
+
 def test_largest_sigma_with_a_finite_square_is_accepted(tmp_path):
     largest = math.sqrt(sys.float_info.max)
     values = {**BASE_CONFIG["gnss"], "sigma_pos_m": largest}
@@ -1029,7 +1049,7 @@ def test_quaternion_roundtrip():
     rng = np.random.default_rng(2)
     for _ in range(200):
         c = so3_exp(rng.uniform(-np.pi, np.pi, 3) * rng.uniform(0, 1))
-        q = cli.dcm_to_quaternion(c)
+        q = cli.dcm_to_quaternion(c[None])[0]
         assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
         assert q[0] >= 0.0
         assert np.max(np.abs(quaternion_to_dcm(q) - c)) <= 1e-12

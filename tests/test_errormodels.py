@@ -7,7 +7,6 @@ from liese_nav import earth
 from liese_nav.errormodels import (
     ECEF_CHART,
     Variant,
-    error_dynamics,
     measurement_left_invariant,
     measurement_se23,
     supported_variants,
@@ -19,8 +18,9 @@ from liese_nav.sensors import BiasState
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 from oracles import (
-    FOracle, SCALES, adjoint, as_matrix, assert_f_matches, imu_instantaneous,
-    ned_to_ecef_state, ref_group_affine_dynamics, same_bits, so3_exp, state_ned,
+    FOracle, SCALES, adjoint, as_matrix, assert_f_matches, dynamics_at,
+    imu_instantaneous, ned_to_ecef_state, ref_group_affine_dynamics, same_bits,
+    so3_exp, state_ned,
 )
 
 GEN = TruthGenerator(
@@ -129,7 +129,7 @@ def test_retraction_roundtrip(variant):
 def test_f_matches_fd_oracle(variant):
     for t in (7.3, 23.6):
         oracle, nav, gyro, accel = make_oracle(variant, t)
-        f, _ = error_dynamics(
+        f, _ = dynamics_at(
             variant, nav, gyro, accel, tau_g=TAU_G, tau_a=TAU_A
         )
         assert_f_matches(f, oracle.fd_matrix(), label=f"{variant.name}@t={t}")
@@ -160,7 +160,7 @@ def test_noise_columns_match_bias_columns(variant):
     sign = 1.0 if variant.inverts_true else -1.0
     rng = np.random.default_rng(17)
     for nav, gyro, accel in [nominal_for(variant, 5.0), *random_nominals(variant, rng)]:
-        f, g = error_dynamics(variant, nav, gyro, accel, tau_g=TAU_G, tau_a=TAU_A)
+        f, g = dynamics_at(variant, nav, gyro, accel, tau_g=TAU_G, tau_a=TAU_A)
         assert same_bits(g[:9, :6], f[:9, 9:15])
         assert np.array_equal(g[9:, 6:], np.eye(6))
         assert np.array_equal(g[:9, 6:], np.zeros((9, 6)))
@@ -171,7 +171,7 @@ def test_noise_columns_match_bias_columns(variant):
         ad = sign * adjoint(variant.chart.embed(nav, variant.aux_velocity))[:, :6]
         assert np.linalg.norm(g[:9, :6] - ad) <= 1e-12 * np.linalg.norm(ad)
         # a right error is autonomous: F does not depend on the IMU input
-        f2, _ = error_dynamics(
+        f2, _ = dynamics_at(
             variant, nav, rng.normal(scale=0.3, size=3), rng.normal(scale=8.0, size=3),
             tau_g=TAU_G, tau_a=TAU_A,
         )
@@ -180,7 +180,7 @@ def test_noise_columns_match_bias_columns(variant):
 
 def test_bias_rows_gauss_markov():
     nav, gyro, accel = nominal_for(Variant("NED", "LeftEst"), 5.0)
-    f, _ = error_dynamics(
+    f, _ = dynamics_at(
         Variant("NED", "LeftEst"), nav, gyro, accel, tau_g=100.0, tau_a=200.0
     )
     assert np.allclose(f[9:12, 9:12], -np.eye(3) / 100.0)
@@ -191,8 +191,8 @@ def test_bias_rows_gauss_markov():
 def test_mems_flag_is_noop_for_ecef():
     for error_def in ("LeftTrue", "LeftEst", "RightEst", "RightTrue"):
         nav, gyro, accel = nominal_for(Variant("ECEF", error_def), 5.0)
-        f0, g0 = error_dynamics(Variant("ECEF", error_def), nav, gyro, accel)
-        f1, g1 = error_dynamics(
+        f0, g0 = dynamics_at(Variant("ECEF", error_def), nav, gyro, accel)
+        f1, g1 = dynamics_at(
             Variant("ECEF", error_def, mems_simplified=True), nav, gyro, accel
         )
         assert np.array_equal(f0, f1) and np.array_equal(g0, g1)
@@ -211,8 +211,8 @@ def test_paired_definitions_flip_bias_columns(frame, pair):
     # true-referenced and estimate-referenced errors of the same handedness
     # share every non-bias block and negate the bias/noise columns
     nav, gyro, accel = nominal_for(Variant(frame, pair[0]), 9.0)
-    fa, ga = error_dynamics(Variant(frame, pair[0]), nav, gyro, accel)
-    fb, gb = error_dynamics(Variant(frame, pair[1]), nav, gyro, accel)
+    fa, ga = dynamics_at(Variant(frame, pair[0]), nav, gyro, accel)
+    fb, gb = dynamics_at(Variant(frame, pair[1]), nav, gyro, accel)
     assert np.array_equal(fa[:9, :9], fb[:9, :9])
     assert np.array_equal(fa[:9, 9:], -fb[:9, 9:])
     assert np.array_equal(ga[:9, :6], -gb[:9, :6])

@@ -116,3 +116,25 @@ def test_traced_single_member_ned_run_counts_every_step():
         m["name"] for m in declared if result["metrics"][m["name"]]["value"] is None
     ]
     assert not missing, missing
+
+
+def test_traced_single_member_ecef_run_counts_every_step():
+    # about 6 s. One ECEF member steps its legs as rows of floats, and each
+    # IMU step still calls the traced mechanization.ecef_step, each step's
+    # and each retraction's projection the traced
+    # mechanization.orthonormalize, and each RK4 stage's gravity the traced
+    # earth.ecef_to_llh: the workload's 20 s at 50 Hz are 1000 steps, with a
+    # fix, hence an update and a smoother retraction, at each of them
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ecef-dense-gnss",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr[-3000:]
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["mechanization.step_calls"]["value"] == 1000
+    assert metrics["mechanization.orthonormalize_calls"]["value"] == 3000
+    assert metrics["earth.ecef_to_llh_calls"]["value"] >= 4000
