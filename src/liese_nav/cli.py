@@ -568,7 +568,9 @@ def _write_streams(out, sim, dt):
     write_csv(out / "truth.csv", TRAJ_HEADER, sim.truth_rows)
     n = len(sim.imu)
     imu = np.column_stack([np.arange(n) * dt, sim.imu.reshape(n, 6)])
-    write_csv(out / "imu.csv", IMU_HEADER, [_fmt(row.tolist()) for row in imu])
+    # row by row as written: all members' records are alive here, and a
+    # list of the rows raised a 4-member run's peak RSS by about 0.1 MB
+    write_csv(out / "imu.csv", IMU_HEADER, (_fmt(row.tolist()) for row in imu))
     write_csv(
         out / "gnss.csv",
         GNSS_HEADER,
@@ -597,34 +599,20 @@ def run_scenario(cfg, out_dir, forward=None):
 
     Returns the metrics dictionary that is also written to metrics.json.
     Every Monte-Carlo member runs through here as well, and hands over its
-    simulation and forward pass from :func:`_filter` as ``forward`` =
-    (sim, records, nis_log), which leaves it the smoothing, metrics and
-    files; a standalone run is a block of one member.
+    block's work for it from :func:`_filter` as ``forward`` = (sim,
+    records, tracks, metrics), which leaves it the files; a standalone run
+    is a block of one member.
     """
     if forward is None:
         _check_fix_sigma(cfg)
         forward = next(_filter([cfg], _truth(cfg)))
-    sim, records, nis_log = forward
-    variant, gen, dt = sim.variant, sim.gen, cfg.imu_dt_s
-    smoothed = smo.rts_smooth(variant, records)
-
+    sim, records, (filtered_ned, smoothed_ned), metrics = forward
     out = _make_dir(out_dir)
-    _write_streams(out, sim, dt)
-
-    # each track converts to NED once, for its CSV and for the metrics
-    filtered_ned = variant.chart.as_ned(stack_states([r.nav for r in records]))
-    smoothed_ned = variant.chart.as_ned(stack_states([e.nav for e in smoothed]))
-    for name, track, ned in (
-        ("filtered.csv", records, filtered_ned),
-        ("smoothed.csv", smoothed, smoothed_ned),
-    ):
-        write_csv(out / name, TRAJ_HEADER, _traj_rows([e.t for e in track], ned))
+    _write_streams(out, sim, cfg.imu_dt_s)
+    times = [r.t for r in records]  # the smoothed epochs are the records'
+    for name, ned in (("filtered.csv", filtered_ned), ("smoothed.csv", smoothed_ned)):
+        write_csv(out / name, TRAJ_HEADER, _traj_rows(times, ned))
     write_csv(out / "covariance.csv", COV_HEADER, _cov_rows(records))
-
-    metrics = _metrics(
-        cfg, variant, gen, dt, sim.biases, records, filtered_ned, smoothed_ned,
-        nis_log,
-    )
     _write_json(out / "metrics.json", metrics)
     return metrics
 
@@ -636,10 +624,13 @@ def _start(cfg, sim):
 
 
 def _filter(members, truth):
-    """Simulate each member config on the shared ``truth`` and filter all of
-    them in one lockstep ``smoother.run_forward`` call. Yields (sim,
-    records, nis_log) per member in order, and drops a member's data once
-    the next is asked for.
+    """Simulate each member config on the shared ``truth``, filter all of
+    them in one lockstep ``smoother.run_forward`` call, check their
+    covariances (:func:`_check_positive_definite`), smooth them in one
+    lockstep ``smoother.rts_smooth`` call and take the block's metrics in
+    one :func:`_metrics` call, all before any member writes a file. Yields
+    (sim, records, (filtered NED track, smoothed NED track), metrics) per
+    member in order, and drops a member's data once the next is asked for.
     """
     sims = [_simulate(sub, truth) for sub in members]
     try:
@@ -653,9 +644,52 @@ def _filter(members, truth):
         seeds = ", ".join(str(sub.seed) for sub in members)
         label = "seed" if len(members) == 1 else "seeds"
         raise Divergence(f"{exc} ({label} {seeds})") from exc
+    variant = truth.variant
+    _check_positive_definite(variant, records, members)
+    # the smoothed navs, an (epochs, members) stack, or (epochs,) for one
+    # member; only they are written
+    navs = stack_states([fs.nav for fs in smo.rts_smooth(variant, records)])
+    # each track converts to NED once, for its CSV and for the metrics
+    as_ned = variant.chart.as_ned
+    tracks = [
+        (
+            as_ned(stack_states([r.nav for r in member])),
+            as_ned(navs if len(records) == 1 else state_at(navs, (slice(None), k))),
+        )
+        for k, member in enumerate(records)
+    ]
+    metrics = _metrics(members, sims, records, tracks, nis)
     for k in range(len(members)):
-        yield sims[k], records[k], nis[k]
-        sims[k] = records[k] = nis[k] = None
+        yield sims[k], records[k], tracks[k], metrics[k]
+        sims[k] = records[k] = tracks[k] = None
+
+
+def _check_positive_definite(variant, records, members):
+    """Raise NotPSD, naming the time, the variant and the member's seed, at
+    the first covariance of a member's records that a Cholesky
+    factorization refuses: one stacked ``np.linalg.cholesky`` per
+    ``smoother.BLOCK`` epochs of each member. A P whose round-off has made
+    it indefinite writes negative NEES values (a GNSS sigma of 1e-20 m
+    wrote -1.66e12), though it passes the symmetry check of covariance.csv.
+    """
+    for member, sub in zip(records, members):
+        for start in range(0, len(member), smo.BLOCK):
+            block = member[start:start + smo.BLOCK]
+            if not _factors(np.stack([rec.p_post for rec in block])):
+                rec = next(rec for rec in block if not _factors(rec.p_post))
+                raise NotPSD(
+                    f"covariance at t={rec.t} of {variant.name} (seed "
+                    f"{sub.seed}) is not positive definite"
+                )
+
+
+def _factors(p):
+    """Whether ``np.linalg.cholesky`` factors P, or every P of a stack."""
+    try:
+        np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _epoch_errors(truth, ned):
@@ -680,15 +714,16 @@ def _rmse_block(truth, ned):
     }
 
 
-def _nees(records, dx):
-    """dx' P^-1 dx of every record, from one stacked solve per block of
-    epochs; the product stays per row, so each value equals its per-epoch
-    solve bit for bit. If some P is singular, its block falls back to epoch
-    by epoch, and only that epoch reads NaN."""
+def _nees(p_post, dx):
+    """dx' P^-1 dx of every row of the (M, 15) errors ``dx`` and their M
+    covariances ``p_post``, from one stacked solve per block of rows; the
+    product stays per row, so each value equals its per-epoch solve bit
+    for bit. If some P is singular, its block falls back to row by row,
+    and only that row reads NaN."""
     sol = np.full_like(dx, np.nan)
-    for start in range(0, len(records), smo.BLOCK):
+    for start in range(0, len(p_post), smo.BLOCK):
         rows = slice(start, start + smo.BLOCK)
-        p = np.stack([rec.p_post for rec in records[rows]])
+        p = np.stack(p_post[rows])
         try:
             sol[rows] = np.linalg.solve(p, dx[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:
@@ -700,42 +735,59 @@ def _nees(records, dx):
     return [float(a @ b) for a, b in zip(dx, sol)]
 
 
-def _metrics(cfg, variant, gen, dt, biases, records, filtered, smoothed, nis_log):
-    """Metrics of the stacked NED tracks ``filtered`` and ``smoothed``, whose
-    epochs are the records'; truth is evaluated at those epochs at once."""
-    times = [r.t for r in records]
-    truth = variant.chart.states(gen, times)
+def _metrics(members, sims, records, tracks, nis):
+    """Metrics of each member of a block: its config, simulation, records,
+    stacked NED (filtered, smoothed) tracks, whose epochs are the records',
+    and NIS log. The members share their epochs, so the truth is evaluated
+    at them once; their errors and NEES run over member x epoch rows, one
+    stacked ``error_state`` and one stacked solve per ``smoother.BLOCK``
+    rows, each row equal to its own call bit for bit."""
+    variant, dt = sims[0].variant, members[0].imu_dt_s
+    times = [r.t for r in records[0]]
+    epochs = len(times)
+    truth = variant.chart.states(sims[0].gen, times)
     truth_n = variant.chart.as_ned(truth)
     # the true bias of the IMU interval that ends at each epoch
     steps = np.rint(np.array(times) / dt).astype(int) - 1
-    true_bias = biases[np.clip(steps, 0, len(biases) - 1)]
-    dx = np.empty((len(records), 15))
-    # one stacked error per block of epochs, which bounds the stacks' memory
-    for start in range(0, len(records), smo.BLOCK):
+    true_bias = np.concatenate(
+        [sim.biases[np.clip(steps, 0, len(sim.biases) - 1)] for sim in sims]
+    )
+    # member-major rows: member k's epochs are rows k * epochs ...
+    flat = [rec for member in records for rec in member]
+    dx = np.empty((len(flat), 15))
+    for start in range(0, len(flat), smo.BLOCK):
         rows = slice(start, start + smo.BLOCK)
-        block = records[rows]
+        block = flat[rows]
         dx[rows] = flt.error_state(
             variant,
-            state_at(truth, rows),
+            state_at(truth, np.arange(start, start + len(block)) % epochs),
             BiasState(true_bias[rows, 0], true_bias[rows, 1]),
             stack_states([rec.nav for rec in block]),
             stack_states([rec.bias for rec in block]),
         )
-    nees = _nees(records, dx)
-    nees_log = [{"t": rec.t, "value": v} for rec, v in zip(records, nees)]
-    return {
-        "variant": variant.name,
-        "mode": cfg.mode,
-        "seed": cfg.seed,
-        "epochs": len(records),
-        "rmse": {
-            "filtered": _rmse_block(truth_n, filtered),
-            "smoothed": _rmse_block(truth_n, smoothed),
-        },
-        "final_nees": nees_log[-1]["value"] if nees_log else None,
-        "nees": nees_log,
-        "nis": nis_log,
-    }
+    nees = _nees([rec.p_post for rec in flat], dx)
+    out = []
+    for k, (sub, (filtered, smoothed), nis_log) in enumerate(zip(members, tracks, nis)):
+        nees_log = [
+            {"t": t, "value": v}
+            for t, v in zip(times, nees[k * epochs:(k + 1) * epochs])
+        ]
+        out.append(
+            {
+                "variant": variant.name,
+                "mode": sub.mode,
+                "seed": sub.seed,
+                "epochs": epochs,
+                "rmse": {
+                    "filtered": _rmse_block(truth_n, filtered),
+                    "smoothed": _rmse_block(truth_n, smoothed),
+                },
+                "final_nees": nees_log[-1]["value"] if nees_log else None,
+                "nees": nees_log,
+                "nis": nis_log,
+            }
+        )
+    return out
 
 
 # Members per forward pass of a Monte-Carlo run, which bounds the records
@@ -750,9 +802,10 @@ def run_monte_carlo(cfg, out_dir, n_runs):
     merge their metrics by run index.
 
     The seed-independent truth is built once. The members run in blocks of
-    ``LOCKSTEP_BLOCK``, one forward pass per block (one stacked predict per
-    leg chunk); each member's files equal a standalone run with its seed,
-    byte for byte.
+    ``LOCKSTEP_BLOCK``: one forward pass per block (one stacked predict per
+    leg chunk and one stacked update per fix), one lockstep backward pass
+    and one metrics call (:func:`_filter`), then each member's files; each
+    member's files equal a standalone run with its seed, byte for byte.
     """
     _check_fix_sigma(cfg)
     truth = _truth(cfg)

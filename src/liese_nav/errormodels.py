@@ -25,7 +25,7 @@ import numpy as np
 
 from liese_nav import earth, mechanization as mech
 from liese_nav.errors import IncompatibleMode, UnsupportedVariant
-from liese_nav.liegroup import GroupElement, cross, matvec, skew, skew_stack
+from liese_nav.liegroup import GroupElement, cross, matvec, skew_stack
 from liese_nav.mechanization import NavStateECEF, NavStateNED
 
 PHI = slice(0, 3)
@@ -125,8 +125,20 @@ def supported_variants(include_mems=True):
 
 def _project(rot):
     """``mechanization.orthonormalize`` of one rotation matrix, through its
-    row form."""
+    row form, or of an (N, 3, 3) stack; a stack of one would take twice the
+    row form's time."""
+    if rot.ndim == 3:
+        return mech.orthonormalize(rot)
     return np.array(mech.orthonormalize(rot.ravel().tolist())).reshape(3, 3)
+
+
+def _geodetic(r_e):
+    """Geodetic (lat, lon, h) of one ECEF position, a 3-vector, or of a
+    (3, N) array of them as (N, 3) rows: the float ``earth.ecef_to_llh`` of
+    each point, which is faster than its array loop below about 8-16
+    points, as for gravity."""
+    rows = map(earth.ecef_to_llh, r_e.T.reshape(-1, 3).tolist())
+    return np.array(list(rows)).reshape(r_e.T.shape)
 
 
 class NedChart:
@@ -143,8 +155,9 @@ class NedChart:
         return nav
 
     def attitude_position(self, nav):
-        lat, _, h = nav.geo
-        return nav.c_bn, earth.position_vector_n(lat, h)
+        """Attitude and position vector of one state or of stacked states."""
+        lat, _, h = nav.geo.T
+        return nav.c_bn, earth.position_vector_n(lat, h).T
 
     def embed(self, nav, aux):
         """The group embedding of one state or of stacked states."""
@@ -172,16 +185,19 @@ class NedChart:
         return x_true, x_est
 
     def retract(self, nav, x_est, x_new, aux):
-        """The state whose embedding is x_new, read through the chart."""
+        """The state whose embedding is x_new, read through the chart; one
+        state or stacked states alike, each member equal to its single
+        call bit for bit."""
         c_new = _project(x_new.R)
-        lat, lon, _ = nav.geo
-        c_ne = earth.dcm_ecef_to_ned(lat, lon).T
-        r_e = earth.llh_to_ecef(*nav.geo) + c_ne @ (x_new.p - x_est.p)
-        geo = np.array(earth.ecef_to_llh(r_e))
+        lat, lon, h = nav.geo.T
+        c_ne = earth.dcm_ecef_to_ned(lat, lon).mT
+        r_e = earth.llh_to_ecef(lat, lon, h) + matvec(c_ne, x_new.p - x_est.p).T
+        geo = _geodetic(r_e)
         v = x_new.v
         if aux:
-            rho = earth.position_vector_n(geo[0], geo[2])
-            v = v - cross(earth.earth_rate_n(geo[0]), rho)
+            lat, _, h = geo.T
+            rho = earth.position_vector_n(lat, h)
+            v = v - cross(earth.earth_rate_n(lat), rho).T
         return NavStateNED(c_new, v.copy(), geo)
 
     def leg(self, nav, gyros, accels, dt):
@@ -191,11 +207,14 @@ class NedChart:
         return mech.leg(nav, mech.ned_step, gyros, accels, dt)
 
     def innovation(self, nav, fix):
-        """Measured minus predicted antenna position and its covariance."""
-        lat, lon, _ = nav.geo
+        """Measured minus predicted antenna position and its covariance, of
+        one state and fix or of stacked states and fixes."""
+        lat, lon, h = nav.geo.T
         c_en = earth.dcm_ecef_to_ned(lat, lon)
-        pred = earth.llh_to_ecef(*nav.geo) + c_en.T @ (nav.c_bn @ fix.lever_arm_b)
-        return c_en @ (fix.pos - pred), c_en @ fix.r @ c_en.T
+        c_ne = c_en.mT
+        lever_n = matvec(nav.c_bn, fix.lever_arm_b)
+        pred = earth.llh_to_ecef(lat, lon, h).T + matvec(c_ne, lever_n)
+        return matvec(c_en, fix.pos - pred), c_en @ fix.r @ c_ne
 
     def misalign(self, nav, rot):
         """Turn the attitude in place by rot, given in local NED axes."""
@@ -231,7 +250,7 @@ class EcefChart:
         c_new = _project(x_new.R)
         v = x_new.v
         if aux:
-            v = v - cross(earth.W_IE_E, x_new.p)
+            v = v - cross(earth.W_IE_E, x_new.p.T).T
         return NavStateECEF(c_new, v.copy(), x_new.p.copy())
 
     def leg(self, nav, gyros, accels, dt):
@@ -240,7 +259,7 @@ class EcefChart:
         return mech.leg(nav, mech.ecef_step, gyros, accels, dt)
 
     def innovation(self, nav, fix):
-        pred = nav.r + nav.c_be @ fix.lever_arm_b
+        pred = nav.r + matvec(nav.c_be, fix.lever_arm_b)
         return fix.pos - pred, fix.r
 
     def misalign(self, nav, rot):
@@ -543,35 +562,55 @@ _BLOCKS = {
 
 
 def measurement_se23(variant, nominal, lever_arm):
-    """Navigation-frame position measurement matrix H (3x15).
+    """Navigation-frame position measurement matrix H (3x15), or an
+    (N, 3, 15) stack of them for a stacked nominal and an (N, 3) stack of
+    lever arms, each equal to its single call bit for bit.
 
     Innovation: z = measured - predicted antenna position,
     expressed in the navigation frame (NED chart axes or ECEF).
     """
     c, r = variant.chart.attitude_position(nominal)
     sign = 1.0 if variant.inverts_true else -1.0
-    h = np.zeros((3, 15))
+    h = np.zeros(c.shape[:-2] + (3, 15))
     if variant.is_right:
-        h[:, PHI] = sign * skew(r + c @ lever_arm)
-        h[:, RR] = -sign * _I3
+        h[..., PHI] = sign * _skew_of(r + matvec(c, lever_arm))
+        h[..., RR] = -sign * _I3
     else:
-        h[:, PHI] = (sign * c) @ skew(lever_arm)
-        h[:, RR] = -sign * c
+        h[..., PHI] = (sign * c) @ _skew_of(lever_arm)
+        h[..., RR] = -sign * c
     return h
+
+
+def _skew_of(v):
+    """``skew`` of a 3-vector or ``skew_stack`` of an (N, 3) stack."""
+    return skew_stack(v.reshape(-1, 3)).reshape(v.shape + (3,))
 
 
 def measurement_left_invariant(variant, nominal, lever_arm):
     """Body-frame (left-invariant) measurement model.
 
-    Returns (H, M) with innovation z_b = C^T z_nav and R_body = M R M^T.
-    Only defined for the LeftEst error definition.
+    Returns (H, M) with innovation z_b = C^T z_nav and R_body = M R M^T;
+    for a stacked nominal, M is a stack. H reads only the lever arm, a
+    3-vector or an (N, 3) stack, so it is built once per lever arm and
+    shared, read-only (:func:`_left_invariant_h`). Only defined for the
+    LeftEst error definition.
     """
     if not variant.invariant_update:
         raise IncompatibleMode(
             "left-invariant measurement requires the LeftEst error definition"
         )
     c, _ = variant.chart.attitude_position(nominal)
-    h = np.zeros((3, 15))
-    h[:, PHI] = -skew(lever_arm)
-    h[:, RR] = _I3
-    return h, c.T
+    h = _left_invariant_h(lever_arm.tobytes(), lever_arm.shape)
+    return h, c.mT
+
+
+@functools.lru_cache(maxsize=4)
+def _left_invariant_h(lever_bytes, shape):
+    """The left-invariant H of the lever arm given by its bytes (which tell
+    -0.0 from 0.0, as H's entries do) and shape, read-only."""
+    lever_arm = np.frombuffer(lever_bytes).reshape(shape)
+    h = np.zeros(shape[:-1] + (3, 15))
+    h[..., PHI] = -_skew_of(lever_arm)
+    h[..., RR] = _I3
+    h.flags.writeable = False
+    return h

@@ -243,8 +243,16 @@ def exp_se23(xi: np.ndarray) -> GroupElement:
     ``tests/test_bit_identity.py`` pins this function to. The square and
     the Jacobian's products stay BLAS calls; the sums are Python floats,
     the same IEEE operations as numpy's on one element.
+
+    An (N, 9) stack gives a stacked element whose rows equal their single
+    calls bit for bit: each row's coefficients come from the same float
+    code (``_exp_coeffs`` of its angle, so no ``np.sin`` replaces
+    ``math.sin``), and the sums, the square and the Jacobian's products are
+    the same IEEE operations and BLAS calls on the stack.
     """
     xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 2:
+        return _exp_se23_stack(xi)
     phi = xi[:3]
     a, b, c = _exp_coeffs(_norm(phi))
     px, px2 = _skew_and_square(phi)
@@ -255,6 +263,20 @@ def exp_se23(xi: np.ndarray) -> GroupElement:
     ).reshape(2, 3, 3)
     v, p = matvec(jac, xi[3:9].reshape(2, 3))
     return GroupElement(rot, v, p)
+
+
+def _exp_se23_stack(xi):
+    phi = xi[:, :3]
+    # (N,1,3) @ (N,3,1) is the dot product a single call's norm takes
+    angle = np.sqrt((phi[:, None, :] @ phi[:, :, None])[:, 0, 0])
+    coeffs = np.array(list(map(_exp_coeffs, angle.tolist())))
+    a, b, c = coeffs.T[:, :, None, None]
+    px = skew_stack(phi)
+    px2 = px @ px
+    rot = _I3 + a * px + b * px2
+    jac = _I3 + b * px + c * px2
+    vp = matvec(jac[:, None], xi[:, 3:9].reshape(-1, 2, 3))
+    return GroupElement(rot, vp[:, 0], vp[:, 1])
 
 
 def log_se23(element: GroupElement) -> np.ndarray:

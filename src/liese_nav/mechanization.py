@@ -282,13 +282,15 @@ def leg(state, step, gyros, accels, dt):
 
 
 try:
-    # the LAPACK gufunc np.linalg.svd calls, without the wrapper's checks
-    # and errstate, which cost more than the 3x3 SVD itself
-    from numpy.linalg._umath_linalg import svd_f
+    # the LAPACK gufuncs np.linalg.svd and np.linalg.det call, without the
+    # wrappers' checks and errstate, which cost more than the 3x3 SVD
+    # itself (the determinants of a 4-member stack: 2.4 against 3.5 us)
+    from numpy.linalg._umath_linalg import det as det_f, svd_f
 
     _svd = functools.partial(svd_f, signature="d->ddd")
-except ImportError:  # a private module: fall back to the public call
-    _svd = np.linalg.svd
+    _det = functools.partial(det_f, signature="d->d")
+except ImportError:  # a private module: fall back to the public calls
+    _svd, _det = np.linalg.svd, np.linalg.det
 
 
 _FLIP = np.diag([1.0, 1.0, -1.0])
@@ -337,7 +339,7 @@ def _orthonormalize_stack(c):
         raise np.linalg.LinAlgError("non-finite entry in the matrix to project")
     u, _, vt = _svd(c)
     out = u @ vt
-    det = np.linalg.det(out)
+    det = _det(out)
     if not (np.abs(det) > 0.5).all():  # true for NaN too
         raise np.linalg.LinAlgError("SVD did not converge")
     flip = det < 0

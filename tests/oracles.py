@@ -152,6 +152,13 @@ def project(c):
     return np.array(mech.orthonormalize(c.ravel().tolist())).reshape(3, 3)
 
 
+def member_state(fs, k):
+    """Member k of a stacked ``filter.FilterState``, as views."""
+    return flt.FilterState(
+        fs.variant, state_at(fs.nav, k), state_at(fs.bias, k), fs.p[k], fs.t
+    )
+
+
 def dynamics_at(variant, nominal, gyro, accel, *args, **kwargs):
     """``error_dynamics`` at one nominal, called on a stack of one: (F, G)
     of the point, G one matrix either way."""

@@ -29,7 +29,7 @@ from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 from oracles import (
     FOracle, adjoint, as_matrix, assert_f_matches, dynamics_at, hat,
-    imu_instantaneous, ref_group_affine_dynamics, so3_exp, state_ned,
+    imu_instantaneous, member_state, ref_group_affine_dynamics, so3_exp, state_ned,
 )
 
 CIRCLE = TruthGenerator(
@@ -280,14 +280,17 @@ def test_criterion_6_zero_noise_tracking():
 
 def _lockstep_forward(variant, duration, dt, seeds, clean):
     """Filter and smooth a block of seeds, each with its own ``_draws``, in
-    one lockstep ``run_forward`` (one stacked predict per IMU epoch).
-    Returns per member (records, smoothed, biases)."""
+    one lockstep ``run_forward`` (one stacked predict per IMU epoch) and
+    one lockstep ``rts_smooth``. Returns per member (records, smoothed,
+    biases)."""
     starts, imu, biases, fixes = map(
         list, zip(*(_draws(variant, duration, dt, seed, clean) for seed in seeds))
     )
     records, _ = smo.run_forward(starts, imu, fixes, dt, NOISE, "se23")
+    smoothed = smo.rts_smooth(variant, records)
     return [
-        (recs, smo.rts_smooth(variant, recs), b) for recs, b in zip(records, biases)
+        (recs, [member_state(fs, k) for fs in smoothed], b)
+        for k, (recs, b) in enumerate(zip(records, biases))
     ]
 
 

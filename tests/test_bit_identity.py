@@ -779,6 +779,7 @@ def test_q_diag_matches_concatenation():
 # the LAPACK gufunc and the np.linalg.svd fallback taken when the private
 # module cannot be imported
 SVD_PATHS = {"gufunc": mech._svd, "fallback": np.linalg.svd}
+DET_PATHS = {"gufunc": mech._det, "fallback": np.linalg.det}
 
 
 def test_orthonormalize_matches_reference_on_reflections(monkeypatch):
@@ -846,6 +847,7 @@ def _stacked_predicts(variant, monkeypatch, path):
     is turned into a reflection every 50 steps, so its SVD takes the
     determinant flip."""
     monkeypatch.setattr(mech, "_svd", SVD_PATHS[path])
+    monkeypatch.setattr(mech, "_det", DET_PATHS[path])
     run = flt.RunConstants(
         variant, ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, 400.0, 900.0), DT
     )
@@ -867,8 +869,8 @@ def _stacked_predicts(variant, monkeypatch, path):
     flips = 0
     for step in range(200):
         if step % 50 == 0:
-            for fs in (members[0], stack.members()[0]):
-                c = getattr(fs.nav, rot)
+            for nav in (members[0].nav, mech.state_at(stack.nav, 0)):
+                c = getattr(nav, rot)
                 c[:] = c @ np.diag([1.0, 1.0, -1.0])
             flips += 1
         gyro = rng.normal(scale=0.1, size=(len(members), 3))
@@ -1309,12 +1311,11 @@ def _forward(frame, error_def, mode):
 
 def _metrics(cfg, sim, records, smoothed, nis):
     as_ned = sim.variant.chart.as_ned
-    return cli._metrics(
-        cfg, sim.variant, sim.gen, DT, sim.biases, records,
-        as_ned(mech.stack_states([r.nav for r in records])),
-        as_ned(mech.stack_states([e.nav for e in smoothed])),
-        nis,
-    )
+    tracks = [
+        as_ned(mech.stack_states([e.nav for e in track]))
+        for track in (records, smoothed)
+    ]
+    return cli._metrics([cfg], [sim], [records], [tracks], [nis])[0]
 
 
 BACK_END_CASES = [
@@ -1332,7 +1333,7 @@ def test_back_end_matches_reference(frame, error_def, mode, block, monkeypatch):
         monkeypatch.setattr(smo, "BLOCK", block)
     cfg, sim, records, nis = _forward(frame, error_def, mode)
     variant = sim.variant
-    smoothed = smo.rts_smooth(variant, records)
+    smoothed = smo.rts_smooth(variant, [records])
     assert_same(smoothed, oracles.ref_rts_smooth(variant, records), "smoother")
     truth = variant.chart.states(sim.gen, [r.t for r in records])
     ref_nees = oracles.ref_nees(
@@ -1349,7 +1350,7 @@ def test_singular_covariance_gives_nan_nees_at_its_epoch_only(block, monkeypatch
     if block:
         monkeypatch.setattr(smo, "BLOCK", block)
     cfg, sim, records, nis = _forward("NED", "LeftEst", "se23")
-    smoothed = smo.rts_smooth(sim.variant, records)
+    smoothed = smo.rts_smooth(sim.variant, [records])
     before = _metrics(cfg, sim, records, smoothed, nis)["nees"]
     records[4].p_post = np.zeros((15, 15))
     after = _metrics(cfg, sim, records, smoothed, nis)["nees"]
@@ -1468,3 +1469,173 @@ def test_error_states_match_reference(variant):
             variant, mech.state_at(truth, k), b_true[k], est[k], b_est[k]
         )
         assert same_bits(new[k], ref), k
+
+
+# ---------------------------------------------------------------------------
+# a block's members as one stack past the forward pass: the exponential, the
+# retraction, the update and the lockstep backward pass, each member against
+# its own call
+# ---------------------------------------------------------------------------
+
+
+def assert_member(stacked, k, single, label):
+    """Member k of a stacked state, record, report or group element (every
+    array field indexed by k, every state field by ``state_at``) equals
+    ``single`` bit for bit; times and variants compare as they are."""
+    for name, x in vars(stacked).items():
+        y = getattr(single, name)
+        if hasattr(x, "__dict__") and not isinstance(x, Variant):
+            x = mech.state_at(x, k)
+        elif isinstance(x, np.ndarray):
+            x = x[k]
+        assert_same(x, y, f"{label}.{name}")
+
+
+@st.composite
+def tangents(draw):
+    """A tangent 9-vector: its rotation part on the series branch below
+    SMALL_ANGLE, exactly zero, or up to about 5 rad; sometimes the whole
+    row is zero, and sometimes one entry is not finite."""
+    scale = draw(st.sampled_from([3.0, 1.0, 1e-7, 1e-12, 0.0]))
+    xi = np.concatenate(
+        [scale * draw(triples(1.0)), draw(triples(100.0)), draw(triples(1e4))]
+    )
+    if draw(st.integers(0, 9)) == 0:
+        xi[:] = 0.0
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        xi[draw(st.integers(0, 8))] = bad
+    return xi
+
+
+def same_bits_but_nan(a, b):
+    """:func:`same_bits` of the entries that are not NaN, and NaN at the same
+    places: a NaN's sign bit is not reproducible even between two single
+    exp_se23 calls of one non-finite row (the first call of a process gave
+    some NaN entries the other sign than the later ones), and no NaN
+    reaches an output, since it stops the run."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(
+        np.where(nan, 0.0, a), np.where(nan, 0.0, b)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(tangents(), min_size=2, max_size=6))
+def test_stacked_exp_se23_equals_its_single_calls(rows):
+    stacked = exp_se23(np.array(rows))
+    for k, xi in enumerate(rows):
+        single = exp_se23(xi)
+        for name in ("R", "v", "p"):
+            a, b = getattr(stacked, name)[k], getattr(single, name)
+            if np.isfinite(xi).all():
+                assert same_bits(a, b), (k, name)
+            else:
+                assert same_bits_but_nan(a, b), (k, name)
+
+
+def _scaled_errors(rng, n, still):
+    """n estimated errors of the filter's scales; the members in ``still``
+    have a zero group error dx[:9]."""
+    dx = np.repeat([1e-3, 0.1, 1.0, 5e-4, 5e-3], 3) * rng.standard_normal((n, 15))
+    dx[still, :9] = 0.0
+    return dx
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+@settings(max_examples=20, deadline=None)
+@given(
+    cases=st.lists(ned_nominals(), min_size=2, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_apply_correction_equals_member_calls(variant, cases, seed, data):
+    # both charts, with and without an auxiliary velocity; members with a
+    # zero group error keep their state, unprojected, as a single call does
+    rng = np.random.default_rng(seed)
+    navs = [_own_frame(variant, nav) for nav, _, _ in cases]
+    biases = [BiasState(*rng.normal(scale=1e-3, size=(2, 3))) for _ in navs]
+    still = data.draw(st.lists(st.booleans(), min_size=len(navs), max_size=len(navs)))
+    dx = _scaled_errors(rng, len(navs), still)
+    stacked = flt.apply_correction(
+        variant, mech.stack_states(navs), mech.stack_states(biases), dx
+    )
+    for k, (nav, bias) in enumerate(zip(navs, biases)):
+        single = flt.apply_correction(variant, nav, bias, dx[k])
+        for x, y in zip(stacked, single):
+            assert_row_equal(x, k, y, f"{variant.name} member {k}")
+
+
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+@settings(max_examples=15, deadline=None)
+@given(
+    cases=st.lists(ned_nominals(), min_size=2, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+    lever=st.sampled_from([np.array([0.4, -0.2, 1.1]), np.zeros(3)]),
+)
+def test_stacked_update_equals_member_updates(variant, cases, seed, lever):
+    # nav, bias, P, NIS and the rest of the report, in every mode the
+    # variant has; a zero lever arm makes exact zeros in H
+    rng = np.random.default_rng(seed)
+    scale = np.repeat([1e-3, 0.1, 1.0, 5e-4, 5e-3], 3)
+    members, fixes = [], []
+    for truth, _, _ in cases:
+        est = _own_frame(variant, _perturbed_ned(truth, rng))
+        p = rng.normal(size=(15, 15)) * scale
+        bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+        members.append(
+            flt.FilterState(variant, est, bias, p @ p.T + np.diag(scale**2), 3.0)
+        )
+        pos = earth.llh_to_ecef(*truth.geo) + rng.normal(scale=2.0, size=3)
+        fixes.append(flt.GnssFix(3.0, pos, np.diag([1.5, 2.0, 3.0]), lever.copy()))
+    stack, fix = flt.FilterState.stack(members), flt.GnssFix.stack(fixes)
+    for mode in _modes(variant):
+        out, report = flt.update(stack, fix, mode)
+        assert report.nis.shape == (len(members),)
+        for k, (fs, member_fix) in enumerate(zip(members, fixes)):
+            label = f"{variant.name} {mode} member {k}"
+            single, single_report = flt.update(fs, member_fix, mode)
+            assert_member(out, k, single, label)
+            assert_member(report, k, single_report, label)
+
+
+def _block(frame, error_def, mode, n):
+    """Start states, IMU streams and fix lists of n members (seeds 9, 10,
+    ...) of one scenario, drawn as the Monte-Carlo runner draws them."""
+    base = _scenario(frame, error_def, mode)
+    draws = []
+    for k in range(n):
+        cfg = dataclasses.replace(base, seed=base.seed + k)
+        sim = cli._simulate(cfg)
+        draws.append((cli._start(cfg, sim), sim.imu, sim.fixes))
+    return sim.variant, sim.noise, [list(x) for x in zip(*draws)]
+
+
+# chunks of 16 member-epochs restack 3 members five epochs at a time and 2
+# members eight at a time, and chunks of 5 one and two epochs at a time, so
+# the chunks split the 9 epochs before the final one unevenly
+@pytest.mark.parametrize("rows", [None, 5], ids=["16-rows", "5-rows"])
+@pytest.mark.parametrize(
+    "frame, error_def, mode, n",
+    [
+        ("NED", "LeftEst", "se23", 3),
+        ("NED", "RightEst", "se23", 2),
+        ("NED_Aux", "RightTrue", "se23", 2),
+        ("ECEF", "LeftEst", "invariant", 3),
+        ("ECEF_Inertial", "RightEst", "se23", 2),
+    ],
+)
+def test_lockstep_backward_pass_equals_member_passes(
+    frame, error_def, mode, n, rows, monkeypatch
+):
+    if rows:
+        monkeypatch.setattr(smo, "_LOCKSTEP_ROWS", rows)
+    variant, noise, (starts, imus, fixes) = _block(frame, error_def, mode, n)
+    records, _ = smo.run_forward(starts, imus, fixes, DT, noise, mode)
+    lockstep = smo.rts_smooth(variant, records)
+    for k, member in enumerate(records):
+        own = smo.rts_smooth(variant, [member])
+        assert len(own) == len(lockstep) == len(member)
+        for e, (stacked, single) in enumerate(zip(lockstep, own)):
+            assert_member(stacked, k, single, f"{variant.name} member {k} epoch {e}")

@@ -860,6 +860,22 @@ def test_gnss_sigma_the_filter_cannot_use_exits_2(tmp_path, sigma, runs):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("runs", [[], ["--monte-carlo", "2"]], ids=["single", "mc"])
+def test_covariance_that_is_not_positive_definite_exits_2(tmp_path, runs):
+    # a sigma of 1e-20 squares to a normal double and passes the run check,
+    # but R is negligible against P, whose round-off makes it indefinite:
+    # the run exited 0 and wrote NEES values down to -1.66e12. A Cholesky
+    # of every P stops it, naming the time and the variant, before any
+    # member of the block writes a file
+    values = {**BASE_CONFIG["gnss"], "sigma_pos_m": 1e-20}
+    cfg = write_config(tmp_path, {"gnss": values})
+    out = tmp_path / "o"
+    res = invoke("run", "--config", str(cfg), "--out", str(out), *runs)
+    assert res.exit_code == 2, res.output
+    assert re.search(r"covariance at t=\S+ of NED/LeftEst \(seed 3\) is not positive definite", res.output)
+    assert not out.exists() if not runs else not any(out.rglob("*"))
+
+
 def test_gnss_sigma_whose_square_is_a_normal_double_passes_the_run_check(tmp_path):
     cfg = cli.load_config(write_config(tmp_path))
     cfg.gnss.sigma_pos_m = math.sqrt(sys.float_info.min)

@@ -28,11 +28,11 @@ def test_single_record_is_identity():
     variant = Variant("ECEF", "LeftEst")
     nav = GEN.state_ecef(3.0)
     rec = smo.ForwardRecord(3.0, nav, BiasState(), np.eye(15) * 0.1)
-    out = smo.rts_smooth(variant, [rec])
+    out = smo.rts_smooth(variant, [[rec]])
     assert len(out) == 1
     assert np.array_equal(out[0].p, rec.p_post)
     assert np.array_equal(out[0].nav.r, nav.r)
-    assert smo.rts_smooth(variant, []) == []
+    assert smo.rts_smooth(variant, [[]]) == []
 
 
 def _rand_psd(rng, scale):
@@ -77,7 +77,7 @@ def test_matches_vector_rts_in_linear_regime():
         else:
             records.append(smo.ForwardRecord(float(k), nav_k, bias_k, p_post[k]))
 
-    out = smo.rts_smooth(variant, records)
+    out = smo.rts_smooth(variant, [records])
 
     # reference: standard vector RTS on the same numbers
     xs, ps = x_post[-1].copy(), p_post[-1].copy()
@@ -123,7 +123,21 @@ def test_singular_pred_cov_raises(monkeypatch):
             for bad_at in range(3):
                 records = _records_with_pred_cov(bad_at, p_bad)
                 with pytest.raises(SingularPredCov, match=rf"t={bad_at}\.0$"):
-                    smo.rts_smooth(variant, records)
+                    smo.rts_smooth(variant, [records])
+
+
+def test_singular_pred_cov_of_one_member_stops_its_lockstep_block():
+    # the gains of a block are solved together: one member's singular
+    # prior stops the whole block, named by its epoch
+    variant = Variant("ECEF", "LeftEst")
+    for p_bad in (np.full((15, 15), np.nan), -1e-12 * np.eye(15)):
+        for bad_at in range(3):
+            block = [
+                _records_with_pred_cov(0, np.eye(15)),
+                _records_with_pred_cov(bad_at, p_bad),
+            ]
+            with pytest.raises(SingularPredCov, match=rf"t={bad_at}\.0$"):
+                smo.rts_smooth(variant, block)
 
 
 @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "two-blocks"])
@@ -136,11 +150,11 @@ def test_singular_pred_cov_names_the_epoch_the_backward_pass_meets_first(
     records = _records_with_pred_cov(0, -1e-12 * np.eye(15))
     records[1].p_pred = np.full((15, 15), np.nan)
     with pytest.raises(SingularPredCov, match=r"numerically singular at t=1\.0$"):
-        smo.rts_smooth(variant, records)
+        smo.rts_smooth(variant, [records])
     records[1].p_pred = np.eye(15)
     records[2].p_pred = -1e-12 * np.eye(15)
     with pytest.raises(SingularPredCov, match=r"covariance singular at t=2\.0$"):
-        smo.rts_smooth(variant, records)
+        smo.rts_smooth(variant, [records])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +289,7 @@ def test_smoother_dominates_filter_on_circle():
     # [DERIVED: PSD-ordering property of RTS]
     variant = Variant("NED", "LeftEst")
     records = run_forward(variant)
-    smoothed = smo.rts_smooth(variant, records)
+    smoothed = smo.rts_smooth(variant, [records])
     times = [r.t for r in records]
     filt_err = _pos_errors([r.nav for r in records], times)
     smo_err = _pos_errors([e.nav for e in smoothed], times)
