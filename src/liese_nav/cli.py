@@ -109,14 +109,20 @@ def _sigma(value, name):
     return _squarable(sigma, name)
 
 
-def _position_sigma(value, name):
-    # a start error beyond 1000 km, as trajectory.origin_h_m is bounded: at
-    # 1e150 m the run drew its start 1e150 m off, kept P finite and wrote
-    # NEES values up to 5.5e83 with exit 0
-    sigma = _sigma(value, name)
-    if not sigma <= 1e6:
-        raise ConfigError(f"{name}: must be at most 1e6 m, got {value!r}")
-    return sigma
+def _sigma_at_most(bound, text):
+    """The check of a start-error sigma of at most ``bound`` (``text``, with
+    its unit), as ``trajectory.origin_h_m`` is bounded: at 1e150 m a position
+    sigma drew the start 1e150 m off and wrote NEES values up to 5.5e83, and
+    a velocity sigma of 1e6 m/s ended at 6.35e9, both with exit 0 (README,
+    the initial-sigma paragraph, gives each bound's reason)."""
+
+    def check(value, name):
+        sigma = _sigma(value, name)
+        if not sigma <= bound:
+            raise ConfigError(f"{name}: must be at most {text}, got {value!r}")
+        return sigma
+
+    return check
 
 
 def _positive_or_none(value, name):
@@ -239,11 +245,11 @@ class NoiseConfig(_Config):
 
 @dataclass
 class InitialConfig(_Config):
-    attitude_sigma_rad: Sigma = 0.0
-    velocity_sigma_m_s: Sigma = 0.0
-    position_sigma_m: Annotated[float, _position_sigma] = 0.0
-    bias_g_sigma_rad_s: Sigma = 0.0
-    bias_a_sigma_m_s2: Sigma = 0.0
+    attitude_sigma_rad: Annotated[float, _sigma_at_most(math.pi, "pi rad")] = 0.0
+    velocity_sigma_m_s: Annotated[float, _sigma_at_most(1e4, "1e4 m/s")] = 0.0
+    position_sigma_m: Annotated[float, _sigma_at_most(1e6, "1e6 m")] = 0.0
+    bias_g_sigma_rad_s: Annotated[float, _sigma_at_most(math.pi, "pi rad/s")] = 0.0
+    bias_a_sigma_m_s2: Annotated[float, _sigma_at_most(1e2, "1e2 m/s^2")] = 0.0
     yaw_error_rad: Annotated[float, _squarable] = 0.0
     true_bias_g_rad_s: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
     true_bias_a_m_s2: Vector3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
@@ -683,10 +689,11 @@ def _check_positive_definite(variant, records, members):
                 )
 
 
-def _factors(p):
-    """Whether ``np.linalg.cholesky`` factors P, or every P of a stack."""
+def _factors(p, factor=np.linalg.cholesky):
+    """Whether ``factor`` (a Cholesky factorization, or the LU of
+    ``np.linalg.inv``) takes P, or every P of a stack."""
     try:
-        np.linalg.cholesky(p)
+        factor(p)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -714,25 +721,31 @@ def _rmse_block(truth, ned):
     }
 
 
-def _nees(p_post, dx):
+def _nees(p_post, dx, times):
     """dx' P^-1 dx of every row of the (M, 15) errors ``dx`` and their M
     covariances ``p_post``, from one stacked solve per block of rows; the
     product stays per row, so each value equals its per-epoch solve bit
-    for bit. If some P is singular, its block falls back to row by row,
-    and only that row reads NaN."""
-    sol = np.full_like(dx, np.nan)
+    for bit.
+
+    Raises NotPSD, naming the row's epoch time from ``times``, at a singular
+    P or at a NEES that is negative or not finite: every P here has passed
+    the Cholesky check, so neither comes from a sound run, and metrics.json
+    would carry the value (a NaN as the non-JSON token ``NaN``).
+    """
+    sol = np.empty_like(dx)
     for start in range(0, len(p_post), smo.BLOCK):
         rows = slice(start, start + smo.BLOCK)
         p = np.stack(p_post[rows])
         try:
             sol[rows] = np.linalg.solve(p, dx[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:
-            for k, (pk, dxk) in enumerate(zip(p, dx[rows]), start):
-                try:
-                    sol[k] = np.linalg.solve(pk, dxk)
-                except np.linalg.LinAlgError:
-                    pass
-    return [float(a @ b) for a, b in zip(dx, sol)]
+            bad = [_factors(pk, np.linalg.inv) for pk in p].index(False)
+            raise NotPSD(f"covariance at t={times[start + bad]} is singular") from None
+    nees = [float(a @ b) for a, b in zip(dx, sol)]
+    for t, value in zip(times, nees):
+        if not 0.0 <= value < math.inf:
+            raise NotPSD(f"NEES at t={t} is {value}, not a finite value >= 0")
+    return nees
 
 
 def _metrics(members, sims, records, tracks, nis):
@@ -765,7 +778,7 @@ def _metrics(members, sims, records, tracks, nis):
             stack_states([rec.nav for rec in block]),
             stack_states([rec.bias for rec in block]),
         )
-    nees = _nees([rec.p_post for rec in flat], dx)
+    nees = _nees([rec.p_post for rec in flat], dx, times * len(records))
     out = []
     for k, (sub, (filtered, smoothed), nis_log) in enumerate(zip(members, tracks, nis)):
         nees_log = [

@@ -9,16 +9,18 @@ of N points; the embeddings, retractions, metrics and the simulator call
 them outside the propagation step. Equal inputs give equal bits either way
 (tests/test_bit_identity.py).
 
-The forms that run in every RK4 stage keep a Python-float body beside
-their array one (``math.sin``, ``math.cos``, ``math.sqrt`` and float
-``**``, which round as np.float64 scalars do), because a numpy call on one
-point costs more than the float arithmetic it wraps, about 5 ``radii``
-calls per NED step and 4 ``gravity_e`` calls, each with about 6 iterations
-of the geodetic loop, per ECEF state and step (a stack's, one point at a
-time: ``_gravity_e_rows``):
-``radii`` and ``radii_array`` (of the sine), ``gravity_e`` and
-``gravity_e_array``, the two loops of ``ecef_to_llh``, and the private
-formula helpers below, which the mechanization and the F blocks call.
+The forms that run in every RK4 stage of a row step, one point at a time,
+keep a Python-float body (``math.sin``, ``math.cos``, ``math.sqrt`` and
+float ``**``, which round as np.float64 scalars do), because a numpy call on
+one point costs more than the float arithmetic it wraps: ``_ned_point``,
+one fused body of a NED point's stage terms, 4 calls per NED step; and
+``gravity_e`` with ``radii`` and the float loop of ``ecef_to_llh``, 4 calls
+per ECEF step, each with about 6 iterations of the geodetic loop. A stack
+steps with the same bodies, one member at a time (``_gravity_e_rows``).
+Beside them stand their array twins ``radii_array`` (of the sine),
+``gravity_e_array`` and the array loop of ``ecef_to_llh``. The F blocks'
+NED earth terms are no float body: their stack is a whole leg's nominals,
+and ``errormodels._ned_terms`` evaluates it as one array pass.
 """
 
 import itertools
@@ -71,27 +73,6 @@ def radii(lat):
     return rm, rn
 
 
-# Each formula below lives in one private helper that takes the latitude's
-# trig terms (s, c, t = sin, cos, tan) and curvature radii precomputed, so a
-# caller that needs several of them at one point evaluates those once. The
-# vector helpers return float triples and the 3x3 terms their entries (see
-# below); the F blocks gather a stack of points' floats into one array
-# (``errormodels._ned_terms``), and _gravitation takes such stacks. The
-# public functions are the same formulas as numpy bodies of a float or
-# arrays of points (see the module docstring); the curvature and gradient
-# terms that only the NED error models and the mechanization read
-# (_radii_derivatives, _gravity_gradient_down, _n_rv_diagonal and the
-# entries helpers) have no public form.
-
-
-def _radii_derivatives(s, c):
-    """d(R_M)/dlat and d(R_N)/dlat."""
-    w2 = 1.0 - WGS84_E2 * s**2
-    drn = WGS84_A * WGS84_E2 * s * c * w2**-1.5
-    drm = 3.0 * WGS84_A * (1.0 - WGS84_E2) * WGS84_E2 * s * c * w2**-2.5
-    return drm, drn
-
-
 def _gravity_n(s2, rm, rn, h):
     g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / math.sqrt(1.0 - WGS84_E2 * s2)
     rbar = math.sqrt(rm * rn)
@@ -115,15 +96,6 @@ def gravity_n(lat, h):
     return np.array([zero, zero, g_down])
 
 
-def _gravity_gradient_down(g_down, rm, rn, h):
-    """Coefficient k with d(g_D) = k * d(r_D); equals 2 g / (R + h)."""
-    return 2.0 * g_down / (math.sqrt(rm * rn) + h)
-
-
-def _position_vector_n(s, c, rn, h):
-    return -WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)
-
-
 def position_vector_n(lat, h):
     """Earth-center to body vector resolved in the local NED frame."""
     s, c = np.sin(lat), np.cos(lat)
@@ -144,79 +116,45 @@ def _gravitation(w_ie, g, r):
     return g + matvec(sk_w @ sk_w, r)
 
 
-def _earth_rate_n(s, c):
-    return EARTH_RATE * c, 0.0, -EARTH_RATE * s
-
-
 def earth_rate_n(lat):
     s, c = np.sin(lat), np.cos(lat)
     return np.array([EARTH_RATE * c, np.zeros(s.shape), -EARTH_RATE * s])
 
 
-def _transport_rate_n(t, rm, rn, h, vn):
-    """omega_en^n for ground velocity vn = (vN, vE, vD); t is tan(lat)."""
-    return vn[1] / (rn + h), -vn[0] / (rm + h), -vn[1] * t / (rn + h)
+def _ned_point(rest, t):
+    """The earth terms of a NED derivative at one point, in Python floats:
+    the entries of skew(w_in^n) row by row, the Coriolis term
+    (2 w_ie + w_en) x v, gravity and the geodetic rates (lat, lon, h)',
+    as one list of 18. ``rest`` is a packed state's tail (v_n, lat, lon, h)
+    as floats, and ``t`` is tan(lat) as ``np.tan`` rounds it.
 
-
-def _n_rv_diagonal(c, rm, rn, h):
-    """Diagonal of N with (lat_dot, lon_dot, h_dot) = N @ vn for NED velocity
-    vn; the caller checks the latitude against the poles."""
-    return 1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0
-
-
-# The 3x3 terms' entries row by row, as floats: the F blocks stack many
-# points' entries as one array and read it as an (N, 3, 3) stack.
-
-
-def _m1_entries(s, c, rm, h):
-    """d(omega_ie^n) / d(r_eb^n) with d(lat) = d(r_N)/(R_M+h)."""
-    return [
-        -EARTH_RATE * s / (rm + h), 0.0, 0.0, 0.0, 0.0, 0.0,
-        -EARTH_RATE * c / (rm + h), 0.0, 0.0,
-    ]
-
-
-def _m2_entries(t, rm, rn, h):
-    """d(omega_en^n) / d(v^n)."""
-    return [
-        0.0, 1.0 / (rn + h), 0.0, -1.0 / (rm + h), 0.0, 0.0, 0.0, -t / (rn + h), 0.0
-    ]
-
-
-def _m3_entries(t, c, rm, rn, drm, drn, h, vn):
-    """d(omega_en^n) / d(r_eb^n) at fixed velocity.
-
-    Obtained by direct differentiation of omega_en^n(lat, h, v), including
-    the latitude dependence of the curvature radii; d(lat) = d(r_N)/(R_M+h)
-    and d(h) = -d(r_D).
+    One body with no formula helper call, only the latitude check: the sine
+    and cosine, the radii, the earth rate (W c, 0, -W s), the transport rate
+    (vE / (R_N + h), -vN / (R_M + h), -vE t / (R_N + h)), gravity and the
+    geodetic rates (vN / (R_M + h), vE / ((R_N + h) c), -vD) take the IEEE
+    operations of :func:`radii`, :func:`_gravity_n` and the per-term helpers
+    that the body replaced, in their order.
     """
-    vN, vE = vn[0], vn[1]
-    # column 0: sensitivity to r_N through latitude; column 2: to r_D = -h
+    v0, v1, v2, lat, _, h = rest
+    check_state_latitude(lat)
+    s, c = math.sin(lat), math.cos(lat)
+    s2 = s**2
+    w = math.sqrt(1.0 - WGS84_E2 * s2)
+    rn = WGS84_A / w
+    rm = WGS84_A * (1.0 - WGS84_E2) / w**3
+    rnh, rmh = rn + h, rm + h
+    a0, a2 = EARTH_RATE * c, -EARTH_RATE * s
+    b0, b1, b2 = v1 / rnh, -v0 / rmh, -v1 * t / rnh
+    # w_in = w_ie + w_en, and 2 w_ie + w_en, whose east entry is w_in's
+    w0, w1, w2 = a0 + b0, 0.0 + b1, a2 + b2
+    r0, r2 = 2.0 * a0 + b0, 2.0 * a2 + b2
+    rbar = math.sqrt(rm * rn)
     return [
-        -vE * drn / (rn + h) ** 2 / (rm + h),
-        0.0,
-        vE / (rn + h) ** 2,
-        vN * drm / (rm + h) ** 2 / (rm + h),
-        0.0,
-        -vN / (rm + h) ** 2,
-        -vE * (1.0 / (c**2 * (rn + h)) - t * drn / (rn + h) ** 2) / (rm + h),
-        0.0,
-        -vE * t / (rn + h) ** 2,
-    ]
-
-
-def _position_vector_gradient_entries(s, c, rm, rn, drn, h):
-    """d(r_eb^n) / d(dr) for a local-level displacement dr = (dN, dE, dD).
-
-    The earth-center vector depends on latitude and height only, with
-    d(lat) = dN/(R_M+h) and d(h) = -dD; the east column is zero.
-    """
-    return [
-        -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)) / (rm + h), 0.0, 0.0,
-        0.0, 0.0, 0.0,
-        (-drn * (1.0 - WGS84_E2 * s**2) + 2.0 * WGS84_E2 * rn * s * c) / (rm + h),
-        0.0,
-        1.0,
+        0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0,
+        w1 * v2 - r2 * v1, r2 * v0 - r0 * v2, r0 * v1 - w1 * v0,
+        0.0, 0.0,
+        GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / w * (rbar / (rbar + h)) ** 2,
+        1.0 / rmh * v0, 1.0 / (rnh * c) * v1, -1.0 * v2,
     ]
 
 

@@ -18,7 +18,6 @@ Error definitions (X true, Xt estimate):
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,12 +319,13 @@ def error_dynamics(variant, nominal, gyro, accel, tau_g=None, tau_a=None, g=None
     call as a stack of one bit for bit.
 
     The frame's block function writes the 9x9 state blocks of the whole
-    stack in one call: each point's earth terms are its own float
-    evaluation, and the products and sums are the same BLAS calls and IEEE
-    operations for every point, so a point's blocks do not depend on the
-    stack they are in. For a right error it returns the stacked group
-    embedding as (R, skew(v), skew(p)), from the terms it already holds,
-    for the input map. A bias error drifts the mechanized rates as the IMU
+    stack in one call: each point's earth terms come from elementwise array
+    operations (the NED frames' ``_ned_terms``) or its own float evaluation
+    (an ECEF right error's gravity), and the products and sums are the same
+    BLAS calls and IEEE operations for every point, so a point's blocks do
+    not depend on the stack they are in. For a right error it returns the
+    stacked group embedding as (R, skew(v), skew(p)), from the terms it
+    already holds, for the input map. A bias error drifts the mechanized rates as the IMU
     noise does, so F's bias columns are a copy of G's gyro and accel noise
     columns.
 
@@ -351,44 +351,60 @@ def _bias_drift(tau):
     return block
 
 
-def _point_floats(geo):
-    """The trig terms and curvature radii at a NED point (``geo``, the
-    geodetic position as floats), evaluated once, in Python floats: (h, sin,
-    cos, tan, rm, rn, drm, drn)."""
-    lat, _, h = geo
-    s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
-    rm, rn = earth.radii(lat)
-    return (h, s, c, t, rm, rn, *earth._radii_derivatives(s, c))
-
-
 def _ned_terms(nom, full):
     """The earth terms at each point of a stacked NED nominal, as stacks:
     the matrices (m1, m2, m3) and the earth rate w_ie; with ``full`` the
-    matrices (m1, m2, m3, k_g, dr) and the vectors (w_ie, r_n, w_en, g_n),
-    where k_g is the gravity gradient (only k_g[2, 2] is nonzero) and dr
-    the position vector's gradient. Each point's terms come from one float
-    evaluation of its trig terms and curvature radii, as one row of floats,
-    so they do not depend on the stack they are in."""
-    rows = []
-    for geo, v in zip(nom.geo.tolist(), nom.v_n.tolist()):
-        h, s, c, t, rm, rn, drm, drn = _point_floats(geo)
-        row = (
-            earth._m1_entries(s, c, rm, h)
-            + earth._m2_entries(t, rm, rn, h)
-            + earth._m3_entries(t, c, rm, rn, drm, drn, h, v)
-        )
-        vectors = earth._earth_rate_n(s, c)
-        if full:
-            grav = earth._gravity_n(s**2, rm, rn, h)
-            row += [0.0] * 8 + [earth._gravity_gradient_down(grav[2], rm, rn, h)]
-            row += earth._position_vector_gradient_entries(s, c, rm, rn, drn, h)
-            vectors += (
-                earth._position_vector_n(s, c, rn, h)
-                + earth._transport_rate_n(t, rm, rn, h, v)
-                + grav
-            )
-        rows.append(row + list(vectors))
-    rows = np.array(rows)
+    matrices (m1, m2, m3, k_g, dr) and the vectors (w_ie, r_n, w_en, g_n).
+
+    m1 = d(w_ie^n) / d(r_eb^n) and m3 = d(w_en^n) / d(r_eb^n) at fixed
+    velocity, with d(lat) = d(r_N) / (R_M + h) and d(h) = -d(r_D), m3
+    including the latitude dependence of the curvature radii; m2 =
+    d(w_en^n) / d(v^n); k_g is the gravity gradient (only k_g[2, 2], 2 g /
+    (R + h), is nonzero) and dr the position vector's gradient d(r_eb^n) /
+    d(dr), whose east column is zero.
+
+    One numpy body over the stack: elementwise operations, every power
+    through ``earth._pow``, so each point's terms do not depend on the stack
+    they are in. The entries are gathered as one (N, k) row per point, and
+    the stacks are views of those rows.
+    """
+    a, e2, w_rate = earth.WGS84_A, earth.WGS84_E2, earth.EARTH_RATE
+    lat, _, h = nom.geo.T
+    v_n, v_e = nom.v_n[:, 0], nom.v_n[:, 1]
+    neg_v_e = -v_e
+    s, c, t = np.sin(lat), np.cos(lat), np.tan(lat)
+    s2, c2 = earth._pow((s, c), 2)
+    w2 = 1.0 - e2 * s2
+    w = np.sqrt(w2)
+    rn, rm = a / w, a * (1.0 - e2) / earth._pow(w, 3)
+    drn = a * e2 * s * c * earth._pow(w2, -1.5)
+    drm = 3.0 * a * (1.0 - e2) * e2 * s * c * earth._pow(w2, -2.5)
+    rmh, rnh = rm + h, rn + h
+    rbar = np.sqrt(rm * rn)
+    squares = earth._pow((rmh, rnh, rbar / (rbar + h)) if full else (rmh, rnh), 2)
+    rmh2, rnh2 = squares[:2]
+    zero = np.zeros(len(lat))
+    rows = [
+        -w_rate * s / rmh, zero, zero, zero, zero, zero, -w_rate * c / rmh, zero, zero,
+        zero, 1.0 / rnh, zero, -1.0 / rmh, zero, zero, zero, -t / rnh, zero,
+        neg_v_e * drn / rnh2 / rmh, zero, v_e / rnh2,
+        v_n * drm / rmh2 / rmh, zero, -v_n / rmh2,
+        neg_v_e * (1.0 / (c2 * rnh) - t * drn / rnh2) / rmh, zero, neg_v_e * t / rnh2,
+    ]
+    vectors = [w_rate * c, zero, -w_rate * s]
+    if full:
+        g = earth.GRAV_EQUATOR * (1.0 + earth.SOMIGLIANA_K * s2) / w * squares[2]
+        rows += [zero] * 8 + [2.0 * g / (rbar + h)]
+        rows += [
+            -e2 * (drn * s * c + rn * (c2 - s2)) / rmh, zero, zero, zero, zero, zero,
+            (-drn * w2 + 2.0 * e2 * rn * s * c) / rmh, zero, np.ones(len(lat)),
+        ]
+        vectors += [
+            -e2 * rn * s * c, zero, -(rn * w2 + h),
+            v_e / rnh, -v_n / rmh, neg_v_e * t / rnh,
+            zero, zero, g,
+        ]
+    rows = np.array(rows + vectors).T.copy()
     n, k = len(rows), 5 if full else 3
     mats = rows[:, : 9 * k].reshape(n, k, 3, 3).swapaxes(0, 1)
     return (*mats, *rows[:, 9 * k :].reshape(n, -1, 3).swapaxes(0, 1))

@@ -14,8 +14,9 @@ variant's chart (``errormodels.EcefChart``).
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
-from operator import add, sub
+from operator import sub
 
 import numpy as np
 
@@ -68,56 +69,31 @@ def _fields(x):
     return x[..., :9].reshape(x.shape[:-1] + (3, 3)), x[..., 9:12], x[..., 12:]
 
 
-def _ned_point(rest, t):
-    """The earth terms of a NED derivative at one point, in Python floats:
-    the entries of skew(w_in^n) row by row, the Coriolis term, gravity and
-    the geodetic rates, as one list of 18. ``rest`` is the packed state's
-    tail (v_n, lat, lon, h) as floats, and ``t`` is tan(lat) as ``np.tan``
-    rounds it.
-
-    The latitude's trig terms and curvature radii are evaluated once, and
-    shared by the earth rate, transport rate, gravity and geodetic rates.
-    """
-    *v, lat, _, h = rest
-    earth.check_state_latitude(lat)
-    s, c = math.sin(lat), math.cos(lat)
-    rm, rn = earth.radii(lat)
-    (a0, a1, a2), (b0, b1, b2) = (
-        earth._earth_rate_n(s, c), earth._transport_rate_n(t, rm, rn, h, v)
-    )
-    w0, w1, w2 = a0 + b0, a1 + b1, a2 + b2
-    # the products and differences of liegroup.cross(2 w_ie + w_en, v)
-    r0, r1, r2 = 2.0 * a0 + b0, 2.0 * a1 + b1, 2.0 * a2 + b2
-    n0, n1, n2 = earth._n_rv_diagonal(c, rm, rn, h)
-    return [
-        0.0, -w2, w1, w2, 0.0, -w0, -w1, w0, 0.0,
-        r1 * v[2] - r2 * v[1], r2 * v[0] - r0 * v[2], r0 * v[1] - r1 * v[0],
-        *earth._gravity_n(s**2, rm, rn, h),
-        n0 * v[0], n1 * v[1], n2 * v[2],
-    ]
+_PACK_27 = struct.Struct("27d").pack_into
 
 
 def _row_products(gyro, accel):
     """The matrix products of a row's derivative under the rates ``gyro``
     and ``accel``, as a function of the row's rotation C and a frame rate's
-    skew(w), given as their 18 Python floats row by row: the floats of
+    skew(w), each given as its 9 Python floats row by row: the floats of
     C [gyro x] - [w x] C and of C f.
 
     C and skew(w) go into one buffer beside skew(gyro), so C [gyro x] and
     [w x] C are one batched matmul, each matrix its own gemm as in the
     stacked derivatives, and C f stays its own gemv: folded into the gemm,
-    it rounds differently.
+    it rounds differently. The floats go into the buffer as their bytes
+    (``struct``), which a numpy slice assignment of the same floats writes
+    too, at about twice the cost.
     """
     buf = np.empty((3, 3, 3))  # skew(gyro), C, skew(w)
-    flat = buf.reshape(27)
-    g0, g1, g2 = gyro.tolist()
-    flat[:9] = 0.0, -g2, g1, g2, 0.0, -g0, -g1, g0, 0.0
     lhs, rhs, c = buf[1:], buf[:2], buf[1]
+    g0, g1, g2 = gyro.tolist()
+    sk_gyro = 0.0, -g2, g1, g2, 0.0, -g0, -g1, g0, 0.0
     out = np.empty(18)  # C [gyro x], [w x] C
     prod = out.reshape(2, 3, 3)
 
-    def products(c_and_sk_w):
-        flat[9:] = c_and_sk_w
+    def products(rot, sk_w):
+        _PACK_27(buf, 0, *sk_gyro, *rot, *sk_w)
         np.matmul(lhs, rhs, out=prod)
         p = out.tolist()
         return [*map(sub, p[:9], p[9:])], c.dot(accel).tolist()
@@ -129,13 +105,15 @@ def _ned_row_rates(gyro, accel):
     """The derivative of a NED member packed as a row of 15 Python floats,
     as a function of the row, under the rates ``gyro`` and ``accel``; the
     derivative is a row alike, its products :func:`_row_products`' with
-    w = w_in^n."""
+    w = w_in^n and its earth terms ``earth._ned_point``'s."""
     products = _row_products(gyro, accel)
 
     def rates(x):
-        t = _ned_point(x[9:], float(np.tan(x[12])))
-        rot, f_n = products(x[:9] + t[:9])
-        return [*rot, *map(add, map(sub, f_n, t[9:12]), t[12:15]), *t[15:]]
+        t = earth._ned_point(x[9:], float(np.tan(x[12])))
+        rot, (f0, f1, f2) = products(x[:9], t[:9])
+        return [
+            *rot, f0 - t[9] + t[12], f1 - t[10] + t[13], f2 - t[11] + t[14], *t[15:]
+        ]
 
     return rates
 
@@ -148,7 +126,9 @@ def _ned_rates_stack(x, sk_gyro, accel):
     so each member equals its row bit for bit."""
     n = len(x)
     c_bn = x[:, :9].reshape(n, 3, 3)
-    t = np.array(list(map(_ned_point, x[:, 9:].tolist(), np.tan(x[:, 12]).tolist())))
+    t = np.array(
+        list(map(earth._ned_point, x[:, 9:].tolist(), np.tan(x[:, 12]).tolist()))
+    )
     out = np.empty((n, 15))
     np.subtract(
         c_bn @ sk_gyro, t[:, :9].reshape(n, 3, 3) @ c_bn,
@@ -173,7 +153,7 @@ def _ecef_row_rates(gyro, accel):
     w = earth.EARTH_RATE
 
     def rates(x):
-        rot, (f0, f1, f2) = products(x[:9] + _SK_W_IE_ROW)
+        rot, (f0, f1, f2) = products(x[:9], _SK_W_IE_ROW)
         a0, a1, a2 = earth.gravity_e(x[12:]).tolist()
         v0, v1, v2 = x[9:12]
         return [

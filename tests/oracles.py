@@ -26,6 +26,7 @@ Conventions baked into the oracle (the same ones the analytic matrices use):
   group element.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -646,6 +647,111 @@ def ref_m3_matrix(lat, h, vn):
     out[1, 2] = -vN / (rm + h) ** 2
     out[2, 2] = -vE * t / (rn + h) ** 2
     return out
+
+
+# The F blocks' NED earth terms as one Python-float evaluation per point:
+# verbatim bodies of ``errormodels._ned_terms``, ``_point_floats`` and the
+# earth helpers they and the NED mechanization called before the terms
+# became one numpy body over the stack and one fused float body per stage
+# (docstrings dropped, calls renamed to the float_ copies).
+
+
+def float_radii_derivatives(s, c):
+    w2 = 1.0 - WGS84_E2 * s**2
+    drn = WGS84_A * WGS84_E2 * s * c * w2**-1.5
+    drm = 3.0 * WGS84_A * (1.0 - WGS84_E2) * WGS84_E2 * s * c * w2**-2.5
+    return drm, drn
+
+
+def float_gravity_gradient_down(g_down, rm, rn, h):
+    return 2.0 * g_down / (math.sqrt(rm * rn) + h)
+
+
+def float_position_vector_n(s, c, rn, h):
+    return -WGS84_E2 * rn * s * c, 0.0, -(rn * (1.0 - WGS84_E2 * s**2) + h)
+
+
+def float_earth_rate_n(s, c):
+    return EARTH_RATE * c, 0.0, -EARTH_RATE * s
+
+
+def float_transport_rate_n(t, rm, rn, h, vn):
+    return vn[1] / (rn + h), -vn[0] / (rm + h), -vn[1] * t / (rn + h)
+
+
+def float_n_rv_diagonal(c, rm, rn, h):
+    return 1.0 / (rm + h), 1.0 / ((rn + h) * c), -1.0
+
+
+def float_m1_entries(s, c, rm, h):
+    return [
+        -EARTH_RATE * s / (rm + h), 0.0, 0.0, 0.0, 0.0, 0.0,
+        -EARTH_RATE * c / (rm + h), 0.0, 0.0,
+    ]
+
+
+def float_m2_entries(t, rm, rn, h):
+    return [
+        0.0, 1.0 / (rn + h), 0.0, -1.0 / (rm + h), 0.0, 0.0, 0.0, -t / (rn + h), 0.0
+    ]
+
+
+def float_m3_entries(t, c, rm, rn, drm, drn, h, vn):
+    vN, vE = vn[0], vn[1]
+    return [
+        -vE * drn / (rn + h) ** 2 / (rm + h),
+        0.0,
+        vE / (rn + h) ** 2,
+        vN * drm / (rm + h) ** 2 / (rm + h),
+        0.0,
+        -vN / (rm + h) ** 2,
+        -vE * (1.0 / (c**2 * (rn + h)) - t * drn / (rn + h) ** 2) / (rm + h),
+        0.0,
+        -vE * t / (rn + h) ** 2,
+    ]
+
+
+def float_position_vector_gradient_entries(s, c, rm, rn, drn, h):
+    return [
+        -WGS84_E2 * (drn * s * c + rn * (c**2 - s**2)) / (rm + h), 0.0, 0.0,
+        0.0, 0.0, 0.0,
+        (-drn * (1.0 - WGS84_E2 * s**2) + 2.0 * WGS84_E2 * rn * s * c) / (rm + h),
+        0.0,
+        1.0,
+    ]
+
+
+def float_point_floats(geo):
+    lat, _, h = geo
+    s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
+    rm, rn = earth.radii(lat)
+    return (h, s, c, t, rm, rn, *float_radii_derivatives(s, c))
+
+
+def float_ned_terms(nom, full):
+    rows = []
+    for geo, v in zip(nom.geo.tolist(), nom.v_n.tolist()):
+        h, s, c, t, rm, rn, drm, drn = float_point_floats(geo)
+        row = (
+            float_m1_entries(s, c, rm, h)
+            + float_m2_entries(t, rm, rn, h)
+            + float_m3_entries(t, c, rm, rn, drm, drn, h, v)
+        )
+        vectors = float_earth_rate_n(s, c)
+        if full:
+            grav = earth._gravity_n(s**2, rm, rn, h)
+            row += [0.0] * 8 + [float_gravity_gradient_down(grav[2], rm, rn, h)]
+            row += float_position_vector_gradient_entries(s, c, rm, rn, drn, h)
+            vectors += (
+                float_position_vector_n(s, c, rn, h)
+                + float_transport_rate_n(t, rm, rn, h, v)
+                + grav
+            )
+        rows.append(row + list(vectors))
+    rows = np.array(rows)
+    n, k = len(rows), 5 if full else 3
+    mats = rows[:, : 9 * k].reshape(n, k, 3, 3).swapaxes(0, 1)
+    return (*mats, *rows[:, 9 * k :].reshape(n, -1, 3).swapaxes(0, 1))
 
 
 def ref_ecef_to_llh(r):

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import one_row, same_bits, so3_exp
 from liese_nav import cli, earth, filter as flt, mechanization as mech, sensors
-from liese_nav import smoother as smo
+from liese_nav import errormodels, smoother as smo
 from liese_nav.errormodels import (
     Variant,
     error_dynamics,
@@ -39,7 +39,7 @@ from liese_nav.errormodels import (
     measurement_se23,
     supported_variants,
 )
-from liese_nav.errors import LieseNavError, NearPiRotation, NonFiniteInput
+from liese_nav.errors import LieseNavError, NearPiRotation, NonFiniteInput, NotPSD
 from liese_nav.liegroup import (
     NEAR_PI_MARGIN, SMALL_ANGLE, cross, exp_se23, left_jacobian_inv, log_se23,
     skew_stack, so3_log,
@@ -95,40 +95,53 @@ def _matrix(entries):
 
 
 def _transport_rate_n(lat, h, v):
-    """The library's private transport-rate term at (lat, h)."""
+    """The float transport-rate term at (lat, h), as the F blocks' NED
+    earth terms evaluated it per point (``oracles.float_transport_rate_n``)."""
     rm, rn = earth.radii(lat)
-    return np.array(earth._transport_rate_n(np.tan(lat), rm, rn, h, v))
+    return np.array(oracles.float_transport_rate_n(np.tan(lat), rm, rn, h, v))
 
 
 @pytest.mark.parametrize("lat, h", LAT_H)
 def test_earth_formulas_match_reference(lat, h):
     rng = np.random.default_rng(4)
     v = rng.normal(scale=20.0, size=3)
-    # the terms with no public form, from the private helpers at (lat, h)
+    # the terms with no public form, from the float bodies at (lat, h) that
+    # the F blocks' array terms are pinned to (oracles.float_*)
     s, c, t = np.sin(lat), np.cos(lat), np.tan(lat)
     rm, rn = earth.radii(lat)
-    drm, drn = earth._radii_derivatives(s, c)
+    drm, drn = oracles.float_radii_derivatives(s, c)
     g_down = earth.gravity_n(lat, h)[2]
     pairs = [
         ((drm, drn), oracles.ref_radii_derivatives(lat)),
         (earth.gravity_n(lat, h), oracles.ref_gravity_n(lat, h)),
         (
-            earth._gravity_gradient_down(g_down, rm, rn, h),
+            oracles.float_gravity_gradient_down(g_down, rm, rn, h),
             oracles.ref_gravity_gradient_down(lat, h),
         ),
         (earth.position_vector_n(lat, h), oracles.ref_position_vector_n(lat, h)),
         (
-            _matrix(earth._position_vector_gradient_entries(s, c, rm, rn, drn, h)),
+            _matrix(
+                oracles.float_position_vector_gradient_entries(s, c, rm, rn, drn, h)
+            ),
             oracles.ref_position_vector_gradient_n(lat, h),
         ),
         (_gravitation_n(lat, h), oracles.ref_gravitation_n(lat, h)),
         (earth.earth_rate_n(lat), oracles.ref_earth_rate_n(lat)),
         (_transport_rate_n(lat, h, v), oracles.ref_transport_rate_n(lat, h, v)),
-        (np.diag(earth._n_rv_diagonal(c, rm, rn, h)), oracles.ref_n_rv(lat, h)),
-        (_matrix(earth._m1_entries(s, c, rm, h)), oracles.ref_m1_matrix(lat, h)),
-        (_matrix(earth._m2_entries(t, rm, rn, h)), oracles.ref_m2_matrix(lat, h)),
         (
-            _matrix(earth._m3_entries(t, c, rm, rn, drm, drn, h, v)),
+            np.diag(oracles.float_n_rv_diagonal(c, rm, rn, h)),
+            oracles.ref_n_rv(lat, h),
+        ),
+        (
+            _matrix(oracles.float_m1_entries(s, c, rm, h)),
+            oracles.ref_m1_matrix(lat, h),
+        ),
+        (
+            _matrix(oracles.float_m2_entries(t, rm, rn, h)),
+            oracles.ref_m2_matrix(lat, h),
+        ),
+        (
+            _matrix(oracles.float_m3_entries(t, c, rm, rn, drm, drn, h, v)),
             oracles.ref_m3_matrix(lat, h, v),
         ),
     ]
@@ -274,6 +287,14 @@ def ned_nominals(draw):
     geo = np.array([draw(NOM_LAT), draw(st.floats(-np.pi, np.pi)), draw(NOM_H)])
     nav = NavStateNED(so3_exp(draw(triples(3.0))), draw(triples(300.0)), geo)
     return nav, draw(triples(2.0)), draw(triples(50.0))
+
+
+def sized_lists(elements, low, high):
+    """Lists of ``elements`` whose length is drawn uniformly from [low, high]:
+    ``st.lists`` on its own seldom draws long ones."""
+    return st.integers(low, high).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n)
+    )
 
 
 def assert_equal_fields(new, ref, label):
@@ -544,7 +565,7 @@ def test_error_dynamics_matches_reference_on_random_nominals(variant, case, bias
 
 @pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
 @settings(max_examples=30, deadline=None)
-@given(cases=st.lists(ned_nominals(), min_size=2, max_size=6), biases=st.booleans())
+@given(cases=sized_lists(ned_nominals(), 2, 24), biases=st.booleans())
 def test_error_dynamics_of_a_stack_matches_reference_on_random_nominals(
     variant, cases, biases
 ):
@@ -562,6 +583,46 @@ def test_error_dynamics_of_a_stack_matches_reference_on_random_nominals(
         f0, g0 = oracles.ref_error_dynamics(variant, nav, gyro[k], accel[k], *tau)
         assert np.array_equal(f[k], f0), k
         assert np.array_equal(g[k] if variant.is_right else g, g0), k
+
+
+# the NED F blocks' earth terms at the edges of the envelope: the pole
+# limit, within 1e-3 of the equator, longitude 0, and signed-zero velocities
+TERMS_LAT = st.one_of(
+    st.floats(-earth._LAT_LIMIT, earth._LAT_LIMIT),
+    st.sampled_from([earth._LAT_LIMIT, -earth._LAT_LIMIT, 0.0, -0.0]),
+    st.floats(-1e-3, 1e-3),
+)
+SIGNED_SPEED = st.one_of(st.floats(-300.0, 300.0), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=sized_lists(
+        st.tuples(
+            TERMS_LAT,
+            st.just(0.0) | st.floats(-np.pi, np.pi),
+            st.floats(-500.0, 1e5),
+            st.tuples(SIGNED_SPEED, SIGNED_SPEED, SIGNED_SPEED),
+        ),
+        1,
+        64,
+    )
+)
+def test_ned_terms_equal_their_float_loop(points):
+    # the F blocks' NED earth terms, one numpy body over the stack, equal
+    # the per-point float loop they replaced (oracles.float_ned_terms) in
+    # every bit, signed zeros included, and in their layout, for the left
+    # errors' terms and the right and auxiliary ones' full set
+    nom = mech.stack_states([
+        NavStateNED(np.eye(3), np.array(v), np.array([lat, lon, h]))
+        for lat, lon, h, v in points
+    ])
+    for full in (False, True):
+        terms = errormodels._ned_terms(nom, full)
+        loop = oracles.float_ned_terms(nom, full)
+        assert len(terms) == len(loop)
+        for k, (x, y) in enumerate(zip(terms, loop)):
+            assert same_bits(x, y) and x.strides == y.strides, (full, k)
 
 
 def test_hot_path_keeps_numpy_tan_where_libm_tan_rounds_differently():
@@ -1346,19 +1407,17 @@ def test_back_end_matches_reference(frame, error_def, mode, block, monkeypatch):
 
 
 @pytest.mark.parametrize("block", [None, 3], ids=["one-block", "four-blocks"])
-def test_singular_covariance_gives_nan_nees_at_its_epoch_only(block, monkeypatch):
+def test_singular_covariance_raises_naming_its_epoch(block, monkeypatch):
+    # a singular P, which the Cholesky check before the metrics refuses,
+    # raises from the stacked NEES solve too, naming its own epoch whichever
+    # block it is in, where its block used to fall back to a NaN NEES
     if block:
         monkeypatch.setattr(smo, "BLOCK", block)
     cfg, sim, records, nis = _forward("NED", "LeftEst", "se23")
     smoothed = smo.rts_smooth(sim.variant, [records])
-    before = _metrics(cfg, sim, records, smoothed, nis)["nees"]
     records[4].p_post = np.zeros((15, 15))
-    after = _metrics(cfg, sim, records, smoothed, nis)["nees"]
-    assert math.isnan(after[4]["value"])
-    for k, (a, b) in enumerate(zip(before, after, strict=True)):
-        assert a["t"] == b["t"]
-        if k != 4:
-            assert same_bits(a["value"], b["value"]), k
+    with pytest.raises(NotPSD, match=f"t={records[4].t} is singular"):
+        _metrics(cfg, sim, records, smoothed, nis)
 
 
 def test_cov_rows_match_reference_on_signed_zeros_and_extremes(monkeypatch):

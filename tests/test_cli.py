@@ -833,6 +833,29 @@ def test_position_sigma_beyond_1000_km_exits_2(tmp_path, runs, sigma):
     assert not (tmp_path / "o").exists()
 
 
+INITIAL_SIGMA_BOUNDS = [
+    ("attitude_sigma_rad", math.pi),
+    ("velocity_sigma_m_s", 1e4),
+    ("position_sigma_m", 1e6),
+    ("bias_g_sigma_rad_s", math.pi),
+    ("bias_a_sigma_m_s2", 1e2),
+]
+
+
+@pytest.mark.parametrize(
+    "field, bound", INITIAL_SIGMA_BOUNDS, ids=[f for f, _ in INITIAL_SIGMA_BOUNDS]
+)
+def test_initial_sigma_loads_at_its_bound_and_not_above(tmp_path, field, bound):
+    # a velocity sigma of 1e6 m/s ended with a NEES of 6.35e9 and exit 0;
+    # each start-error sigma is bounded when the config is read
+    values = {**BASE_CONFIG["initial"], field: bound}
+    cfg = cli.load_config(write_config(tmp_path, {"initial": values}))
+    assert getattr(cfg.initial, field) == bound
+    values[field] = math.nextafter(bound, math.inf)
+    with pytest.raises(ConfigError, match=f"initial.{field}: must be at most"):
+        cli.load_config(write_config(tmp_path, {"initial": values}))
+
+
 def test_position_sigma_of_1000_km_is_accepted(tmp_path):
     values = {**BASE_CONFIG["initial"], "position_sigma_m": 1e6}
     cfg = cli.load_config(write_config(tmp_path, {"initial": values}))
@@ -1033,6 +1056,29 @@ def test_covariance_rows_refuse_an_asymmetric_p(tmp_path, asymmetric, monkeypatc
         with pytest.raises(NotPSD, match=r"t=2\.5 "):
             cli.write_csv(path, cli.COV_HEADER, cli._cov_rows(records))
         assert not path.exists()
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "two-blocks"])
+@pytest.mark.parametrize("kind", ["indefinite", "singular"])
+def test_nees_refuses_an_indefinite_or_singular_p(kind, block, monkeypatch):
+    # the NEES of an indefinite P read negative, and a singular P's block
+    # fell back to a NaN, which json.dumps writes as the non-JSON token NaN;
+    # either raises NotPSD naming its epoch, before metrics.json is written
+    if block:
+        monkeypatch.setattr(smo, "BLOCK", block)
+    rng = np.random.default_rng(9)
+    times = [0.5, 1.0, 2.5, 3.0]
+    p_post = [np.diag(rng.uniform(0.5, 2.0, 15)) for _ in times]
+    dx = rng.normal(size=(len(times), 15))
+    if kind == "indefinite":
+        p_post[2][4, 4] = -1.0
+        dx[2, 4] = 10.0
+    else:
+        p_post[2] = np.zeros((15, 15))
+    with pytest.raises(NotPSD, match=r"t=2\.5 "):
+        cli._nees(p_post, dx, times)
+    p_post[2] = np.eye(15)
+    assert all(value > 0 for value in cli._nees(p_post, dx, times))
 
 
 def quaternion_to_dcm(q):
