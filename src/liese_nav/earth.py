@@ -14,13 +14,14 @@ keep a Python-float body (``math.sin``, ``math.cos``, ``math.sqrt`` and
 float ``**``, which round as np.float64 scalars do), because a numpy call on
 one point costs more than the float arithmetic it wraps: ``_ned_point``,
 one fused body of a NED point's stage terms, 4 calls per NED step; and
-``gravity_e`` with ``radii`` and the float loop of ``ecef_to_llh``, 4 calls
-per ECEF step, each with about 6 iterations of the geodetic loop. A stack
-steps with the same bodies, one member at a time (``_gravity_e_rows``).
-Beside them stand their array twins ``radii_array`` (of the sine),
-``gravity_e_array`` and the array loop of ``ecef_to_llh``. The F blocks'
-NED earth terms are no float body: their stack is a whole leg's nominals,
-and ``errormodels._ned_terms`` evaluates it as one array pass.
+``gravity_e``, its rotation written out in floats, with ``radii`` and the
+float loop of ``ecef_to_llh`` (its ufuncs on 0-d arrays), 4 calls per ECEF
+step of about 6 iterations of the loop each. A stack steps with the same
+bodies, one member at a time (``_gravity_e_rows``). Beside them stand
+their array twins ``radii_array`` (of the sine), ``gravity_e_array`` and
+the array loop of ``ecef_to_llh``. The F blocks' NED earth terms are no
+float body: their stack is a whole leg's nominals, and
+``errormodels._ned_terms`` evaluates it as one array pass.
 """
 
 import itertools
@@ -71,12 +72,6 @@ def radii(lat):
     rn = WGS84_A / w
     rm = WGS84_A * (1.0 - WGS84_E2) / w**3
     return rm, rn
-
-
-def _gravity_n(s2, rm, rn, h):
-    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / math.sqrt(1.0 - WGS84_E2 * s2)
-    rbar = math.sqrt(rm * rn)
-    return 0.0, 0.0, g0 * (rbar / (rbar + h)) ** 2
 
 
 def gravity_n(lat, h):
@@ -132,8 +127,8 @@ def _ned_point(rest, t):
     and cosine, the radii, the earth rate (W c, 0, -W s), the transport rate
     (vE / (R_N + h), -vN / (R_M + h), -vE t / (R_N + h)), gravity and the
     geodetic rates (vN / (R_M + h), vE / ((R_N + h) c), -vD) take the IEEE
-    operations of :func:`radii`, :func:`_gravity_n` and the per-term helpers
-    that the body replaced, in their order.
+    operations of :func:`radii`, of :func:`gravity_e`'s normal gravity and
+    of the per-term helpers that the body replaced, in their order.
     """
     v0, v1, v2, lat, _, h = rest
     check_state_latitude(lat)
@@ -177,21 +172,24 @@ def ecef_to_llh(r):
     For a (3, N) array of positions, returns arrays of N latitudes,
     longitudes and heights. A single position (a 3-vector or three Python
     floats) iterates in Python floats and takes the height once, after the
-    loop; ``np.arctan2`` and ``np.hypot`` stay, because their libm forms
-    round differently.
+    loop; ``np.arctan2`` and ``np.hypot`` stay, as libm's forms round
+    otherwise, on 0-d arrays made for the call (no scalar conversions).
     """
     x, y, z = r
     if isinstance(x, np.ndarray):
         return _ecef_to_llh_array(x, y, z)
-    x, y, z = float(x), float(y), float(z)
-    lon = np.arctan2(y, x)
-    p = float(np.hypot(x, y))
-    lat = float(np.arctan2(z, p * (1.0 - WGS84_E2)))
+    z = float(z)
+    num, den, out = np.array(float(y)), np.array(float(x)), np.empty(())
+    lon = np.arctan2(num, den)
+    p = den[()] = float(np.hypot(den, num, out))
+    num[()], out[()] = z, p * (1.0 - WGS84_E2)
+    lat = float(np.arctan2(num, out, out))
     for _ in range(12):
         # radii(lat)'s prime-vertical radius, from the sine the update reads
         s = math.sin(lat)
         rn = WGS84_A / math.sqrt(1.0 - WGS84_E2 * s**2)
-        new_lat = float(np.arctan2(z + WGS84_E2 * rn * s, p))
+        num[()] = z + WGS84_E2 * rn * s
+        new_lat = float(np.arctan2(num, den, out))
         converged = abs(new_lat - lat) < 1e-15
         lat = new_lat
         if converged:
@@ -213,18 +211,19 @@ def dcm_ecef_to_ned(lat, lon):
 
 def gravity_e(r):
     """Plumb-line gravity vector in ECEF, consistent with gravity_n, at one
-    position ``r``: a 3-vector or, as a row step hands it over, three
-    Python floats, which go to :func:`ecef_to_llh` as they are.
-
-    The terms are Python floats; the rotation to ECEF stays the BLAS
-    product, since a hand-expanded C' (0, 0, g) flips signed zeros.
+    position ``r`` (a 3-vector, or the three Python floats of a row step,
+    which go to :func:`ecef_to_llh` as they are), as three Python floats:
+    C' (0, 0, g_D) written out, each entry its one term that is no exact
+    zero after ``0.0 +``, the +0.0 that a BLAS sum starts from.
     """
     lat, lon, h = ecef_to_llh(r)
     s, c = math.sin(lat), math.cos(lat)
     sl, cl = math.sin(lon), math.cos(lon)
     rm, rn = radii(lat)
-    dcm = np.array([-s * cl, -s * sl, c, -sl, cl, 0.0, -c * cl, -c * sl, -s])
-    return dcm.reshape(3, 3).T @ np.array(_gravity_n(s**2, rm, rn, h))
+    s2, rbar = s**2, math.sqrt(rm * rn)
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / math.sqrt(1.0 - WGS84_E2 * s2)
+    g = g0 * (rbar / (rbar + h)) ** 2
+    return 0.0 + (-c * cl) * g, 0.0 + (-c * sl) * g, 0.0 + (-s) * g
 
 
 def _gravity_e_rows(r):

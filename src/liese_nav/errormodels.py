@@ -529,13 +529,14 @@ def _ned_aux_blocks(variant, nom, gyro, accel, f):
 
 def _ecef_blocks(variant, nom, gyro, accel, f):
     if not variant.is_right:
-        w_b = matvec(nom.c_be.swapaxes(-1, -2), earth.W_IE_E)
-        sk_g, sk_a, sk_w = _skews(gyro, accel, w_b)
-        f[:, PHI, PHI] = -sk_g
-        f[:, RV, PHI] = -sk_a
-        f[:, RV, RV] = -sk_w - sk_g
+        w_b = matvec(nom.c_be.mT, earth.W_IE_E)
+        # one negation: -w - g is (-w) + (-g), and w - g is (-g) - (-w)
+        neg_g, neg_a, neg_w = -_skews(gyro, accel, w_b)
+        f[:, PHI, PHI] = neg_g
+        f[:, RV, PHI] = neg_a
+        f[:, RV, RV] = neg_w + neg_g
         f[:, RR, RV] = _I3
-        f[:, RR, RR] = sk_w - sk_g
+        f[:, RR, RR] = neg_g - neg_w
         return None
     # each point's gravity in its own float code, as the mechanization has it
     grav = earth._gravity_e_rows(nom.r)

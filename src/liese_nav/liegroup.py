@@ -130,7 +130,7 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
         a2 = angle * angle
         factor = 0.5 * (1.0 + a2 / 6.0 * (1.0 + a2 * 7.0 / 60.0))
         return factor * axis_vec
-    return axis_vec * (angle / (2.0 * np.sin(angle)))
+    return axis_vec * (angle / (2.0 * math.sin(angle)))
 
 
 def _so3_log_stack(rot):
@@ -230,7 +230,7 @@ class GroupElement:
         )
 
     def inverse(self) -> "GroupElement":
-        rt = np.swapaxes(self.R, -1, -2)
+        rt = self.R.mT
         return GroupElement(rt, -matvec(rt, self.v), -matvec(rt, self.p))
 
 
@@ -257,12 +257,12 @@ def exp_se23(xi: np.ndarray) -> GroupElement:
     a, b, c = _exp_coeffs(_norm(phi))
     px, px2 = _skew_and_square(phi)
     # I + a px + b px^2 and I + b px + c px^2 entry by entry, in numpy's order
-    rot, jac = np.array(
+    rot_jac = np.array(
         [i + a * p + b * q for i, p, q in zip(_I3_ROW, px, px2)]
         + [i + b * p + c * q for i, p, q in zip(_I3_ROW, px, px2)]
     ).reshape(2, 3, 3)
-    v, p = matvec(jac, xi[3:9].reshape(2, 3))
-    return GroupElement(rot, v, p)
+    vp = matvec(rot_jac[1], xi[3:9].reshape(2, 3))
+    return GroupElement(rot_jac[0], vp[0], vp[1])
 
 
 def _exp_se23_stack(xi):

@@ -154,7 +154,7 @@ def _ecef_row_rates(gyro, accel):
 
     def rates(x):
         rot, (f0, f1, f2) = products(x[:9], _SK_W_IE_ROW)
-        a0, a1, a2 = earth.gravity_e(x[12:]).tolist()
+        a0, a1, a2 = earth.gravity_e(x[12:])
         v0, v1, v2 = x[9:12]
         return [
             *rot,
@@ -241,10 +241,10 @@ def leg(state, step, gyros, accels, dt):
     (N, 15) stack. The pre-step states come as one stacked state of T
     points, or of T x N, step by step.
     """
-    x = _pack(state)
-    row = x.ndim == 1
-    if row:
-        x = x.tolist()
+    rot, vel, pos = vars(state).values()
+    row = vel.ndim == 1
+    # a row reads its fields' floats, at a third of a concatenate's cost
+    x = [*rot.ravel().tolist(), *vel.tolist(), *pos.tolist()] if row else _pack(state)
     xs = []
     for gyro, accel in zip(gyros, accels):
         xs.append(x)

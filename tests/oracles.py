@@ -721,6 +721,14 @@ def float_position_vector_gradient_entries(s, c, rm, rn, drn, h):
     ]
 
 
+def float_gravity_n(s2, rm, rn, h):
+    """NED gravity (0, 0, g_D) of a point's sine squared, radii and height,
+    as ``earth.gravity_e`` and ``earth._ned_point`` take it in floats."""
+    g0 = GRAV_EQUATOR * (1.0 + SOMIGLIANA_K * s2) / math.sqrt(1.0 - WGS84_E2 * s2)
+    rbar = math.sqrt(rm * rn)
+    return 0.0, 0.0, g0 * (rbar / (rbar + h)) ** 2
+
+
 def float_point_floats(geo):
     lat, _, h = geo
     s, c, t = math.sin(lat), math.cos(lat), float(np.tan(lat))
@@ -739,7 +747,7 @@ def float_ned_terms(nom, full):
         )
         vectors = float_earth_rate_n(s, c)
         if full:
-            grav = earth._gravity_n(s**2, rm, rn, h)
+            grav = float_gravity_n(s**2, rm, rn, h)
             row += [0.0] * 8 + [float_gravity_gradient_down(grav[2], rm, rn, h)]
             row += float_position_vector_gradient_entries(s, c, rm, rn, drn, h)
             vectors += (
@@ -773,6 +781,30 @@ def ref_ecef_to_llh(r):
         if converged:
             break
     return lat, lon, h
+
+
+def float_ecef_to_llh(r):
+    """The float loop of ``earth.ecef_to_llh`` verbatim from before it ran
+    ``np.arctan2`` and ``np.hypot`` on 0-d arrays: the same ufuncs, on
+    Python floats."""
+    x, y, z = r
+    x, y, z = float(x), float(y), float(z)
+    lon = np.arctan2(y, x)
+    p = float(np.hypot(x, y))
+    lat = float(np.arctan2(z, p * (1.0 - WGS84_E2)))
+    for _ in range(12):
+        # radii(lat)'s prime-vertical radius, from the sine the update reads
+        s = math.sin(lat)
+        rn = WGS84_A / math.sqrt(1.0 - WGS84_E2 * s**2)
+        new_lat = float(np.arctan2(z + WGS84_E2 * rn * s, p))
+        converged = abs(new_lat - lat) < 1e-15
+        lat = new_lat
+        if converged:
+            break
+    # the height of the last iteration's latitude and radius
+    if abs(lat) < 1.3:
+        return lat, lon, p / math.cos(lat) - rn
+    return lat, lon, z / math.sin(lat) - rn * (1.0 - WGS84_E2)
 
 
 def ref_gravity_e(r):

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from oracles import one_row, same_bits, so3_exp
@@ -341,8 +341,8 @@ def _ecef_edges():
 
 def test_gravity_e_and_ecef_to_llh_match_reference():
     # the Python-float loop and gravity terms against the numpy bodies, at
-    # random points and at the signed-zero edges, where a hand-expanded
-    # C' (0, 0, g) in place of the BLAS product flips the sign of zeros
+    # random points and at the signed-zero edges, where C' (0, 0, g) written
+    # out without its leading 0.0 + flips the sign of zeros
     rng = np.random.default_rng(41)
     lat = rng.uniform(-POLE, POLE, 3000)
     lon = rng.uniform(-np.pi, np.pi, lat.size)
@@ -351,6 +351,39 @@ def test_gravity_e_and_ecef_to_llh_match_reference():
     for k, r in enumerate(points):
         assert same_bits(earth.ecef_to_llh(r), oracles.ref_ecef_to_llh(r)), k
         assert same_bits(earth.gravity_e(r), oracles.ref_gravity_e(r)), k
+
+
+@st.composite
+def geodetic_edge_points(draw):
+    """ECEF positions whose latitude is +-0.0, +-5e-324, within 1e-3 of the
+    equator or anywhere up to the pole limit, whose longitude is +-0.0,
+    +-pi/2, +-pi or any, and whose height is -500 m to 1e5 m."""
+    lat = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+            st.floats(-1e-3, 1e-3),
+            st.floats(-earth._LAT_LIMIT, earth._LAT_LIMIT),
+        )
+    )
+    lon = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi]),
+            st.floats(-np.pi, np.pi),
+        )
+    )
+    return earth.llh_to_ecef(lat, lon, draw(NOM_H))
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=geodetic_edge_points())
+@example(r=np.array([6.4e6, 0.0, 0.0]))
+def test_float_gravity_e_and_buffered_ecef_to_llh_match_their_references(r):
+    # gravity_e's entries written out, each after 0.0 +, against the BLAS
+    # product C' (0, 0, g); the loop on 0-d arrays against the loop on
+    # Python floats; a 3-vector and a row step's three floats alike
+    for point in (r, r.tolist()):
+        assert same_bits(earth.ecef_to_llh(point), oracles.float_ecef_to_llh(point))
+        assert same_bits(earth.gravity_e(point), oracles.ref_gravity_e(r))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1066,21 +1099,21 @@ def test_cli_tracks_and_metrics_match_reference():
 # ---------------------------------------------------------------------------
 
 
-def assert_same(a, b, label):
-    """same_bits through states, records, reports, group elements and the
-    tuples, lists and dicts that hold them."""
+def assert_same(a, b, label, equal=same_bits):
+    """same_bits (or ``equal``) through states, records, reports, group
+    elements and the tuples, lists and dicts that hold them."""
     if hasattr(a, "__dict__"):
         assert type(a) is type(b), label
         for name, x in vars(a).items():
-            assert_same(x, getattr(b, name), f"{label}.{name}")
+            assert_same(x, getattr(b, name), f"{label}.{name}", equal)
     elif isinstance(a, (tuple, list, dict)):
         assert type(a) is type(b) and len(a) == len(b), label
         for k, x in (a.items() if isinstance(a, dict) else enumerate(a)):
-            assert_same(x, b[k], f"{label}[{k}]")
+            assert_same(x, b[k], f"{label}[{k}]", equal)
     elif a is None or isinstance(a, str):
         assert a == b, label
     else:
-        assert same_bits(a, b), label
+        assert equal(a, b), label
 
 
 def _modes(variant):
@@ -1592,6 +1625,69 @@ def test_stacked_exp_se23_equals_its_single_calls(rows):
                 assert same_bits(a, b), (k, name)
             else:
                 assert same_bits_but_nan(a, b), (k, name)
+
+
+def _outcome(call, *args):
+    """call(*args), or the type of the error it raises."""
+    try:
+        return call(*args)
+    except (LieseNavError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(new, ref, label):
+    """Equal results, NaN entries compared by place, or the same error."""
+    if isinstance(new, type) or isinstance(ref, type):
+        assert new is ref, label
+    else:
+        assert_same(new, ref, label, same_bits_but_nan)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("variant", supported_variants(), ids=lambda v: v.name)
+@settings(max_examples=25, deadline=None)
+@given(
+    case=ned_nominals(),
+    xi=tangents(),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from([(400.0, 900.0), (None, None)]),
+)
+def test_single_member_paths_match_reference(variant, case, xi, seed, tau):
+    # one member's retraction, error state and one-step predict against the
+    # per-call references: group errors on the series branch, exactly zero
+    # or not finite, and both kinds of bias model
+    truth, gyro, accel = case
+    rng = np.random.default_rng(seed)
+    nav = _own_frame(variant, truth)
+    bias = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+    dx = np.concatenate([xi, rng.normal(scale=np.repeat([5e-4, 5e-3], 3))])
+    out = _outcome(flt.apply_correction, variant, nav, bias, dx)
+    ref = _outcome(oracles.ref_apply_correction, variant, nav, bias, dx)
+    assert_same_outcome(out, ref, f"{variant.name} apply_correction")
+    if not xi.any():
+        # a zero group error keeps the state as it is, unprojected
+        assert_same(out[0], nav, f"{variant.name} kept state")
+    # the retracted state's error against the estimate; where the retraction
+    # refused a non-finite rotation, the estimate's own (zero) error
+    true_nav, true_bias = out if isinstance(out, tuple) else (nav, bias)
+    b_est = BiasState(*rng.normal(scale=1e-3, size=(2, 3)))
+    args = variant, true_nav, true_bias, nav, b_est
+    assert_same_outcome(
+        _outcome(flt.error_state, *args),
+        _outcome(oracles.ref_error_state, *args),
+        f"{variant.name} error_state",
+    )
+    scale = np.repeat([1e-3, 0.1, 1.0, 5e-4, 5e-3], 3)
+    p = rng.normal(size=(15, 15)) * scale
+    fs = flt.FilterState(variant, nav, bias, p @ p.T + np.diag(scale**2), 3.0)
+    sample = oracles.ImuSample(3.0, gyro, accel)
+    noise = ImuNoiseParams(1e-4, 1e-3, 1e-7, 1e-6, *tau)
+    run = flt.RunConstants(variant, noise, DT)
+    assert_same_outcome(
+        _outcome(flt.predict, fs, one_row(sample), run),
+        _outcome(oracles.ref_predict, fs, sample, DT, noise),
+        f"{variant.name} predict",
+    )
 
 
 def _scaled_errors(rng, n, still):
