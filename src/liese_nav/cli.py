@@ -415,22 +415,12 @@ def _cov_row(t, p):
 
 
 def _cov_rows(records):
-    """covariance.csv rows of the records' P, which predict and update keep
-    exactly symmetric (0.5 * (P + P')): each upper-triangle entry is
-    formatted once and its string reused for the mirrored entry.
-
-    First checks the symmetry of every P bit for bit and raises NotPSD with
-    the epoch of the first asymmetric one; then returns the rows as a
-    generator, which ``write_csv`` formats as it writes.
+    """covariance.csv rows of the records' P, as a generator, which
+    ``write_csv`` formats as it writes. Predict and update keep P exactly
+    symmetric (0.5 * (P + P')), and :func:`_check_covariances` has checked
+    it bit for bit: each upper-triangle entry is formatted once and its
+    string reused for the mirrored entry.
     """
-    for start in range(0, len(records), smo.BLOCK):
-        block = records[start:start + smo.BLOCK]
-        p = np.stack([rec.p_post for rec in block]).view(np.int64)
-        bad = np.flatnonzero(~(p == np.swapaxes(p, -1, -2)).all(axis=(-2, -1)))
-        if bad.size:
-            raise NotPSD(
-                f"covariance at t={block[bad[0]].t} is not exactly symmetric"
-            )
     return (_cov_row(rec.t, rec.p_post) for rec in records)
 
 
@@ -632,11 +622,16 @@ def _start(cfg, sim):
 def _filter(members, truth):
     """Simulate each member config on the shared ``truth``, filter all of
     them in one lockstep ``smoother.run_forward`` call, check their
-    covariances (:func:`_check_positive_definite`), smooth them in one
-    lockstep ``smoother.rts_smooth`` call and take the block's metrics in
-    one :func:`_metrics` call, all before any member writes a file. Yields
+    covariances (:func:`_check_covariances`), smooth them in one lockstep
+    ``smoother.rts_smooth`` call and take the block's metrics in one
+    :func:`_metrics` call, all before any member writes a file. Yields
     (sim, records, (filtered NED track, smoothed NED track), metrics) per
     member in order, and drops a member's data once the next is asked for.
+
+    Here, and nowhere else past the forward pass, a block of one differs
+    from a larger one: its stacked records and smoothed navs have no member
+    axis and are the member's own, where member k of a larger block gets
+    its views of them.
     """
     sims = [_simulate(sub, truth) for sub in members]
     try:
@@ -651,40 +646,62 @@ def _filter(members, truth):
         label = "seed" if len(members) == 1 else "seeds"
         raise Divergence(f"{exc} ({label} {seeds})") from exc
     variant = truth.variant
-    _check_positive_definite(variant, records, members)
-    # the smoothed navs, an (epochs, members) stack, or (epochs,) for one
-    # member; only they are written
+    if len(members) == 1:
+        own, smoothed_of = [records], lambda navs, k: navs
+    else:
+        own = [[_record_at(rec, k) for rec in records] for k in range(len(members))]
+        smoothed_of = lambda navs, k: state_at(navs, (slice(None), k))
+    _check_covariances(variant, own, members)
+    # the smoothed navs, stacked over (epochs[, members]); only they are
+    # written
     navs = stack_states([fs.nav for fs in smo.rts_smooth(variant, records)])
     # each track converts to NED once, for its CSV and for the metrics
     as_ned = variant.chart.as_ned
     tracks = [
-        (
-            as_ned(stack_states([r.nav for r in member])),
-            as_ned(navs if len(records) == 1 else state_at(navs, (slice(None), k))),
-        )
-        for k, member in enumerate(records)
+        (as_ned(stack_states([r.nav for r in member])), as_ned(smoothed_of(navs, k)))
+        for k, member in enumerate(own)
     ]
-    metrics = _metrics(members, sims, records, tracks, nis)
+    metrics = _metrics(members, sims, own, tracks, nis)
     for k in range(len(members)):
-        yield sims[k], records[k], tracks[k], metrics[k]
-        sims[k] = records[k] = tracks[k] = None
+        yield sims[k], own[k], tracks[k], metrics[k]
+        sims[k] = own[k] = tracks[k] = None
 
 
-def _check_positive_definite(variant, records, members):
-    """Raise NotPSD, naming the time, the variant and the member's seed, at
-    the first covariance of a member's records that a Cholesky
-    factorization refuses: one stacked ``np.linalg.cholesky`` per
-    ``smoother.BLOCK`` epochs of each member. A P whose round-off has made
+def _record_at(rec, k):
+    """Member k's view of a record stacked over a block's members: its time,
+    filtered state and P, which the files and metrics read."""
+    return smo.ForwardRecord(
+        rec.t, state_at(rec.nav, k), state_at(rec.bias, k), rec.p_post[k]
+    )
+
+
+def _check_covariances(variant, records, members):
+    """Raise NotPSD at the first filtered covariance, member by member in
+    order and epoch by epoch, that is not exactly symmetric or that a
+    Cholesky factorization refuses; ``records`` holds one list per member.
+    Each P is stacked once for both checks, ``smoother.BLOCK`` epochs of a
+    member at a time: one bitwise comparison with the transpose and one
+    stacked ``np.linalg.cholesky``.
+
+    covariance.csv mirrors P's upper triangle, so an asymmetric P would be
+    written wrong; the message names its time. A P whose round-off has made
     it indefinite writes negative NEES values (a GNSS sigma of 1e-20 m
-    wrote -1.66e12), though it passes the symmetry check of covariance.csv.
+    wrote -1.66e12); the message names its time, the variant and the
+    member's seed. An epoch that fails both is named as asymmetric, since
+    the factorization reads one triangle only.
     """
     for member, sub in zip(records, members):
         for start in range(0, len(member), smo.BLOCK):
             block = member[start:start + smo.BLOCK]
-            if not _factors(np.stack([rec.p_post for rec in block])):
-                rec = next(rec for rec in block if not _factors(rec.p_post))
+            p = np.stack([rec.p_post for rec in block])
+            bits = p.view(np.int64)
+            skew = ~(bits == bits.mT).all(axis=(-2, -1))
+            if skew.any() or not _factors(p):
+                e = next(e for e, pk in enumerate(p) if skew[e] or not _factors(pk))
                 raise NotPSD(
-                    f"covariance at t={rec.t} of {variant.name} (seed "
+                    f"covariance at t={block[e].t} is not exactly symmetric"
+                    if skew[e]
+                    else f"covariance at t={block[e].t} of {variant.name} (seed "
                     f"{sub.seed}) is not positive definite"
                 )
 

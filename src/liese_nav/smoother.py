@@ -4,7 +4,10 @@ The backward recursion is the standard Rauch-Tung-Striebel pass expressed in
 the variant's error coordinates: the smoothed-vs-predicted state difference
 at k+1 is mapped into a 15-vector with the group logarithm, pulled back
 through the smoother gain, and retracted into the filtered nominal at k.
-The members of a block run both passes in lockstep, as one stack.
+The members of a block run both passes in lockstep, as one stack: the
+forward pass keeps its records stacked over them, and the backward pass
+takes those records as they are, so a standalone run (a block of one, whose
+records hold its own unstacked states) and a block run the same code.
 """
 
 import math
@@ -16,7 +19,6 @@ from liese_nav import filter as flt
 from liese_nav.errors import Divergence, NonFiniteInput, SingularPredCov
 from liese_nav.filter import _I15, apply_correction, error_state
 from liese_nav.liegroup import matvec
-from liese_nav.mechanization import stack_states, state_at
 from liese_nav.sensors import BiasState, ImuNoiseParams
 
 
@@ -27,7 +29,9 @@ class ForwardRecord:
     ``nav``/``bias``/``p_post`` are the post-update estimate at t. ``phi``
     is the accumulated transition matrix from t to the next epoch and
     ``p_pred``/``nav_pred``/``bias_pred`` the resulting next-epoch prior;
-    they are None for the final record.
+    they are None for the final record. ``run_forward`` stacks every field
+    but t over the members of a block (states as ``stack_states`` stacks
+    them, matrices on a leading member axis); one member's are its own.
     """
 
     t: float
@@ -40,11 +44,6 @@ class ForwardRecord:
     bias_pred: BiasState = None
 
 
-# ForwardRecord's fields after t, and those of them that are states
-_FIELDS = ("nav", "bias", "p_post", "phi", "p_pred", "nav_pred", "bias_pred")
-_STATES = {"nav", "bias", "nav_pred", "bias_pred"}
-
-
 def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
     """Filter N members in lockstep from their start FilterStates
     ``starts``, IMU streams ``imus`` ((n, 2, 3) arrays of (gyro, accel),
@@ -52,10 +51,12 @@ def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
     ``fix_lists``, all at the same times, updating each member with its fix
     after the first IMU step k at which ``t0 + k * dt`` reaches the fix's
     time (the states' own times sum ``dt`` step by step, and drift from
-    that on a long run or a large start time). Returns (records, nis),
-    one list per member, each equal to the member's own run bit for bit: a
+    that on a long run or a large start time). Returns (records, nis): one
     ForwardRecord per update, the last one (or, with no fix, the last
-    prediction) final, and one {"t", "value"} NIS entry per update.
+    prediction) final, each stacked over the members (one member's are its
+    own), and one list per member of {"t", "value"} NIS entries, one per
+    update. Member k of each record equals the member's own run bit for
+    bit.
 
     The pass runs leg by leg: a leg ends at the step a fix is due, and is at
     least one step long, so two fixes due at one step apply on consecutive
@@ -65,7 +66,7 @@ def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
     equals its step-by-step prediction bit for bit. At each fix they
     update as one stack, one ``filter.update`` with their fixes stacked
     (``GnssFix.stack``), and stay stacked: the pass keeps one stacked
-    record per update, and a member's records are views of them.
+    record per update, as it builds it.
 
     Raises NonFiniteInput, naming the sample time (``t0 + k * dt`` for IMU
     sample k), if any IMU sample or fix position holds a NaN or an
@@ -113,24 +114,8 @@ def run_forward(starts, imus, fix_lists, dt, noise=None, mode="se23"):
         ) from exc
     last = fs.copy() if post is None else post
     records.append(ForwardRecord(last.t, last.nav, last.bias, last.p))
-    if lanes > 1:
-        records = [[_record_at(rec, k, rec.t) for rec in records] for k in range(lanes)]
-    else:
-        records = [records]
     nis = [[{"t": t, "value": v[k]} for t, v in nis] for k in range(lanes)]
     return records, nis
-
-
-def _record_at(rec, k, t):
-    """Row k (an index or a slice of rows) of a stacked record, as views,
-    at time t."""
-    prior = () if rec.phi is None else (
-        rec.phi[k], rec.p_pred[k], state_at(rec.nav_pred, k),
-        state_at(rec.bias_pred, k),
-    )
-    return ForwardRecord(
-        t, state_at(rec.nav, k), state_at(rec.bias, k), rec.p_post[k], *prior
-    )
 
 
 def _leg(fs, imu, start, stop, run, chunk):
@@ -159,7 +144,7 @@ def _check_finite(imu, fixes, t0, dt):
 
 
 # Epochs, or member-epochs, per stacked solve or factorization (here, in
-# the metrics, the covariance check and covariance.csv):
+# the backward pass's gains, the metrics and the covariance check):
 # 64 covariances (115 kB) stay below glibc's default 128 kB mmap threshold.
 # Freeing whole-track stacks (1.8 MB on a 1000-epoch track) raises that
 # threshold, and later allocations stay on the heap: perfbench's
@@ -167,23 +152,15 @@ def _check_finite(imu, fixes, t0, dt):
 BLOCK = 64
 
 
-# Member-epochs per chunk of the lockstep backward pass. A chunk's six
-# stacks of 15 x 15 matrices (its records' P_post, Phi and P_pred, Phi
-# P_post, the ridged P_pred and the gains) take about 170 kB; at BLOCK
-# member-epochs they took 690 kB, and a 4-member Monte-Carlo run peaked
-# 0.6 MB higher in RSS (44.65 against 44.03 MB, median of 5 in-process
-# runs of six calls each).
-_LOCKSTEP_ROWS = 16
-
-
 def _gains(times, p_pred, rhs):
     """The smoother gains C = P_post Phi' P_pred^-1 of a chunk of epochs,
     from one stacked solve on the transpose, with ``rhs`` = Phi P_post:
-    ``p_pred`` and ``rhs`` hold one matrix per epoch, or the members of a
-    block epoch by epoch, and ``times`` the epochs' times. The gains do not
-    depend on the backward recursion, and each equals its per-epoch solve
-    bit for bit. SingularPredCov names the latest epoch whose solve fails,
-    the one the backward pass reaches first.
+    ``p_pred`` and ``rhs`` are (E, 15, 15) stacks of one matrix per epoch,
+    or (E, N, 15, 15) stacks of a block's N members epoch by epoch, and
+    ``times`` the E epochs' times. The gains do not depend on the backward
+    recursion, and each equals its per-epoch solve bit for bit.
+    SingularPredCov names the latest epoch whose solve fails, the one the
+    backward pass reaches first.
     """
     p_pred = p_pred + 1e-12 * _I15
     try:
@@ -208,11 +185,13 @@ def _gains(times, p_pred, rhs):
     return c.mT
 
 
-def _member_pairs(records):
-    """(record, gain) of every record of one member but the final one,
-    latest first, the gains from one stacked solve per BLOCK epochs."""
-    for stop in range(len(records) - 1, 0, -BLOCK):
-        block = records[max(0, stop - BLOCK):stop]
+def _pairs(records):
+    """(record, gain) of every record but the final one, latest first. A
+    chunk holds at most ``BLOCK`` member-epochs (one epoch at least), and
+    its gains are one stacked solve."""
+    chunk = max(1, BLOCK * 225 // records[-1].p_post.size)
+    for stop in range(len(records) - 1, 0, -chunk):
+        block = records[max(0, stop - chunk):stop]
         gains = _gains(
             [rec.t for rec in block],
             np.stack([rec.p_pred for rec in block]),
@@ -221,65 +200,19 @@ def _member_pairs(records):
         yield from zip(reversed(block), gains[::-1])
 
 
-def _stack(flat):
-    """One record whose fields stack those of the records ``flat``, one
-    call per field, at the first one's time; a final record's missing
-    prior stays missing."""
-    first = flat[0]
-    return ForwardRecord(
-        first.t,
-        *(
-            (stack_states if name in _STATES else np.array)(
-                [getattr(rec, name) for rec in flat]
-            )
-            for name in _FIELDS
-            if getattr(first, name) is not None
-        ),
-    )
-
-
-def _lockstep_pairs(records):
-    """(record, gain) of every epoch of a block's members but the final
-    one, latest first: each record stacked over the members, each gain an
-    (N, 15, 15) stack. A chunk of at most ``_LOCKSTEP_ROWS`` member-epochs
-    (one epoch at least) is restacked with one call per field, and its
-    gains are one stacked solve; each epoch's record holds views of the
-    chunk."""
-    lanes = len(records)
-    chunk = max(1, _LOCKSTEP_ROWS // lanes)
-    for stop in range(len(records[0]) - 1, 0, -chunk):
-        lo = max(0, stop - chunk)
-        # epoch-major: epoch e's members are rows e * lanes ... + lanes
-        flat = [member[e] for e in range(lo, stop) for member in records]
-        times = [rec.t for rec in flat[::lanes]]
-        stacked = _stack(flat)
-        gains = _gains(times, stacked.p_pred, stacked.phi @ stacked.p_post)
-        for e in reversed(range(len(times))):
-            rows = slice(e * lanes, (e + 1) * lanes)
-            yield _record_at(stacked, rows, times[e]), gains[rows]
-
-
 def rts_smooth(variant, records):
-    """Backward RTS pass over ``run_forward``'s records, one list per
-    member, all members at the same epochs. Returns the smoothed
+    """Backward RTS pass over ``run_forward``'s records, each stacked over
+    the members of a block (one member's are its own). Returns the smoothed
     ``filter.FilterState`` of every epoch, oldest first, stacked over the
-    members as ``FilterState.stack`` stacks them: one member's are its own
-    states, and each member of a block's stacked state equals the member's
-    own pass bit for bit.
+    members as ``FilterState.stack`` stacks them: each member of a block's
+    stacked state equals the member's own pass bit for bit.
 
-    One member runs unstacked on its own records. The members of a block of
-    two or more run in lockstep: each backward epoch is one stacked
-    ``error_state``, gain product and ``apply_correction`` over the
-    members, and the records are restacked chunk by chunk
-    (:func:`_lockstep_pairs`). So a block's smoothed states exist at once,
-    one stack per epoch, and a singular predicted covariance stops the
-    whole block.
+    Each backward epoch is one ``error_state``, gain product and
+    ``apply_correction`` over the stack, so a block's smoothed states exist
+    at once, one stack per epoch, and a singular predicted covariance stops
+    the whole block.
     """
-    if len(records) == 1:
-        (own,) = records
-        return _backward(variant, own[-1], _member_pairs(own)) if own else []
-    last = _stack([member[-1] for member in records])
-    return _backward(variant, last, _lockstep_pairs(records))
+    return _backward(variant, records[-1], _pairs(records))
 
 
 def _backward(variant, last, pairs):

@@ -160,6 +160,51 @@ def member_state(fs, k):
     )
 
 
+# ForwardRecord's fields after t, and those of them that are states
+_RECORD_FIELDS = ("nav", "bias", "p_post", "phi", "p_pred", "nav_pred", "bias_pred")
+_RECORD_STATES = {"nav", "bias", "nav_pred", "bias_pred"}
+
+
+def member_records(records, k):
+    """Member k's records, as views, from ``run_forward``'s records stacked
+    over a block's members; a final record's missing prior stays
+    missing."""
+    return [
+        smo.ForwardRecord(
+            rec.t,
+            *(
+                state_at(x, k) if name in _RECORD_STATES else x[k]
+                for name in _RECORD_FIELDS
+                if (x := getattr(rec, name)) is not None
+            ),
+        )
+        for rec in records
+    ]
+
+
+def stack_records(member_lists):
+    """``run_forward``'s records of a block from one record list per member,
+    all at the same epochs: each epoch's fields stacked over the members,
+    one call per field, at the first member's time; a final record's
+    missing prior stays missing."""
+    out = []
+    for flat in zip(*member_lists):
+        first = flat[0]
+        out.append(
+            smo.ForwardRecord(
+                first.t,
+                *(
+                    (mech.stack_states if name in _RECORD_STATES else np.array)(
+                        [getattr(rec, name) for rec in flat]
+                    )
+                    for name in _RECORD_FIELDS
+                    if getattr(first, name) is not None
+                ),
+            )
+        )
+    return out
+
+
 def dynamics_at(variant, nominal, gyro, accel, *args, **kwargs):
     """``error_dynamics`` at one nominal, called on a stack of one: (F, G)
     of the point, G one matrix either way."""
@@ -1667,8 +1712,6 @@ def ref_log_se23(element):
 
 
 def ref_rts_smooth(variant, records):
-    if not records:
-        return []
     last = records[-1]
     out = [
         flt.FilterState(

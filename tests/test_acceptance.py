@@ -29,7 +29,8 @@ from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
 from oracles import (
     FOracle, adjoint, as_matrix, assert_f_matches, dynamics_at, hat,
-    imu_instantaneous, member_state, ref_group_affine_dynamics, so3_exp, state_ned,
+    imu_instantaneous, member_records, member_state, ref_group_affine_dynamics,
+    so3_exp, state_ned,
 )
 
 CIRCLE = TruthGenerator(
@@ -243,7 +244,7 @@ def _forward(variant, mode, duration, dt, seed):
     """One filter pass; returns its records."""
     clean = CIRCLE.synthesize_imu(duration, dt)
     fs, imu, _, fixes = _draws(variant, duration, dt, seed, clean)
-    return smo.run_forward([fs], [imu], [fixes], dt, NOISE, mode)[0][0]
+    return smo.run_forward([fs], [imu], [fixes], dt, NOISE, mode)[0]
 
 
 def test_criterion_5_invariant_matches_se23():
@@ -289,8 +290,8 @@ def _lockstep_forward(variant, duration, dt, seeds, clean):
     records, _ = smo.run_forward(starts, imu, fixes, dt, NOISE, "se23")
     smoothed = smo.rts_smooth(variant, records)
     return [
-        (recs, [member_state(fs, k) for fs in smoothed], b)
-        for k, (recs, b) in enumerate(zip(records, biases))
+        (member_records(records, k), [member_state(fs, k) for fs in smoothed], b)
+        for k, b in enumerate(biases)
     ]
 
 

@@ -1250,7 +1250,7 @@ def test_forward_pass_matches_reference(frame, error_def, mode):
     ]
     assert_same(starts[0], starts[1], "initial state")
     fs0 = [flt.FilterState(sim.variant, *start, 0.0) for start in starts]
-    (records,), (nis,) = smo.run_forward(
+    records, (nis,) = smo.run_forward(
         [fs0[0]], [sim.imu], [fixes], DT, sim.noise, mode
     )
     new = records, nis
@@ -1275,7 +1275,7 @@ def test_forward_legs_match_reference_on_irregular_fixes(frame, error_def, mode)
     fixes = [dataclasses.replace(f[0], t=-0.5), f[0], f[1], f[1], *f[4:]]
     start = cli._initial_state(cfg, sim.variant, sim.gen, sim.rng)
     fs0 = flt.FilterState(sim.variant, *start, 0.0)
-    (records,), (nis,) = smo.run_forward(
+    records, (nis,) = smo.run_forward(
         [fs0], [sim.imu], [fixes], DT, sim.noise, mode
     )
     new = records, nis
@@ -1324,8 +1324,11 @@ def test_lockstep_forward_matches_member_forwards(n, steps, error_def):
         smo.run_forward([fs.copy()], [imu], [member_fixes], DT, noise, cfg.mode)
         for fs, imu, member_fixes in zip(starts, imus, fixes)
     ]
-    lockstep = smo.run_forward(starts, imus, fixes, DT, noise, cfg.mode)
-    expected = tuple([x[0] for x in side] for side in zip(*singles))
+    records, nis = smo.run_forward(starts, imus, fixes, DT, noise, cfg.mode)
+    lockstep = ([oracles.member_records(records, k) for k in range(n)], nis)
+    expected = (
+        [records for records, _ in singles], [nis for _, (nis,) in singles]
+    )
     assert_same(lockstep, expected, "lockstep forward pass")
     assert [len(records) for records in lockstep[0]] == [1 if steps else 10] * n
 
@@ -1397,7 +1400,7 @@ def _forward(frame, error_def, mode):
     fs = flt.FilterState(
         sim.variant, *cli._initial_state(cfg, sim.variant, sim.gen, sim.rng), 0.0
     )
-    (records,), (nis,) = smo.run_forward(
+    records, (nis,) = smo.run_forward(
         [fs], [sim.imu], [sim.fixes], DT, sim.noise, mode
     )
     return cfg, sim, records, nis
@@ -1427,7 +1430,7 @@ def test_back_end_matches_reference(frame, error_def, mode, block, monkeypatch):
         monkeypatch.setattr(smo, "BLOCK", block)
     cfg, sim, records, nis = _forward(frame, error_def, mode)
     variant = sim.variant
-    smoothed = smo.rts_smooth(variant, [records])
+    smoothed = smo.rts_smooth(variant, records)
     assert_same(smoothed, oracles.ref_rts_smooth(variant, records), "smoother")
     truth = variant.chart.states(sim.gen, [r.t for r in records])
     ref_nees = oracles.ref_nees(
@@ -1447,7 +1450,7 @@ def test_singular_covariance_raises_naming_its_epoch(block, monkeypatch):
     if block:
         monkeypatch.setattr(smo, "BLOCK", block)
     cfg, sim, records, nis = _forward("NED", "LeftEst", "se23")
-    smoothed = smo.rts_smooth(sim.variant, [records])
+    smoothed = smo.rts_smooth(sim.variant, records)
     records[4].p_post = np.zeros((15, 15))
     with pytest.raises(NotPSD, match=f"t={records[4].t} is singular"):
         _metrics(cfg, sim, records, smoothed, nis)
@@ -1767,10 +1770,14 @@ def _block(frame, error_def, mode, n):
     return sim.variant, sim.noise, [list(x) for x in zip(*draws)]
 
 
-# chunks of 16 member-epochs restack 3 members five epochs at a time and 2
+# chunks of BLOCK (64) member-epochs hold the 9 epochs before the final
+# one at once; chunks of 16 take 3 members five epochs at a time and 2
 # members eight at a time, and chunks of 5 one and two epochs at a time, so
-# the chunks split the 9 epochs before the final one unevenly
-@pytest.mark.parametrize("rows", [None, 5], ids=["16-rows", "5-rows"])
+# they split the epochs unevenly; chunks of 1, fewer rows than members, take
+# one epoch at a time
+@pytest.mark.parametrize(
+    "rows", [None, 16, 5, 1], ids=["BLOCK-rows", "16-rows", "5-rows", "1-row"]
+)
 @pytest.mark.parametrize(
     "frame, error_def, mode, n",
     [
@@ -1784,13 +1791,14 @@ def _block(frame, error_def, mode, n):
 def test_lockstep_backward_pass_equals_member_passes(
     frame, error_def, mode, n, rows, monkeypatch
 ):
-    if rows:
-        monkeypatch.setattr(smo, "_LOCKSTEP_ROWS", rows)
     variant, noise, (starts, imus, fixes) = _block(frame, error_def, mode, n)
     records, _ = smo.run_forward(starts, imus, fixes, DT, noise, mode)
+    if rows:
+        monkeypatch.setattr(smo, "BLOCK", rows)
     lockstep = smo.rts_smooth(variant, records)
-    for k, member in enumerate(records):
-        own = smo.rts_smooth(variant, [member])
+    for k in range(n):
+        member = oracles.member_records(records, k)
+        own = smo.rts_smooth(variant, member)
         assert len(own) == len(lockstep) == len(member)
         for e, (stacked, single) in enumerate(zip(lockstep, own)):
             assert_member(stacked, k, single, f"{variant.name} member {k} epoch {e}")

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 import liese_nav
 from liese_nav import cli, earth, errors, filter as flt, smoother as smo
-from liese_nav.errormodels import supported_variants
+from liese_nav.errormodels import Variant, supported_variants
 from liese_nav.errors import ConfigError, IoError, NotPSD
 
 from oracles import so3_exp
@@ -1037,25 +1037,47 @@ def test_gnss_period_on_imu_grid_accepted():
 
 
 @pytest.mark.parametrize("asymmetric", ["value", "sign of zero"])
-def test_covariance_rows_refuse_an_asymmetric_p(tmp_path, asymmetric, monkeypatch):
+def test_covariance_rows_refuse_an_asymmetric_p(asymmetric, monkeypatch):
     # covariance.csv mirrors the upper triangle, so an asymmetric P would be
-    # written wrong; it must fail loudly with its epoch, before any row
+    # written wrong; the covariance check refuses it with its epoch. The
+    # matrices are positive definite, so only the symmetry check fails
     rng = np.random.default_rng(5)
     records = []
     for t in (0.5, 1.0, 2.5, 3.0):
         a = rng.normal(size=(15, 15))
-        records.append(smo.ForwardRecord(t, None, None, 0.5 * (a + a.T)))
+        p = 0.5 * (a + a.T) + 15.0 * np.eye(15)
+        records.append(smo.ForwardRecord(t, None, None, p))
     bad = records[2].p_post
     if asymmetric == "value":
         bad[3, 7] = np.nextafter(bad[7, 3], np.inf)
     else:
         bad[3, 7], bad[7, 3] = 0.0, -0.0
-    path = tmp_path / "covariance.csv"
+    variant, member = Variant("NED", "LeftEst"), cli.ScenarioConfig(**BASE_CONFIG)
     for block in (smo.BLOCK, 2):  # the checks in one stack, or in two
         monkeypatch.setattr(smo, "BLOCK", block)
         with pytest.raises(NotPSD, match=r"t=2\.5 "):
-            cli.write_csv(path, cli.COV_HEADER, cli._cov_rows(records))
-        assert not path.exists()
+            cli._check_covariances(variant, [records], [member])
+
+
+@pytest.mark.parametrize("runs", [[], ["--monte-carlo", "2"]], ids=["single", "mc"])
+def test_asymmetric_covariance_exits_2_before_any_file(tmp_path, runs, monkeypatch):
+    # an asymmetric filtered P stops the run, naming its epoch, before any
+    # member of the block writes a file
+    run_forward = smo.run_forward
+
+    def skewed(*args):
+        records, nis = run_forward(*args)
+        p = records[3].p_post = records[3].p_post.copy()
+        p[..., 3, 7] = np.nextafter(p[..., 7, 3], np.inf)
+        return records, nis
+
+    monkeypatch.setattr(smo, "run_forward", skewed)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "o"
+    res = invoke("run", "--config", str(cfg), "--out", str(out), *runs)
+    assert res.exit_code == 2, res.output
+    assert re.search(r"covariance at t=\S+ is not exactly symmetric", res.output)
+    assert not out.exists() if not runs else not any(out.rglob("*"))
 
 
 @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "two-blocks"])

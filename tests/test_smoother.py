@@ -12,7 +12,7 @@ from liese_nav.mechanization import NavStateECEF
 from liese_nav.sensors import BiasState, ImuNoiseParams
 from liese_nav.simulator import TrajectorySpec, TruthGenerator
 
-from oracles import state_ned
+from oracles import stack_records, state_ned
 
 GEN = TruthGenerator(
     TrajectorySpec(
@@ -28,11 +28,10 @@ def test_single_record_is_identity():
     variant = Variant("ECEF", "LeftEst")
     nav = GEN.state_ecef(3.0)
     rec = smo.ForwardRecord(3.0, nav, BiasState(), np.eye(15) * 0.1)
-    out = smo.rts_smooth(variant, [[rec]])
+    out = smo.rts_smooth(variant, [rec])
     assert len(out) == 1
     assert np.array_equal(out[0].p, rec.p_post)
     assert np.array_equal(out[0].nav.r, nav.r)
-    assert smo.rts_smooth(variant, [[]]) == []
 
 
 def _rand_psd(rng, scale):
@@ -77,7 +76,7 @@ def test_matches_vector_rts_in_linear_regime():
         else:
             records.append(smo.ForwardRecord(float(k), nav_k, bias_k, p_post[k]))
 
-    out = smo.rts_smooth(variant, [records])
+    out = smo.rts_smooth(variant, records)
 
     # reference: standard vector RTS on the same numbers
     xs, ps = x_post[-1].copy(), p_post[-1].copy()
@@ -123,7 +122,7 @@ def test_singular_pred_cov_raises(monkeypatch):
             for bad_at in range(3):
                 records = _records_with_pred_cov(bad_at, p_bad)
                 with pytest.raises(SingularPredCov, match=rf"t={bad_at}\.0$"):
-                    smo.rts_smooth(variant, [records])
+                    smo.rts_smooth(variant, records)
 
 
 def test_singular_pred_cov_of_one_member_stops_its_lockstep_block():
@@ -137,7 +136,7 @@ def test_singular_pred_cov_of_one_member_stops_its_lockstep_block():
                 _records_with_pred_cov(bad_at, p_bad),
             ]
             with pytest.raises(SingularPredCov, match=rf"t={bad_at}\.0$"):
-                smo.rts_smooth(variant, block)
+                smo.rts_smooth(variant, stack_records(block))
 
 
 @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "two-blocks"])
@@ -150,11 +149,11 @@ def test_singular_pred_cov_names_the_epoch_the_backward_pass_meets_first(
     records = _records_with_pred_cov(0, -1e-12 * np.eye(15))
     records[1].p_pred = np.full((15, 15), np.nan)
     with pytest.raises(SingularPredCov, match=r"numerically singular at t=1\.0$"):
-        smo.rts_smooth(variant, [records])
+        smo.rts_smooth(variant, records)
     records[1].p_pred = np.eye(15)
     records[2].p_pred = -1e-12 * np.eye(15)
     with pytest.raises(SingularPredCov, match=r"covariance singular at t=2\.0$"):
-        smo.rts_smooth(variant, [records])
+        smo.rts_smooth(variant, records)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def run_forward(variant, duration=20.0, dt=0.02, gnss_period=1.0, seed=5):
         nav0 = GEN.state_ecef(0.0)
     fs = flt.FilterState(variant, nav0, BiasState(), p0, 0.0)
     records, _ = smo.run_forward([fs], [imu], [fixes], dt, noise)
-    return records[0]
+    return records
 
 
 def test_run_forward_without_a_fix_keeps_the_last_prediction():
@@ -210,7 +209,7 @@ def test_run_forward_without_a_fix_keeps_the_last_prediction():
     for k in range(len(imu)):
         expected, _ = flt.predict(expected, imu[k:k + 1], run)
     for fixes in ([], [late]):
-        (records,), (nis,) = smo.run_forward([fs0], [imu], [fixes], dt)
+        records, (nis,) = smo.run_forward([fs0], [imu], [fixes], dt)
         assert nis == []
         assert len(records) == 1
         rec = records[0]
@@ -235,7 +234,7 @@ def test_fixes_apply_at_their_imu_step_far_from_time_zero():
     fs = flt.FilterState(
         Variant("NED", "LeftEst"), state_ned(GEN, 0.0), BiasState(), np.eye(15), t0
     )
-    (records,), (nis,) = smo.run_forward([fs], [imu], [fixes], dt)
+    records, (nis,) = smo.run_forward([fs], [imu], [fixes], dt)
     assert len(nis) == len(records) == len(fixes)
     for entry, rec, fix in zip(nis, records, fixes):
         assert abs(entry["t"] - fix.t) < 0.5 * dt
@@ -289,7 +288,7 @@ def test_smoother_dominates_filter_on_circle():
     # [DERIVED: PSD-ordering property of RTS]
     variant = Variant("NED", "LeftEst")
     records = run_forward(variant)
-    smoothed = smo.rts_smooth(variant, [records])
+    smoothed = smo.rts_smooth(variant, records)
     times = [r.t for r in records]
     filt_err = _pos_errors([r.nav for r in records], times)
     smo_err = _pos_errors([e.nav for e in smoothed], times)
